@@ -9,9 +9,11 @@ time.  The last line of standard output is one JSON object with the keys
 `correct`, `attempted`, `failed` and `metrics`.
 
 --trace 0: every operation is a fresh `python -m intervalcubes` process,
-  timed from start to exit, with its peak RSS from os.wait4.  Whole rounds
-  of the workload repeat until at least three have run and --seconds have
-  passed; each operation counts with its fastest time over the rounds.
+  timed from start to exit, with its peak RSS from os.wait4.  Rounds of
+  the workload repeat until at least three have run and --seconds have
+  passed, stopping between two operations.  Each time is scaled by the
+  CPU's speed while it ran (see SpeedTrace), and each operation counts
+  with its median scaled time over the rounds.
 --trace 1: the same rounds run inside one child process per pass, through
   the CLI's main, alternately bare and with a span around each public call
   (see inproc.py); a last pass records tracemalloc peaks.  The spans go to
@@ -23,7 +25,10 @@ See README.md for the workloads, the metrics and what moves them.
 from __future__ import annotations
 
 import argparse
+import bisect
+import collections
 import json
+import math
 import os
 import platform
 import shutil
@@ -42,9 +47,12 @@ SRC = ROOT / "src"
 WORK = HERE / "work"
 
 RUN_LIMIT_S = 150  # stop starting work here; a run must end within 180 s
-SETUP_REPEATS = 7
-MIN_REPEATS = 3  # rounds, so that each operation's fastest time means something
-OVERRUN = 1.6  # bounds a run's length on a slow machine; see _repeats
+SETUP_REPEATS = 3  # before the first round; --trace 0 sets up again after each
+MIN_ROUNDS = 3  # so that each operation's median has three repeats or more
+OVERRUN = 1.25  # bounds a traced run's length; see _passes
+SAMPLE_EVERY_S = 0.02  # the speed probe's period; see SpeedTrace
+MIN_SAMPLES = 3
+REF_PROBE_S = 0.0002  # a scaled time reads as if one probe took this long
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -57,6 +65,68 @@ END_TO_END_UNITS = {
     "rep_bytes": "bytes",
     "ok_frac": "ratio",
 }
+
+
+def _probe():
+    """A fixed piece of pure-Python work that never changes with the
+    package's code: 0.2-0.5 ms of dict updates on a shared 2-core x86-64
+    host, depending on what else the host runs."""
+    table: dict[int, int] = {}
+    for i in range(2000):
+        table[i & 255] = table.get(i & 255, 0) + i * i
+
+
+class SpeedTrace:
+    """Samples the CPU's speed all through a run, to scale wall times by it.
+
+    Other tenants of a shared host slow it by up to 2.5 times, and the
+    slowdown changes within seconds, inside a single operation; no number
+    of repeats averages it out.  So a thread runs `_probe` every
+    SAMPLE_EVERY_S and records the CPU time it took: thread CPU time, so
+    that time spent preempted by the timed process does not count.  The
+    benchmark and its children are pinned to one CPU, so the probe runs
+    on the CPU the timed process runs on.  A wall time is divided by the
+    mean probe time while it ran (over at least the MIN_SAMPLES last
+    samples up to its end) and multiplied by REF_PROBE_S: the result is
+    in seconds at a fixed machine speed.
+    """
+
+    def __init__(self):
+        self.samples: list[tuple[float, float]] = []  # (perf_counter, CPU seconds)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        while not self.samples:
+            time.sleep(SAMPLE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join()
+
+    def _sample(self):
+        while not self._stop.wait(SAMPLE_EVERY_S):
+            at, cpu = time.perf_counter(), time.thread_time()
+            _probe()
+            self.samples.append((at, time.thread_time() - cpu))
+
+    def scale(self, start: float, seconds: float) -> float:
+        """Scale `seconds` of wall time that began at perf_counter `start`."""
+        samples = self.samples[:]
+        lo = bisect.bisect_left(samples, (start,))
+        hi = bisect.bisect_right(samples, (start + seconds, math.inf))
+        lo = min(lo, max(0, hi - MIN_SAMPLES))
+        cost = statistics.fmean(c for _, c in samples[lo:hi])
+        return seconds * REF_PROBE_S / cost
+
+
+def _pin_to_one_cpu():
+    """Run the benchmark and every child it starts on a single CPU, so
+    that the speed probe measures the CPU the timed process runs on."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def _child_env() -> dict:
@@ -108,11 +178,13 @@ def run_process(cmd: list[str], deadline: float, log: Path):
     return proc.returncode, seconds, rss_mib, None
 
 
-def setup(workload: str, seed: int, work: Path, deadline: float):
-    """Write the inputs and import the package cold, SETUP_REPEATS times.
+def set_up(workload: str, seed: int, inputs: Path, work: Path, deadline: float,
+           clock: SpeedTrace):
+    """Write the inputs into a fresh `inputs` directory and import the
+    package cold in a fresh interpreter.
 
-    Returns the jobs, the inputs' intervals, the median set-up time and the
-    median time spent in the library's model generator.
+    Returns the jobs, the inputs' intervals, the scaled set-up time and the
+    time spent in the library's model generator.
     """
     from intervalcubes import random_interval_model
     from workloads import write_inputs
@@ -126,75 +198,89 @@ def setup(workload: str, seed: int, work: Path, deadline: float):
         gen_seconds += time.perf_counter() - start
         return model
 
-    totals, gens = [], []
-    for _ in range(SETUP_REPEATS):
-        gen_seconds = 0.0
-        inputs = work / "inputs"
-        shutil.rmtree(inputs, ignore_errors=True)
-        start = time.perf_counter()
-        inputs.mkdir(parents=True)
-        jobs, intervals = write_inputs(workload, seed, inputs, generate)
-        code, _, _, reason = run_process(
-            [sys.executable, "-c", "import intervalcubes"], deadline, work / "stderr.log"
-        )
-        if code != 0:
-            raise SystemExit(f"cannot import intervalcubes from {SRC}: {reason or code}")
-        totals.append(time.perf_counter() - start)
-        gens.append(gen_seconds)
-    return jobs, intervals, statistics.median(totals), statistics.median(gens)
+    shutil.rmtree(inputs, ignore_errors=True)
+    start = time.perf_counter()
+    inputs.mkdir(parents=True)
+    jobs, intervals = write_inputs(workload, seed, inputs, generate)
+    code, _, _, reason = run_process(
+        [sys.executable, "-c", "import intervalcubes"], deadline, work / "stderr.log"
+    )
+    if code != 0:
+        raise SystemExit(f"cannot import intervalcubes from {SRC}: {reason or code}")
+    return jobs, intervals, clock.scale(start, time.perf_counter() - start), gen_seconds
 
 
-def _repeats(seconds: float):
-    """Yield until MIN_REPEATS repeats have run and `seconds` have passed.
-    A repeat is not started if, lasting as long as the last one, it would
-    end after OVERRUN * seconds; the first always runs."""
+def setup(workload: str, seed: int, work: Path, deadline: float, clock: SpeedTrace):
+    """Set up SETUP_REPEATS times into work/inputs.  Returns the jobs, the
+    inputs' intervals, the set-up times and the median generator time."""
+    runs = [set_up(workload, seed, work / "inputs", work, deadline, clock)
+            for _ in range(SETUP_REPEATS)]
+    jobs, intervals, _, _ = runs[-1]
+    return jobs, intervals, [r[2] for r in runs], statistics.median(r[3] for r in runs)
+
+
+def _passes(seconds: float):
+    """Yield until `seconds` have passed.  A pass is not started if, lasting
+    as long as the last one, it would end after OVERRUN * seconds; the
+    first always runs."""
     start = last_start = time.perf_counter()
-    count = 1
     yield
     while True:
         now = time.perf_counter()
         elapsed, last = now - start, now - last_start
-        if count >= MIN_REPEATS and elapsed >= seconds:
+        if elapsed >= seconds or elapsed + last > OVERRUN * seconds:
             return
-        if elapsed + last > OVERRUN * seconds:
-            return
-        count += 1
         last_start = now
         yield
 
 
-def end_to_end(jobs, seconds, work, deadline):
-    """Repeat rounds of fresh CLI processes, as `_repeats` allows."""
+def end_to_end(jobs, seconds, work, deadline, clock, set_up_again):
+    """Repeat rounds of fresh CLI processes until MIN_ROUNDS have run and
+    `seconds` have passed.  The last round stops at the first job that
+    would start after that, so a run overruns by one operation at most.
+    Each operation's time is scaled by `clock`.
+    After each whole round `set_up_again()` runs, so that set-up is timed
+    all through the run, not only in its first second.
+    Returns the records of each round, the last one perhaps partial, and
+    the set-up times."""
 
     def execute(kind, argv):
         cmd = [sys.executable, "-m", "intervalcubes", *argv]
-        return run_process(cmd, deadline, work / "stderr.log")
+        start = time.perf_counter()
+        code, wall, rss, reason = run_process(cmd, deadline, work / "stderr.log")
+        return code, clock.scale(start, wall), rss, reason
 
-    rounds = []
-    for _ in _repeats(seconds):
-        rounds.append(ops.run_round(jobs, execute, work))
+    start = time.perf_counter()
+    rounds, setups = [], []
+    while len(rounds) < MIN_ROUNDS or time.perf_counter() - start < seconds:
+        rounds.append([])
+        for job in jobs:
+            if len(rounds) > MIN_ROUNDS and time.perf_counter() - start >= seconds:
+                break
+            rounds[-1] += ops.run_round([job], execute, work)
+        else:
+            setups.append(set_up_again())
         if any(r["reason"] == ops.NOT_RUN for r in rounds[-1]):
             break
-    return rounds
+    return rounds, setups
 
 
 def end_to_end_metrics(rounds, setup_s) -> dict:
-    """Each operation's fastest time over the rounds, summed by kind.
+    """Each operation's median scaled time over the rounds, summed by kind.
 
-    Other tenants of a shared machine only ever add time, in bursts of a
-    few seconds, so the fastest repeat of an operation is the steadiest
-    estimate of its cost.
+    An operation's repeats that started no process (cut off by the time
+    limit, or a verify whose construct failed) are left out.
     """
-    fastest: dict[tuple[str, str], dict] = {}
-    for record in (r for rnd in rounds for r in rnd):
-        key = (record["kind"], record["job"])
-        if key not in fastest or record["seconds"] < fastest[key]["seconds"]:
-            fastest[key] = record
+    records = [r for rnd in rounds for r in rnd]
+    repeats: dict[tuple[str, str], list[dict]] = collections.defaultdict(list)
+    for record in records:
+        if record["reason"] not in (ops.NOT_RUN, ops.SKIPPED):
+            repeats[(record["kind"], record["job"])].append(record)
 
     def total(kind, field="seconds"):
-        return sum(r[field] for (k, _), r in fastest.items() if k == kind)
+        return sum(statistics.median(r[field] for r in rs)
+                   for (k, _), rs in repeats.items() if k == kind)
 
-    records = [r for rnd in rounds for r in rnd]
     search_s = total("search")
     values = {
         "setup_s": setup_s,
@@ -210,9 +296,10 @@ def end_to_end_metrics(rounds, setup_s) -> dict:
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END_UNITS.items()}
 
 
-def traced(jobs, seconds, work, deadline):
-    """Alternate bare and traced in-process passes, as `_repeats` allows,
-    then run one tracemalloc pass.  Returns the passes' outputs."""
+def traced(jobs, seconds, work, deadline, clock):
+    """Alternate bare and traced in-process passes, as `_passes` allows,
+    then run one tracemalloc pass.  Returns the passes' outputs, each with
+    the factor `clock` scaled its process's wall time by."""
     job_file = work / "jobs.json"
     job_file.write_text(json.dumps(jobs), encoding="utf-8")
 
@@ -220,13 +307,15 @@ def traced(jobs, seconds, work, deadline):
         out = work / f"pass-{mode}.json"
         out.unlink(missing_ok=True)
         cmd = [sys.executable, str(HERE / "inproc.py"), str(job_file), mode, str(out)]
-        code, _, _, reason = run_process(cmd, deadline, work / "stderr.log")
+        start = time.perf_counter()
+        code, wall, _, reason = run_process(cmd, deadline, work / "stderr.log")
         if code != 0:
             return {"mode": mode, "failed": reason or f"exit {code}"}
-        return json.loads(out.read_text(encoding="utf-8"))
+        return {**json.loads(out.read_text(encoding="utf-8")),
+                "speed_factor": clock.scale(start, wall) / wall}
 
     passes = []
-    for _ in _repeats(seconds):
+    for _ in _passes(seconds):
         pair = [one_pass("plain"), one_pass("trace")]
         passes += pair
         if any("failed" in p for p in pair):
@@ -260,8 +349,9 @@ def per_layer_metrics(passes, setup_gen_s, psi_alpha) -> dict:
     for name in inproc.ALLOC:
         peak = max((p["alloc_peak_mib"].get(name, 0.0) for p in alloc), default=0.0)
         out[f"{name}.alloc_peak_mb"] = (peak, "MiB")
+    # the two passes of a pair may run at different machine speeds
     overheads = [
-        t["ops_seconds"] / p["ops_seconds"] - 1
+        (t["ops_seconds"] * t["speed_factor"]) / (p["ops_seconds"] * p["speed_factor"]) - 1
         for p, t in zip(plain, traces)
         if p["ops_seconds"]
     ]
@@ -322,6 +412,7 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     args = parse_args(argv)
+    _pin_to_one_cpu()
     deadline = time.monotonic() + RUN_LIMIT_S
     work = WORK / f"run-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
@@ -329,20 +420,28 @@ def main(argv=None) -> int:
     try:
         from workloads import add_expectations
 
-        jobs, intervals, setup_s, gen_s = setup(args.workload, args.seed, work, deadline)
-        psi_alpha = add_expectations(jobs, intervals, args.seed)
-        del intervals
-        if args.trace:
-            passes = traced(jobs, args.seconds, work, deadline)
-            metrics = per_layer_metrics(passes, gen_s, psi_alpha)
-            write_trace(WORK / f"trace-{args.workload}-{args.seed}.json", args, passes, metrics)
-            records = [r for p in passes for r in p.get("records", [])]
-            crashed = [p for p in passes if "failed" in p]
-        else:
-            rounds = end_to_end(jobs, args.seconds, work, deadline)
-            metrics = end_to_end_metrics(rounds, setup_s)
-            records = [r for rnd in rounds for r in rnd]
-            crashed = []
+        with SpeedTrace() as clock:
+            jobs, intervals, setups, gen_s = setup(args.workload, args.seed, work, deadline, clock)
+            psi_alpha = add_expectations(jobs, intervals, args.seed)
+            del intervals
+            if args.trace:
+                passes = traced(jobs, args.seconds, work, deadline, clock)
+                metrics = per_layer_metrics(passes, gen_s, psi_alpha)
+                write_trace(WORK / f"trace-{args.workload}-{args.seed}.json", args, passes, metrics)
+                records = [r for p in passes for r in p.get("records", [])]
+                crashed = [p for p in passes if "failed" in p]
+            else:
+                def set_up_again():
+                    again = work / "inputs-again"
+                    seconds = set_up(args.workload, args.seed, again, work, deadline, clock)[2]
+                    shutil.rmtree(again)
+                    return seconds
+
+                rounds, more = end_to_end(jobs, args.seconds, work, deadline, clock, set_up_again)
+                metrics = end_to_end_metrics(rounds, statistics.median(setups + more))
+                records = [r for rnd in rounds for r in rnd]
+                crashed = []
+            speed = REF_PROBE_S / statistics.median(c for _, c in clock.samples)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -353,6 +452,8 @@ def main(argv=None) -> int:
         print(f"{p['mode']} pass failed: {p['failed']}", file=sys.stderr)
     for name, m in metrics.items():
         print(f"{name:44s} {m['value']:14.6g} {m['unit']}", file=sys.stderr)
+    print(f"median machine speed: {speed:.3f} of the reference ({len(clock.samples)} probes)",
+          file=sys.stderr)
     result = {
         "correct": not crashed and not any(r["wrong"] for r in records),
         "attempted": len(records) + len(crashed),
