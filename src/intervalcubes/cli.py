@@ -25,7 +25,7 @@ from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
 from .graphs import Graph, GraphParseError, parse_graph
 from .intervals import IntervalModel, model_to_graph
 from .labelling import label_vertices
-from .oracle import SizeRefusalError, exact_cubicity
+from .oracle import MAX_ORACLE_VERTICES, SizeRefusalError, exact_cubicity
 from .params import param_report
 from .recognition import NotInterval, NotIntervalError, recognize_and_order, require_ordering
 from .search import histogram_csv, tightness_search
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, error=p.error)
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("search", _cmd_search, "tightness search over random instances")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=6, dest="n_max")
+    p.add_argument("--n-max", type=int, default=6, dest="n_max",
+                   choices=range(2, MAX_ORACLE_VERTICES + 1))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the histogram as CSV")
 
@@ -219,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search" and args.count < 0:
+        args.error("--count must not be negative")
     try:
         return args.func(args)
     except SystemExit:

@@ -1,17 +1,18 @@
 """Assembly of unit-cube representations for interval graphs.
 
-The pipeline pads the graph until its claw number is a power of two
-(pendants hung off one vertex of the last clique), lays the cliques out
-on a line with a scale that hits integer positions at the anchor cliques,
+After one claw pass everything works on the clique ordering alone.  The
+pipeline pads the claw number to a power of two by appending pendant
+cliques hung off one vertex of the last clique, lays the cliques out on a
+line with a scale that hits integer positions at the anchor cliques,
 gives every vertex a branch code whose low bits copy its level, and then
 emits one coordinate per code bit: bit 0 places the vertex by its right
-end, bit 1 by its left end.  Restricting the padded coordinates back to
-the original vertices keeps the represented graph intact because induced
-subgraphs only lose constraints.
+end, bit 1 by its left end.  Dropping the pendants' coordinates keeps the
+represented graph intact because induced subgraphs only lose constraints.
 
-Dimension count is exactly ceil(log2 claw) + 2.  A second variant routes
-through a universal vertex to get ceil(log2 alpha) dimensions instead,
+Dimension count is exactly ceil(log2 claw) + 2.  A second variant appends
+a universal vertex to the ordering to get ceil(log2 alpha) dimensions,
 dropping the two coordinates that the augmented build leaves complete.
+`build_best` builds only the variant with fewer dimensions.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, connected_components
-from .intervals import CliqueOrdering
+from .intervals import CliqueOrdering, greedy_independent
 from .labelling import Labelling, label_vertices
-from .params import ceil_log2, claw_number, neighborhood_mis
+from .params import ceil_log2, claw_number
 from .rationals import format_rational, parse_rational
 from .recognition import ConstructionError, require_ordering
+from .verify import complete_dimensions
 
 
 def bit(a: int, i: int) -> int:
@@ -37,14 +39,14 @@ def bit(a: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class PaddedGraph:
-    """The working graph with pendant vertices appended so that the claw
-    number equals 2**power; original vertices keep their indices."""
+    """The clique ordering with pendant vertices appended so that the claw
+    number equals 2**power; original vertices keep their indices.  The
+    pendants hang off `center`, which is None when nothing was added."""
 
-    graph: Graph
     ordering: CliqueOrdering
-    original: tuple[int, ...]
     power: int
     added: int
+    center: int | None
 
     @property
     def claw(self) -> int:
@@ -118,50 +120,43 @@ class ConstructionTrace:
             "levels": list(self.levels),
             "branch": [list(row) for row in self.branch],
             "added": self.padded.added,
-            "original_n": len(self.padded.original),
+            "original_n": self.padded.ordering.n - self.padded.added,
             "padded_coords": [
                 [format_rational(x) for x in row] for row in self.coords
             ],
         }
 
 
-def pad_graph(graph: Graph, ordering: CliqueOrdering) -> PaddedGraph:
-    """Append pendants to a vertex of the last clique until the claw
-    number is the next power of two; no-op when it already is one."""
-    psi, _ = claw_number(ordering, graph)
+def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
+    """Append pendants to the last-clique vertex whose neighbourhood holds
+    the most independent vertices (lowest index on ties) until the claw
+    number psi is the next power of two.  Pendants touch only that center,
+    so the padded claw number is known without another pass."""
     if psi < 2:
         raise ValueError("padding needs claw number at least 2")
     power = ceil_log2(psi)
     target = 1 << power
-    original = tuple(range(graph.n))
     if target == psi:
-        return PaddedGraph(graph, ordering, original, power, 0)
+        return PaddedGraph(ordering, power, 0, None)
 
-    center = None
-    center_mis = -1
-    for v in sorted(ordering.cliques[-1]):
-        m, _ = neighborhood_mis(ordering, graph, v)
-        if m > center_mis:
-            center, center_mis = v, m
-    added = target - center_mis
+    n, k = ordering.n, ordering.k
+    left, right = ordering.left, ordering.right
+    mis = {}
+    for v in ordering.cliques[-1]:
+        # a last-clique vertex meets every other range reaching its left end
+        reach = [u for u in range(n) if u != v and right[u] >= left[v]]
+        mis[v] = len(greedy_independent(ordering, reach))
+    center = max(sorted(mis), key=mis.__getitem__)
+    added = target - mis[center]
 
-    n, k = graph.n, ordering.k
-    edges = graph.edges() + [(center, n + i) for i in range(added)]
-    padded_graph = Graph(n + added, edges)
     cliques = list(ordering.cliques) + [
         frozenset({center, n + i}) for i in range(added)
     ]
-    left = list(ordering.left) + [k + i for i in range(added)]
-    right = list(ordering.right) + [k + i for i in range(added)]
+    left = list(left) + [k + i for i in range(added)]
+    right = list(right) + [k + i for i in range(added)]
     right[center] = k + added - 1
     padded_ordering = CliqueOrdering(tuple(cliques), tuple(left), tuple(right))
-
-    check, _ = claw_number(padded_ordering, padded_graph)
-    if check != target:
-        raise ConstructionError(
-            f"padding produced claw number {check}, wanted {target}"
-        )
-    return PaddedGraph(padded_graph, padded_ordering, original, power, added)
+    return PaddedGraph(padded_ordering, power, added, center)
 
 
 def clique_scale(ordering: CliqueOrdering, labelling: Labelling) -> tuple[Fraction, ...]:
@@ -214,13 +209,18 @@ def build_representation(
     the degenerate one-dimensional route and carry no trace.
     """
     ordering = require_ordering(graph, ordering)
-    if graph.n == 0:
-        return build_degenerate(graph), None
     psi, _ = claw_number(ordering, graph)
     if psi < 2:
         return build_degenerate(graph), None
+    return _build(ordering, psi)
 
-    padded = pad_graph(graph, ordering)
+
+def _build(
+    ordering: CliqueOrdering, psi: int
+) -> tuple[CubeRepresentation, ConstructionTrace]:
+    """The construction on an ordering with claw number psi >= 2; the
+    representation covers the ordering's own vertices, not the pendants."""
+    padded = pad_graph(ordering, psi)
     lab = label_vertices(padded.ordering)
     scale = clique_scale(padded.ordering, lab)
     claw = padded.claw
@@ -230,8 +230,8 @@ def build_representation(
 
     left, right = padded.ordering.left, padded.ordering.right
     coords = []
-    branch = [[0] * padded.graph.n for _ in range(dims)]
-    for v in range(padded.graph.n):
+    branch = [[0] * padded.ordering.n for _ in range(dims)]
+    for v in range(padded.ordering.n):
         row = []
         for i in range(dims):
             b = bit(codes[v], i)
@@ -242,11 +242,7 @@ def build_representation(
                 row.append(scale[left[v]])
         coords.append(tuple(row))
 
-    rep = CubeRepresentation(
-        dimension=dims,
-        side=side,
-        coords=tuple(coords[v] for v in range(graph.n)),
-    )
+    rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]))
     trace = ConstructionTrace(
         power=padded.power,
         claw=claw,
@@ -278,26 +274,10 @@ def build_degenerate(graph: Graph) -> CubeRepresentation:
     return CubeRepresentation(1, Fraction(1), tuple((x,) for x in coord))
 
 
-def _augment_with_universal(
-    graph: Graph, ordering: CliqueOrdering
-) -> tuple[Graph, CliqueOrdering]:
-    n, k = graph.n, ordering.k
-    edges = graph.edges() + [(v, n) for v in range(n)]
-    aug = Graph(n + 1, edges)
+def _augment_with_universal(ordering: CliqueOrdering) -> CliqueOrdering:
+    n, k = ordering.n, ordering.k
     cliques = tuple(c | {n} for c in ordering.cliques)
-    left = ordering.left + (0,)
-    right = ordering.right + (k - 1,)
-    return aug, CliqueOrdering(cliques, left, right)
-
-
-def _complete_dims(rep: CubeRepresentation) -> list[int]:
-    # the largest pairwise gap in a dimension is its coordinate span
-    out = []
-    for i in range(rep.dimension):
-        values = [row[i] for row in rep.coords]
-        if not values or max(values) - min(values) <= rep.side:
-            out.append(i)
-    return out
+    return CliqueOrdering(cliques, ordering.left + (0,), ordering.right + (k - 1,))
 
 
 def build_alpha_representation(
@@ -313,34 +293,43 @@ def build_alpha_representation(
     ordering = require_ordering(graph, ordering)
     if graph.n == 0:
         return CubeRepresentation(0, Fraction(1), ())
-    lab = label_vertices(ordering)
-    if lab.alpha == 1:
-        return CubeRepresentation(0, Fraction(1), ((),) * graph.n)
+    return _build_alpha(ordering, label_vertices(ordering).alpha)
 
-    aug, aug_ordering = _augment_with_universal(graph, ordering)
-    rep_aug, trace = build_representation(aug, aug_ordering)
-    if trace is None:
-        raise ConstructionError("augmented build unexpectedly degenerate")
+
+def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
+    n = ordering.n
+    if alpha == 1:
+        return CubeRepresentation(0, Fraction(1), ((),) * n)
+    # with a universal vertex the claw number is the independence number
+    rep_aug, trace = _build(_augment_with_universal(ordering), alpha)
     p = trace.power
-    complete = _complete_dims(rep_aug)
+    complete = complete_dimensions(rep_aug)
     if complete != [p, p + 1]:
         raise ConstructionError(
             f"expected dimensions {p} and {p + 1} to be complete, found {complete}"
         )
-    coords = tuple(
-        tuple(rep_aug.coords[v][i] for i in range(p)) for v in range(graph.n)
-    )
+    coords = tuple(tuple(rep_aug.coords[v][i] for i in range(p)) for v in range(n))
     return CubeRepresentation(p, rep_aug.side, coords)
 
 
 def build_best(
     graph: Graph, ordering: CliqueOrdering | None = None
 ) -> CubeRepresentation:
-    """The smaller of the two variants; ties go to the alpha variant."""
+    """The smaller of the two variants; ties go to the alpha variant.
+    Both dimensions follow from psi and alpha, so only one is built."""
     ordering = require_ordering(graph, ordering)
-    claw_rep, _ = build_representation(graph, ordering)
-    alpha_rep = build_alpha_representation(graph, ordering)
-    return alpha_rep if alpha_rep.dimension <= claw_rep.dimension else claw_rep
+    if graph.n == 0:
+        return build_degenerate(graph)
+    psi, _ = claw_number(ordering, graph)
+    alpha = label_vertices(ordering).alpha
+    # below claw number 2 build_degenerate needs one dimension, or none
+    # when alpha == 1, where the alpha variant's zero dimensions win anyway
+    claw_dims = ceil_log2(psi) + 2 if psi >= 2 else 1
+    if ceil_log2(alpha) <= claw_dims:
+        return _build_alpha(ordering, alpha)
+    if psi < 2:
+        return build_degenerate(graph)
+    return _build(ordering, psi)[0]
 
 
 def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:

@@ -49,7 +49,7 @@ def neighborhood_mis(
     Induced subgraphs of interval graphs are interval and inherit the
     clique ranges, so the earliest-finish greedy is exact here.
     """
-    leaves = greedy_independent(ordering, sorted(graph.adj[v]))
+    leaves = greedy_independent(ordering, graph.adj[v])
     return len(leaves), tuple(leaves)
 
 

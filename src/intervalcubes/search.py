@@ -18,7 +18,7 @@ from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
 from .graphs import parse_graph, serialize_graph
 from .intervals import model_to_clique_ordering, model_to_graph
 from .labelling import label_vertices
-from .oracle import Exceeded, exact_cubicity
+from .oracle import Exceeded, SizeRefusalError, exact_cubicity
 from .params import ceil_log2, claw_number
 
 
@@ -29,10 +29,12 @@ class SearchReport:
     bound_violations: list[dict] = field(default_factory=list)
     histogram: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
     degenerate_skipped: int = 0
+    oracle_refused: int = 0
 
     def to_json_obj(self) -> dict:
         return {
             "graphs_tried": self.graphs_tried,
+            "oracle_refused": self.oracle_refused,
             "counterexamples": self.counterexamples,
             "bound_violations": self.bound_violations,
             "degenerate_skipped": self.degenerate_skipped,
@@ -64,7 +66,8 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
 
     The counterexample test applies in the claw >= 2 regime; disjoint
     unions of cliques sit outside it (their cubicity is trivially 0 or 1)
-    and are tallied but never flagged.
+    and are tallied but never flagged.  Samples beyond the oracle's size
+    bounds are counted in `oracle_refused`, not in `graphs_tried`.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -87,7 +90,11 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
             bound = min(ceil_log2(psi) + 2, ceil_log2(alpha))
         else:
             bound = max(1, best.dimension)
-        result = exact_cubicity(graph, b_max=bound)
+        try:
+            result = exact_cubicity(graph, b_max=bound)
+        except SizeRefusalError:
+            report.oracle_refused += 1
+            continue
         report.graphs_tried += 1
 
         if isinstance(result, Exceeded):

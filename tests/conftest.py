@@ -7,9 +7,11 @@ import pytest
 from intervalcubes import (
     GenConfig,
     Graph,
+    claw_number,
     make_model,
     model_to_clique_ordering,
     model_to_graph,
+    pad_graph,
     random_interval_model,
 )
 from intervalcubes.generate import DISTRIBUTIONS
@@ -104,6 +106,34 @@ def model_pipeline(model):
     graph = model_to_graph(model)
     ordering = model_to_clique_ordering(model)
     return graph, ordering
+
+
+def pad(graph: Graph, ordering):
+    """pad_graph as the claw build calls it, with the graph's claw number."""
+    return pad_graph(ordering, claw_number(ordering, graph)[0])
+
+
+def padded_graph(graph: Graph, padded) -> Graph:
+    """The graph plus the padding's pendants, built from the original graph
+    rather than from the padded ordering."""
+    n = graph.n
+    pendants = [(padded.center, n + i) for i in range(padded.added)]
+    return Graph(n + padded.added, graph.edges() + pendants)
+
+
+def augmented_graph(graph: Graph) -> Graph:
+    """The graph plus one universal vertex, numbered n."""
+    n = graph.n
+    return Graph(n + 1, graph.edges() + [(v, n) for v in range(n)])
+
+
+def range_graph(ordering) -> Graph:
+    """The graph an ordering describes: ranges that meet are edges."""
+    n = ordering.n
+    return Graph(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if ordering.ranges_intersect(u, v)],
+    )
 
 
 @pytest.fixture

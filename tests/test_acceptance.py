@@ -47,7 +47,7 @@ from intervalcubes.recognition import (
     perfect_elimination_ordering,
 )
 
-from conftest import cycle_graph, net_graph, star_graph
+from conftest import augmented_graph, cycle_graph, net_graph, padded_graph, star_graph
 
 
 def emit(number: int, ok: bool, detail: str):
@@ -106,7 +106,7 @@ def test_criterion_1_constructive_upper_bound(corpora):
         corpora.theorem1.append(run)
         corpora.orderings.append((ordering, labelling, graph))
         corpora.orderings.append(
-            (trace.padded.ordering, trace.labelling, trace.padded.graph)
+            (trace.padded.ordering, trace.labelling, padded_graph(graph, trace.padded))
         )
     emit(1, failures == 0, f"200 instances, {failures} failures")
 
@@ -139,7 +139,7 @@ def test_criterion_3_psi_equals_alpha_specialization(corpora):
         labelling = label_vertices(ordering)
         if labelling.alpha < 2:
             continue
-        aug, aug_ordering = _augment_with_universal(graph, ordering)
+        aug, aug_ordering = augmented_graph(graph), _augment_with_universal(ordering)
         aug_lab = label_vertices(aug_ordering)
         rep_aug, trace = build_representation(aug, aug_ordering)
         p = trace.power
@@ -155,7 +155,7 @@ def test_criterion_3_psi_equals_alpha_specialization(corpora):
         corpora.orderings.append((ordering, labelling, graph))
         corpora.orderings.append((aug_ordering, aug_lab, aug))
         corpora.orderings.append(
-            (trace.padded.ordering, trace.labelling, trace.padded.graph)
+            (trace.padded.ordering, trace.labelling, padded_graph(aug, trace.padded))
         )
         done += 1
     emit(3, failures == 0, f"50 augmented instances, {failures} failures")

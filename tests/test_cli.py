@@ -166,3 +166,27 @@ def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["construct", "--variant", "bogus", "x"])
     assert excinfo.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--count", "1", "--n-max", "1"],
+        ["search", "--count", "1", "--n-max", "9"],
+        ["search", "--count", "-1"],
+    ],
+)
+def test_search_bad_arguments_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 64
+
+
+def test_search_counts_oracle_refusals(capsys):
+    # the 23rd sample of seed 3 at n <= 8 has more non-edges than the
+    # oracle takes; the run keeps going and reports it
+    code, out, _ = run(capsys, "search", "--count", "23", "--n-max", "8", "--seed", "3")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["oracle_refused"] >= 1
+    assert obj["graphs_tried"] + obj["oracle_refused"] == 23

@@ -16,8 +16,8 @@ from intervalcubes import (
     claw_number,
     clique_scale,
     label_vertices,
+    make_model,
     normalize_unit,
-    pad_graph,
     recognize_and_order,
     verify_representation,
 )
@@ -28,6 +28,8 @@ from conftest import (
     cycle_graph,
     model_pipeline,
     p3_model,
+    pad,
+    padded_graph,
     path_graph,
     random_models,
     star_graph,
@@ -64,36 +66,47 @@ def test_branch_codes_low_bits_copy_level():
 
 def test_pad_star3_becomes_star4():
     graph, ordering = model_pipeline(star_model(3))
-    padded = pad_graph(graph, ordering)
+    padded = pad(graph, ordering)
     assert padded.added == 1
     assert padded.power == 2
-    assert padded.graph.n == 5
+    assert padded.ordering.n == 5
     # the pendant hangs off the center (the only vertex in the last clique
     # with a 3-leaf star)
-    assert padded.graph.adj[4] == frozenset({0})
-    psi, _ = claw_number(padded.ordering, padded.graph)
+    assert padded.center == 0
+    assert padded.ordering.cliques[-1] == frozenset({0, 4})
+    psi, _ = claw_number(padded.ordering, padded_graph(graph, padded))
     assert psi == 4
 
 
 def test_pad_skips_power_of_two():
     graph, ordering = model_pipeline(p3_model())
-    padded = pad_graph(graph, ordering)
+    padded = pad(graph, ordering)
     assert padded.added == 0
-    assert padded.graph is graph
+    assert padded.center is None
+    assert padded.ordering is ordering
 
 
 def test_pad_claw5_adds_three():
     graph, ordering = model_pipeline(star_model(5))
-    padded = pad_graph(graph, ordering)
+    padded = pad(graph, ordering)
     assert padded.added == 3
-    psi, _ = claw_number(padded.ordering, padded.graph)
+    psi, _ = claw_number(padded.ordering, padded_graph(graph, padded))
     assert psi == 8
+
+
+def test_pad_center_ties_go_to_lowest_index():
+    # vertices 0 and 1 both span the line and see the same three leaves
+    model = make_model([(0, 10), (0, 10), (1, 1), (3, 3), (5, 5)])
+    graph, ordering = model_pipeline(model)
+    assert ordering.cliques[-1] == frozenset({0, 1, 4})
+    padded = pad(graph, ordering)
+    assert (padded.center, padded.added) == (0, 1)
 
 
 def test_pad_rejects_degenerate():
     g = complete_graph(3)
     with pytest.raises(ValueError):
-        pad_graph(g, recognize_and_order(g))
+        pad(g, recognize_and_order(g))
 
 
 def test_scale_star4():

@@ -50,3 +50,13 @@ def test_injected_stars_match_lower_bound():
         result = exact_cubicity(star_graph(m))
         assert isinstance(result, ExactResult)
         assert result.cubicity == ceil_log2(m)
+
+
+def test_refused_samples_are_counted_not_fatal():
+    # count 23 is the smallest that reaches a sample beyond the oracle's
+    # non-edge bound for seed 3 at n <= 8
+    report = tightness_search(count=23, n_max=8, seed=3)
+    assert report.oracle_refused == 1
+    assert report.graphs_tried == 22
+    assert report.to_json_obj()["oracle_refused"] == 1
+    assert sum(report.histogram.values()) == 22
