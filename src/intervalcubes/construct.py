@@ -312,6 +312,15 @@ def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
     return CubeRepresentation(p, rep_aug.side, coords)
 
 
+def best_dimension(psi: int, alpha: int) -> int:
+    """The dimension `build_best` reaches for claw number psi and
+    independence number alpha >= 1.  Below claw number 2 build_degenerate
+    needs one dimension, or none when alpha == 1, where the alpha
+    variant's zero dimensions win anyway."""
+    claw_dims = ceil_log2(psi) + 2 if psi >= 2 else 1
+    return min(claw_dims, ceil_log2(alpha))
+
+
 def build_best(
     graph: Graph, ordering: CliqueOrdering | None = None
 ) -> CubeRepresentation:
@@ -322,10 +331,7 @@ def build_best(
         return build_degenerate(graph)
     psi, _ = claw_number(ordering, graph)
     alpha = label_vertices(ordering).alpha
-    # below claw number 2 build_degenerate needs one dimension, or none
-    # when alpha == 1, where the alpha variant's zero dimensions win anyway
-    claw_dims = ceil_log2(psi) + 2 if psi >= 2 else 1
-    if ceil_log2(alpha) <= claw_dims:
+    if best_dimension(psi, alpha) == ceil_log2(alpha):
         return _build_alpha(ordering, alpha)
     if psi < 2:
         return build_degenerate(graph)

@@ -47,9 +47,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def is_complete(self) -> bool:
-        return all(len(s) == self.n - 1 for s in self.adj)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -3,18 +3,25 @@
 Exact claw and independence numbers by exhaustive search, and exact
 cubicity via the intersection characterization: the minimum number of
 indifference supergraphs whose shared non-edges cover every non-edge of
-the input.  Candidate supergraphs are enumerated over subsets of the
-non-edges, tested by the vertex-order characterization (some order in
-which every earlier neighbor run is a clique suffix), and reduced to
-inclusion-maximal missing-non-edge sets before a branch-and-bound set
-cover finds the minimum family size.
+the input.
+
+A graph is an indifference graph exactly when some vertex order is
+umbrella-free: whenever u < v < w and u ~ w, also u ~ v and v ~ w.  For a
+fixed order the smallest umbrella-free supergraph, its closure, is
+unique, and every indifference supergraph contains the closure under one
+of its own orders.  So the inclusion-maximal missing-non-edge sets are the
+complements of the minimal closures.  A depth-first search over order
+prefixes builds each closure as it places vertices, and cuts a prefix as
+soon as its added edges contain a closure already found.  Its cost follows
+the n! orders rather than the 2^e subsets of the e non-edges.  The minimal
+closures then feed a branch-and-bound set cover that finds the minimum
+family size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .graphs import Graph, non_edges
 
@@ -68,83 +75,78 @@ def brute_claw(graph: Graph) -> int:
 
 
 # ----------------------------------------------------------------------
-# indifference recognition by vertex-order search
+# vertex-order closures
 # ----------------------------------------------------------------------
 
-_ORDER_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
+def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
+    """Depth-first search over vertex orders, placing one vertex at a time.
+
+    Placing x at position t joins x to every earlier vertex from position f
+    on, where f is the first earlier position whose vertex still has a
+    neighbor among the unplaced vertices, x included; f never decreases
+    along a branch.  Each prefix carries the edges this forces beyond the
+    graph, as the union of `pair_bit[x][u]` over the forced pairs.  A
+    prefix with prune(added) true is cut, and every full order that
+    survives goes to leaf(order, added), which returns True to stop.
+    Returns the number of prefixes visited.
+    """
+    n = graph.n
+    adj = _adj_masks(graph)
+    everyone = (1 << n) - 1
+    order: list[int] = []
+    prefix_masks = [0]
+    visited = 0
+
+    def extend(f: int, added: int) -> bool:
+        nonlocal visited
+        visited += 1
+        if prune(added):
+            return False
+        t = len(order)
+        if t == n:
+            return leaf(tuple(order), added)
+        placed = prefix_masks[t]
+        unplaced = everyone ^ placed
+        while f < t and not adj[order[f]] & unplaced:
+            f += 1
+        window = placed ^ prefix_masks[f]
+        for x in range(n):
+            if (placed >> x) & 1:
+                continue
+            gained = added
+            forced = window & ~adj[x]
+            while forced:
+                low = forced & -forced
+                gained |= pair_bit[x][low.bit_length() - 1]
+                forced ^= low
+            order.append(x)
+            prefix_masks.append(placed | (1 << x))
+            if extend(f, gained):
+                return True
+            order.pop()
+            prefix_masks.pop()
+        return False
+
+    extend(0, 0)
+    return visited
 
 
 def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
     """A vertex order in which every vertex's earlier neighbors form a
-    clique suffix of the prefix; exists exactly for indifference graphs."""
-    return _indifference_ordering(graph.n, tuple(_adj_masks(graph)))
+    clique suffix of the prefix; exists exactly for indifference graphs.
 
+    This is the order search cut at the first forced edge, so the first
+    full order it reaches is umbrella-free for the graph itself.
+    """
+    found: list[tuple[int, ...]] = []
 
-def _has_claw(n: int, adj) -> bool:
-    """Induced star on three leaves anywhere; indifference graphs have none,
-    so this is a cheap rejection before the ordering search."""
-    for v in range(n):
-        nb = adj[v]
-        m = nb
-        while m:
-            low_u = m & -m
-            u = low_u.bit_length() - 1
-            m ^= low_u
-            m2 = m
-            while m2:
-                low_w = m2 & -m2
-                w = low_w.bit_length() - 1
-                m2 ^= low_w
-                if (adj[u] >> w) & 1:
-                    continue
-                if nb & ~adj[u] & ~adj[w] & ~low_u & ~low_w:
-                    return True
-    return False
+    def stop(order: tuple[int, ...], _) -> bool:
+        found.append(order)
+        return True
 
-
-def _indifference_ordering(n: int, adj: tuple[int, ...]) -> tuple[int, ...] | None:
-    key = (n, adj)
-    if key in _ORDER_CACHE:
-        return _ORDER_CACHE[key]
-    if _has_claw(n, adj):
-        _ORDER_CACHE[key] = None
-        return None
-
-    order: list[int] = []
-    # clique_start[t]: least s such that order[s:t] is a clique
-    clique_start = [0]
-    prefix_mask = 0
-
-    def place() -> bool:
-        nonlocal prefix_mask
-        t = len(order)
-        if t == n:
-            return True
-        for x in range(n):
-            if (prefix_mask >> x) & 1:
-                continue
-            ax = adj[x]
-            i = t
-            suffix_mask = 0
-            while i > 0 and (ax >> order[i - 1]) & 1:
-                i -= 1
-                suffix_mask |= 1 << order[i]
-            # earlier neighbors must be exactly a suffix, and that suffix a clique
-            if (ax & prefix_mask) != suffix_mask or i < clique_start[t]:
-                continue
-            order.append(x)
-            prefix_mask |= 1 << x
-            clique_start.append(max(clique_start[t], i))
-            if place():
-                return True
-            order.pop()
-            prefix_mask ^= 1 << x
-            clique_start.pop()
-        return False
-
-    found = tuple(order) if place() else None
-    _ORDER_CACHE[key] = found
-    return found
+    # every pair gets a nonzero bit, so prune=bool cuts any forced edge
+    _order_closures(graph, [[1] * graph.n] * graph.n, bool, stop)
+    return found[0] if found else None
 
 
 def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
@@ -238,37 +240,36 @@ def _refuse_if_large(graph: Graph) -> list[tuple[int, int]]:
 
 def _enumerate_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]], int]:
     """Missing-non-edge sets (as bitmasks over the non-edge list) of the
-    inclusion-maximal indifference supergraphs, plus the test count.
+    inclusion-maximal indifference supergraphs, plus the prefixes visited.
 
-    Enumerates added-edge subsets smallest first, skipping supersets of
-    successes: minimal added sets are exactly maximal missing sets, and
-    every realizable missing set lies below a maximal one, so set covers
-    built from these candidates are unaffected.
+    Every indifference supergraph of G contains the closure of G under one
+    of its umbrella-free orders, so the minimal added sets are the minimal
+    closures over all orders.  A prefix's added set only grows along its
+    branch, so prefixes containing a closure already found are cut; a new
+    closure evicts the found ones that contain it.
     """
     missing = _refuse_if_large(graph)
-    e = len(missing)
-    base = _adj_masks(graph)
+    pair_bit = [[0] * graph.n for _ in range(graph.n)]
+    for i, (u, v) in enumerate(missing):
+        pair_bit[u][v] = pair_bit[v][u] = 1 << i
     minimal_added: list[int] = []
-    tested = 0
-    for size in range(e + 1):
-        for combo in combinations(range(e), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(found & mask == found for found in minimal_added):
-                continue
-            adj = list(base)
-            for i in combo:
-                u, v = missing[i]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            tested += 1
-            if _indifference_ordering(graph.n, tuple(adj)) is not None:
-                minimal_added.append(mask)
-    universe = (1 << e) - 1
+
+    def contains_found(added: int) -> bool:
+        for found in minimal_added:
+            if found & added == found:
+                return True
+        return False
+
+    def keep(_, added: int) -> bool:
+        minimal_added[:] = [found for found in minimal_added if found & added != added]
+        minimal_added.append(added)
+        return False
+
+    visited = _order_closures(graph, pair_bit, contains_found, keep)
+    universe = (1 << len(missing)) - 1
     candidates = [universe ^ added for added in minimal_added]
     candidates.sort(key=lambda m: (-m.bit_count(), m))
-    return candidates, missing, tested
+    return candidates, missing, visited
 
 
 def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
@@ -319,7 +320,7 @@ def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
     missing = _refuse_if_large(graph)
     if not missing:
         return ExactResult(0, (), 0, 0)
-    candidates, missing, tested = _enumerate_candidates(graph)
+    candidates, missing, visited = _enumerate_candidates(graph)
     universe = (1 << len(missing)) - 1
     nodes = 0
 
@@ -346,5 +347,5 @@ def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
                 tuple(missing[i] for i in range(len(missing)) if (mask >> i) & 1)
                 for mask in chosen
             )
-            return ExactResult(b, witness, tested, nodes)
-    return Exceeded(b_max, tested, nodes)
+            return ExactResult(b, witness, visited, nodes)
+    return Exceeded(b_max, visited, nodes)

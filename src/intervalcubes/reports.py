@@ -22,9 +22,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def kinds(self) -> set[str]:
-        return {v.kind for v in self.violations}
-
     def has(self, kind: str) -> bool:
         return any(v.kind == kind for v in self.violations)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .construct import build_best
+from .construct import best_dimension
 from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
 from .graphs import parse_graph, serialize_graph
 from .intervals import model_to_clique_ordering, model_to_graph
@@ -81,15 +81,11 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        labelling = label_vertices(ordering)
         psi, _ = claw_number(ordering, graph)
-        alpha = labelling.alpha
-
-        best = build_best(graph, ordering)
-        if psi >= 2:
-            bound = min(ceil_log2(psi) + 2, ceil_log2(alpha))
-        else:
-            bound = max(1, best.dimension)
+        alpha = label_vertices(ordering).alpha
+        dimension = best_dimension(psi, alpha)
+        # the proven upper bound; family sizes are searched from 1
+        bound = max(1, dimension)
         try:
             result = exact_cubicity(graph, b_max=bound)
         except SizeRefusalError:
@@ -109,7 +105,7 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
             )
             continue
         cub = result.cubicity
-        key = (psi, alpha, cub, best.dimension)
+        key = (psi, alpha, cub, dimension)
         report.histogram[key] = report.histogram.get(key, 0) + 1
         if psi < 2:
             report.degenerate_skipped += 1

@@ -1,0 +1,124 @@
+"""The subset-enumeration oracle, kept as a slow reference.
+
+Candidate indifference supergraphs are enumerated over subsets of the
+non-edges, smallest first, and each is tested by a backtracking search
+for a vertex order in which every earlier neighbour run is a clique
+suffix of the prefix.  Its cost follows 2^(non-edges), so it is only fit
+for small inputs; the library enumerates vertex orders instead.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from intervalcubes import Graph, non_edges
+
+
+def _adj_masks(graph: Graph) -> list[int]:
+    return [sum(1 << w for w in graph.adj[v]) for v in range(graph.n)]
+
+
+def _has_claw(n: int, adj) -> bool:
+    """Induced star on three leaves anywhere; indifference graphs have none,
+    so this is a cheap rejection before the ordering search."""
+    for v in range(n):
+        nb = adj[v]
+        m = nb
+        while m:
+            low_u = m & -m
+            u = low_u.bit_length() - 1
+            m ^= low_u
+            m2 = m
+            while m2:
+                low_w = m2 & -m2
+                w = low_w.bit_length() - 1
+                m2 ^= low_w
+                if (adj[u] >> w) & 1:
+                    continue
+                if nb & ~adj[u] & ~adj[w] & ~low_u & ~low_w:
+                    return True
+    return False
+
+
+def _ordering_masks(n: int, adj) -> tuple[int, ...] | None:
+    """A vertex order in which every vertex's earlier neighbours form a
+    clique suffix of the prefix, or None; adjacency given as bitmasks."""
+    if _has_claw(n, adj):
+        return None
+
+    order: list[int] = []
+    # clique_start[t]: least s such that order[s:t] is a clique
+    clique_start = [0]
+    prefix_mask = 0
+
+    def place() -> bool:
+        nonlocal prefix_mask
+        t = len(order)
+        if t == n:
+            return True
+        for x in range(n):
+            if (prefix_mask >> x) & 1:
+                continue
+            ax = adj[x]
+            i = t
+            suffix_mask = 0
+            while i > 0 and (ax >> order[i - 1]) & 1:
+                i -= 1
+                suffix_mask |= 1 << order[i]
+            # earlier neighbours must be exactly a suffix, and that suffix a clique
+            if (ax & prefix_mask) != suffix_mask or i < clique_start[t]:
+                continue
+            order.append(x)
+            prefix_mask |= 1 << x
+            clique_start.append(max(clique_start[t], i))
+            if place():
+                return True
+            order.pop()
+            prefix_mask ^= 1 << x
+            clique_start.pop()
+        return False
+
+    return tuple(order) if place() else None
+
+
+def reference_ordering(graph: Graph) -> tuple[int, ...] | None:
+    return _ordering_masks(graph.n, _adj_masks(graph))
+
+
+def reference_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
+    """Missing-non-edge sets (bitmasks over the non-edge list) of the
+    inclusion-maximal indifference supergraphs, sorted by (-size, mask).
+
+    Enumerates added-edge subsets smallest first, skipping supersets of
+    successes, so the successes are exactly the minimal added sets.
+    """
+    missing = non_edges(graph)
+    e = len(missing)
+    base = _adj_masks(graph)
+    minimal_added: list[int] = []
+    for size in range(e + 1):
+        for combo in combinations(range(e), size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            if any(found & mask == found for found in minimal_added):
+                continue
+            adj = list(base)
+            for i in combo:
+                u, v = missing[i]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if _ordering_masks(graph.n, adj) is not None:
+                minimal_added.append(mask)
+    universe = (1 << e) - 1
+    candidates = [universe ^ added for added in minimal_added]
+    candidates.sort(key=lambda m: (-m.bit_count(), m))
+    return candidates, missing
+
+
+def reference_supergraphs(candidates, missing) -> list[list[tuple[int, int]]]:
+    """reference_candidates' masks as sorted pair lists."""
+    return [
+        [missing[i] for i in range(len(missing)) if (mask >> i) & 1]
+        for mask in candidates
+    ]

@@ -15,7 +15,7 @@ from intervalcubes import (
     recognize_and_order,
 )
 from intervalcubes import construct, params
-from intervalcubes.construct import _augment_with_universal
+from intervalcubes.construct import _augment_with_universal, best_dimension
 
 from conftest import (
     augmented_graph,
@@ -55,6 +55,9 @@ def test_build_best_matches_smaller_public_variant():
     for graph, ordering in _corpus():
         winner, expected = _expected_best(graph, ordering)
         assert build_best(graph, ordering) == expected
+        if graph.n:
+            psi, alpha = claw_number(ordering, graph)[0], label_vertices(ordering).alpha
+            assert best_dimension(psi, alpha) == expected.dimension
         winners.add((winner, expected.dimension > 1))
     assert len(winners) == 4
 

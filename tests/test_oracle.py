@@ -102,10 +102,13 @@ def test_supergraph_union_covers_all_non_edges():
 
 
 def test_exact_cubicity_stars():
-    for m, expected in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
+    for m, expected in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3)):
         result = exact_cubicity(star_graph(m))
         assert isinstance(result, ExactResult)
         assert result.cubicity == expected == ceil_log2(m)
+    # K_{1,7} has 21 non-edges: a walk over their 2^21 subsets would pass
+    # this bound, the 109601 order prefixes of 8 vertices cannot
+    assert result.candidates_enumerated <= 109_601
 
 
 def test_exact_cubicity_examples():

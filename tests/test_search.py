@@ -60,3 +60,29 @@ def test_refused_samples_are_counted_not_fatal():
     assert report.graphs_tried == 22
     assert report.to_json_obj()["oracle_refused"] == 1
     assert sum(report.histogram.values()) == 22
+
+
+def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
+    from intervalcubes import construct, params
+
+    calls = {"neighborhood": 0, "build": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    # every claw pass, wherever it is called from, runs one neighbourhood
+    # MIS per vertex
+    monkeypatch.setattr(
+        params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
+    )
+    monkeypatch.setattr(construct, "_build", counting("build", construct._build))
+    monkeypatch.setattr(construct, "_build_alpha", counting("build", construct._build_alpha))
+    report = tightness_search(count=23, n_max=8, seed=3)
+    assert report.graphs_tried + report.oracle_refused == 23
+    # the sample sizes tightness_search draws for seed 3
+    sizes = [2 + (3 * 7 + i * 13) % 7 for i in range(23)]
+    assert calls == {"neighborhood": sum(sizes), "build": 0}
