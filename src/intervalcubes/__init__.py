@@ -24,7 +24,6 @@ from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
 from .graphs import (
     Graph,
     GraphParseError,
-    connected_components,
     induced_subgraph,
     non_edges,
     parse_graph,
@@ -57,7 +56,6 @@ from .params import (
     StarWitness,
     ceil_log2,
     claw_number,
-    independence_number,
     neighborhood_mis,
     param_report,
 )

@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Graph inputs are edge-list text files; any input that parses as JSON is
-treated as an interval model and converted to its overlap graph, so
-`gen` output pipes straight into the other subcommands.
+Graph inputs are edge-list text files; any input that looks like JSON is
+treated as an interval model, so `gen` output pipes straight into the
+other subcommands.  An edge list gets its clique ordering from
+recognition.  A model gets it from its endpoint sweep, without
+recognition.  A model's graph is built by `model_to_graph`, independently
+of the sweep, only where a command reads one: the checks in `construct`,
+`verify` and `exact`, and `params`, whose `param_report` still takes it.
 
 Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 3 size refusal, 64 usage error, 65 malformed input.
@@ -22,12 +26,12 @@ from .construct import (
     normalize_unit,
 )
 from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
-from .graphs import Graph, GraphParseError, parse_graph
-from .intervals import IntervalModel, model_to_graph
+from .graphs import MAX_VERTICES, Graph, GraphParseError, parse_graph
+from .intervals import CliqueOrdering, IntervalModel, model_to_clique_ordering, model_to_graph
 from .labelling import label_vertices
 from .oracle import MAX_ORACLE_VERTICES, SizeRefusalError, exact_cubicity
 from .params import param_report
-from .recognition import NotInterval, NotIntervalError, recognize_and_order, require_ordering
+from .recognition import NotIntervalError, require_ordering
 from .search import histogram_csv, tightness_search
 from .verify import verify_representation
 
@@ -52,12 +56,25 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_graph(path: str) -> Graph:
+def _read_input(path: str) -> Graph | IntervalModel:
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return model_to_graph(IntervalModel.loads(text))
+        return IntervalModel.loads(text)
     return parse_graph(text)
+
+
+def _as_graph(source: Graph | IntervalModel) -> Graph:
+    return model_to_graph(source) if isinstance(source, IntervalModel) else source
+
+
+def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
+    """The parsed input and a clique ordering; raises NotIntervalError for
+    an edge list that is not an interval graph."""
+    source = _read_input(path)
+    if isinstance(source, IntervalModel):
+        return source, model_to_clique_ordering(source)
+    return source, require_ordering(source)
 
 
 def _emit(obj, out: str | None):
@@ -69,53 +86,47 @@ def _emit(obj, out: str | None):
         sys.stdout.write(text)
 
 
-
-
 def _cmd_recognize(args) -> int:
-    graph = _load_graph(args.graph)
-    result = recognize_and_order(graph)
-    if isinstance(result, NotInterval):
-        _emit({"interval": False, "reason": result.reason}, args.out)
+    try:
+        _, ordering = _load(args.graph)
+    except NotIntervalError as exc:
+        _emit({"interval": False, "reason": exc.reason}, args.out)
         return EXIT_NOT_INTERVAL
-    _emit({"interval": True, "cliques": result.k}, args.out)
+    _emit({"interval": True, "cliques": ordering.k}, args.out)
     return EXIT_OK
 
 
 def _cmd_order(args) -> int:
-    graph = _load_graph(args.graph)
-    ordering = require_ordering(graph)
+    _, ordering = _load(args.graph)
     _emit(ordering.to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_label(args) -> int:
-    graph = _load_graph(args.graph)
-    ordering = require_ordering(graph)
+    _, ordering = _load(args.graph)
     _emit(label_vertices(ordering).to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_params(args) -> int:
-    graph = _load_graph(args.graph)
-    ordering = require_ordering(graph)
+    source, ordering = _load(args.graph)
     labelling = label_vertices(ordering)
-    _emit(param_report(ordering, graph, labelling).to_json_obj(), args.out)
+    _emit(param_report(ordering, _as_graph(source), labelling).to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
-    graph = _load_graph(args.graph)
-    ordering = require_ordering(graph)
+    source, ordering = _load(args.graph)
     trace = None
     if args.variant == "claw":
-        rep, trace = build_representation(graph, ordering)
+        rep, trace = build_representation(ordering)
     elif args.variant == "alpha":
-        rep = build_alpha_representation(graph, ordering)
+        rep = build_alpha_representation(ordering)
     else:
-        rep = build_best(graph, ordering)
+        rep = build_best(ordering)
     if args.normalize:
         rep = normalize_unit(rep)
-    report = verify_representation(graph, rep)
+    report = verify_representation(_as_graph(source), rep)
     if not report.ok:
         print("constructed representation failed verification", file=sys.stderr)
         print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=sys.stderr)
@@ -128,7 +139,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _as_graph(_read_input(args.graph))
     rep = CubeRepresentation.loads(_read_text(args.representation))
     report = verify_representation(graph, rep)
     _emit(report.to_json_obj(), args.out)
@@ -136,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _as_graph(_read_input(args.graph))
     result = exact_cubicity(graph, b_max=args.max_b)
     _emit(result.to_json_obj(), args.out)
     return EXIT_OK
@@ -222,6 +233,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and args.count < 0:
         args.error("--count must not be negative")
+    if args.command == "gen" and args.n > MAX_VERTICES:
+        args.error(f"--n must be at most {MAX_VERTICES}")
     try:
         return args.func(args)
     except SystemExit:

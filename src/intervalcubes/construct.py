@@ -1,6 +1,6 @@
 """Assembly of unit-cube representations for interval graphs.
 
-After one claw pass everything works on the clique ordering alone.  The
+Every stage works on the clique ordering alone; no graph is read.  The
 pipeline pads the claw number to a power of two by appending pendant
 cliques hung off one vertex of the last clique, lays the cliques out on a
 line with a scale that hits integer positions at the anchor cliques,
@@ -21,12 +21,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, connected_components
-from .intervals import CliqueOrdering, greedy_independent
+from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
-from .params import ceil_log2, claw_number
+from .params import ceil_log2, claw_number, neighborhood_mis
 from .rationals import format_rational, parse_rational
-from .recognition import ConstructionError, require_ordering
+from .recognition import ConstructionError
 from .verify import complete_dimensions
 
 
@@ -140,20 +139,16 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
         return PaddedGraph(ordering, power, 0, None)
 
     n, k = ordering.n, ordering.k
-    left, right = ordering.left, ordering.right
-    mis = {}
-    for v in ordering.cliques[-1]:
-        # a last-clique vertex meets every other range reaching its left end
-        reach = [u for u in range(n) if u != v and right[u] >= left[v]]
-        mis[v] = len(greedy_independent(ordering, reach))
+    by_left = ordering.by_left()
+    mis = {v: neighborhood_mis(ordering, v, by_left)[0] for v in ordering.cliques[-1]}
     center = max(sorted(mis), key=mis.__getitem__)
     added = target - mis[center]
 
     cliques = list(ordering.cliques) + [
         frozenset({center, n + i}) for i in range(added)
     ]
-    left = list(left) + [k + i for i in range(added)]
-    right = list(right) + [k + i for i in range(added)]
+    left = list(ordering.left) + [k + i for i in range(added)]
+    right = list(ordering.right) + [k + i for i in range(added)]
     right[center] = k + added - 1
     padded_ordering = CliqueOrdering(tuple(cliques), tuple(left), tuple(right))
     return PaddedGraph(padded_ordering, power, added, center)
@@ -201,17 +196,16 @@ def branch_codes(labelling: Labelling, claw: int) -> tuple[int, ...]:
 
 
 def build_representation(
-    graph: Graph, ordering: CliqueOrdering | None = None
+    ordering: CliqueOrdering,
 ) -> tuple[CubeRepresentation, ConstructionTrace | None]:
     """The claw-number construction: exactly ceil(log2 claw) + 2 dimensions.
 
     Graphs whose claw number is below 2 (disjoint unions of cliques) take
     the degenerate one-dimensional route and carry no trace.
     """
-    ordering = require_ordering(graph, ordering)
-    psi, _ = claw_number(ordering, graph)
+    psi, _ = claw_number(ordering)
     if psi < 2:
-        return build_degenerate(graph), None
+        return build_degenerate(ordering), None
     return _build(ordering, psi)
 
 
@@ -257,20 +251,19 @@ def _build(
     return rep, trace
 
 
-def build_degenerate(graph: Graph) -> CubeRepresentation:
-    """Disjoint unions of cliques: one dimension, clique j at position 2j;
-    zero dimensions when the graph is complete."""
-    comps = connected_components(graph)
-    for comp in comps:
-        for v in comp:
-            if len(graph.adj[v]) != len(comp) - 1:
-                raise ValueError("graph is not a disjoint union of cliques")
-    if len(comps) <= 1:
-        return CubeRepresentation(0, Fraction(1), ((),) * graph.n)
-    coord = [Fraction(0)] * graph.n
-    for j, comp in enumerate(comps):
-        for v in comp:
-            coord[v] = Fraction(2 * j)
+def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
+    """Disjoint unions of cliques, where every range is a single clique:
+    one dimension with the clique of rank j by smallest member at position
+    2j; zero dimensions when there is at most one clique."""
+    if ordering.left != ordering.right:
+        raise ValueError("graph is not a disjoint union of cliques")
+    n = ordering.n
+    if ordering.k <= 1:
+        return CubeRepresentation(0, Fraction(1), ((),) * n)
+    coord = [Fraction(0)] * n
+    for rank, clique in enumerate(sorted(ordering.cliques, key=min)):
+        for v in clique:
+            coord[v] = Fraction(2 * rank)
     return CubeRepresentation(1, Fraction(1), tuple((x,) for x in coord))
 
 
@@ -280,9 +273,7 @@ def _augment_with_universal(ordering: CliqueOrdering) -> CliqueOrdering:
     return CliqueOrdering(cliques, ordering.left + (0,), ordering.right + (k - 1,))
 
 
-def build_alpha_representation(
-    graph: Graph, ordering: CliqueOrdering | None = None
-) -> CubeRepresentation:
+def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
     """Exactly ceil(log2 alpha) dimensions via a universal vertex.
 
     Adding a universal vertex forces claw number == independence number,
@@ -290,8 +281,7 @@ def build_alpha_representation(
     are detected by direct span checks, then dropped together with the
     universal vertex.
     """
-    ordering = require_ordering(graph, ordering)
-    if graph.n == 0:
+    if ordering.n == 0:
         return CubeRepresentation(0, Fraction(1), ())
     return _build_alpha(ordering, label_vertices(ordering).alpha)
 
@@ -321,20 +311,17 @@ def best_dimension(psi: int, alpha: int) -> int:
     return min(claw_dims, ceil_log2(alpha))
 
 
-def build_best(
-    graph: Graph, ordering: CliqueOrdering | None = None
-) -> CubeRepresentation:
+def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
     """The smaller of the two variants; ties go to the alpha variant.
     Both dimensions follow from psi and alpha, so only one is built."""
-    ordering = require_ordering(graph, ordering)
-    if graph.n == 0:
-        return build_degenerate(graph)
-    psi, _ = claw_number(ordering, graph)
+    if ordering.n == 0:
+        return build_degenerate(ordering)
+    psi, _ = claw_number(ordering)
     alpha = label_vertices(ordering).alpha
     if best_dimension(psi, alpha) == ceil_log2(alpha):
         return _build_alpha(ordering, alpha)
     if psi < 2:
-        return build_degenerate(graph)
+        return build_degenerate(ordering)
     return _build(ordering, psi)[0]
 
 

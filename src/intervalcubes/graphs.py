@@ -8,6 +8,10 @@ out-of-range endpoints with the offending line number.
 
 from __future__ import annotations
 
+# parse_graph allocates per vertex from the header's count, which no edge
+# line bounds, so that count is checked against this limit first
+MAX_VERTICES = 10**6
+
 
 class GraphParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -73,6 +77,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("header must be two integers", head_no) from None
     if n < 0 or m < 0:
         raise GraphParseError("header counts must be non-negative", head_no)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"{n} vertices exceeds the limit of {MAX_VERTICES}", head_no)
     body = lines[1:]
     if len(body) != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(body)}")
@@ -128,23 +134,3 @@ def non_edges(graph: Graph) -> list[tuple[int, int]]:
         for v in range(u + 1, graph.n)
         if v not in graph.adj[u]
     ]
-
-
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * graph.n
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in graph.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps

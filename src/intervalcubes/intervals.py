@@ -88,6 +88,13 @@ class CliqueOrdering:
     def ranges_intersect(self, u: int, v: int) -> bool:
         return self.left[u] <= self.right[v] and self.left[v] <= self.right[u]
 
+    def by_left(self) -> list[list[int]]:
+        """Vertices grouped by leftmost clique index, each group ascending."""
+        groups: list[list[int]] = [[] for _ in range(self.k)]
+        for v, j in enumerate(self.left):
+            groups[j].append(v)
+        return groups
+
     def to_json_obj(self) -> dict:
         return {
             "cliques": [sorted(c) for c in self.cliques],

@@ -47,9 +47,7 @@ def label_vertices(ordering: CliqueOrdering) -> Labelling:
 
     # best[j]: vertex minimizing (right, index) among those with left >= j
     best: list[int | None] = [None] * (k + 1)
-    by_left: list[list[int]] = [[] for _ in range(k)]
-    for v in range(n):
-        by_left[left[v]].append(v)
+    by_left = ordering.by_left()
     for j in range(k - 1, -1, -1):
         cand = best[j + 1]
         for v in by_left[j]:

@@ -136,8 +136,10 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
     clique suffix of the prefix; exists exactly for indifference graphs.
 
     This is the order search cut at the first forced edge, so the first
-    full order it reaches is umbrella-free for the graph itself.
+    full order it reaches is umbrella-free for the graph itself.  Its cost
+    can grow with n!, so graphs above MAX_ORACLE_VERTICES are refused.
     """
+    _refuse_if_many_vertices(graph)
     found: list[tuple[int, ...]] = []
 
     def stop(order: tuple[int, ...], _) -> bool:
@@ -225,11 +227,15 @@ def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
 # supergraph enumeration and exact cubicity
 # ----------------------------------------------------------------------
 
-def _refuse_if_large(graph: Graph) -> list[tuple[int, int]]:
+def _refuse_if_many_vertices(graph: Graph):
     if graph.n > MAX_ORACLE_VERTICES:
         raise SizeRefusalError(
             f"{graph.n} vertices exceeds the oracle bound of {MAX_ORACLE_VERTICES}"
         )
+
+
+def _refuse_if_large(graph: Graph) -> list[tuple[int, int]]:
+    _refuse_if_many_vertices(graph)
     missing = non_edges(graph)
     if len(missing) > MAX_ORACLE_NON_EDGES:
         raise SizeRefusalError(

@@ -1,5 +1,5 @@
 """Graph parameters the dimension bounds are stated in: claw number and
-independence number, computed through the clique ordering."""
+independence number, read off the clique ordering."""
 
 from __future__ import annotations
 
@@ -42,41 +42,45 @@ class ParamReport:
 
 
 def neighborhood_mis(
-    ordering: CliqueOrdering, graph: Graph, v: int
+    ordering: CliqueOrdering, v: int, by_left: list[list[int]]
 ) -> tuple[int, tuple[int, ...]]:
     """Maximum independent set size within N(v), with the chosen leaves.
 
-    Induced subgraphs of interval graphs are interval and inherit the
-    clique ranges, so the earliest-finish greedy is exact here.
+    N(v) with v is C_{left v} plus every vertex whose range starts in
+    (left v, right v]; `by_left` is `ordering.by_left()`, the vertices
+    grouped by their left clique index.  Induced subgraphs of interval
+    graphs are interval and inherit the clique ranges, so the
+    earliest-finish greedy is exact here.
     """
-    leaves = greedy_independent(ordering, graph.adj[v])
+    left, right = ordering.left[v], ordering.right[v]
+    pool = [u for u in ordering.cliques[left] if u != v]
+    for j in range(left + 1, right + 1):
+        pool.extend(by_left[j])
+    leaves = greedy_independent(ordering, pool)
     return len(leaves), tuple(leaves)
 
 
-def claw_number(
-    ordering: CliqueOrdering, graph: Graph
-) -> tuple[int, StarWitness | None]:
+def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
     """Largest m with an induced star on m leaves; 0 for edgeless graphs."""
+    by_left = ordering.by_left()
     best = 0
     witness: StarWitness | None = None
-    for v in range(graph.n):
-        m, leaves = neighborhood_mis(ordering, graph, v)
+    for v in range(ordering.n):
+        m, leaves = neighborhood_mis(ordering, v, by_left)
         if m > best:
             best = m
             witness = StarWitness(center=v, leaves=leaves)
     return best, witness
 
 
-def independence_number(labelling: Labelling) -> int:
-    return labelling.alpha
-
-
 def param_report(ordering: CliqueOrdering, graph: Graph, labelling: Labelling) -> ParamReport:
-    psi, witness = claw_number(ordering, graph)
-    alpha = independence_number(labelling)
+    """psi, alpha and the lower bound, all read off the ordering and the
+    labelling.  `graph` is not read; the signature keeps it because the
+    benchmark harness calls it this way."""
+    psi, witness = claw_number(ordering)
     return ParamReport(
         psi=psi,
-        alpha=alpha,
+        alpha=labelling.alpha,
         witness=witness,
         lower_bound=ceil_log2(psi) if psi >= 1 else 0,
     )

@@ -100,10 +100,8 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
     return ordering
 
 
-def require_ordering(graph: Graph, ordering: CliqueOrdering | None = None) -> CliqueOrdering:
+def require_ordering(graph: Graph) -> CliqueOrdering:
     """Recognition that raises instead of returning a result object."""
-    if ordering is not None:
-        return ordering
     result = recognize_and_order(graph)
     if isinstance(result, NotInterval):
         raise NotIntervalError(result.reason)

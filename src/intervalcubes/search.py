@@ -81,7 +81,7 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         alpha = label_vertices(ordering).alpha
         dimension = best_dimension(psi, alpha)
         # the proven upper bound; family sizes are searched from 1

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from intervalcubes import (
     GenConfig,
     Graph,
+    StarWitness,
     claw_number,
+    greedy_independent,
     make_model,
     model_to_clique_ordering,
     model_to_graph,
@@ -102,15 +105,35 @@ def random_models(count: int, n_range, seed: int = 0):
     return out
 
 
+@st.composite
+def interval_models(draw):
+    n = draw(st.integers(1, 14))
+    starts = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    return make_model([(lo, lo + ln) for lo, ln in zip(starts, lengths)])
+
+
 def model_pipeline(model):
     graph = model_to_graph(model)
     ordering = model_to_clique_ordering(model)
     return graph, ordering
 
 
-def pad(graph: Graph, ordering):
-    """pad_graph as the claw build calls it, with the graph's claw number."""
-    return pad_graph(ordering, claw_number(ordering, graph)[0])
+def adjacency_claw_number(ordering, graph: Graph):
+    """The claw pass over adjacency sets: the earliest-finish greedy on each
+    vertex's neighbour set.  The reference for `claw_number`, which reads
+    the neighbourhoods off the clique ranges instead."""
+    best, witness = 0, None
+    for v in range(graph.n):
+        leaves = greedy_independent(ordering, graph.adj[v])
+        if len(leaves) > best:
+            best, witness = len(leaves), StarWitness(center=v, leaves=tuple(leaves))
+    return best, witness
+
+
+def pad(ordering):
+    """pad_graph as the claw build calls it, with the ordering's claw number."""
+    return pad_graph(ordering, claw_number(ordering)[0])
 
 
 def padded_graph(graph: Graph, padded) -> Graph:

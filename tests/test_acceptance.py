@@ -25,12 +25,12 @@ from intervalcubes import (
     claw_number,
     complete_dimensions,
     exact_cubicity,
-    independence_number,
     label_vertices,
     model_to_clique_ordering,
     model_to_graph,
     random_interval_model,
     recognize_and_order,
+    require_ordering,
     tightness_search,
     validate_labelling,
     validate_ordering,
@@ -63,7 +63,7 @@ def seeded_model(n: int, seed: int, min_psi: int = 0):
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         if psi >= min_psi:
             return model, graph, ordering, psi
         attempt += 10_000
@@ -98,7 +98,7 @@ def test_criterion_1_constructive_upper_bound(corpora):
         n = 5 + (i * 7919) % 196
         model, graph, ordering, psi = seeded_model(n, seed=1_000 + i, min_psi=2)
         labelling = label_vertices(ordering)
-        rep, trace = build_representation(graph, ordering)
+        rep, trace = build_representation(ordering)
         report = verify_representation(graph, rep)
         if rep.dimension != ceil_log2(psi) + 2 or not report.ok:
             failures += 1
@@ -117,7 +117,7 @@ def test_criterion_2_star_values(corpora):
     for m, want in expected.items():
         g = star_graph(m)
         result = exact_cubicity(g, b_max=4)
-        built = build_best(g)
+        built = build_best(require_ordering(g))
         ok = (
             isinstance(result, ExactResult)
             and result.cubicity == want == ceil_log2(m)
@@ -141,9 +141,9 @@ def test_criterion_3_psi_equals_alpha_specialization(corpora):
             continue
         aug, aug_ordering = augmented_graph(graph), _augment_with_universal(ordering)
         aug_lab = label_vertices(aug_ordering)
-        rep_aug, trace = build_representation(aug, aug_ordering)
+        rep_aug, trace = build_representation(aug_ordering)
         p = trace.power
-        alpha_rep = build_alpha_representation(graph, ordering)
+        alpha_rep = build_alpha_representation(ordering)
         ok = (
             complete_dimensions(rep_aug) == [p, p + 1]
             and alpha_rep.dimension == ceil_log2(labelling.alpha)
@@ -194,7 +194,7 @@ def test_criterion_6_oracle_agreement():
         labelling = label_vertices(ordering)
         if psi != brute_claw(graph):
             mismatches += 1
-        if independence_number(labelling) != brute_alpha(graph):
+        if labelling.alpha != brute_alpha(graph):
             mismatches += 1
     emit(6, mismatches == 0, f"500 instances n<=12, {mismatches} mismatches")
 
@@ -205,7 +205,7 @@ def test_criterion_7_sandwich_property():
         n = 2 + (i * 17) % 5  # 2..6
         model, graph, ordering, psi = seeded_model(n, seed=7_000 + i)
         alpha = label_vertices(ordering).alpha
-        best = build_best(graph, ordering)
+        best = build_best(ordering)
         result = exact_cubicity(graph, b_max=max(1, best.dimension))
         if not isinstance(result, ExactResult):
             violations += 1

@@ -2,7 +2,18 @@ import json
 
 import pytest
 
+from intervalcubes import (
+    GenConfig,
+    make_model,
+    model_to_graph,
+    random_interval_model,
+    serialize_graph,
+)
+from intervalcubes import cli, graphs, recognition
 from intervalcubes.cli import main
+from intervalcubes.generate import DISTRIBUTIONS
+
+from conftest import star_model
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -190,3 +201,79 @@ def test_search_counts_oracle_refusals(capsys):
     obj = json.loads(out)
     assert obj["oracle_refused"] >= 1
     assert obj["graphs_tried"] + obj["oracle_refused"] == 23
+
+
+def _model_and_edge_list(tmp_path, name, model):
+    model_path = tmp_path / f"{name}.json"
+    model_path.write_text(model.dumps())
+    edges_path = tmp_path / f"{name}.txt"
+    edges_path.write_text(serialize_graph(model_to_graph(model)))
+    return str(model_path), str(edges_path)
+
+
+def test_model_input_skips_recognition(capsys, tmp_path, monkeypatch):
+    """Model JSON takes its ordering from the endpoint sweep, so the route
+    may pick other cliques and coordinates than the edge list of the same
+    graph, but every parameter, dimension, verdict and exit code agrees.
+    The commands that read no graph never build one."""
+    models = {f"gen-{seed}": random_interval_model(GenConfig(12, seed, dist))
+              for seed, dist in enumerate(DISTRIBUTIONS)}
+    models["star"] = star_model(5)
+    models["two-cliques"] = make_model([(0, 1), (0, 1), (3, 4)])
+    models["clique"] = make_model([(0, 2), (1, 3)])
+    commands = [["recognize"], ["order"], ["label"], ["params"]] + [
+        ["construct", "--variant", v] for v in ("claw", "alpha", "best")
+    ]
+
+    def refuse(graph):
+        raise AssertionError("model input went through recognition")
+
+    def no_graph(model):
+        raise AssertionError("built a graph no command step reads")
+
+    for name, model in models.items():
+        model_path, edges_path = _model_and_edge_list(tmp_path, name, model)
+        for command in commands:
+            code, edge_out, _ = run(capsys, *command, edges_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(recognition, "recognize_and_order", refuse)
+                if command[0] in ("recognize", "order", "label"):
+                    patch.setattr(cli, "model_to_graph", no_graph)
+                model_code, model_out, _ = run(capsys, *command, model_path)
+            assert model_code == code == 0
+            edge_obj, model_obj = json.loads(edge_out), json.loads(model_out)
+            if command[0] in ("recognize", "label"):
+                assert model_obj.get("alpha") == edge_obj.get("alpha")
+                assert model_obj.get("cliques") == edge_obj.get("cliques")
+            elif command[0] == "order":
+                assert len(model_obj["cliques"]) == len(edge_obj["cliques"])
+            elif command[0] == "params":
+                for key in ("psi", "alpha", "lower_bound"):
+                    assert model_obj[key] == edge_obj[key]
+            else:
+                assert model_obj["dimension"] == edge_obj["dimension"]
+                rep_path = tmp_path / f"{name}-rep.json"
+                rep_path.write_text(model_out)
+                for graph_path in (model_path, edges_path):
+                    code, out, _ = run(capsys, "verify", graph_path, str(rep_path))
+                    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_vertex_limit_refuses_before_allocating(capsys, tmp_path, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("allocated the graph")
+
+    monkeypatch.setattr(graphs, "Graph", no_graph)
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{graphs.MAX_VERTICES + 1} 0\n")
+    code, _, err = run(capsys, "recognize", str(path))
+    assert code == 65
+    assert "exceeds the limit" in err
+
+    def no_model(*args):
+        raise AssertionError("generated the model")
+
+    monkeypatch.setattr(cli, "random_interval_model", no_model)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--n", str(graphs.MAX_VERTICES + 1)])
+    assert excinfo.value.code == 64

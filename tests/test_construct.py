@@ -19,11 +19,13 @@ from intervalcubes import (
     make_model,
     normalize_unit,
     recognize_and_order,
+    require_ordering,
     verify_representation,
 )
 from intervalcubes.labelling import Labelling
 
 from conftest import (
+    adjacency_claw_number,
     complete_graph,
     cycle_graph,
     model_pipeline,
@@ -66,7 +68,7 @@ def test_branch_codes_low_bits_copy_level():
 
 def test_pad_star3_becomes_star4():
     graph, ordering = model_pipeline(star_model(3))
-    padded = pad(graph, ordering)
+    padded = pad(ordering)
     assert padded.added == 1
     assert padded.power == 2
     assert padded.ordering.n == 5
@@ -74,13 +76,13 @@ def test_pad_star3_becomes_star4():
     # with a 3-leaf star)
     assert padded.center == 0
     assert padded.ordering.cliques[-1] == frozenset({0, 4})
-    psi, _ = claw_number(padded.ordering, padded_graph(graph, padded))
+    psi, _ = adjacency_claw_number(padded.ordering, padded_graph(graph, padded))
     assert psi == 4
 
 
 def test_pad_skips_power_of_two():
     graph, ordering = model_pipeline(p3_model())
-    padded = pad(graph, ordering)
+    padded = pad(ordering)
     assert padded.added == 0
     assert padded.center is None
     assert padded.ordering is ordering
@@ -88,9 +90,9 @@ def test_pad_skips_power_of_two():
 
 def test_pad_claw5_adds_three():
     graph, ordering = model_pipeline(star_model(5))
-    padded = pad(graph, ordering)
+    padded = pad(ordering)
     assert padded.added == 3
-    psi, _ = claw_number(padded.ordering, padded_graph(graph, padded))
+    psi, _ = adjacency_claw_number(padded.ordering, padded_graph(graph, padded))
     assert psi == 8
 
 
@@ -99,14 +101,14 @@ def test_pad_center_ties_go_to_lowest_index():
     model = make_model([(0, 10), (0, 10), (1, 1), (3, 3), (5, 5)])
     graph, ordering = model_pipeline(model)
     assert ordering.cliques[-1] == frozenset({0, 1, 4})
-    padded = pad(graph, ordering)
+    padded = pad(ordering)
     assert (padded.center, padded.added) == (0, 1)
 
 
 def test_pad_rejects_degenerate():
     g = complete_graph(3)
     with pytest.raises(ValueError):
-        pad(g, recognize_and_order(g))
+        pad(recognize_and_order(g))
 
 
 def test_scale_star4():
@@ -145,7 +147,7 @@ def test_scale_interpolates_between_anchors():
 def test_p3_build_exact_coordinates():
     """Frozen hand evaluation: vertices (a=leaf, c=center, b=leaf)."""
     graph, ordering = model_pipeline(p3_model())  # 0=center, 1=a-leaf, 2=b-leaf
-    rep, trace = build_representation(graph, ordering)
+    rep, trace = build_representation(ordering)
     assert rep.dimension == 3
     assert rep.side == F(3, 2)
     a, c, b = 1, 0, 2
@@ -158,7 +160,7 @@ def test_p3_build_exact_coordinates():
 
 def test_star4_build_exact_coordinates():
     graph, ordering = model_pipeline(star_model(4))  # 0=center, 1..4=leaves
-    rep, trace = build_representation(graph, ordering)
+    rep, trace = build_representation(ordering)
     assert rep.dimension == 4
     assert rep.side == F(7, 2)
     x1, c, x2, x3, x4 = 1, 0, 2, 3, 4
@@ -180,17 +182,17 @@ def test_star4_build_exact_coordinates():
 def test_build_dimension_formula():
     for model in random_models(40, range(3, 40), seed=23):
         graph, ordering = model_pipeline(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         if psi < 2:
             continue
-        rep, trace = build_representation(graph, ordering)
+        rep, trace = build_representation(ordering)
         assert rep.dimension == ceil_log2(psi) + 2
         assert rep.side == trace.claw - F(1, 2)
         assert verify_representation(graph, rep).ok
 
 
 def test_build_routes_complete_to_degenerate():
-    rep, trace = build_representation(complete_graph(3))
+    rep, trace = build_representation(require_ordering(complete_graph(3)))
     assert trace is None
     assert rep.dimension == 0
     assert verify_representation(complete_graph(3), rep).ok
@@ -198,11 +200,11 @@ def test_build_routes_complete_to_degenerate():
 
 def test_build_rejects_non_interval():
     with pytest.raises(NotIntervalError):
-        build_representation(cycle_graph(4))
+        build_representation(require_ordering(cycle_graph(4)))
 
 
 def test_degenerate_complete():
-    rep = build_degenerate(complete_graph(5))
+    rep = build_degenerate(require_ordering(complete_graph(5)))
     assert rep.dimension == 0
     assert rep.coords == ((),) * 5
     assert verify_representation(complete_graph(5), rep).ok
@@ -210,7 +212,7 @@ def test_degenerate_complete():
 
 def test_degenerate_two_triangles():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    rep = build_degenerate(g)
+    rep = build_degenerate(require_ordering(g))
     assert rep.dimension == 1
     assert {row[0] for row in rep.coords} == {F(0), F(2)}
     assert verify_representation(g, rep).ok
@@ -218,19 +220,19 @@ def test_degenerate_two_triangles():
 
 def test_degenerate_edgeless():
     g = Graph(3)
-    rep = build_degenerate(g)
+    rep = build_degenerate(require_ordering(g))
     assert [row[0] for row in rep.coords] == [F(0), F(2), F(4)]
     assert verify_representation(g, rep).ok
 
 
 def test_degenerate_rejects_p3():
     with pytest.raises(ValueError):
-        build_degenerate(path_graph(3))
+        build_degenerate(require_ordering(path_graph(3)))
 
 
 def test_alpha_variant_p3():
     g = path_graph(3)
-    rep = build_alpha_representation(g)
+    rep = build_alpha_representation(require_ordering(g))
     assert rep.dimension == 1
     assert verify_representation(g, rep).ok
     # the surviving dimension separates the two leaves
@@ -239,13 +241,13 @@ def test_alpha_variant_p3():
 
 def test_alpha_variant_star4():
     g = star_graph(4)
-    rep = build_alpha_representation(g)
+    rep = build_alpha_representation(require_ordering(g))
     assert rep.dimension == 2
     assert verify_representation(g, rep).ok
 
 
 def test_alpha_variant_complete():
-    rep = build_alpha_representation(complete_graph(4))
+    rep = build_alpha_representation(require_ordering(complete_graph(4)))
     assert rep.dimension == 0
 
 
@@ -253,17 +255,17 @@ def test_alpha_variant_dimension_formula():
     for model in random_models(40, range(2, 40), seed=29):
         graph, ordering = model_pipeline(model)
         lab = label_vertices(ordering)
-        rep = build_alpha_representation(graph, ordering)
+        rep = build_alpha_representation(ordering)
         expected = 0 if lab.alpha == 1 else ceil_log2(lab.alpha)
         assert rep.dimension == expected
         assert verify_representation(graph, rep).ok
 
 
 def test_build_best_examples():
-    assert build_best(star_graph(4)).dimension == 2
-    assert build_best(path_graph(3)).dimension == 1
+    assert build_best(require_ordering(star_graph(4))).dimension == 2
+    assert build_best(require_ordering(path_graph(3))).dimension == 1
     p7 = path_graph(7)  # claw 2, independence 4
-    rep = build_best(p7)
+    rep = build_best(require_ordering(p7))
     assert rep.dimension == 2
     assert verify_representation(p7, rep).ok
 
@@ -271,18 +273,18 @@ def test_build_best_examples():
 def test_build_best_formula():
     for model in random_models(30, range(3, 30), seed=37):
         graph, ordering = model_pipeline(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         if psi < 2:
             continue
         alpha = label_vertices(ordering).alpha
-        rep = build_best(graph, ordering)
+        rep = build_best(ordering)
         assert rep.dimension == min(ceil_log2(psi) + 2, ceil_log2(alpha))
         assert verify_representation(graph, rep).ok
 
 
 def test_normalize_unit_p3():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     unit = normalize_unit(rep)
     assert unit.side == 1
     a, c, b = 1, 0, 2
@@ -299,7 +301,7 @@ def test_normalize_identity_cases():
 
 def test_representation_json_round_trip():
     graph, ordering = model_pipeline(star_model(4))
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     again = CubeRepresentation.loads(rep.dumps())
     assert again == rep
 
@@ -309,6 +311,6 @@ def test_padding_restriction_is_sound():
     original, whatever the padding added."""
     for m in (3, 5, 6, 7):
         g = star_graph(m)
-        rep, trace = build_representation(g)
+        rep, trace = build_representation(require_ordering(g))
         assert trace.padded.added == (1 << trace.power) - m
         assert verify_representation(g, rep).ok

@@ -2,7 +2,6 @@
 and universal vertex against graphs built independently from the input."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from intervalcubes import (
     Graph,
@@ -11,15 +10,16 @@ from intervalcubes import (
     build_representation,
     claw_number,
     label_vertices,
-    make_model,
     recognize_and_order,
 )
 from intervalcubes import construct, params
 from intervalcubes.construct import _augment_with_universal, best_dimension
 
 from conftest import (
+    adjacency_claw_number,
     augmented_graph,
     complete_graph,
+    interval_models,
     model_pipeline,
     pad,
     padded_graph,
@@ -44,37 +44,29 @@ def _corpus():
     return cases + [(g, recognize_and_order(g)) for g in graphs]
 
 
-def _expected_best(graph, ordering):
-    claw, _ = build_representation(graph, ordering)
-    alpha = build_alpha_representation(graph, ordering)
+def _expected_best(ordering):
+    claw, _ = build_representation(ordering)
+    alpha = build_alpha_representation(ordering)
     return ("alpha", alpha) if alpha.dimension <= claw.dimension else ("claw", claw)
 
 
 def test_build_best_matches_smaller_public_variant():
     winners = set()
     for graph, ordering in _corpus():
-        winner, expected = _expected_best(graph, ordering)
-        assert build_best(graph, ordering) == expected
+        winner, expected = _expected_best(ordering)
+        assert build_best(ordering) == expected
         if graph.n:
-            psi, alpha = claw_number(ordering, graph)[0], label_vertices(ordering).alpha
+            psi, alpha = claw_number(ordering)[0], label_vertices(ordering).alpha
             assert best_dimension(psi, alpha) == expected.dimension
         winners.add((winner, expected.dimension > 1))
     assert len(winners) == 4
-
-
-@st.composite
-def interval_models(draw):
-    n = draw(st.integers(1, 14))
-    starts = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
-    lengths = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
-    return make_model([(lo, lo + ln) for lo, ln in zip(starts, lengths)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(interval_models())
 def test_build_best_matches_smaller_public_variant_hypothesis(model):
     graph, ordering = model_pipeline(model)
-    assert build_best(graph, ordering) == _expected_best(graph, ordering)[1]
+    assert build_best(ordering) == _expected_best(ordering)[1]
 
 
 def test_padding_reference_on_rebuilt_graphs():
@@ -86,10 +78,10 @@ def test_padding_reference_on_rebuilt_graphs():
     for graph, ordering in _corpus():
         if graph.n == 0:
             continue
-        if claw_number(ordering, graph)[0] >= 2:
-            padded = pad(graph, ordering)
+        if claw_number(ordering)[0] >= 2:
+            padded = pad(ordering)
             rebuilt = padded_graph(graph, padded)
-            assert claw_number(padded.ordering, rebuilt)[0] == 2**padded.power
+            assert adjacency_claw_number(padded.ordering, rebuilt)[0] == 2**padded.power
             assert range_graph(padded.ordering) == rebuilt
             padded_count += padded.added > 0
 
@@ -97,10 +89,10 @@ def test_padding_reference_on_rebuilt_graphs():
         aug, aug_ordering = augmented_graph(graph), _augment_with_universal(ordering)
         assert range_graph(aug_ordering) == aug
         if alpha >= 2:
-            assert claw_number(aug_ordering, aug)[0] == alpha
-            _, trace = build_representation(aug, aug_ordering)
+            assert adjacency_claw_number(aug_ordering, aug)[0] == alpha
+            _, trace = build_representation(aug_ordering)
             rebuilt = padded_graph(aug, trace.padded)
-            assert claw_number(trace.padded.ordering, rebuilt)[0] == trace.claw
+            assert adjacency_claw_number(trace.padded.ordering, rebuilt)[0] == trace.claw
             assert range_graph(trace.padded.ordering) == rebuilt
     assert padded_count > 10
 
@@ -123,7 +115,7 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
     monkeypatch.setattr(
-        construct, "greedy_independent", counting("center", construct.greedy_independent)
+        construct, "neighborhood_mis", counting("center", construct.neighborhood_mis)
     )
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
     monkeypatch.setattr(Graph, "__init__", counting("graph", Graph.__init__))
@@ -132,12 +124,12 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
     for graph, ordering in _corpus():
         calls.update(dict.fromkeys(calls, 0))
         built.clear()
-        build_best(graph, ordering)
+        build_best(ordering)
         assert calls["graph"] == 0
         assert calls["claw"] == (1 if graph.n else 0)
         assert calls["neighborhood"] == graph.n
-        # the only other greedy passes pick the padding center, among the
-        # last clique and perhaps a universal vertex
+        # the only other neighbourhood passes pick the padding center, among
+        # the last clique and perhaps a universal vertex
         assert calls["center"] <= (len(ordering.cliques[-1]) + 1 if graph.n else 0)
         assert calls["build"] <= 1
         if built:

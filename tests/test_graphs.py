@@ -25,6 +25,15 @@ def test_parse_single_isolated_vertex():
     assert g.edges() == []
 
 
+def test_parse_rejects_too_many_vertices(monkeypatch):
+    from intervalcubes import graphs
+
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 3)
+    assert parse_graph("3 0").n == 3
+    with pytest.raises(GraphParseError, match="line 1.*4 vertices exceeds the limit of 3"):
+        parse_graph("4 0")
+
+
 def test_parse_rejects_self_loop():
     with pytest.raises(GraphParseError, match="line 2.*self-loop"):
         parse_graph("2 1\n0 0")

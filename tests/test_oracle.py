@@ -131,6 +131,25 @@ def test_exceeded_result():
     assert result.b_max == 2
 
 
+def _clique_plus_claw(k: int) -> Graph:
+    """K_k beside a disjoint claw: only the claw blocks every order."""
+    clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph(k + 4, clique + [(k, k + 1), (k, k + 2), (k, k + 3)])
+
+
+def test_indifference_ordering_size_refusal(monkeypatch):
+    from intervalcubes import oracle
+
+    assert indifference_ordering(_clique_plus_claw(4)) is None  # 8 vertices
+
+    def no_search(*args):
+        raise AssertionError("searched before checking the size")
+
+    monkeypatch.setattr(oracle, "_order_closures", no_search)
+    with pytest.raises(SizeRefusalError):
+        indifference_ordering(_clique_plus_claw(5))
+
+
 def test_size_refusal():
     with pytest.raises(SizeRefusalError):
         exact_cubicity(Graph(9))
@@ -143,9 +162,9 @@ def test_size_refusal():
 def test_sandwich_property_small_corpus():
     for model in random_models(80, range(2, 8), seed=59):
         graph, ordering = model_pipeline(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         alpha = label_vertices(ordering).alpha
-        best = build_best(graph, ordering)
+        best = build_best(ordering)
         result = exact_cubicity(graph, b_max=max(1, best.dimension))
         assert isinstance(result, ExactResult)
         cub = result.cubicity
@@ -161,5 +180,5 @@ def test_sandwich_property_small_corpus():
 def test_oracle_agrees_with_ordering_params():
     for model in random_models(60, range(2, 13), seed=61):
         graph, ordering = model_pipeline(model)
-        assert brute_claw(graph) == claw_number(ordering, graph)[0]
+        assert brute_claw(graph) == claw_number(ordering)[0]
         assert brute_alpha(graph) == label_vertices(ordering).alpha

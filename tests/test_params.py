@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from intervalcubes import (
+    Graph,
     brute_alpha,
     brute_claw,
     ceil_log2,
     claw_number,
-    independence_number,
     label_vertices,
     neighborhood_mis,
     param_report,
@@ -13,10 +14,15 @@ from intervalcubes import (
 )
 
 from conftest import (
+    adjacency_claw_number,
+    augmented_graph,
     complete_graph,
+    interval_models,
     model_pipeline,
     p3_model,
+    path_graph,
     random_models,
+    star_graph,
     star_model,
 )
 
@@ -29,7 +35,7 @@ def test_ceil_log2():
 
 def test_p3_claw():
     graph, ordering = model_pipeline(p3_model())
-    psi, witness = claw_number(ordering, graph)
+    psi, witness = claw_number(ordering)
     assert psi == 2
     assert witness.center == 0  # the spanning interval
     assert set(witness.leaves) == {1, 2}
@@ -37,7 +43,7 @@ def test_p3_claw():
 
 def test_star_claw():
     graph, ordering = model_pipeline(star_model(4))
-    psi, witness = claw_number(ordering, graph)
+    psi, witness = claw_number(ordering)
     assert psi == 4
     assert witness.center == 0
 
@@ -45,40 +51,38 @@ def test_star_claw():
 def test_complete_claw_is_one():
     g = complete_graph(5)
     ordering = recognize_and_order(g)
-    psi, _ = claw_number(ordering, g)
+    psi, _ = claw_number(ordering)
     assert psi == 1
 
 
 def test_edgeless_claw_is_zero():
-    from intervalcubes import Graph
-
     g = Graph(3)
     ordering = recognize_and_order(g)
-    psi, witness = claw_number(ordering, g)
+    psi, witness = claw_number(ordering)
     assert psi == 0 and witness is None
 
 
 def test_neighborhood_mis_examples():
     graph, ordering = model_pipeline(star_model(4))
-    assert neighborhood_mis(ordering, graph, 0)[0] == 4
-    assert neighborhood_mis(ordering, graph, 1)[0] == 1
+    assert neighborhood_mis(ordering, 0, ordering.by_left())[0] == 4
+    assert neighborhood_mis(ordering, 1, ordering.by_left())[0] == 1
     g3, o3 = model_pipeline(p3_model())
-    assert neighborhood_mis(o3, g3, 1)[0] == 1
+    assert neighborhood_mis(o3, 1, o3.by_left())[0] == 1
 
 
 def test_independence_number_examples():
     for model, expected in ((p3_model(), 2), (star_model(4), 4)):
         graph, ordering = model_pipeline(model)
-        assert independence_number(label_vertices(ordering)) == expected
+        assert label_vertices(ordering).alpha == expected
     g = complete_graph(3)
     o = recognize_and_order(g)
-    assert independence_number(label_vertices(o)) == 1
+    assert label_vertices(o).alpha == 1
 
 
 def test_witness_is_an_induced_star():
     for model in random_models(50, range(2, 15), seed=13):
         graph, ordering = model_pipeline(model)
-        psi, witness = claw_number(ordering, graph)
+        psi, witness = claw_number(ordering)
         if witness is None:
             assert psi == 0
             continue
@@ -97,8 +101,8 @@ def test_agreement_with_brute_force():
     for model in random_models(120, range(2, 13), seed=17):
         graph, ordering = model_pipeline(model)
         lab = label_vertices(ordering)
-        assert claw_number(ordering, graph)[0] == brute_claw(graph)
-        assert independence_number(lab) == brute_alpha(graph)
+        assert claw_number(ordering)[0] == brute_claw(graph)
+        assert lab.alpha == brute_alpha(graph)
 
 
 def test_param_report_fields():
@@ -109,3 +113,33 @@ def test_param_report_fields():
     assert report.lower_bound == 3
     obj = report.to_json_obj()
     assert obj["witness"]["center"] == 0
+
+
+def _claw_corpus():
+    """(graph, ordering) pairs over both ordering routes: the endpoint sweep
+    of the random models and recognition of the same graphs, plus large
+    paths and stars, cliques, edgeless graphs and universal vertices."""
+    cases = []
+    for model in random_models(60, range(2, 60), seed=71) + random_models(9, [400], seed=73):
+        graph, ordering = model_pipeline(model)
+        cases.append((graph, ordering))
+        if graph.n <= 60:
+            cases.append((graph, recognize_and_order(graph)))
+    graphs = [path_graph(n) for n in (1, 2, 3, 500)] + [star_graph(m) for m in (1, 2, 500)]
+    graphs += [complete_graph(n) for n in (1, 4)] + [Graph(n) for n in (1, 5)]
+    graphs += [augmented_graph(g) for g in (path_graph(9), Graph(4))]
+    return cases + [(g, recognize_and_order(g)) for g in graphs]
+
+
+def test_claw_number_matches_adjacency_greedy():
+    for graph, ordering in _claw_corpus():
+        assert claw_number(ordering) == adjacency_claw_number(ordering, graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_models())
+def test_claw_number_matches_adjacency_greedy_hypothesis(model):
+    graph, ordering = model_pipeline(model)
+    assert claw_number(ordering) == adjacency_claw_number(ordering, graph)
+    reordered = recognize_and_order(graph)
+    assert claw_number(reordered) == adjacency_claw_number(reordered, graph)

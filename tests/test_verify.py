@@ -24,7 +24,7 @@ F = Fraction
 
 def test_verifier_accepts_build():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     report = verify_representation(graph, rep)
     assert report.ok
     assert report.missing_adjacency == ()
@@ -33,7 +33,7 @@ def test_verifier_accepts_build():
 
 def test_verifier_flags_collapsed_separation():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     a, b = 1, 2  # the two leaves
     rows = [list(row) for row in rep.coords]
     rows[b][0] = F(0)  # gap to a becomes exactly the side: no separation left
@@ -46,7 +46,7 @@ def test_verifier_flags_collapsed_separation():
 
 def test_verifier_flags_broken_adjacency():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     rows = [list(row) for row in rep.coords]
     rows[0][0] += F(100)
     broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows))
@@ -67,7 +67,7 @@ def test_verifier_rejects_vertex_mismatch():
 
 def test_dimension_stats_count_separations():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     report = verify_representation(graph, rep)
     # only non-adjacent pair (1,2) separates, in dimension 0 only
     assert report.dimension_stats == (1, 0, 0)
@@ -75,13 +75,13 @@ def test_dimension_stats_count_separations():
 
 def test_complete_dimensions_p3():
     graph, ordering = model_pipeline(p3_model())
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     assert complete_dimensions(rep) == [1, 2]
 
 
 def test_complete_dimensions_star4():
     graph, ordering = model_pipeline(star_model(4))
-    rep, _ = build_representation(graph, ordering)
+    rep, _ = build_representation(ordering)
     assert complete_dimensions(rep) == [2, 3]
 
 
@@ -91,7 +91,7 @@ def test_complete_dimensions_zero_dim():
 
 def test_check_trace_star4():
     graph, ordering = model_pipeline(star_model(4))
-    _, trace = build_representation(graph, ordering)
+    _, trace = build_representation(ordering)
     report = check_trace(trace, trace.padded.ordering, trace.labelling)
     assert report.ok
     # the center's span sits strictly inside the reach
@@ -103,13 +103,13 @@ def test_check_trace_star4():
 
 def test_check_trace_p3():
     graph, ordering = model_pipeline(p3_model())
-    _, trace = build_representation(graph, ordering)
+    _, trace = build_representation(ordering)
     assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
 
 
 def test_check_trace_flags_corrupted_scale():
     graph, ordering = model_pipeline(p3_model())
-    _, trace = build_representation(graph, ordering)
+    _, trace = build_representation(ordering)
     bad_scale = list(trace.scale)
     bad_scale[1] = F(-5)
     corrupted = ConstructionTrace(
@@ -134,8 +134,8 @@ def test_trace_checks_on_random_corpus():
 
     for model in random_models(40, range(3, 35), seed=43):
         graph, ordering = model_pipeline(model)
-        psi, _ = claw_number(ordering, graph)
+        psi, _ = claw_number(ordering)
         if psi < 2:
             continue
-        _, trace = build_representation(graph, ordering)
+        _, trace = build_representation(ordering)
         assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
