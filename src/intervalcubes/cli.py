@@ -233,8 +233,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and args.count < 0:
         args.error("--count must not be negative")
-    if args.command == "gen" and args.n > MAX_VERTICES:
-        args.error(f"--n must be at most {MAX_VERTICES}")
+    if args.command == "gen" and not 1 <= args.n <= MAX_VERTICES:
+        args.error(f"--n must be between 1 and {MAX_VERTICES}")
+    if args.command == "exact" and args.max_b < 1:
+        args.error("--max-b must be at least 1")
     try:
         return args.func(args)
     except SystemExit:

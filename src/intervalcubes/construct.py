@@ -8,6 +8,8 @@ gives every vertex a branch code whose low bits copy its level, and then
 emits one coordinate per code bit: bit 0 places the vertex by its right
 end, bit 1 by its left end.  Dropping the pendants' coordinates keeps the
 represented graph intact because induced subgraphs only lose constraints.
+Positions are ints on one grid per build (see `clique_scale`); only the
+JSON methods of `CubeRepresentation` turn them into rationals.
 
 Dimension count is exactly ceil(log2 claw) + 2.  A second variant appends
 a universal vertex to the ordering to get ceil(log2 alpha) dimensions,
@@ -18,8 +20,9 @@ dropping the two coordinates that the augmented build leaves complete.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
@@ -55,12 +58,14 @@ class PaddedGraph:
 @dataclass(frozen=True)
 class CubeRepresentation:
     """Axis-parallel cubes of side `side`: vertices are adjacent exactly
-    when every coordinate differs by at most `side`.  dimension == 0 means
-    every pair is adjacent by convention."""
+    when every coordinate differs by at most `side`.  Side and coordinates
+    are ints counting units of 1/`unit`.  dimension == 0 means every pair
+    is adjacent by convention."""
 
     dimension: int
-    side: Fraction
-    coords: tuple[tuple[Fraction, ...], ...]
+    side: int
+    coords: tuple[tuple[int, ...], ...]
+    unit: int
 
     @property
     def n(self) -> int:
@@ -69,8 +74,10 @@ class CubeRepresentation:
     def to_json_obj(self) -> dict:
         return {
             "dimension": self.dimension,
-            "side": format_rational(self.side),
-            "coords": [[format_rational(x) for x in row] for row in self.coords],
+            "side": format_rational(Fraction(self.side, self.unit)),
+            "coords": [
+                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
+            ],
         }
 
     def dumps(self) -> str:
@@ -78,15 +85,21 @@ class CubeRepresentation:
 
     @classmethod
     def from_json_obj(cls, obj) -> "CubeRepresentation":
-        dimension = int(obj["dimension"])
-        side = parse_rational(obj["side"])
-        coords = tuple(
-            tuple(parse_rational(x) for x in row) for row in obj["coords"]
-        )
-        for row in coords:
-            if len(row) != dimension:
-                raise ValueError("coordinate vector length disagrees with dimension")
-        return cls(dimension, side, coords)
+        """Rationals onto the coarsest integer grid that holds them all: the
+        unit is the lcm of their denominators."""
+        if not isinstance(obj, dict):
+            raise ValueError("a representation is a JSON object")
+        dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
+        if type(dimension) is not int or dimension < 0 or side <= 0:
+            raise ValueError("dimension must be an integer >= 0 and side positive")
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != dimension for row in rows
+        ):
+            raise ValueError("coords must be a list of vectors of length dimension")
+        rows = [[parse_rational(x) for x in row] for row in rows]
+        unit = lcm(side.denominator, *{x.denominator for row in rows for x in row})
+        coords = tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
+        return cls(dimension, side.numerator * (unit // side.denominator), coords, unit)
 
     @classmethod
     def loads(cls, text: str) -> "CubeRepresentation":
@@ -97,15 +110,17 @@ class CubeRepresentation:
 class ConstructionTrace:
     """Everything the audit checks need: the clique scale, the codes and
     levels on the padded graph, the branch taken per (dimension, vertex),
-    and the unrestricted padded coordinates."""
+    and the unrestricted padded coordinates.  Scale and coordinates are
+    integers in units of 1/`unit`, as in the representation."""
 
     power: int
     claw: int
-    scale: tuple[Fraction, ...]
+    unit: int
+    scale: tuple[int, ...]
     codes: tuple[int, ...]
     levels: tuple[int, ...]
     branch: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[Fraction, ...], ...]
+    coords: tuple[tuple[int, ...], ...]
     padded: PaddedGraph
     labelling: Labelling
 
@@ -114,14 +129,14 @@ class ConstructionTrace:
             "power": self.power,
             "claw": self.claw,
             "bits": list(range(self.power + 2)),
-            "scale": [format_rational(x) for x in self.scale],
+            "scale": [format_rational(Fraction(x, self.unit)) for x in self.scale],
             "codes": list(self.codes),
             "levels": list(self.levels),
             "branch": [list(row) for row in self.branch],
             "added": self.padded.added,
             "original_n": self.padded.ordering.n - self.padded.added,
             "padded_coords": [
-                [format_rational(x) for x in row] for row in self.coords
+                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
             ],
         }
 
@@ -154,31 +169,23 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
     return PaddedGraph(padded_ordering, power, added, center)
 
 
-def clique_scale(ordering: CliqueOrdering, labelling: Labelling) -> tuple[Fraction, ...]:
-    """Strictly increasing positions for the cliques, hitting value i at
-    the rightmost clique of anchor i and interpolating linearly between
-    consecutive anchors with a half-unit offset."""
-    k = ordering.k
-    anchors = labelling.anchors
-    rights = [ordering.right[u] for u in anchors]
-    if rights[0] != 0 or rights[-1] != k - 1:
-        raise ConstructionError("anchor rightmost cliques must span 0..k-1")
-    scale: list[Fraction | None] = [None] * k
-    scale[0] = Fraction(0)
-    for i in range(len(anchors) - 1):
-        a, b = rights[i], rights[i + 1]
-        for j in range(a + 1, b + 1):
-            scale[j] = i + Fraction(1, 2) + Fraction(j - a, 2 * (b - a))
-    if any(x is None for x in scale):
-        raise ConstructionError("scale left a clique index unassigned")
-    out = tuple(scale)  # type: ignore[arg-type]
-    for j in range(k - 1):
-        if not out[j] < out[j + 1]:
-            raise ConstructionError("scale is not strictly increasing")
-    for i, r in enumerate(rights):
-        if out[r] != i:
-            raise ConstructionError("scale misses an anchor value")
-    return out
+def clique_scale(ordering: CliqueOrdering, labelling: Labelling) -> tuple[tuple[int, ...], int]:
+    """Strictly increasing integer clique positions and the unit 2G they
+    count in, where G is the widest gap b - a between the right cliques of
+    consecutive anchors i and i + 1.  Anchor i's right clique sits at 2G*i
+    (the value i), and a clique j with a < j < b at 2G*i + G + (j - a),
+    strictly between the values i + 1/2 and i + 1."""
+    rights = [ordering.right[u] for u in labelling.anchors]
+    gaps = [b - a for a, b in zip(rights, rights[1:])]
+    if rights[0] != 0 or rights[-1] != ordering.k - 1 or min(gaps, default=1) < 1:
+        raise ConstructionError("anchor rightmost cliques must increase from 0 to k-1")
+    g = max(gaps, default=1)
+    scale = [0] * ordering.k
+    for i, (a, b) in enumerate(zip(rights, rights[1:])):
+        for j in range(a + 1, b):
+            scale[j] = 2 * g * i + g + (j - a)
+        scale[b] = 2 * g * (i + 1)
+    return tuple(scale), 2 * g
 
 
 def branch_codes(labelling: Labelling, claw: int) -> tuple[int, ...]:
@@ -216,10 +223,10 @@ def _build(
     representation covers the ordering's own vertices, not the pendants."""
     padded = pad_graph(ordering, psi)
     lab = label_vertices(padded.ordering)
-    scale = clique_scale(padded.ordering, lab)
+    scale, unit = clique_scale(padded.ordering, lab)
     claw = padded.claw
     codes = branch_codes(lab, claw)
-    side = claw - Fraction(1, 2)
+    side = claw * unit - unit // 2
     dims = padded.power + 2
 
     left, right = padded.ordering.left, padded.ordering.right
@@ -231,15 +238,16 @@ def _build(
             b = bit(codes[v], i)
             branch[i][v] = b
             if b == 0:
-                row.append(scale[right[v]] - claw + Fraction(1, 2))
+                row.append(scale[right[v]] - side)
             else:
                 row.append(scale[left[v]])
         coords.append(tuple(row))
 
-    rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]))
+    rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]), unit)
     trace = ConstructionTrace(
         power=padded.power,
         claw=claw,
+        unit=unit,
         scale=scale,
         codes=codes,
         levels=lab.levels,
@@ -259,12 +267,12 @@ def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
         raise ValueError("graph is not a disjoint union of cliques")
     n = ordering.n
     if ordering.k <= 1:
-        return CubeRepresentation(0, Fraction(1), ((),) * n)
-    coord = [Fraction(0)] * n
+        return CubeRepresentation(0, 1, ((),) * n, 1)
+    coord = [0] * n
     for rank, clique in enumerate(sorted(ordering.cliques, key=min)):
         for v in clique:
-            coord[v] = Fraction(2 * rank)
-    return CubeRepresentation(1, Fraction(1), tuple((x,) for x in coord))
+            coord[v] = 2 * rank
+    return CubeRepresentation(1, 1, tuple((x,) for x in coord), 1)
 
 
 def _augment_with_universal(ordering: CliqueOrdering) -> CliqueOrdering:
@@ -282,14 +290,14 @@ def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
     universal vertex.
     """
     if ordering.n == 0:
-        return CubeRepresentation(0, Fraction(1), ())
+        return CubeRepresentation(0, 1, (), 1)
     return _build_alpha(ordering, label_vertices(ordering).alpha)
 
 
 def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
     n = ordering.n
     if alpha == 1:
-        return CubeRepresentation(0, Fraction(1), ((),) * n)
+        return CubeRepresentation(0, 1, ((),) * n, 1)
     # with a universal vertex the claw number is the independence number
     rep_aug, trace = _build(_augment_with_universal(ordering), alpha)
     p = trace.power
@@ -299,7 +307,7 @@ def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
             f"expected dimensions {p} and {p + 1} to be complete, found {complete}"
         )
     coords = tuple(tuple(rep_aug.coords[v][i] for i in range(p)) for v in range(n))
-    return CubeRepresentation(p, rep_aug.side, coords)
+    return CubeRepresentation(p, rep_aug.side, coords, rep_aug.unit)
 
 
 def best_dimension(psi: int, alpha: int) -> int:
@@ -326,13 +334,8 @@ def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
 
 
 def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:
-    """Rescale so the cube side is 1; adjacency is unchanged."""
-    if rep.dimension == 0 or rep.side == 1:
+    """Take the cube side as the unit, so the side reads 1; adjacency and
+    the integer coordinates are unchanged."""
+    if rep.unit == rep.side:
         return rep
-    if rep.side <= 0:
-        raise ValueError("cube side must be positive")
-    return CubeRepresentation(
-        rep.dimension,
-        Fraction(1),
-        tuple(tuple(x / rep.side for x in row) for row in rep.coords),
-    )
+    return replace(rep, unit=rep.side)

@@ -46,11 +46,13 @@ class IntervalModel:
 
     @classmethod
     def from_json_obj(cls, obj) -> "IntervalModel":
-        records = obj["intervals"]
+        records = obj["intervals"] if isinstance(obj, dict) else None
+        if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+            raise ValueError("a model is an object with a list of interval records")
         slots: list[tuple[Fraction, Fraction] | None] = [None] * len(records)
         for rec in records:
             i = rec["id"]
-            if not isinstance(i, int) or not (0 <= i < len(records)) or slots[i] is not None:
+            if type(i) is not int or not (0 <= i < len(records)) or slots[i] is not None:
                 raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
             slots[i] = (parse_rational(rec["lo"]), parse_rational(rec["hi"]))
         return cls(tuple(slots))  # type: ignore[arg-type]

@@ -9,7 +9,9 @@ def parse_rational(value) -> Fraction:
     """Parse "p/q", decimal strings like "2.5", or integers, exactly.
 
     Floats are rejected: callers must hand us a string if the value is not
-    integral, so nothing is blurred by binary floating point.
+    integral, so nothing is blurred by binary floating point.  Exponent
+    forms like "1e9" are rejected too: their cost grows with the
+    exponent's value, not with the length of the text.
     """
     if isinstance(value, Fraction):
         return value
@@ -17,7 +19,7 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and not ("e" in value or "E" in value):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -2,15 +2,13 @@
 
 The verifier trusts nothing from the construction: it re-derives
 adjacency from the graph and compares against max-norm geometry only.
-To keep the exhaustive pairwise pass fast, coordinates are rescaled to a
-common integer grid before comparison; the comparisons stay exact.
+A representation's side and coordinates are integers on one grid, so
+every comparison is an exact integer comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .graphs import Graph
 from .reports import ValidationReport, Violation
@@ -32,21 +30,12 @@ class VerificationReport:
         }
 
 
-def _integer_grid(rep) -> tuple[list[list[int]], int]:
-    denom = rep.side.denominator
-    for row in rep.coords:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    grid = [[int(x * denom) for x in row] for row in rep.coords]
-    return grid, int(rep.side * denom)
-
-
 def verify_representation(graph: Graph, rep) -> VerificationReport:
     """Exhaustive pairwise check: adjacent pairs must stay within the side
     in every dimension, non-adjacent pairs must exceed it somewhere."""
     if rep.n != graph.n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {graph.n}")
-    grid, side = _integer_grid(rep)
+    grid, side = rep.coords, rep.side
     d = rep.dimension
     missing_adjacency = []
     missing_separation = []
@@ -101,7 +90,7 @@ def check_trace(trace, ordering, labelling) -> ValidationReport:
     """
     violations: list[Violation] = []
     scale = trace.scale
-    reach = trace.claw - Fraction(1, 2)
+    reach = trace.claw * trace.unit - trace.unit // 2
 
     for j in range(len(scale) - 1):
         if not scale[j] < scale[j + 1]:
@@ -110,7 +99,7 @@ def check_trace(trace, ordering, labelling) -> ValidationReport:
             )
     for i, u in enumerate(labelling.anchors):
         r = ordering.right[u]
-        if r >= len(scale) or scale[r] != i:
+        if r >= len(scale) or scale[r] != i * trace.unit:
             violations.append(Violation("scale-anchor", (i, u), ""))
 
     n = len(trace.coords)

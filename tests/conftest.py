@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
@@ -111,6 +113,13 @@ def interval_models(draw):
     starts = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
     lengths = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
     return make_model([(lo, lo + ln) for lo, ln in zip(starts, lengths)])
+
+
+def values(rep):
+    """A representation's side and coordinates as the rationals they stand
+    for: each int counts units of 1/rep.unit."""
+    side = Fraction(rep.side, rep.unit)
+    return side, [[Fraction(x, rep.unit) for x in row] for row in rep.coords]
 
 
 def model_pipeline(model):

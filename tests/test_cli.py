@@ -193,6 +193,75 @@ def test_search_bad_arguments_exit_64(capsys, argv):
     assert excinfo.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "0"],
+        ["gen", "--n", "-3"],
+        ["exact", "graph.txt", "--max-b", "0"],
+        ["exact", "graph.txt", "--max-b", "-2"],
+    ],
+)
+def test_bad_arguments_exit_64_before_reading(capsys, argv):
+    # graph.txt does not exist: the arguments are rejected before any input is read
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 64
+
+
+def _rep_doc(p3_file, tmp_path, capsys, **changes):
+    rep_path = tmp_path / "rep.json"
+    run(capsys, "construct", p3_file, "--out", str(rep_path))
+    obj = json.loads(rep_path.read_text())
+    obj.update(changes)
+    rep_path.write_text(json.dumps(obj))
+    return str(rep_path)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"side": "-1"},
+        {"side": "0"},
+        {"dimension": "3"},
+        {"dimension": 3.9},
+        {"dimension": True, "coords": [["0"], ["1"], ["2"]]},
+        {"coords": ["123", "456", "789"]},
+        {"coords": [["1e100000", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    ],
+)
+def test_verify_malformed_representation_exit_65(capsys, tmp_path, p3_file, changes):
+    rep_path = _rep_doc(p3_file, tmp_path, capsys, **changes)
+    code, out, err = run(capsys, "verify", p3_file, rep_path)
+    assert code == 65
+    assert out == "" and err.startswith("bad input:")
+
+
+def test_verify_non_object_documents_exit_65(capsys, tmp_path, p3_file):
+    for text in ("[]", '"rep"', "3"):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert run(capsys, "verify", p3_file, str(path))[0] == 65
+        assert run(capsys, "verify", str(path), p3_file)[0] == 65
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"id": True, "lo": "0", "hi": "1"}, {"id": 0, "lo": "0", "hi": "1"}],
+        [{"id": 0, "lo": "0", "hi": "1e100000"}],
+        [{"id": 0, "lo": "1E5", "hi": "2E5"}],
+        [3],
+    ],
+)
+def test_malformed_model_exit_65(capsys, tmp_path, records):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"intervals": records}))
+    code, out, err = run(capsys, "order", str(path))
+    assert code == 65
+    assert out == "" and err.startswith("bad input:")
+
+
 def test_search_counts_oracle_refusals(capsys):
     # the 23rd sample of seed 3 at n <= 8 has more non-edges than the
     # oracle takes; the run keeps going and reports it

@@ -36,6 +36,7 @@ from conftest import (
     random_models,
     star_graph,
     star_model,
+    values,
 )
 
 F = Fraction
@@ -114,19 +115,19 @@ def test_pad_rejects_degenerate():
 def test_scale_star4():
     graph, ordering = model_pipeline(star_model(4))
     lab = label_vertices(ordering)
-    assert clique_scale(ordering, lab) == (F(0), F(1), F(2), F(3))
+    assert clique_scale(ordering, lab) == ((0, 2, 4, 6), 2)  # 0, 1, 2, 3
 
 
 def test_scale_p3():
     graph, ordering = model_pipeline(p3_model())
     lab = label_vertices(ordering)
-    assert clique_scale(ordering, lab) == (F(0), F(1))
+    assert clique_scale(ordering, lab) == ((0, 2), 2)  # 0, 1
 
 
 def test_scale_complete():
     g = complete_graph(4)
     o = recognize_and_order(g)
-    assert clique_scale(o, label_vertices(o)) == (F(0),)
+    assert clique_scale(o, label_vertices(o)) == ((0,), 2)
 
 
 def test_scale_interpolates_between_anchors():
@@ -137,11 +138,14 @@ def test_scale_interpolates_between_anchors():
     model = make_model(model_pairs)
     graph, ordering = model_pipeline(model)
     lab = label_vertices(ordering)
-    scale = clique_scale(ordering, lab)
+    scale, unit = clique_scale(ordering, lab)
     assert all(scale[j] < scale[j + 1] for j in range(len(scale) - 1))
     rights = [ordering.right[u] for u in lab.anchors]
     for i, r in enumerate(rights):
-        assert scale[r] == i
+        assert scale[r] == i * unit
+    for i, (a, b) in enumerate(zip(rights, rights[1:])):
+        for j in range(a + 1, b):
+            assert i + F(1, 2) < F(scale[j], unit) < i + 1
 
 
 def test_p3_build_exact_coordinates():
@@ -149,11 +153,12 @@ def test_p3_build_exact_coordinates():
     graph, ordering = model_pipeline(p3_model())  # 0=center, 1=a-leaf, 2=b-leaf
     rep, trace = build_representation(ordering)
     assert rep.dimension == 3
-    assert rep.side == F(3, 2)
+    side, coords = values(rep)
+    assert side == F(3, 2)
     a, c, b = 1, 0, 2
-    assert [rep.coords[v][0] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(1)]
-    assert [rep.coords[v][1] for v in (a, c, b)] == [F(0), F(0), F(1)]
-    assert [rep.coords[v][2] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(-1, 2)]
+    assert [coords[v][0] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(1)]
+    assert [coords[v][1] for v in (a, c, b)] == [F(0), F(0), F(1)]
+    assert [coords[v][2] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(-1, 2)]
     assert verify_representation(graph, rep).ok
     assert trace.claw == 2 and trace.power == 1
 
@@ -162,9 +167,10 @@ def test_star4_build_exact_coordinates():
     graph, ordering = model_pipeline(star_model(4))  # 0=center, 1..4=leaves
     rep, trace = build_representation(ordering)
     assert rep.dimension == 4
-    assert rep.side == F(7, 2)
+    side, coords = values(rep)
+    assert side == F(7, 2)
     x1, c, x2, x3, x4 = 1, 0, 2, 3, 4
-    assert [rep.coords[v][0] for v in (x1, c, x2, x3, x4)] == [
+    assert [coords[v][0] for v in (x1, c, x2, x3, x4)] == [
         F(-7, 2),
         F(-1, 2),
         F(1),
@@ -187,7 +193,8 @@ def test_build_dimension_formula():
             continue
         rep, trace = build_representation(ordering)
         assert rep.dimension == ceil_log2(psi) + 2
-        assert rep.side == trace.claw - F(1, 2)
+        assert rep.unit == trace.unit
+        assert values(rep)[0] == trace.claw - F(1, 2)
         assert verify_representation(graph, rep).ok
 
 
@@ -214,14 +221,15 @@ def test_degenerate_two_triangles():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     rep = build_degenerate(require_ordering(g))
     assert rep.dimension == 1
-    assert {row[0] for row in rep.coords} == {F(0), F(2)}
+    assert rep.unit == 1
+    assert {row[0] for row in rep.coords} == {0, 2}
     assert verify_representation(g, rep).ok
 
 
 def test_degenerate_edgeless():
     g = Graph(3)
     rep = build_degenerate(require_ordering(g))
-    assert [row[0] for row in rep.coords] == [F(0), F(2), F(4)]
+    assert [row[0] for row in rep.coords] == [0, 2, 4]
     assert verify_representation(g, rep).ok
 
 
@@ -286,16 +294,18 @@ def test_normalize_unit_p3():
     graph, ordering = model_pipeline(p3_model())
     rep, _ = build_representation(ordering)
     unit = normalize_unit(rep)
-    assert unit.side == 1
+    side, coords = values(unit)
+    assert side == 1
+    assert unit.coords == rep.coords
     a, c, b = 1, 0, 2
-    assert [unit.coords[v][0] for v in (a, c, b)] == [F(-1), F(-1, 3), F(2, 3)]
+    assert [coords[v][0] for v in (a, c, b)] == [F(-1), F(-1, 3), F(2, 3)]
     assert verify_representation(graph, unit).ok
 
 
 def test_normalize_identity_cases():
-    rep = CubeRepresentation(0, F(1), ((), ()))
+    rep = CubeRepresentation(0, 1, ((), ()), 1)
     assert normalize_unit(rep) is rep
-    unit = CubeRepresentation(1, F(1), ((F(0),), (F(2),)))
+    unit = CubeRepresentation(1, 1, ((0,), (2,)), 1)
     assert normalize_unit(unit) is unit
 
 

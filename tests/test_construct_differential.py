@@ -1,16 +1,21 @@
-"""build_best against both public variants, and the ordering-only padding
-and universal vertex against graphs built independently from the input."""
+"""build_best against both public variants, the ordering-only padding
+and universal vertex against graphs built independently from the input,
+and the integer grid of every representation built."""
 
 from hypothesis import given, settings
 
 from intervalcubes import (
+    CubeRepresentation,
     Graph,
     build_alpha_representation,
     build_best,
     build_representation,
+    check_trace,
     claw_number,
     label_vertices,
+    normalize_unit,
     recognize_and_order,
+    verify_representation,
 )
 from intervalcubes import construct, params
 from intervalcubes.construct import _augment_with_universal, best_dimension
@@ -28,6 +33,7 @@ from conftest import (
     range_graph,
     star_graph,
     star_model,
+    values,
 )
 
 
@@ -67,6 +73,41 @@ def test_build_best_matches_smaller_public_variant():
 def test_build_best_matches_smaller_public_variant_hypothesis(model):
     graph, ordering = model_pipeline(model)
     assert build_best(ordering) == _expected_best(ordering)[1]
+
+
+def _all_ints(*groups) -> bool:
+    return all(type(x) is int for group in groups for x in group)
+
+
+def _check_integer_grid(graph, ordering):
+    """Every representation the builders give, plain and normalized, holds
+    ints, and its JSON round trip keeps its values and its verification
+    report; a claw build's trace is on the same grid and passes the audit."""
+    claw_rep, trace = build_representation(ordering)
+    if trace is not None:
+        assert trace.unit == claw_rep.unit
+        assert _all_ints(trace.scale, *trace.coords)
+        assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
+    for built in (claw_rep, build_alpha_representation(ordering), build_best(ordering)):
+        for rep in (built, normalize_unit(built)):
+            assert _all_ints((rep.dimension, rep.side, rep.unit), *rep.coords)
+            report = verify_representation(graph, rep)
+            assert report.ok
+            again = CubeRepresentation.loads(rep.dumps())
+            assert _all_ints((again.side, again.unit), *again.coords)
+            assert values(again) == values(rep)
+            assert verify_representation(graph, again) == report
+
+
+def test_integer_grid_round_trip():
+    for graph, ordering in _corpus():
+        _check_integer_grid(graph, ordering)
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_models())
+def test_integer_grid_round_trip_hypothesis(model):
+    _check_integer_grid(*model_pipeline(model))
 
 
 def test_padding_reference_on_rebuilt_graphs():

@@ -4,11 +4,9 @@ import random
 
 import pytest
 
-from intervalcubes.pqtree import (
-    PQTree,
-    consecutive_arrangement,
-    consecutive_arrangement_exhaustive,
-)
+from intervalcubes.pqtree import PQTree, consecutive_arrangement
+
+from pqtree_reference import consecutive_arrangement_exhaustive
 
 
 def is_consecutive(order, row):

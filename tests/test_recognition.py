@@ -6,7 +6,6 @@ from intervalcubes import (
     recognize_and_order,
     validate_ordering,
 )
-from intervalcubes.pqtree import consecutive_arrangement_exhaustive
 from intervalcubes.recognition import (
     maximal_cliques_chordal,
     perfect_elimination_ordering,
@@ -22,6 +21,7 @@ from conftest import (
     random_models,
     star_graph,
 )
+from pqtree_reference import consecutive_arrangement_exhaustive
 
 
 def test_c4_rejected_not_chordal():

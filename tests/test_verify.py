@@ -36,8 +36,8 @@ def test_verifier_flags_collapsed_separation():
     rep, _ = build_representation(ordering)
     a, b = 1, 2  # the two leaves
     rows = [list(row) for row in rep.coords]
-    rows[b][0] = F(0)  # gap to a becomes exactly the side: no separation left
-    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows))
+    rows[b][0] = 0  # gap to a becomes exactly the side: no separation left
+    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows), rep.unit)
     report = verify_representation(graph, broken)
     assert not report.ok
     assert (a, b) in report.missing_separation
@@ -48,19 +48,19 @@ def test_verifier_flags_broken_adjacency():
     graph, ordering = model_pipeline(p3_model())
     rep, _ = build_representation(ordering)
     rows = [list(row) for row in rep.coords]
-    rows[0][0] += F(100)
-    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows))
+    rows[0][0] += 100 * rep.unit
+    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows), rep.unit)
     report = verify_representation(graph, broken)
     assert report.missing_adjacency
 
 
 def test_verifier_complete_graph_zero_dims():
-    rep = CubeRepresentation(0, F(1), ((), (), ()))
+    rep = CubeRepresentation(0, 1, ((), (), ()), 1)
     assert verify_representation(complete_graph(3), rep).ok
 
 
 def test_verifier_rejects_vertex_mismatch():
-    rep = CubeRepresentation(0, F(1), ((),))
+    rep = CubeRepresentation(0, 1, ((),), 1)
     with pytest.raises(ValueError):
         verify_representation(complete_graph(3), rep)
 
@@ -86,7 +86,7 @@ def test_complete_dimensions_star4():
 
 
 def test_complete_dimensions_zero_dim():
-    assert complete_dimensions(CubeRepresentation(0, F(1), ((),))) == []
+    assert complete_dimensions(CubeRepresentation(0, 1, ((),), 1)) == []
 
 
 def test_check_trace_star4():
@@ -98,7 +98,7 @@ def test_check_trace_star4():
     center_span = trace.scale[trace.padded.ordering.right[0]] - trace.scale[
         trace.padded.ordering.left[0]
     ]
-    assert center_span == 3 < F(7, 2)
+    assert F(center_span, trace.unit) == 3 < F(7, 2)
 
 
 def test_check_trace_p3():
@@ -111,10 +111,11 @@ def test_check_trace_flags_corrupted_scale():
     graph, ordering = model_pipeline(p3_model())
     _, trace = build_representation(ordering)
     bad_scale = list(trace.scale)
-    bad_scale[1] = F(-5)
+    bad_scale[1] = -5 * trace.unit
     corrupted = ConstructionTrace(
         power=trace.power,
         claw=trace.claw,
+        unit=trace.unit,
         scale=tuple(bad_scale),
         codes=trace.codes,
         levels=trace.levels,
