@@ -32,6 +32,12 @@ from .recognition import ConstructionError
 from .verify import complete_dimensions
 
 
+# A document's values go onto the lcm of their denominators, which grows
+# with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
+# of JSON, needs a unit of 24,856 bits.  Built outputs need a few dozen.
+MAX_UNIT_BITS = 1024
+
+
 def bit(a: int, i: int) -> int:
     """The i-th binary digit of a non-negative integer."""
     if a < 0 or i < 0:
@@ -86,7 +92,8 @@ class CubeRepresentation:
     @classmethod
     def from_json_obj(cls, obj) -> "CubeRepresentation":
         """Rationals onto the coarsest integer grid that holds them all: the
-        unit is the lcm of their denominators."""
+        unit is the lcm of their denominators, refused with ValueError once
+        it passes MAX_UNIT_BITS, before any coordinate is built."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
         dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
@@ -97,7 +104,11 @@ class CubeRepresentation:
         ):
             raise ValueError("coords must be a list of vectors of length dimension")
         rows = [[parse_rational(x) for x in row] for row in rows]
-        unit = lcm(side.denominator, *{x.denominator for row in rows for x in row})
+        unit = side.denominator
+        for denominator in {x.denominator for row in rows for x in row}:
+            unit = lcm(unit, denominator)
+            if unit.bit_length() > MAX_UNIT_BITS:
+                raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
         coords = tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
         return cls(dimension, side.numerator * (unit // side.denominator), coords, unit)
 

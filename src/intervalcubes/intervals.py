@@ -10,6 +10,7 @@ construction) consumes orderings, not raw models.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,16 +122,23 @@ def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
 
 
 def model_to_graph(model: IntervalModel) -> Graph:
-    """Closed-interval overlap graph; a shared endpoint is an edge."""
-    n = model.n
+    """Closed-interval overlap graph; a shared endpoint is an edge.
+
+    Sorted by `lo`, the intervals meeting u from its right are exactly the
+    later starts at or before `hi` of u, one bisection away: O(n log n + m).
+    This reads the endpoints directly, never the clique sweep, so the
+    graph a representation is verified against stays independent of the
+    ordering it was built from.
+    """
     ivs = model.intervals
+    order = sorted(range(model.n), key=lambda v: ivs[v][0])
+    los = [ivs[v][0] for v in order]
     edges = [
         (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if ivs[u][0] <= ivs[v][1] and ivs[v][0] <= ivs[u][1]
+        for p, u in enumerate(order)
+        for v in order[p + 1 : bisect_right(los, ivs[u][1])]
     ]
-    return Graph(n, edges)
+    return Graph(model.n, edges)
 
 
 def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:

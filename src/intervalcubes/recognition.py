@@ -10,6 +10,7 @@ is the reason tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graphs import Graph
 from .intervals import CliqueOrdering, ordering_from_cliques
@@ -109,16 +110,33 @@ def require_ordering(graph: Graph) -> CliqueOrdering:
 
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
-    # cheap canaries; the full validator lives in intervals.validate_ordering
-    membership: list[list[int]] = [[] for _ in range(graph.n)]
+    """Cheap canaries in O(n + m + Σ|C_j|); the full validator lives in
+    intervals.validate_ordering.
+
+    Every vertex's cliques form one non-empty run from `left` to `right`.
+    Every edge's ranges meet, and exactly m pairs of ranges meet, so the
+    ranges describe the graph's edges and nothing else.
+    """
+    n, left, right = graph.n, ordering.left, ordering.right
+    membership: list[list[int]] = [[] for _ in range(n)]
     for i, clique in enumerate(ordering.cliques):
         for v in clique:
             membership[v].append(i)
-    for v in range(graph.n):
+    for v in range(n):
         runs = membership[v]
-        if runs != list(range(ordering.left[v], ordering.right[v] + 1)):
+        if not runs or runs != list(range(left[v], right[v] + 1)):
             raise ConstructionError(f"clique run of vertex {v} is not consecutive")
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            if graph.has_edge(u, v) != ordering.ranges_intersect(u, v):
+    for u in range(n):
+        for v in graph.adj[u]:
+            if u < v and not ordering.ranges_intersect(u, v):
                 raise ConstructionError(f"ordering disagrees with adjacency on ({u}, {v})")
+    # Listed by left end, the vertex at position p meets the later ones
+    # whose left end is at or before its right end: upto[right] - p - 1 of
+    # them, where upto[j] counts the left ends at or before clique j.
+    # Summed over p = 0..n-1 that is the count below.
+    upto = list(accumulate(len(group) for group in ordering.by_left()))
+    meeting = sum(upto[r] for r in right) - n * (n + 1) // 2
+    if meeting != graph.edge_count:
+        raise ConstructionError(
+            f"{meeting} pairs of clique ranges meet, the graph has {graph.edge_count} edges"
+        )

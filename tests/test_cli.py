@@ -3,13 +3,14 @@ import json
 import pytest
 
 from intervalcubes import (
+    CubeRepresentation,
     GenConfig,
     make_model,
     model_to_graph,
     random_interval_model,
     serialize_graph,
 )
-from intervalcubes import cli, graphs, recognition
+from intervalcubes import cli, construct, graphs, recognition
 from intervalcubes.cli import main
 from intervalcubes.generate import DISTRIBUTIONS
 
@@ -235,6 +236,40 @@ def test_verify_malformed_representation_exit_65(capsys, tmp_path, p3_file, chan
     code, out, err = run(capsys, "verify", p3_file, rep_path)
     assert code == 65
     assert out == "" and err.startswith("bad input:")
+
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_verify_refuses_an_unbounded_grid_exit_65(capsys, tmp_path):
+    # 1/p over the first 2000 primes: 25 kB whose common grid needs a
+    # 24,856-bit unit; the fold stops at the cap instead
+    graph_path = tmp_path / "edgeless.txt"
+    graph_path.write_text("2000 0\n")
+    rep_path = tmp_path / "primes.json"
+    coords = [[f"1/{p}"] for p in _primes(2000)]
+    rep_path.write_text(json.dumps({"dimension": 1, "side": "1", "coords": coords}))
+    code, out, err = run(capsys, "verify", str(graph_path), str(rep_path))
+    assert code == 65
+    assert out == "" and f"more than {construct.MAX_UNIT_BITS} bits" in err
+
+    # a normalized build of a generated model still loads and verifies
+    model = random_interval_model(GenConfig(n=300, seed=3, dist="unit-jitter"))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(model.dumps())
+    code, _, _ = run(capsys, "construct", str(model_path), "--variant", "best", "--normalize",
+                     "--out", str(rep_path))
+    assert code == 0
+    unit = CubeRepresentation.loads(rep_path.read_text()).unit
+    assert unit.bit_length() <= construct.MAX_UNIT_BITS
+    assert run(capsys, "verify", str(model_path), str(rep_path))[0] == 0
 
 
 def test_verify_non_object_documents_exit_65(capsys, tmp_path, p3_file):
