@@ -1,20 +1,31 @@
 """Interval-graph recognition from abstract graphs.
 
-Pipeline: maximum cardinality search gives a perfect elimination ordering
-candidate (chordality test); maximal cliques fall out of the elimination
-ordering; a PQ-tree then orders the cliques so each vertex's cliques are
-consecutive.  Graphs failing either stage are not interval, and the stage
-is the reason tag.
+Habib, McConnell, Paul & Viennot, "Lex-BFS and partition refinement, with
+applications to transitive orientation, interval graph recognition and
+consecutive ones testing", Theoret. Comput. Sci. 234 (2000):
+
+1. One lexicographic breadth-first search (LexBFS) orders the vertices.
+   Its reverse is a perfect elimination ordering exactly when the graph
+   is chordal (Rose, Tarjan & Lueker 1976); otherwise the reason tag is
+   `not-chordal`.
+2. The maximal cliques are read off that order.
+3. A partition refinement of the cliques orders them so that every
+   vertex's cliques are consecutive, or fails with the reason tag
+   `no-consecutive-ordering`.
+
+Steps 1 and 2 cost O(n + m), plus sorting each neighbourhood once for
+the LexBFS tie-break.  Step 3 costs O(n + Σ|C|) plus, for every clique a
+refinement moves, a scan of that clique's vertices.  No step recurses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .graphs import Graph
 from .intervals import CliqueOrdering, ordering_from_cliques
-from .pqtree import consecutive_arrangement
 
 
 class NotIntervalError(Exception):
@@ -34,51 +45,185 @@ class ConstructionError(AssertionError):
     """An internal pipeline invariant failed; always a bug, never an input error."""
 
 
-def mcs_order(graph: Graph) -> list[int]:
-    """Maximum cardinality search visit order, lowest index on ties."""
+def _lexbfs(graph: Graph) -> list[int]:
+    """LexBFS visit order by partition refinement, lowest id on ties.
+
+    The unvisited vertices sit in a linked list of classes.  Visiting v
+    moves its neighbours in each class it reaches only in part into a new
+    class just before that one, by set operations.  Each class also stacks
+    its members in descending id, so the lowest pops off the end; a vertex
+    that moved on leaves a stale entry behind, which the pop skips.
+    """
     n = graph.n
-    weight = [0] * n
-    visited = [False] * n
+    classes = [set(range(n))]
+    stacks = [list(range(n - 1, -1, -1))]
+    prev, nxt = [-1], [-1]
+    where = dict.fromkeys(range(n), 0)  # class of each unvisited vertex
+    head = 0
     order = []
     for _ in range(n):
-        best = max(
-            (v for v in range(n) if not visited[v]),
-            key=lambda v: (weight[v], -v),
-        )
-        visited[best] = True
-        order.append(best)
-        for w in graph.adj[best]:
-            if not visited[w]:
-                weight[w] += 1
+        while not classes[head]:
+            head = nxt[head]
+        stack = stacks[head]
+        v = stack.pop()
+        while where.get(v) != head:
+            v = stack.pop()
+        classes[head].discard(v)
+        del where[v]
+        order.append(v)
+        reached = graph.adj[v] & where.keys()
+        for old, hits in Counter(map(where.__getitem__, reached)).items():
+            if hits == len(classes[old]):
+                continue  # the whole class is reached: nothing to split
+            moved = classes[old] & reached
+            classes[old] -= moved
+            new = _link(prev, nxt, prev[old], old)
+            classes.append(moved)
+            stacks.append(sorted(moved, reverse=True))
+            where.update(dict.fromkeys(moved, new))
+            if old == head:
+                head = new
     return order
 
 
+def _link(prev: list[int], nxt: list[int], left: int, right: int) -> int:
+    """Add a class between neighbours `left` and `right` (-1 for none) of
+    a linked list kept as two arrays; returns its index."""
+    new = len(prev)
+    prev.append(left)
+    nxt.append(right)
+    if left >= 0:
+        nxt[left] = new
+    if right >= 0:
+        prev[right] = new
+    return new
+
+
+def _earlier_neighbours(graph: Graph, order: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Each vertex's position in `order` and its neighbours placed before it."""
+    pos = [0] * graph.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos, [[w for w in graph.adj[v] if pos[w] < pos[v]] for v in range(graph.n)]
+
+
 def perfect_elimination_ordering(graph: Graph) -> list[int] | None:
-    """A perfect elimination ordering, or None if the graph is not chordal."""
-    peo = list(reversed(mcs_order(graph)))
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [w for w in graph.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        anchor = min(later, key=lambda w: pos[w])
-        rest = set(later) - {anchor}
-        if not rest <= graph.adj[anchor]:
-            return None
-    return peo
+    """The reverse of the LexBFS order if it is a perfect elimination
+    ordering, else None: the graph is not chordal.
+
+    Each vertex's earlier neighbours in LexBFS order must all be adjacent
+    to the latest of them, its parent (Tarjan & Yannakakis 1984).
+    """
+    order = _lexbfs(graph)
+    pos, earlier = _earlier_neighbours(graph, order)
+    for v in order:
+        if len(earlier[v]) > 1:
+            parent = max(earlier[v], key=pos.__getitem__)
+            if not graph.adj[parent].issuperset(w for w in earlier[v] if w != parent):
+                return None
+    order.reverse()
+    return order
 
 
 def maximal_cliques_chordal(graph: Graph, peo: list[int]) -> list[frozenset[int]]:
-    """All maximal cliques of a chordal graph, from its elimination ordering."""
-    pos = {v: i for i, v in enumerate(peo)}
-    candidates = {
-        frozenset({v} | {w for w in graph.adj[v] if pos[w] > pos[v]}) for v in peo
-    }
-    cliques = [
-        c for c in candidates if not any(c < d for d in candidates)
-    ]
-    cliques.sort(key=lambda c: sorted(c))
-    return cliques
+    """All maximal cliques of a chordal graph, from its elimination ordering.
+
+    Walking the reverse of `peo` (the discovery order), C(v) is v plus its
+    earlier neighbours.  C(v) is not maximal exactly when some u whose
+    parent (latest earlier neighbour) is v has |C(u)| = |C(v)| + 1.  The
+    maximal ones are returned in discovery order.
+    """
+    order = peo[::-1]
+    pos, earlier = _earlier_neighbours(graph, order)
+    maximal = [True] * graph.n
+    for u in order:
+        if earlier[u]:
+            parent = max(earlier[u], key=pos.__getitem__)
+            if len(earlier[u]) == len(earlier[parent]) + 1:
+                maximal[parent] = False
+    return [frozenset([v, *earlier[v]]) for v in order if maximal[v]]
+
+
+def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
+    """Order the clique ids so that every vertex's cliques may be
+    consecutive, or None if they cannot; `cliques` must be in discovery
+    order.
+
+    An ordered partition of the clique ids, a linked list of classes,
+    starts as one class and is refined until every class is a singleton:
+    - a pending pivot x, not yet done, whose cliques meet two or more
+      classes needs those classes contiguous and the middle ones wholly
+      its own; it moves its cliques in the two end classes of that run to
+      the run's inner side, and is then done;
+    - with no pivot pending, the last-discovered clique of a non-singleton
+      class is split off after the rest;
+    - every clique moved queues its vertices as pivots.
+    A done pivot's cliques stay a run of whole classes, so with no pivot
+    pending each class can be ordered on its own.  The caller checks the
+    final order for every vertex.
+    """
+    k = len(cliques)
+    cliques_of: list[list[int]] = [[] for _ in range(n)]
+    for c, clique in enumerate(cliques):
+        for v in clique:
+            cliques_of[v].append(c)
+    where = [0] * k  # class of each clique
+    members = [list(range(k))]  # ascending clique ids per class; stale entries allowed
+    size, prev, nxt = [k], [-1], [-1]
+    splittable = [0]  # every class of two or more cliques is on this stack
+    done: set[int] = set()
+    pending: set[int] = set()
+
+    def split_off(old: int, moved: list[int], after: bool):
+        """Move `moved`, an ascending strict subset of class `old`, into a
+        new class right after or right before it.  Only the last class of a
+        run gets one before it, so class 0 stays the head."""
+        new = _link(prev, nxt, old, nxt[old]) if after else _link(prev, nxt, prev[old], old)
+        for c in moved:
+            where[c] = new
+            pending.update(cliques[c].difference(done))
+        members.append(moved)
+        size.append(len(moved))
+        size[old] -= len(moved)
+        if len(moved) > 1:
+            splittable.append(new)
+
+    while True:
+        if pending:
+            x = pending.pop()
+            count = Counter(where[c] for c in cliques_of[x])
+            if len(count) < 2:
+                continue
+            starts = [q for q in count if prev[q] not in count]
+            if len(starts) != 1:
+                return None
+            run = starts
+            for _ in range(len(count) - 1):
+                run.append(nxt[run[-1]])
+            if any(count[q] != size[q] for q in run[1:-1]):
+                return None
+            done.add(x)
+            for end, after in ((run[0], True), (run[-1], False)):
+                if count[end] < size[end]:
+                    split_off(end, [c for c in cliques_of[x] if where[c] == end], after)
+            continue
+        while splittable and size[splittable[-1]] < 2:
+            splittable.pop()
+        if not splittable:
+            break
+        old = splittable[-1]
+        stack = members[old]
+        c = stack.pop()
+        while where[c] != old:
+            c = stack.pop()
+        split_off(old, [c], after=True)
+
+    at = dict(zip(where, range(k)))  # the clique of each singleton class
+    arrangement, q = [], 0
+    while q >= 0:
+        arrangement.append(at[q])
+        q = nxt[q]
+    return arrangement
 
 
 def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
@@ -90,13 +235,14 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
     if peo is None:
         return NotInterval("not-chordal")
     cliques = maximal_cliques_chordal(graph, peo)
-    rows = [
-        [i for i, c in enumerate(cliques) if v in c] for v in range(graph.n)
-    ]
-    arrangement = consecutive_arrangement(rows, len(cliques))
+    arrangement = _arrange_cliques(cliques, graph.n)
     if arrangement is None:
         return NotInterval("no-consecutive-ordering")
     ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
+    # a vertex's range spans at least the cliques it is in, and exactly
+    # them when they are consecutive
+    if sum(ordering.right) - sum(ordering.left) + graph.n != sum(map(len, cliques)):
+        return NotInterval("no-consecutive-ordering")
     _check_ordering_sanity(graph, ordering)
     return ordering
 

@@ -38,14 +38,13 @@ from intervalcubes import (
 )
 from intervalcubes.construct import _augment_with_universal
 from intervalcubes.generate import DISTRIBUTIONS
-from intervalcubes.pqtree import consecutive_arrangement
 from intervalcubes.recognition import (
     maximal_cliques_chordal,
     perfect_elimination_ordering,
 )
 
 from conftest import augmented_graph, cycle_graph, net_graph, padded_graph, star_graph
-from pqtree_reference import consecutive_arrangement_exhaustive
+from pqtree_reference import consecutive_arrangement, consecutive_arrangement_exhaustive
 
 
 def emit(number: int, ok: bool, detail: str):

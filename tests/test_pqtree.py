@@ -1,12 +1,15 @@
-"""The PQ-tree answers are checked against exhaustive permutation search."""
+"""The reference PQ-tree's answers are checked against exhaustive
+permutation search."""
 
 import random
 
 import pytest
 
-from intervalcubes.pqtree import PQTree, consecutive_arrangement
-
-from pqtree_reference import consecutive_arrangement_exhaustive
+from pqtree_reference import (
+    PQTree,
+    consecutive_arrangement,
+    consecutive_arrangement_exhaustive,
+)
 
 
 def is_consecutive(order, row):

@@ -21,7 +21,12 @@ from conftest import (
     random_models,
     star_graph,
 )
-from pqtree_reference import consecutive_arrangement_exhaustive
+from pqtree_reference import (
+    consecutive_arrangement_exhaustive,
+    maximal_cliques_chordal as reference_cliques,
+    perfect_elimination_ordering as reference_peo,
+    recognize_and_order as reference_recognize,
+)
 
 
 def test_c4_rejected_not_chordal():
@@ -89,6 +94,7 @@ def test_chordal_clique_enumeration_matches_bron_kerbosch():
         peo = perfect_elimination_ordering(graph)
         assert peo is not None
         assert set(maximal_cliques_chordal(graph, peo)) == bron_kerbosch(graph)
+        assert set(reference_cliques(graph, reference_peo(graph))) == bron_kerbosch(graph)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -97,8 +103,9 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def test_trees_are_chordal_and_recognition_agrees_with_exhaustive():
-    """Trees split into caterpillars (interval) and the rest; the PQ stage
-    must agree with exhaustive permutation search either way."""
+    """Trees split into caterpillars (interval) and the rest; the clique
+    arrangement must agree with exhaustive permutation search and with the
+    reference recognizer either way."""
     accepted = rejected = 0
     for seed in range(60):
         g = random_tree(3 + seed % 7, seed)
@@ -109,7 +116,10 @@ def test_trees_are_chordal_and_recognition_agrees_with_exhaustive():
         if len(cliques) <= 8:
             exhaustive = consecutive_arrangement_exhaustive(rows, len(cliques))
             result = recognize_and_order(g)
+            reference = reference_recognize(g)
+            assert isinstance(result, NotInterval) == isinstance(reference, NotInterval)
             if isinstance(result, NotInterval):
+                assert result == reference
                 assert exhaustive is None
                 rejected += 1
             else:
