@@ -24,7 +24,6 @@ from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
 from .graphs import (
     Graph,
     GraphParseError,
-    induced_subgraph,
     non_edges,
     parse_graph,
     serialize_graph,
@@ -33,24 +32,12 @@ from .intervals import (
     CliqueOrdering,
     IntervalModel,
     greedy_independent,
-    make_model,
     model_to_clique_ordering,
     model_to_graph,
     ordering_from_cliques,
-    validate_ordering,
 )
-from .labelling import Labelling, label_vertices, validate_labelling
-from .oracle import (
-    ExactResult,
-    Exceeded,
-    SizeRefusalError,
-    brute_alpha,
-    brute_claw,
-    exact_cubicity,
-    indifference_ordering,
-    indifference_supergraphs,
-    unit_realization,
-)
+from .labelling import Labelling, label_vertices
+from .oracle import ExactResult, Exceeded, SizeRefusalError, exact_cubicity
 from .params import (
     ParamReport,
     StarWitness,
@@ -66,13 +53,7 @@ from .recognition import (
     recognize_and_order,
     require_ordering,
 )
-from .reports import ValidationReport, Violation
 from .search import SearchReport, histogram_csv, tightness_search
-from .verify import (
-    VerificationReport,
-    check_trace,
-    complete_dimensions,
-    verify_representation,
-)
+from .verify import VerificationReport, complete_dimensions, verify_representation
 
 __version__ = "0.1.0"

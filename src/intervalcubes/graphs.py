@@ -8,6 +8,8 @@ out-of-range endpoints with the offending line number.
 
 from __future__ import annotations
 
+from itertools import islice
+
 # parse_graph allocates per vertex from the header's count, which no edge
 # line bounds, so that count is checked against this limit first
 MAX_VERTICES = 10**6
@@ -62,13 +64,17 @@ class Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format; blank lines are ignored."""
-    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in numbered if ln]
-    if not lines:
+    """Parse the edge-list format; blank lines are ignored.
+
+    The text is split into lines once.  Edge lines are checked as `Graph`
+    consumes them, so no second copy of the edges is held.
+    """
+    lines = text.splitlines()
+    head = next((i for i, ln in enumerate(lines) if ln and not ln.isspace()), None)
+    if head is None:
         raise GraphParseError("missing header line")
-    head_no, head = lines[0]
-    parts = head.split()
+    head_no = head + 1
+    parts = lines[head].split()
     if len(parts) != 2:
         raise GraphParseError("header must be 'n m'", head_no)
     try:
@@ -79,24 +85,28 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("header counts must be non-negative", head_no)
     if n > MAX_VERTICES:
         raise GraphParseError(f"{n} vertices exceeds the limit of {MAX_VERTICES}", head_no)
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphParseError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for no, ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphParseError("edge line must be 'u v'", no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError("edge endpoints must be integers", no) from None
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}", no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"endpoint out of range [0, {n})", no)
-        edges.append((u, v))
-    return Graph(n, edges)
+    found = sum(1 for ln in islice(lines, head + 1, None) if ln and not ln.isspace())
+    if found != m:
+        raise GraphParseError(f"expected {m} edge lines, found {found}")
+
+    def edges():
+        for no, ln in islice(enumerate(lines, 1), head + 1, None):
+            parts = ln.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise GraphParseError("edge line must be 'u v'", no)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError("edge endpoints must be integers", no) from None
+            if u == v:
+                raise GraphParseError(f"self-loop at vertex {u}", no)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(f"endpoint out of range [0, {n})", no)
+            yield u, v
+
+    return Graph(n, edges())
 
 
 def serialize_graph(graph: Graph) -> str:
@@ -105,25 +115,6 @@ def serialize_graph(graph: Graph) -> str:
     out = [f"{graph.n} {len(edges)}"]
     out.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(out) + "\n"
-
-
-def induced_subgraph(graph: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given vertices, relabelled 0..|S|-1.
-
-    Returns (subgraph, keep) where keep[i] is the original index of the
-    new vertex i.
-    """
-    keep = tuple(sorted(set(vertices)))
-    for v in keep:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges()
-        if u in index and v in index
-    ]
-    return Graph(len(keep), edges), keep
 
 
 def non_edges(graph: Graph) -> list[tuple[int, int]]:

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .rationals import format_rational, parse_rational
-from .reports import ValidationReport, Violation
 
 
 @dataclass(frozen=True)
@@ -168,66 +167,6 @@ def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
         for v in ending:
             active.remove(v)
     return ordering_from_cliques(cliques, model.n)
-
-
-def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationReport:
-    """Check every CliqueOrdering invariant against the graph; empty report
-    means valid.  Kinds: coverage, not-a-clique, not-maximal, clique-subset,
-    not-consecutive, adjacency-mismatch, empty."""
-    violations: list[Violation] = []
-    n, k = graph.n, ordering.k
-    if ordering.n != n:
-        return ValidationReport(
-            (Violation("coverage", (ordering.n, n), "vertex count mismatch"),)
-        )
-    if n >= 1 and k == 0:
-        return ValidationReport((Violation("empty", (n,), "no cliques for non-empty graph"),))
-
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for i, clique in enumerate(ordering.cliques):
-        members = sorted(clique)
-        for v in members:
-            if not (0 <= v < n):
-                violations.append(Violation("coverage", (i, v), "clique member out of range"))
-                continue
-            membership[v].append(i)
-        for a_idx, u in enumerate(members):
-            for v in members[a_idx + 1:]:
-                if not graph.has_edge(u, v):
-                    violations.append(
-                        Violation("not-a-clique", (i, u, v), "non-adjacent pair inside clique")
-                    )
-        for w in range(n):
-            if w not in clique and clique <= graph.adj[w]:
-                violations.append(
-                    Violation("not-maximal", (i, w), "vertex adjacent to entire clique")
-                )
-
-    for i in range(k):
-        for j in range(k):
-            if i != j and ordering.cliques[i] <= ordering.cliques[j]:
-                violations.append(
-                    Violation("clique-subset", (i, j), "clique contained in another")
-                )
-
-    for v in range(n):
-        runs = membership[v]
-        if not runs:
-            violations.append(Violation("coverage", (v,), "vertex in no clique"))
-            continue
-        expected = list(range(ordering.left[v], ordering.right[v] + 1))
-        if runs != expected:
-            violations.append(
-                Violation("not-consecutive", (v,), f"clique indices {runs} != range {expected}")
-            )
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if graph.has_edge(u, v) != ordering.ranges_intersect(u, v):
-                violations.append(
-                    Violation("adjacency-mismatch", (u, v), "range overlap disagrees with edge")
-                )
-    return ValidationReport(tuple(violations))
 
 
 def greedy_independent(ordering: CliqueOrdering, vertices=None) -> list[int]:

@@ -14,9 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graphs import Graph
-from .intervals import CliqueOrdering, greedy_independent
-from .reports import ValidationReport, Violation
+from .intervals import CliqueOrdering
 
 
 @dataclass(frozen=True)
@@ -65,74 +63,3 @@ def label_vertices(ordering: CliqueOrdering) -> Labelling:
     anchor_rights = [right[u] for u in anchors]
     levels = tuple(bisect_left(anchor_rights, left[v]) for v in range(n))
     return Labelling(levels=levels, anchors=tuple(anchors))
-
-
-def validate_labelling(
-    ordering: CliqueOrdering, labelling: Labelling, graph: Graph
-) -> ValidationReport:
-    """Check the four structural facts the construction leans on.
-
-    Kinds:
-      level-threshold       level(v) <= i iff left(v) <= right(anchor_i),
-                            quantified over every (v, i) pair
-      same-level-nonadjacent equal levels force adjacency
-      anchors-dependent      anchors must be pairwise non-adjacent
-      anchors-not-maximum    anchor count must equal the maximum
-                            independent set size (earliest-finish greedy)
-      anchor-chain          anchor right indices strictly increase from 0
-                            to k-1
-      level-range           levels must cover 0..alpha-1 with
-                            level(anchor_i) = i
-    """
-    violations: list[Violation] = []
-    n, k = ordering.n, ordering.k
-    levels, anchors = labelling.levels, labelling.anchors
-    alpha = len(anchors)
-
-    for v in range(n):
-        for i in range(alpha):
-            if (levels[v] <= i) != (ordering.left[v] <= ordering.right[anchors[i]]):
-                violations.append(
-                    Violation("level-threshold", (v, i), "threshold equivalence fails")
-                )
-
-    by_level: dict[int, list[int]] = {}
-    for v in range(n):
-        by_level.setdefault(levels[v], []).append(v)
-    for lvl, members in by_level.items():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                u, v = members[a], members[b]
-                if not graph.has_edge(u, v):
-                    violations.append(
-                        Violation("same-level-nonadjacent", (u, v), f"both at level {lvl}")
-                    )
-
-    for a in range(alpha):
-        for b in range(a + 1, alpha):
-            if graph.has_edge(anchors[a], anchors[b]):
-                violations.append(
-                    Violation("anchors-dependent", (anchors[a], anchors[b]), "")
-                )
-    maximum = len(greedy_independent(ordering))
-    if alpha != maximum:
-        violations.append(
-            Violation("anchors-not-maximum", (alpha, maximum), "independent set not maximum")
-        )
-
-    chain = [ordering.right[u] for u in anchors]
-    chain_ok = (
-        alpha >= 1
-        and chain[0] == 0
-        and chain[-1] == k - 1
-        and all(chain[i] < chain[i + 1] for i in range(alpha - 1))
-    )
-    if not chain_ok:
-        violations.append(Violation("anchor-chain", tuple(chain), "not 0 < ... < k-1"))
-
-    if sorted(set(levels)) != list(range(alpha)) or any(
-        levels[anchors[i]] != i for i in range(alpha)
-    ):
-        violations.append(Violation("level-range", (alpha,), "levels not 0..alpha-1"))
-
-    return ValidationReport(tuple(violations))

@@ -1,9 +1,8 @@
 """Brute-force ground truth at desk scale.
 
-Exact claw and independence numbers by exhaustive search, and exact
-cubicity via the intersection characterization: the minimum number of
-indifference supergraphs whose shared non-edges cover every non-edge of
-the input.
+Exact cubicity via the intersection characterization: the minimum number
+of indifference supergraphs whose shared non-edges cover every non-edge
+of the input.
 
 A graph is an indifference graph exactly when some vertex order is
 umbrella-free: whenever u < v < w and u ~ w, also u ~ v and v ~ w.  For a
@@ -21,7 +20,6 @@ family size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph, non_edges
 
@@ -34,7 +32,7 @@ class SizeRefusalError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# exact independent sets
+# vertex-order closures
 # ----------------------------------------------------------------------
 
 def _adj_masks(graph: Graph) -> list[int]:
@@ -42,41 +40,6 @@ def _adj_masks(graph: Graph) -> list[int]:
         sum(1 << w for w in graph.adj[v]) for v in range(graph.n)
     ]
 
-
-def _mis_size(pool: int, adj: list[int]) -> int:
-    """Maximum independent set size within the pool bitmask."""
-    if pool == 0:
-        return 0
-    # isolated vertices always join the set
-    v = None
-    best_deg = -1
-    m = pool
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        deg = (adj[u] & pool).bit_count()
-        if deg == 0:
-            return 1 + _mis_size(pool ^ low, adj)
-        if deg > best_deg:
-            best_deg, v = deg, u
-    take = 1 + _mis_size(pool & ~(adj[v] | (1 << v)), adj)
-    skip = _mis_size(pool ^ (1 << v), adj)
-    return max(take, skip)
-
-
-def brute_alpha(graph: Graph) -> int:
-    return _mis_size((1 << graph.n) - 1, _adj_masks(graph))
-
-
-def brute_claw(graph: Graph) -> int:
-    adj = _adj_masks(graph)
-    return max((_mis_size(adj[v], adj) for v in range(graph.n)), default=0)
-
-
-# ----------------------------------------------------------------------
-# vertex-order closures
-# ----------------------------------------------------------------------
 
 def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
     """Depth-first search over vertex orders, placing one vertex at a time.
@@ -129,98 +92,6 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
 
     extend(0, 0)
     return visited
-
-
-def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
-    """A vertex order in which every vertex's earlier neighbors form a
-    clique suffix of the prefix; exists exactly for indifference graphs.
-
-    This is the order search cut at the first forced edge, so the first
-    full order it reaches is umbrella-free for the graph itself.  Its cost
-    can grow with n!, so graphs above MAX_ORACLE_VERTICES are refused.
-    """
-    _refuse_if_many_vertices(graph)
-    found: list[tuple[int, ...]] = []
-
-    def stop(order: tuple[int, ...], _) -> bool:
-        found.append(order)
-        return True
-
-    # every pair gets a nonzero bit, so prune=bool cuts any forced edge
-    _order_closures(graph, [[1] * graph.n] * graph.n, bool, stop)
-    return found[0] if found else None
-
-
-def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
-    """Explicit positions realizing the graph with threshold 1 along the
-    given order, or None if none exists.
-
-    Difference constraints with a symbolic infinitesimal for strictness
-    are solved by longest paths; the infinitesimal is then replaced by a
-    concrete rational small enough to keep every comparison's outcome.
-    """
-    n = graph.n
-    if n == 0:
-        return ()
-    order = list(order)
-    pos = {v: i for i, v in enumerate(order)}
-    if sorted(pos) != list(range(n)) or len(pos) != n:
-        raise ValueError("order must be a permutation of the vertices")
-
-    # weights are (rational, epsilon-coefficient) pairs; lex order matches
-    # evaluation at an infinitesimal positive epsilon
-    edges: list[tuple[int, int, tuple[Fraction, int]]] = []
-    for i in range(n - 1):
-        edges.append((order[i], order[i + 1], (Fraction(0), 0)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            u, v = order[a], order[b]
-            if graph.has_edge(u, v):
-                edges.append((v, u, (Fraction(-1), 0)))
-            else:
-                edges.append((u, v, (Fraction(1), 1)))
-
-    dist: list[tuple[Fraction, int] | None] = [None] * n
-    dist[order[0]] = (Fraction(0), 0)
-    for _ in range(n):
-        changed = False
-        for u, v, (wa, wb) in edges:
-            du = dist[u]
-            if du is None:
-                continue
-            cand = (du[0] + wa, du[1] + wb)
-            if dist[v] is None or cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    for u, v, (wa, wb) in edges:
-        du = dist[u]
-        if du is not None:
-            cand = (du[0] + wa, du[1] + wb)
-            if dist[v] is None or cand > dist[v]:
-                return None  # still improvable: positive cycle, infeasible
-    if any(d is None for d in dist):
-        return None
-
-    # any epsilon below every comparison's flip threshold works
-    eps = Fraction(1, 2)
-    for a in range(n):
-        for b in range(a + 1, n):
-            da = dist[a][0] - dist[b][0]
-            db = dist[a][1] - dist[b][1]
-            if db == 0:
-                continue
-            for target in (Fraction(-1), Fraction(0), Fraction(1)):
-                if da != target:
-                    eps = min(eps, abs(da - target) / (2 * abs(db)))
-    values = tuple(d[0] + d[1] * eps for d in dist)
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if graph.has_edge(u, v) != (abs(values[u] - values[v]) <= 1):
-                return None
-    return values
 
 
 # ----------------------------------------------------------------------
@@ -276,17 +147,6 @@ def _enumerate_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]
     candidates = [universe ^ added for added in minimal_added]
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     return candidates, missing, visited
-
-
-def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
-    """The inclusion-maximal sets of input non-edges that one indifference
-    supergraph can leave uncovered, as sorted pair lists."""
-    candidates, missing, _ = _enumerate_candidates(graph)
-    out = []
-    for mask in candidates:
-        pairs = [missing[i] for i in range(len(missing)) if (mask >> i) & 1]
-        out.append(pairs)
-    return out
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,8 @@ def require_ordering(graph: Graph) -> CliqueOrdering:
 
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
-    """Cheap canaries in O(n + m + Σ|C_j|); the full validator lives in
-    intervals.validate_ordering.
+    """Cheap canaries in O(n + m + Σ|C_j|); the full validator,
+    `validate_ordering`, is a test oracle in tests/validators.py.
 
     Every vertex's cliques form one non-empty run from `left` to `right`.
     Every edge's ranges meet, and exactly m pairs of ranges meet, so the

@@ -10,7 +10,6 @@ ceil(log2 alpha)) are implementation bugs and are flagged separately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .construct import best_dimension
@@ -49,9 +48,6 @@ class SearchReport:
                 for (psi, alpha, cub, dim), count in sorted(self.histogram.items())
             ],
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
 def histogram_csv(report: SearchReport) -> str:

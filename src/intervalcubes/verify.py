@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, non_edges
-from .reports import ValidationReport, Violation
 
 
 @dataclass(frozen=True)
@@ -123,48 +122,3 @@ def complete_dimensions(rep) -> list[int]:
         if not values or max(values) - min(values) <= rep.side:
             out.append(i)
     return out
-
-
-def check_trace(trace, ordering, labelling) -> ValidationReport:
-    """Audit a construction trace on the padded graph.
-
-    Kinds:
-      scale-not-increasing  consecutive scale values out of order
-      scale-anchor          scale misses value i at anchor i's right clique
-      span-bound            a vertex's clique span reaches the cube side
-      scale-outside-cube    some clique position of a vertex falls outside
-                            its cube in some dimension
-    """
-    violations: list[Violation] = []
-    scale = trace.scale
-    reach = trace.claw * trace.unit - trace.unit // 2
-
-    for j in range(len(scale) - 1):
-        if not scale[j] < scale[j + 1]:
-            violations.append(
-                Violation("scale-not-increasing", (j,), f"{scale[j]} !< {scale[j + 1]}")
-            )
-    for i, u in enumerate(labelling.anchors):
-        r = ordering.right[u]
-        if r >= len(scale) or scale[r] != i * trace.unit:
-            violations.append(Violation("scale-anchor", (i, u), ""))
-
-    n = len(trace.coords)
-    for v in range(n):
-        lo, hi = ordering.left[v], ordering.right[v]
-        if not scale[hi] - scale[lo] < reach:
-            violations.append(
-                Violation("span-bound", (v,), f"{scale[hi] - scale[lo]} >= {reach}")
-            )
-        for j in range(lo, hi + 1):
-            for i in range(len(trace.coords[v])):
-                base = trace.coords[v][i]
-                if not (base <= scale[j] <= base + reach):
-                    violations.append(
-                        Violation(
-                            "scale-outside-cube",
-                            (v, j, i),
-                            f"{scale[j]} outside [{base}, {base + reach}]",
-                        )
-                    )
-    return ValidationReport(tuple(violations))

@@ -10,16 +10,27 @@ from hypothesis import strategies as st
 from intervalcubes import (
     GenConfig,
     Graph,
+    IntervalModel,
     StarWitness,
     claw_number,
     greedy_independent,
-    make_model,
     model_to_clique_ordering,
     model_to_graph,
     pad_graph,
     random_interval_model,
 )
+from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.rationals import parse_rational
+
+from oracle_reference import reference_supergraphs
+
+
+def make_model(pairs) -> IntervalModel:
+    """Build a model from (lo, hi) pairs of ints, strings, or Fractions."""
+    return IntervalModel(
+        tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in pairs)
+    )
 
 
 def path_graph(n: int) -> Graph:
@@ -113,6 +124,33 @@ def interval_models(draw):
     starts = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
     lengths = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
     return make_model([(lo, lo + ln) for lo, ln in zip(starts, lengths)])
+
+
+def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
+    """A vertex order in which every vertex's earlier neighbors form a
+    clique suffix of the prefix; exists exactly for indifference graphs.
+
+    This is the order search cut at the first forced edge, so the first
+    full order it reaches is umbrella-free for the graph itself.  Its cost
+    can grow with n!, so graphs above MAX_ORACLE_VERTICES are refused.
+    """
+    oracle._refuse_if_many_vertices(graph)
+    found: list[tuple[int, ...]] = []
+
+    def stop(order: tuple[int, ...], _) -> bool:
+        found.append(order)
+        return True
+
+    # every pair gets a nonzero bit, so prune=bool cuts any forced edge
+    oracle._order_closures(graph, [[1] * graph.n] * graph.n, bool, stop)
+    return found[0] if found else None
+
+
+def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
+    """The inclusion-maximal sets of input non-edges that one indifference
+    supergraph can leave uncovered, as sorted pair lists."""
+    candidates, missing, _ = oracle._enumerate_candidates(graph)
+    return reference_supergraphs(candidates, missing)
 
 
 def values(rep):

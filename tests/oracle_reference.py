@@ -5,10 +5,14 @@ non-edges, smallest first, and each is tested by a backtracking search
 for a vertex order in which every earlier neighbour run is a clique
 suffix of the prefix.  Its cost follows 2^(non-edges), so it is only fit
 for small inputs; the library enumerates vertex orders instead.
+
+Also here: exact claw and independence numbers by exhaustive search, and
+explicit unit-interval positions for a graph along a given vertex order.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from intervalcubes import Graph, non_edges
@@ -16,6 +20,109 @@ from intervalcubes import Graph, non_edges
 
 def _adj_masks(graph: Graph) -> list[int]:
     return [sum(1 << w for w in graph.adj[v]) for v in range(graph.n)]
+
+
+def _mis_size(pool: int, adj: list[int]) -> int:
+    """Maximum independent set size within the pool bitmask."""
+    if pool == 0:
+        return 0
+    # isolated vertices always join the set
+    v = None
+    best_deg = -1
+    m = pool
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        deg = (adj[u] & pool).bit_count()
+        if deg == 0:
+            return 1 + _mis_size(pool ^ low, adj)
+        if deg > best_deg:
+            best_deg, v = deg, u
+    take = 1 + _mis_size(pool & ~(adj[v] | (1 << v)), adj)
+    skip = _mis_size(pool ^ (1 << v), adj)
+    return max(take, skip)
+
+
+def brute_alpha(graph: Graph) -> int:
+    return _mis_size((1 << graph.n) - 1, _adj_masks(graph))
+
+
+def brute_claw(graph: Graph) -> int:
+    adj = _adj_masks(graph)
+    return max((_mis_size(adj[v], adj) for v in range(graph.n)), default=0)
+
+
+def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
+    """Explicit positions realizing the graph with threshold 1 along the
+    given order, or None if none exists.
+
+    Difference constraints with a symbolic infinitesimal for strictness
+    are solved by longest paths; the infinitesimal is then replaced by a
+    concrete rational small enough to keep every comparison's outcome.
+    """
+    n = graph.n
+    if n == 0:
+        return ()
+    order = list(order)
+    pos = {v: i for i, v in enumerate(order)}
+    if sorted(pos) != list(range(n)) or len(pos) != n:
+        raise ValueError("order must be a permutation of the vertices")
+
+    # weights are (rational, epsilon-coefficient) pairs; lex order matches
+    # evaluation at an infinitesimal positive epsilon
+    edges: list[tuple[int, int, tuple[Fraction, int]]] = []
+    for i in range(n - 1):
+        edges.append((order[i], order[i + 1], (Fraction(0), 0)))
+    for a in range(n):
+        for b in range(a + 1, n):
+            u, v = order[a], order[b]
+            if graph.has_edge(u, v):
+                edges.append((v, u, (Fraction(-1), 0)))
+            else:
+                edges.append((u, v, (Fraction(1), 1)))
+
+    dist: list[tuple[Fraction, int] | None] = [None] * n
+    dist[order[0]] = (Fraction(0), 0)
+    for _ in range(n):
+        changed = False
+        for u, v, (wa, wb) in edges:
+            du = dist[u]
+            if du is None:
+                continue
+            cand = (du[0] + wa, du[1] + wb)
+            if dist[v] is None or cand > dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            break
+    for u, v, (wa, wb) in edges:
+        du = dist[u]
+        if du is not None:
+            cand = (du[0] + wa, du[1] + wb)
+            if dist[v] is None or cand > dist[v]:
+                return None  # still improvable: positive cycle, infeasible
+    if any(d is None for d in dist):
+        return None
+
+    # any epsilon below every comparison's flip threshold works
+    eps = Fraction(1, 2)
+    for a in range(n):
+        for b in range(a + 1, n):
+            da = dist[a][0] - dist[b][0]
+            db = dist[a][1] - dist[b][1]
+            if db == 0:
+                continue
+            for target in (Fraction(-1), Fraction(0), Fraction(1)):
+                if da != target:
+                    eps = min(eps, abs(da - target) / (2 * abs(db)))
+    values = tuple(d[0] + d[1] * eps for d in dist)
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if graph.has_edge(u, v) != (abs(values[u] - values[v]) <= 1):
+                return None
+    return values
 
 
 def _has_claw(n: int, adj) -> bool:

@@ -15,13 +15,10 @@ from intervalcubes import (
     ExactResult,
     GenConfig,
     NotInterval,
-    brute_alpha,
-    brute_claw,
     build_alpha_representation,
     build_best,
     build_representation,
     ceil_log2,
-    check_trace,
     claw_number,
     complete_dimensions,
     exact_cubicity,
@@ -32,8 +29,6 @@ from intervalcubes import (
     recognize_and_order,
     require_ordering,
     tightness_search,
-    validate_labelling,
-    validate_ordering,
     verify_representation,
 )
 from intervalcubes.construct import _augment_with_universal
@@ -44,7 +39,9 @@ from intervalcubes.recognition import (
 )
 
 from conftest import augmented_graph, cycle_graph, net_graph, padded_graph, star_graph
+from oracle_reference import brute_alpha, brute_claw
 from pqtree_reference import consecutive_arrangement, consecutive_arrangement_exhaustive
+from validators import check_trace, validate_labelling, validate_ordering
 
 
 def emit(number: int, ok: bool, detail: str):

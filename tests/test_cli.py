@@ -5,7 +5,6 @@ import pytest
 from intervalcubes import (
     CubeRepresentation,
     GenConfig,
-    make_model,
     model_to_graph,
     random_interval_model,
     serialize_graph,
@@ -14,7 +13,7 @@ from intervalcubes import cli, construct, graphs, recognition
 from intervalcubes.cli import main
 from intervalcubes.generate import DISTRIBUTIONS
 
-from conftest import star_model
+from conftest import make_model, star_model
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"

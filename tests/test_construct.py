@@ -16,7 +16,6 @@ from intervalcubes import (
     claw_number,
     clique_scale,
     label_vertices,
-    make_model,
     normalize_unit,
     recognize_and_order,
     require_ordering,
@@ -28,6 +27,7 @@ from conftest import (
     adjacency_claw_number,
     complete_graph,
     cycle_graph,
+    make_model,
     model_pipeline,
     p3_model,
     pad,
@@ -133,8 +133,6 @@ def test_scale_complete():
 def test_scale_interpolates_between_anchors():
     # two anchors with three cliques between their right ends
     model_pairs = [(0, 10), (0, 1), (2, 3), (4, 5), (6, 7), (8, 10), (9, 10)]
-    from intervalcubes import make_model
-
     model = make_model(model_pairs)
     graph, ordering = model_pipeline(model)
     lab = label_vertices(ordering)

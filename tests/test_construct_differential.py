@@ -10,7 +10,6 @@ from intervalcubes import (
     build_alpha_representation,
     build_best,
     build_representation,
-    check_trace,
     claw_number,
     label_vertices,
     normalize_unit,
@@ -35,6 +34,7 @@ from conftest import (
     star_model,
     values,
 )
+from validators import check_trace
 
 
 def _corpus():

@@ -5,11 +5,11 @@ from intervalcubes import (
     NotInterval,
     random_interval_model,
     recognize_and_order,
-    validate_ordering,
 )
 from intervalcubes.generate import DISTRIBUTIONS
 
 from conftest import model_pipeline
+from validators import validate_ordering
 
 
 def test_single_interval_is_k1():

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from intervalcubes import (
     Graph,
     GraphParseError,
-    induced_subgraph,
     non_edges,
     parse_graph,
     serialize_graph,
@@ -64,34 +63,35 @@ def test_parse_tolerates_blank_lines():
     assert g.edges() == [(0, 2)]
 
 
+def test_parse_accepts_crlf_line_endings():
+    g = parse_graph("3 2\r\n0 1\r\n1 2\r\n")
+    assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_parse_skips_whitespace_only_lines():
+    g = parse_graph("3 2\n0 1\n \t \n   \n1 2\n")
+    assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_parse_counts_line_numbers_across_blank_lines():
+    with pytest.raises(GraphParseError, match="line 4: endpoint out of range"):
+        parse_graph("\n3 1\n\n0 5")
+    with pytest.raises(GraphParseError, match="line 5: edge line must be"):
+        parse_graph("3 2\n \n0 1\n\n1 2 7")
+
+
+def test_parse_reports_edge_count_before_malformed_lines():
+    with pytest.raises(GraphParseError, match="expected 3 edge lines, found 2") as excinfo:
+        parse_graph("3 3\n0 1\nx y")
+    assert excinfo.value.line is None
+
+
 def test_serialize_round_trip():
     g = parse_graph("4 3\n2 0\n0 1\n3 2")
     text = serialize_graph(g)
     assert text == "4 3\n0 1\n0 2\n2 3\n"
     assert parse_graph(text) == g
     assert serialize_graph(parse_graph(text)) == text
-
-
-def test_induced_subgraph_k3_pair():
-    h, keep = induced_subgraph(complete_graph(3), [0, 1])
-    assert keep == (0, 1)
-    assert h.edges() == [(0, 1)]
-
-
-def test_induced_subgraph_p3_endpoints():
-    h, _ = induced_subgraph(path_graph(3), [0, 2])
-    assert h.n == 2 and h.edges() == []
-
-
-def test_induced_subgraph_identity():
-    g = path_graph(5)
-    h, keep = induced_subgraph(g, range(5))
-    assert h == g and keep == (0, 1, 2, 3, 4)
-
-
-def test_induced_subgraph_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        induced_subgraph(path_graph(3), [0, 7])
 
 
 def test_non_edges_examples():
@@ -136,12 +136,6 @@ def test_serialize_parse_identity(case):
     n, edges = case
     g = Graph(n, edges)
     assert parse_graph(serialize_graph(g)) == g
-
-
-def test_induced_full_set_preserves_edge_count():
-    g = parse_graph("5 4\n0 1\n1 2\n2 3\n0 4")
-    h, _ = induced_subgraph(g, range(g.n))
-    assert h.edge_count == g.edge_count
 
 
 def test_graph_rejects_self_loop_and_range():

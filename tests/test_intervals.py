@@ -6,13 +6,12 @@ from intervalcubes import (
     CliqueOrdering,
     IntervalModel,
     greedy_independent,
-    make_model,
     model_to_clique_ordering,
     model_to_graph,
-    validate_ordering,
 )
 
-from conftest import bron_kerbosch, model_pipeline, p3_model, random_models, star_model
+from conftest import bron_kerbosch, make_model, model_pipeline, p3_model, random_models, star_model
+from validators import validate_ordering
 
 
 def test_model_rejects_inverted_interval():

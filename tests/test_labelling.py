@@ -5,7 +5,6 @@ from intervalcubes import (
     Labelling,
     label_vertices,
     recognize_and_order,
-    validate_labelling,
 )
 
 from conftest import (
@@ -16,6 +15,7 @@ from conftest import (
     random_models,
     star_model,
 )
+from validators import validate_labelling
 
 
 def test_p3_hand_trace():

@@ -5,27 +5,25 @@ from intervalcubes import (
     Exceeded,
     Graph,
     SizeRefusalError,
-    brute_alpha,
-    brute_claw,
     build_best,
     ceil_log2,
     claw_number,
     exact_cubicity,
-    indifference_ordering,
-    indifference_supergraphs,
     label_vertices,
     non_edges,
-    unit_realization,
 )
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    indifference_ordering,
+    indifference_supergraphs,
     model_pipeline,
     path_graph,
     random_models,
     star_graph,
 )
+from oracle_reference import brute_alpha, brute_claw, unit_realization
 
 
 def test_brute_claw_examples():

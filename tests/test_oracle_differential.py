@@ -12,15 +12,25 @@ from intervalcubes import (
     ExactResult,
     Graph,
     exact_cubicity,
-    indifference_ordering,
-    indifference_supergraphs,
     non_edges,
-    unit_realization,
 )
 from intervalcubes import oracle
 
-from conftest import cycle_graph, model_pipeline, path_graph, random_models, star_graph
-from oracle_reference import reference_candidates, reference_ordering, reference_supergraphs
+from conftest import (
+    cycle_graph,
+    indifference_ordering,
+    indifference_supergraphs,
+    model_pipeline,
+    path_graph,
+    random_models,
+    star_graph,
+)
+from oracle_reference import (
+    reference_candidates,
+    reference_ordering,
+    reference_supergraphs,
+    unit_realization,
+)
 
 # the reference walks every subset of the non-edges; this keeps it fast
 REFERENCE_NON_EDGES = 16

@@ -4,7 +4,6 @@ from intervalcubes import (
     Graph,
     NotInterval,
     recognize_and_order,
-    validate_ordering,
 )
 from intervalcubes.recognition import (
     maximal_cliques_chordal,
@@ -27,6 +26,7 @@ from pqtree_reference import (
     perfect_elimination_ordering as reference_peo,
     recognize_and_order as reference_recognize,
 )
+from validators import validate_ordering
 
 
 def test_c4_rejected_not_chordal():

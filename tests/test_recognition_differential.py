@@ -14,7 +14,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalcubes import Graph, NotInterval, model_to_graph, recognize_and_order, validate_ordering
+from intervalcubes import Graph, NotInterval, model_to_graph, recognize_and_order
 from intervalcubes.recognition import (
     _check_ordering_sanity,
     maximal_cliques_chordal,
@@ -23,6 +23,7 @@ from intervalcubes.recognition import (
 
 from conftest import bron_kerbosch, cycle_graph, interval_models, net_graph
 from pqtree_reference import recognize_and_order as reference_recognize
+from validators import validate_ordering
 
 
 def assert_matches_reference(graph: Graph):

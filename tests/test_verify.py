@@ -5,7 +5,6 @@ import pytest
 from intervalcubes import (
     CubeRepresentation,
     build_representation,
-    check_trace,
     complete_dimensions,
     verify_representation,
 )
@@ -18,6 +17,7 @@ from conftest import (
     random_models,
     star_model,
 )
+from validators import check_trace
 
 F = Fraction
 

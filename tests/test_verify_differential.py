@@ -14,7 +14,6 @@ from intervalcubes import (
     Graph,
     build_best,
     build_representation,
-    make_model,
     model_to_clique_ordering,
     model_to_graph,
     ordering_from_cliques,
@@ -23,7 +22,14 @@ from intervalcubes import (
 from intervalcubes import verify
 from intervalcubes.recognition import ConstructionError, _check_ordering_sanity
 
-from conftest import cycle_graph, interval_models, model_pipeline, path_graph, random_models
+from conftest import (
+    cycle_graph,
+    interval_models,
+    make_model,
+    model_pipeline,
+    path_graph,
+    random_models,
+)
 from verify_reference import (
     check_ordering_sanity_pairwise,
     model_to_graph_pairwise,

@@ -1,0 +1,220 @@
+"""Full structural validators, kept as test oracles.
+
+Each check walks every pair or every (vertex, level) combination, so it
+is only fit for test-sized inputs; the library keeps cheap canaries
+instead (`recognition._check_ordering_sanity`).  A validator returns a
+`ValidationReport`: an empty report means valid, and each `Violation`
+names the failed check and a witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from intervalcubes import CliqueOrdering, Graph, Labelling, greedy_independent
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed check: a kind tag plus the witness that breaks it."""
+
+    kind: str
+    witness: tuple
+    message: str = ""
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def has(self, kind: str) -> bool:
+        return any(v.kind == kind for v in self.violations)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "ok": self.ok,
+            "violations": [
+                {"kind": v.kind, "witness": list(v.witness), "message": v.message}
+                for v in self.violations
+            ],
+        }
+
+
+def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationReport:
+    """Check every CliqueOrdering invariant against the graph; empty report
+    means valid.  Kinds: coverage, not-a-clique, not-maximal, clique-subset,
+    not-consecutive, adjacency-mismatch, empty."""
+    violations: list[Violation] = []
+    n, k = graph.n, ordering.k
+    if ordering.n != n:
+        return ValidationReport(
+            (Violation("coverage", (ordering.n, n), "vertex count mismatch"),)
+        )
+    if n >= 1 and k == 0:
+        return ValidationReport((Violation("empty", (n,), "no cliques for non-empty graph"),))
+
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for i, clique in enumerate(ordering.cliques):
+        members = sorted(clique)
+        for v in members:
+            if not (0 <= v < n):
+                violations.append(Violation("coverage", (i, v), "clique member out of range"))
+                continue
+            membership[v].append(i)
+        for a_idx, u in enumerate(members):
+            for v in members[a_idx + 1:]:
+                if not graph.has_edge(u, v):
+                    violations.append(
+                        Violation("not-a-clique", (i, u, v), "non-adjacent pair inside clique")
+                    )
+        for w in range(n):
+            if w not in clique and clique <= graph.adj[w]:
+                violations.append(
+                    Violation("not-maximal", (i, w), "vertex adjacent to entire clique")
+                )
+
+    for i in range(k):
+        for j in range(k):
+            if i != j and ordering.cliques[i] <= ordering.cliques[j]:
+                violations.append(
+                    Violation("clique-subset", (i, j), "clique contained in another")
+                )
+
+    for v in range(n):
+        runs = membership[v]
+        if not runs:
+            violations.append(Violation("coverage", (v,), "vertex in no clique"))
+            continue
+        expected = list(range(ordering.left[v], ordering.right[v] + 1))
+        if runs != expected:
+            violations.append(
+                Violation("not-consecutive", (v,), f"clique indices {runs} != range {expected}")
+            )
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if graph.has_edge(u, v) != ordering.ranges_intersect(u, v):
+                violations.append(
+                    Violation("adjacency-mismatch", (u, v), "range overlap disagrees with edge")
+                )
+    return ValidationReport(tuple(violations))
+
+
+def validate_labelling(
+    ordering: CliqueOrdering, labelling: Labelling, graph: Graph
+) -> ValidationReport:
+    """Check the four structural facts the construction leans on.
+
+    Kinds:
+      level-threshold       level(v) <= i iff left(v) <= right(anchor_i),
+                            quantified over every (v, i) pair
+      same-level-nonadjacent equal levels force adjacency
+      anchors-dependent      anchors must be pairwise non-adjacent
+      anchors-not-maximum    anchor count must equal the maximum
+                            independent set size (earliest-finish greedy)
+      anchor-chain          anchor right indices strictly increase from 0
+                            to k-1
+      level-range           levels must cover 0..alpha-1 with
+                            level(anchor_i) = i
+    """
+    violations: list[Violation] = []
+    n, k = ordering.n, ordering.k
+    levels, anchors = labelling.levels, labelling.anchors
+    alpha = len(anchors)
+
+    for v in range(n):
+        for i in range(alpha):
+            if (levels[v] <= i) != (ordering.left[v] <= ordering.right[anchors[i]]):
+                violations.append(
+                    Violation("level-threshold", (v, i), "threshold equivalence fails")
+                )
+
+    by_level: dict[int, list[int]] = {}
+    for v in range(n):
+        by_level.setdefault(levels[v], []).append(v)
+    for lvl, members in by_level.items():
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                u, v = members[a], members[b]
+                if not graph.has_edge(u, v):
+                    violations.append(
+                        Violation("same-level-nonadjacent", (u, v), f"both at level {lvl}")
+                    )
+
+    for a in range(alpha):
+        for b in range(a + 1, alpha):
+            if graph.has_edge(anchors[a], anchors[b]):
+                violations.append(
+                    Violation("anchors-dependent", (anchors[a], anchors[b]), "")
+                )
+    maximum = len(greedy_independent(ordering))
+    if alpha != maximum:
+        violations.append(
+            Violation("anchors-not-maximum", (alpha, maximum), "independent set not maximum")
+        )
+
+    chain = [ordering.right[u] for u in anchors]
+    chain_ok = (
+        alpha >= 1
+        and chain[0] == 0
+        and chain[-1] == k - 1
+        and all(chain[i] < chain[i + 1] for i in range(alpha - 1))
+    )
+    if not chain_ok:
+        violations.append(Violation("anchor-chain", tuple(chain), "not 0 < ... < k-1"))
+
+    if sorted(set(levels)) != list(range(alpha)) or any(
+        levels[anchors[i]] != i for i in range(alpha)
+    ):
+        violations.append(Violation("level-range", (alpha,), "levels not 0..alpha-1"))
+
+    return ValidationReport(tuple(violations))
+
+
+def check_trace(trace, ordering, labelling) -> ValidationReport:
+    """Audit a construction trace on the padded graph.
+
+    Kinds:
+      scale-not-increasing  consecutive scale values out of order
+      scale-anchor          scale misses value i at anchor i's right clique
+      span-bound            a vertex's clique span reaches the cube side
+      scale-outside-cube    some clique position of a vertex falls outside
+                            its cube in some dimension
+    """
+    violations: list[Violation] = []
+    scale = trace.scale
+    reach = trace.claw * trace.unit - trace.unit // 2
+
+    for j in range(len(scale) - 1):
+        if not scale[j] < scale[j + 1]:
+            violations.append(
+                Violation("scale-not-increasing", (j,), f"{scale[j]} !< {scale[j + 1]}")
+            )
+    for i, u in enumerate(labelling.anchors):
+        r = ordering.right[u]
+        if r >= len(scale) or scale[r] != i * trace.unit:
+            violations.append(Violation("scale-anchor", (i, u), ""))
+
+    n = len(trace.coords)
+    for v in range(n):
+        lo, hi = ordering.left[v], ordering.right[v]
+        if not scale[hi] - scale[lo] < reach:
+            violations.append(
+                Violation("span-bound", (v,), f"{scale[hi] - scale[lo]} >= {reach}")
+            )
+        for j in range(lo, hi + 1):
+            for i in range(len(trace.coords[v])):
+                base = trace.coords[v][i]
+                if not (base <= scale[j] <= base + reach):
+                    violations.append(
+                        Violation(
+                            "scale-outside-cube",
+                            (v, j, i),
+                            f"{scale[j]} outside [{base}, {base + reach}]",
+                        )
+                    )
+    return ValidationReport(tuple(violations))
