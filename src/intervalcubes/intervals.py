@@ -62,13 +62,6 @@ class IntervalModel:
         return cls.from_json_obj(json.loads(text))
 
 
-def make_model(pairs) -> IntervalModel:
-    """Build a model from (lo, hi) pairs of ints, strings, or Fractions."""
-    return IntervalModel(
-        tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in pairs)
-    )
-
-
 @dataclass(frozen=True)
 class CliqueOrdering:
     """Maximal cliques C_0..C_{k-1} in consecutive order, plus per-vertex

@@ -1,10 +1,12 @@
-"""Every name the package exports has a caller in the package or in
+"""Every name the package exports, and every function or class defined
+at the top of one of its modules, has a caller in the package or in
 `perfbench/`.
 
-Tests alone do not keep a name public: a helper only tests call belongs
-in `tests/`.  A reference counts when it is code, a name or an attribute,
-not a docstring or a comment, and when it lies outside the body of an
-export that has no caller itself, so a chain of helpers only tests reach
+Tests alone do not keep a name in the library: a helper only tests call
+belongs in `tests/`, and one left behind after a move is a second copy.
+A reference counts when it is code, a name or an attribute, not a
+docstring or a comment, and when it lies outside the body of a checked
+name that has no caller itself, so a chain of helpers only tests reach
 is flagged whole.
 """
 
@@ -45,14 +47,31 @@ def references() -> list[tuple[str | None, str]]:
     return out
 
 
-def test_every_export_has_a_caller_outside_tests():
-    exported = exported_names()
+def top_level_definitions() -> set[str]:
+    return {
+        top.name
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def uncalled(names: set[str]) -> set[str]:
     refs = references()
     unused: set[str] = set()
     while True:
         used = {name for owner, name in refs if owner != name and owner not in unused}
-        grown = exported - used
+        grown = names - used
         if grown == unused:
-            break
+            return unused
         unused = grown
+
+
+def test_every_export_has_a_caller_outside_tests():
+    unused = uncalled(exported_names())
     assert not unused, f"exported, but only tests call them: {sorted(unused)}"
+
+
+def test_every_top_level_definition_has_a_caller_outside_tests():
+    unused = uncalled(exported_names() | top_level_definitions())
+    assert not unused, f"defined in the package, but only tests call them: {sorted(unused)}"

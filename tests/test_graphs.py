@@ -59,18 +59,12 @@ def test_parse_collapses_duplicates_and_order():
 
 
 def test_parse_tolerates_blank_lines():
-    g = parse_graph("\n3 1\n\n0 2\n\n")
-    assert g.edges() == [(0, 2)]
-
-
-def test_parse_accepts_crlf_line_endings():
-    g = parse_graph("3 2\r\n0 1\r\n1 2\r\n")
-    assert g.edges() == [(0, 1), (1, 2)]
-
-
-def test_parse_skips_whitespace_only_lines():
-    g = parse_graph("3 2\n0 1\n \t \n   \n1 2\n")
-    assert g.edges() == [(0, 1), (1, 2)]
+    for text, edges in [
+        ("\n3 1\n\n0 2\n\n", [(0, 2)]),
+        ("3 2\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
+        ("3 2\n0 1\n \t \n   \n1 2\n", [(0, 1), (1, 2)]),
+    ]:
+        assert parse_graph(text).edges() == edges, text
 
 
 def test_parse_counts_line_numbers_across_blank_lines():
