@@ -26,7 +26,7 @@ from math import lcm
 
 from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
-from .params import ceil_log2, claw_number, neighborhood_mis
+from .params import ceil_log2, claw_number, vertex_claws
 from .rationals import format_rational, parse_rational
 from .recognition import ConstructionError
 from .verify import complete_dimensions
@@ -156,7 +156,12 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
     """Append pendants to the last-clique vertex whose neighbourhood holds
     the most independent vertices (lowest index on ties) until the claw
     number psi is the next power of two.  Pendants touch only that center,
-    so the padded claw number is known without another pass."""
+    so the padded claw number is known without another pass.
+
+    Each last-clique vertex's count comes from one `vertex_claws` pass over
+    the ordering, O(n + k + sum of psi(v)), not from a greedy per vertex.
+    Its chain may end on a different vertex than the greedy on N(v) would,
+    but always with the same count, so the center is the same."""
     if psi < 2:
         raise ValueError("padding needs claw number at least 2")
     power = ceil_log2(psi)
@@ -165,10 +170,9 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
         return PaddedGraph(ordering, power, 0, None)
 
     n, k = ordering.n, ordering.k
-    by_left = ordering.by_left()
-    mis = {v: neighborhood_mis(ordering, v, by_left)[0] for v in ordering.cliques[-1]}
-    center = max(sorted(mis), key=mis.__getitem__)
-    added = target - mis[center]
+    claws = vertex_claws(ordering)
+    center = min(ordering.cliques[-1], key=lambda v: (-claws[v], v))
+    added = target - claws[center]
 
     cliques = list(ordering.cliques) + [
         frozenset({center, n + i}) for i in range(added)

@@ -39,8 +39,12 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
+        # each set is freed as soon as its frozen copy exists, so the
+        # adjacency is never held twice over
+        for v, s in enumerate(adj):
+            adj[v] = frozenset(s)
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.adj: tuple[frozenset[int], ...] = tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

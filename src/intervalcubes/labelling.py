@@ -36,22 +36,30 @@ class Labelling:
         }
 
 
+def suffix_best(ordering: CliqueOrdering) -> list[int | None]:
+    """best[j]: the vertex minimizing (right, index) among those whose
+    range starts at clique j or later; best[k] is None.  After a pick that
+    ends at clique r the earliest-finish greedy takes best[r + 1], so the
+    labelling's anchors and the claw pass's chains both step through it."""
+    right = ordering.right
+    best: list[int | None] = [None] * (ordering.k + 1)
+    by_left = ordering.by_left()
+    for j in range(ordering.k - 1, -1, -1):
+        cand = best[j + 1]
+        for v in by_left[j]:
+            if cand is None or (right[v], v) < (right[cand], cand):
+                cand = v
+        best[j] = cand
+    return best
+
+
 def label_vertices(ordering: CliqueOrdering) -> Labelling:
     """Deterministic labelling; anchor ties break to the lowest index."""
     n, k = ordering.n, ordering.k
     if n == 0:
         raise ValueError("cannot label an empty graph")
     left, right = ordering.left, ordering.right
-
-    # best[j]: vertex minimizing (right, index) among those with left >= j
-    best: list[int | None] = [None] * (k + 1)
-    by_left = ordering.by_left()
-    for j in range(k - 1, -1, -1):
-        cand = best[j + 1]
-        for v in by_left[j]:
-            if cand is None or (right[v], v) < (right[cand], cand):
-                cand = v
-        best[j] = cand
+    best = suffix_best(ordering)
 
     anchors: list[int] = []
     j = 0

@@ -139,7 +139,7 @@ def test_padding_reference_on_rebuilt_graphs():
 
 
 def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
-    calls = {"claw": 0, "neighborhood": 0, "center": 0, "build": 0, "graph": 0}
+    calls = {"claw": 0, "psi": 0, "neighborhood": 0, "pad": 0, "padded": 0, "build": 0, "graph": 0}
     built = []  # vertex count of each ordering the builder ran on
 
     def counting(key, func):
@@ -147,17 +147,22 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
             calls[key] += 1
             if key == "build":
                 built.append(args[0].n)
-            return func(*args, **kwargs)
+            result = func(*args, **kwargs)
+            if key == "pad" and result.added:
+                calls["padded"] += 1
+            return result
 
         return wrapper
 
     monkeypatch.setattr(construct, "claw_number", counting("claw", construct.claw_number))
+    # every psi pass, whether for the claw number or the padding center
+    psi_pass = counting("psi", params.vertex_claws)
+    monkeypatch.setattr(params, "vertex_claws", psi_pass)
+    monkeypatch.setattr(construct, "vertex_claws", psi_pass)
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
-    monkeypatch.setattr(
-        construct, "neighborhood_mis", counting("center", construct.neighborhood_mis)
-    )
+    monkeypatch.setattr(construct, "pad_graph", counting("pad", construct.pad_graph))
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
     monkeypatch.setattr(Graph, "__init__", counting("graph", Graph.__init__))
 
@@ -168,10 +173,12 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         build_best(ordering)
         assert calls["graph"] == 0
         assert calls["claw"] == (1 if graph.n else 0)
-        assert calls["neighborhood"] == graph.n
-        # the only other neighbourhood passes pick the padding center, among
-        # the last clique and perhaps a universal vertex
-        assert calls["center"] <= (len(ordering.cliques[-1]) + 1 if graph.n else 0)
+        # one greedy on a neighbourhood, for the witness of a graph with an
+        # edge: any per-vertex greedy would run it n times
+        assert calls["neighborhood"] == (1 if graph.edge_count else 0)
+        # one psi pass for the claw number, and one more only where padding
+        # picks a center
+        assert calls["psi"] == calls["claw"] + calls["padded"]
         assert calls["build"] <= 1
         if built:
             # the alpha variant builds on the ordering plus a universal vertex

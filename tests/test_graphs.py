@@ -137,3 +137,22 @@ def test_graph_rejects_self_loop_and_range():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 3)])
+
+
+def test_graph_build_peak_stays_near_what_it_holds():
+    # the nested family: spine intervals [0, i] and points j + 1/2, 1200
+    # vertices and 359,400 edges.  Holding the sets and their frozen copies
+    # at once peaks near twice the finished adjacency.
+    import tracemalloc
+
+    n = 600
+    edges = [(i, k) for k in range(n) for i in range(k)]
+    edges += [(i, n + j) for i in range(n) for j in range(i)]
+    tracemalloc.start()
+    try:
+        graph = Graph(2 * n, edges)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == len(edges)
+    assert peak < 1.3 * held

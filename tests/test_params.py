@@ -7,9 +7,12 @@ from intervalcubes import (
     claw_number,
     label_vertices,
     neighborhood_mis,
+    pad_graph,
     param_report,
     recognize_and_order,
 )
+from intervalcubes.construct import _augment_with_universal
+from intervalcubes.params import vertex_claws
 
 from conftest import (
     adjacency_claw_number,
@@ -18,11 +21,13 @@ from conftest import (
     interval_models,
     model_pipeline,
     p3_model,
+    pad,
     path_graph,
     random_models,
     star_graph,
     star_model,
 )
+import claw_reference
 from oracle_reference import brute_alpha, brute_claw
 
 
@@ -142,3 +147,62 @@ def test_claw_number_matches_adjacency_greedy_hypothesis(model):
     assert claw_number(ordering) == adjacency_claw_number(ordering, graph)
     reordered = recognize_and_order(graph)
     assert claw_number(reordered) == adjacency_claw_number(reordered, graph)
+
+
+def _psi_orderings(ordering):
+    """The ordering, the same with a universal vertex, and the padded
+    ordering the claw build makes of it: every form the psi pass meets."""
+    out = [ordering]
+    if ordering.n:
+        out.append(_augment_with_universal(ordering))
+    if claw_number(ordering)[0] >= 2:
+        out.append(pad(ordering).ordering)
+    return out
+
+
+def _psi_cases():
+    """Each ordering of `_claw_corpus` and the empty one, in every form
+    `_psi_orderings` gives."""
+    orderings = [ordering for _, ordering in _claw_corpus()]
+    orderings.append(recognize_and_order(Graph(0)))
+    return [form for ordering in orderings for form in _psi_orderings(ordering)]
+
+
+def _check_psi_pass(ordering):
+    """The chain pass against the greedy on each neighbourhood, and the
+    claw number and padding against their per-vertex-greedy references."""
+    by_left = ordering.by_left()
+    expected = [neighborhood_mis(ordering, v, by_left)[0] for v in range(ordering.n)]
+    assert vertex_claws(ordering) == expected
+    assert claw_number(ordering) == claw_reference.claw_number(ordering)
+    psi = max(expected, default=0)
+    if psi >= 2:
+        assert pad_graph(ordering, psi) == claw_reference.pad_graph(ordering, psi)
+
+
+def test_psi_pass_matches_neighborhood_greedy():
+    for ordering in _psi_cases():
+        _check_psi_pass(ordering)
+
+
+def test_psi_pass_small_families():
+    # paths, stars, one clique, edgeless graphs and no vertices at all
+    graphs = [path_graph(n) for n in range(0, 12)] + [star_graph(m) for m in range(1, 12)]
+    graphs += [complete_graph(n) for n in (1, 2, 6)] + [Graph(n) for n in (0, 1, 2, 7)]
+    for graph in graphs:
+        for ordering in _psi_orderings(recognize_and_order(graph)):
+            _check_psi_pass(ordering)
+    assert vertex_claws(recognize_and_order(path_graph(5))) == [1, 2, 2, 2, 1]
+    assert vertex_claws(recognize_and_order(star_graph(6))) == [6] + [1] * 6
+    assert vertex_claws(recognize_and_order(complete_graph(4))) == [1] * 4
+    assert vertex_claws(recognize_and_order(Graph(3))) == [0] * 3
+    assert vertex_claws(recognize_and_order(Graph(0))) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_models())
+def test_psi_pass_matches_neighborhood_greedy_hypothesis(model):
+    graph, ordering = model_pipeline(model)
+    for start in (ordering, recognize_and_order(graph)):
+        for form in _psi_orderings(start):
+            _check_psi_pass(form)

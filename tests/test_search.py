@@ -63,19 +63,23 @@ def test_refused_samples_are_counted_not_fatal():
 
 
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
-    from intervalcubes import construct, params
+    from intervalcubes import construct, params, search
 
-    calls = {"neighborhood": 0, "build": 0}
+    calls = {"claw": 0, "psi": 0, "neighborhood": 0, "build": 0}
+    claws = []  # the claw number of each sample
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            return func(*args, **kwargs)
+            result = func(*args, **kwargs)
+            if key == "claw":
+                claws.append(result[0])
+            return result
 
         return wrapper
 
-    # every claw pass, wherever it is called from, runs one neighbourhood
-    # MIS per vertex
+    monkeypatch.setattr(search, "claw_number", counting("claw", search.claw_number))
+    monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
@@ -83,6 +87,8 @@ def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     monkeypatch.setattr(construct, "_build_alpha", counting("build", construct._build_alpha))
     report = tightness_search(count=23, n_max=8, seed=3)
     assert report.graphs_tried + report.oracle_refused == 23
-    # the sample sizes tightness_search draws for seed 3
-    sizes = [2 + (3 * 7 + i * 13) % 7 for i in range(23)]
-    assert calls == {"neighborhood": sum(sizes), "build": 0}
+    # one claw number and one psi pass per sample; the only greedy on a
+    # neighbourhood finds the witness, so a per-vertex greedy would show
+    # up as n of them
+    witnessed = sum(1 for psi in claws if psi >= 1)
+    assert calls == {"claw": 23, "psi": 23, "neighborhood": witnessed, "build": 0}
