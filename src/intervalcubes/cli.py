@@ -4,9 +4,9 @@ Graph inputs are edge-list text files; any input that looks like JSON is
 treated as an interval model, so `gen` output pipes straight into the
 other subcommands.  An edge list gets its clique ordering from
 recognition.  A model gets it from its endpoint sweep, without
-recognition.  A model's graph is built by `model_to_graph`, independently
-of the sweep, only where a command reads one: the checks in `construct`,
-`verify` and `exact`, and `params`, whose `param_report` still takes it.
+recognition.  `construct` and `verify` check a model's representation
+against the model itself, and `params` reads only the ordering, so a
+model's graph is built, by `model_to_graph`, only for `exact`.
 
 Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 3 size refusal, 64 usage error, 65 malformed input.
@@ -64,10 +64,6 @@ def _read_input(path: str) -> Graph | IntervalModel:
     return parse_graph(text)
 
 
-def _as_graph(source: Graph | IntervalModel) -> Graph:
-    return model_to_graph(source) if isinstance(source, IntervalModel) else source
-
-
 def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
     """The parsed input and a clique ordering; raises NotIntervalError for
     an edge list that is not an interval graph."""
@@ -109,9 +105,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    source, ordering = _load(args.graph)
-    labelling = label_vertices(ordering)
-    _emit(param_report(ordering, _as_graph(source), labelling).to_json_obj(), args.out)
+    _, ordering = _load(args.graph)
+    _emit(param_report(ordering).to_json_obj(), args.out)
     return EXIT_OK
 
 
@@ -126,7 +121,7 @@ def _cmd_construct(args) -> int:
         rep = build_best(ordering)
     if args.normalize:
         rep = normalize_unit(rep)
-    report = verify_representation(_as_graph(source), rep)
+    report = verify_representation(source, rep)
     if not report.ok:
         print("constructed representation failed verification", file=sys.stderr)
         print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=sys.stderr)
@@ -139,15 +134,16 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph = _as_graph(_read_input(args.graph))
+    source = _read_input(args.graph)
     rep = CubeRepresentation.loads(_read_text(args.representation))
-    report = verify_representation(graph, rep)
+    report = verify_representation(source, rep)
     _emit(report.to_json_obj(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_exact(args) -> int:
-    graph = _as_graph(_read_input(args.graph))
+    source = _read_input(args.graph)
+    graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
     result = exact_cubicity(graph, b_max=args.max_b)
     _emit(result.to_json_obj(), args.out)
     return EXIT_OK

@@ -174,12 +174,16 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
     center = min(ordering.cliques[-1], key=lambda v: (-claws[v], v))
     added = target - claws[center]
 
-    cliques = list(ordering.cliques) + [
+    # a center alone in the last clique is isolated: the first pendant
+    # clique takes that clique's place, which {center} alone would not
+    # survive as a maximal clique
+    first = k - 1 if len(ordering.cliques[-1]) == 1 else k
+    cliques = list(ordering.cliques[:first]) + [
         frozenset({center, n + i}) for i in range(added)
     ]
-    left = list(ordering.left) + [k + i for i in range(added)]
-    right = list(ordering.right) + [k + i for i in range(added)]
-    right[center] = k + added - 1
+    left = list(ordering.left) + [first + i for i in range(added)]
+    right = list(ordering.right) + [first + i for i in range(added)]
+    right[center] = first + added - 1
     padded_ordering = CliqueOrdering(tuple(cliques), tuple(left), tuple(right))
     return PaddedGraph(padded_ordering, power, added, center)
 

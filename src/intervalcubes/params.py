@@ -6,14 +6,13 @@ greedy on N(v), and only the right ends of its picks decide how many it
 makes.  N(v) is C_{left v} without v plus every vertex whose range starts
 in (left v, right v].
 
-- First pick.  Let r be the first clique from left v on where some range
-  ends.  If a neighbour ends there, the greedy's first pick ends at r.
-  Otherwise the ranges ending there are v itself or start after right v;
-  either way every neighbour ends at r or later and holds right v, so the
-  greedy stops after one pick, and so does the chain below.  With maximal
-  cliques r is left v itself, since some range of C_j leaves before
-  C_{j+1}; a padded ordering whose centre was alone in the last clique is
-  the exception.
+- First pick.  Some range ends at r = left v, because the cliques are
+  maximal (padding and the universal vertex keep them so): some range of
+  C_j leaves before C_{j+1}, and every range ends by the last clique.  If
+  a neighbour ends there, the greedy's first pick ends at r.  Otherwise
+  the ranges ending there are v itself or start after right v; either way
+  every neighbour ends at r or later and holds right v, so the greedy
+  stops after one pick, and so does the chain below.
 - Later picks.  After a pick ending at r, the greedy takes the earliest
   finisher among the ranges starting in (r, right v], and that is
   `best[r + 1]` of the labelling's suffix-best table whenever that vertex
@@ -24,7 +23,7 @@ in (left v, right v].
   clique), so the greedy has a pick wherever the chain takes a step.
 
 So psi(v) is 1 plus the steps of the chain j -> right[best[j]] + 1 from
-j = r + 1 while j <= right v, or 0 when v's range is one clique holding v
+j = left v + 1 while j <= right v, or 0 when v's range is one clique holding v
 alone.  The chain's last pick may be a vertex outside N(v) where the
 greedy picks another that also overruns right v: the count is the same,
 the leaves may not be.  No clique or neighbourhood is listed or sorted,
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 from .intervals import CliqueOrdering, greedy_independent
-from .labelling import Labelling, suffix_best
+from .labelling import Labelling, label_vertices, suffix_best
 
 
 def ceil_log2(x: int) -> int:
@@ -96,18 +95,12 @@ def vertex_claws(ordering: CliqueOrdering) -> list[int]:
     by the chain through the suffix-best table (see the module docstring)."""
     k, right = ordering.k, ordering.right
     after = [right[u] + 1 for u in suffix_best(ordering)[:k]]
-    # first_after[j]: one past the first clique from j on where a range ends
-    ends = set(right)
-    first_after = [k] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        first_after[j] = j + 1 if j in ends else first_after[j + 1]
-
     claws = []
     for v, (lv, rv) in enumerate(zip(ordering.left, right)):
         if lv == rv and len(ordering.cliques[lv]) == 1:  # v is isolated
             claws.append(0)
             continue
-        count, j = 1, first_after[lv]
+        count, j = 1, lv + 1
         while j <= rv:
             count, j = count + 1, after[j]
         claws.append(count)
@@ -129,10 +122,15 @@ def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
     return psi, StarWitness(center=center, leaves=leaves)
 
 
-def param_report(ordering: CliqueOrdering, graph: Graph, labelling: Labelling) -> ParamReport:
+def param_report(
+    ordering: CliqueOrdering, graph: Graph | None = None, labelling: Labelling | None = None
+) -> ParamReport:
     """psi, alpha and the lower bound, all read off the ordering and the
-    labelling.  `graph` is not read; the signature keeps it because the
-    benchmark harness calls it this way."""
+    labelling, which is made from the ordering when not given.  `graph` is
+    not read; it stays in the signature because the benchmark harness
+    passes it."""
+    if labelling is None:
+        labelling = label_vertices(ordering)
     psi, witness = claw_number(ordering)
     return ParamReport(
         psi=psi,

@@ -1,23 +1,33 @@
 """Independent checking of cube representations against graphs.
 
-The verifier trusts nothing from the construction: it re-derives
-adjacency from the graph and compares against max-norm geometry only.
-It reads the graph and the coordinates, never a clique ordering or a
-model.  A representation's side and coordinates are integers on one grid,
-so every comparison is an exact integer comparison.
+The verifier trusts nothing from the construction: it reads adjacency
+off the graph, or off an interval model's endpoints (closed intervals
+that meet are adjacent), and compares it against max-norm geometry only.
+It never reads a clique ordering, so a model is checked independently of
+the sweep that built its representation.  A representation's side and
+coordinates are integers on one grid, so every comparison is an exact
+integer comparison.
 
 Checking every pair would cost Θ(n²·d).  Whether two cubes meet is a
 fixed-radius near-neighbour question in the max norm, so the check sorts
 each dimension and slides a window of width `side` (Bentley, Stanat and
-Williams 1977): it touches the edges and the pairs near in one
-dimension, not every pair.
+Williams 1977): it touches the pairs near in one dimension, not every
+pair.  The edges too far apart come from a scan of a graph's edge list,
+O(m·d).  A model's edges are never listed: a sweep by left end meets
+each edge once, and heaps of the open intervals' extreme coordinates
+flag the vertices that have a far edge at all, so the cost is
+O(d·n log n + P) plus the open sets of those vertices, with P the
+window's pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graphs import Graph, non_edges
+from .intervals import IntervalModel
 
 
 @dataclass(frozen=True)
@@ -36,27 +46,45 @@ class VerificationReport:
         }
 
 
-def verify_representation(graph: Graph, rep) -> VerificationReport:
+def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationReport:
     """Check that adjacent pairs stay within the side in every dimension and
     non-adjacent pairs exceed it somewhere, without walking every pair.
+    `graph` is a `Graph` or an `IntervalModel`.
 
     Each dimension is sorted once, and a two-pointer window gives the
     number of pairs within the side there.  `dimension_stats[i]` is the
     non-edges separated in dimension i: every pair beyond the side there,
-    less the edges beyond it, which one pass over the edge list finds
-    along with `missing_adjacency`.  A non-edge within the side in every
-    dimension is within it in the dimension with the fewest near pairs,
-    so `missing_separation` comes from sliding the window over that one.
-    Cost O(d·n log n + m·d + P), with P the near pairs of that dimension.
-    With dimension 0 every pair counts as adjacent, so every non-edge is
-    reported.  Lists are in lexicographic order.
+    less the edges beyond it, which `_far_edges` or `_far_model_edges`
+    finds along with `missing_adjacency`.  A non-edge within the side in
+    every dimension is within it in the dimension with the fewest near
+    pairs, so `missing_separation` comes from sliding the window over that
+    one.  Cost O(d·n log n + m·d + P) for a graph, with P the near pairs
+    of that dimension; for a model the m·d term becomes the open sets of
+    the vertices that have a far edge.  With dimension 0 every pair counts
+    as adjacent, so every non-edge is reported.  Lists are in
+    lexicographic order.
     """
     n = graph.n
     if rep.n != n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {n}")
     rows, side, d = rep.coords, rep.side, rep.dimension
+    model = isinstance(graph, IntervalModel)
+    if model:
+        lo, hi = _ranked_endpoints(graph)
+
+        def apart(v, us):
+            lv, hv = lo[v], hi[v]
+            return [u for u in us if lo[u] > hv or hi[u] < lv]
+
+    else:
+        adj = graph.adj
+
+        def apart(v, us):
+            av = adj[v]
+            return [u for u in us if u not in av]
+
     if d == 0:
-        unseparated = tuple(non_edges(graph))
+        unseparated = tuple(_disjoint_pairs(lo, hi) if model else non_edges(graph))
         return VerificationReport(
             ok=not unseparated,
             missing_adjacency=(),
@@ -65,22 +93,87 @@ def verify_representation(graph: Graph, rep) -> VerificationReport:
         )
     cols = [[row[i] for row in rows] for i in range(d)]
     windows = [_window(col, side) for col in cols]
-    near = [sum(j - lo for j, lo in enumerate(starts)) for _, starts in windows]
+    near = [sum(j - s for j, s in enumerate(starts)) for _, starts in windows]
 
-    edges = [(u, v) for u in range(n) for v in graph.adj[u] if u < v]
-    far_edges = [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
+    far_edges = _far_model_edges(lo, hi, cols, side) if model else _far_edges(graph, cols, side)
     missing_adjacency = sorted(set().union(*far_edges))
     pairs = n * (n - 1) // 2
     stats = tuple(pairs - near[i] - len(far_edges[i]) for i in range(d))
 
-    order, starts = windows[min(range(d), key=near.__getitem__)]
-    missing_separation = sorted(_unseparated(graph, rows, side, order, starts))
+    # the dimensions that separate the most pairs first
+    dims = sorted(range(d), key=near.__getitem__)
+    order, starts = windows[dims[0]]
+    others = [cols[i] for i in dims[1:]]
+    missing_separation = sorted(_unseparated(apart, others, side, order, starts))
     return VerificationReport(
         ok=not missing_adjacency and not missing_separation,
         missing_adjacency=tuple(missing_adjacency),
         missing_separation=tuple(missing_separation),
         dimension_stats=stats,
     )
+
+
+def _ranked_endpoints(model: IntervalModel) -> tuple[list[int], list[int]]:
+    """Each interval's ends as ranks among the distinct endpoints, so that
+    every later comparison is between small ints."""
+    ivs = model.intervals
+    rank = {x: r for r, x in enumerate(sorted({x for iv in ivs for x in iv}))}
+    return [rank[a] for a, _ in ivs], [rank[b] for _, b in ivs]
+
+
+def _disjoint_pairs(lo: list[int], hi: list[int]) -> list[tuple[int, int]]:
+    """The non-adjacent pairs of a model: for each u, the intervals
+    starting after u ends, a suffix of the order by left end."""
+    order = sorted(range(len(lo)), key=lo.__getitem__)
+    los = [lo[v] for v in order]
+    return sorted(
+        (u, v) if u < v else (v, u)
+        for u, h in enumerate(hi)
+        for v in order[bisect_right(los, h) :]
+    )
+
+
+def _far_edges(graph: Graph, cols, side: int) -> list[list[tuple[int, int]]]:
+    """Per dimension, the edges whose coordinates there differ by more
+    than `side`, from one scan of the edge list per dimension."""
+    edges = [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
+    return [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
+
+
+def _far_model_edges(lo, hi, cols, side: int) -> list[list[tuple[int, int]]]:
+    """Per dimension, the edges of the model whose coordinates there differ
+    by more than `side`, without listing the edges.
+
+    Sweeping by left end, the intervals still open when v opens are
+    exactly v's earlier neighbours, so each edge is met once.  Per
+    dimension, a max-heap and a min-heap of the open intervals'
+    coordinates, whose entries for closed intervals are dropped as they
+    surface, tell whether any of those edges is too long there; only then
+    is the open set scanned for them."""
+    n = len(lo)
+    by_hi = sorted(range(n), key=hi.__getitem__)
+    far: list[list[tuple[int, int]]] = [[] for _ in cols]
+    highs: list[list[tuple[int, int]]] = [[] for _ in cols]  # (-x, u): largest on top
+    lows: list[list[tuple[int, int]]] = [[] for _ in cols]
+    open_: set[int] = set()
+    p = 0
+    for v in sorted(range(n), key=lo.__getitem__):
+        lv = lo[v]
+        while hi[by_hi[p]] < lv:  # closed before v opens; v itself stops this
+            open_.remove(by_hi[p])
+            p += 1
+        for i, col in enumerate(cols):
+            x, high, low = col[v], highs[i], lows[i]
+            while high and high[0][1] not in open_:
+                heappop(high)
+            while low and low[0][1] not in open_:
+                heappop(low)
+            if high and -high[0][0] - x > side or low and x - low[0][0] > side:
+                far[i].extend((u, v) if u < v else (v, u) for u in open_ if abs(col[u] - x) > side)
+            heappush(high, (-x, v))
+            heappush(low, (x, v))
+        open_.add(v)
+    return far
 
 
 def _window(col: list[int], side: int) -> tuple[list[int], list[int]]:
@@ -97,20 +190,21 @@ def _window(col: list[int], side: int) -> tuple[list[int], list[int]]:
     return order, starts
 
 
-def _unseparated(graph: Graph, rows, side: int, order, starts):
+def _unseparated(apart, cols, side: int, order, starts):
     """The non-edges among the window pairs that lie within `side` in
-    every dimension, each as (smaller, larger)."""
-    adj = graph.adj
+    every dimension of `cols` as well, each as (smaller, larger);
+    `apart(v, us)` lists the vertices of `us` not adjacent to v.  Each
+    column filters the survivors of the one before, so put first those
+    that separate the most pairs."""
     for j, v in enumerate(order):
-        gv = rows[v]
-        for u in order[starts[j] : j]:
-            if u in adj[v]:
-                continue
-            for a, b in zip(gv, rows[u]):
-                if a - b > side or b - a > side:
-                    break
-            else:
-                yield (u, v) if u < v else (v, u)
+        us = apart(v, order[starts[j] : j])
+        for col in cols:
+            if not us:
+                break
+            low, high = col[v] - side, col[v] + side
+            us = [u for u in us if low <= col[u] <= high]
+        for u in us:
+            yield (u, v) if u < v else (v, u)
 
 
 def complete_dimensions(rep) -> list[int]:

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from intervalcubes import (
     CubeRepresentation,
@@ -27,6 +29,7 @@ from conftest import (
     adjacency_claw_number,
     complete_graph,
     cycle_graph,
+    interval_models,
     make_model,
     model_pipeline,
     p3_model,
@@ -104,6 +107,39 @@ def test_pad_center_ties_go_to_lowest_index():
     assert ordering.cliques[-1] == frozenset({0, 1, 4})
     padded = pad(ordering)
     assert (padded.center, padded.added) == (0, 1)
+
+
+def assert_cliques_not_nested(ordering):
+    assert not any(a <= b for a, b in permutations(ordering.cliques, 2))
+
+
+def test_pad_center_alone_in_last_clique():
+    # psi = 3 and the center, 8, is the isolated [3, 3]: the first pendant
+    # clique replaces {8} rather than following it, and so contains it
+    model = make_model([(0, 0)] * 5 + [(1, 1), (0, 2), (2, 2), (3, 3)])
+    graph, ordering = model_pipeline(model)
+    assert ordering.cliques[-1] == frozenset({8})
+    padded = pad(ordering)
+    assert (padded.center, padded.added) == (8, 4)
+    assert padded.ordering.cliques[ordering.k - 1 :] == tuple(
+        frozenset({8, 9 + i}) for i in range(4)
+    )
+    assert (padded.ordering.left[8], padded.ordering.right[8]) == (3, 6)
+    assert_cliques_not_nested(padded.ordering)
+    psi, _ = adjacency_claw_number(padded.ordering, padded_graph(graph, padded))
+    assert psi == 4
+    rep, _ = build_representation(ordering)
+    assert rep.dimension == 4
+    assert verify_representation(graph, rep).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_models())
+def test_padded_cliques_stay_maximal(model):
+    graph, ordering = model_pipeline(model)
+    for start in (ordering, recognize_and_order(graph)):
+        if claw_number(start)[0] >= 2:
+            assert_cliques_not_nested(pad(start).ordering)
 
 
 def test_pad_rejects_degenerate():

@@ -1,7 +1,8 @@
 """The sweeps that build and check graphs against their all-pairs
 references in `verify_reference`: equal graphs, equal verification
 reports, and the same sanity verdicts, on built, corrupted and arbitrary
-inputs."""
+inputs.  Verification against an interval model, which never lists the
+model's edges, is checked against verification of the model's graph."""
 
 from fractions import Fraction
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from intervalcubes import (
     CubeRepresentation,
     Graph,
+    build_alpha_representation,
     build_best,
     build_representation,
     model_to_clique_ordering,
     model_to_graph,
+    normalize_unit,
     ordering_from_cliques,
     verify_representation,
 )
@@ -29,6 +32,7 @@ from conftest import (
     model_pipeline,
     path_graph,
     random_models,
+    star_model,
 )
 from verify_reference import (
     check_ordering_sanity_pairwise,
@@ -53,6 +57,52 @@ def endpoint_models(draw):
         lo = draw(st.integers(-6, 12))
         pairs.append((Fraction(lo, 2), Fraction(lo + draw(st.integers(0, 6)), 2)))
     return make_model(pairs)
+
+
+def assert_model_report(model, rep):
+    report = verify_representation(model, rep)
+    assert report == verify_representation(model_to_graph(model), rep)
+    return report
+
+
+def built_representations(model):
+    """Every builder's output on the model's sweep ordering, as built and
+    normalized."""
+    ordering = model_to_clique_ordering(model)
+    built = [
+        build_best(ordering),
+        build_representation(ordering)[0],
+        build_alpha_representation(ordering),
+    ]
+    return built + [normalize_unit(rep) for rep in built]
+
+
+def moved(rep, draws):
+    """A copy of `rep` with each (vertex, dimension, shift) of `draws`
+    applied to its coordinates."""
+    rows = [list(row) for row in rep.coords]
+    for v, i, shift in draws:
+        rows[v][i] += shift
+    return CubeRepresentation(rep.dimension, rep.side, tuple(map(tuple, rows)), rep.unit)
+
+
+@st.composite
+def moves(draw, rep):
+    """One to four random vertices moved in a random dimension, by a near
+    shift (around the side) or a far one (past every coordinate)."""
+    rows = rep.coords
+    span = max(max(row) for row in rows) - min(min(row) for row in rows)
+    near = st.integers(-2 * rep.side - 1, 2 * rep.side + 1)
+    far = st.sampled_from([span + rep.side + 1, -span - rep.side - 1, 3 * span + 5])
+    count = draw(st.integers(1, 4))
+    return [
+        (
+            draw(st.integers(0, rep.n - 1)),
+            draw(st.integers(0, rep.dimension - 1)),
+            draw(st.one_of(near, far)),
+        )
+        for _ in range(count)
+    ]
 
 
 @st.composite
@@ -96,18 +146,8 @@ def test_verify_matches_pairwise_on_corrupted_builds(model, data):
     graph, ordering = model_pipeline(model)
     rep = data.draw(st.sampled_from([build_best(ordering), build_representation(ordering)[0]]))
     assert_same_report(graph, rep)
-    if rep.dimension == 0 or graph.n == 0:
-        return
-    rows = [list(row) for row in rep.coords]
-    span = max(max(row) for row in rows) - min(min(row) for row in rows)
-    near = st.integers(-2 * rep.side - 1, 2 * rep.side + 1)
-    far = st.sampled_from([span + rep.side + 1, -span - rep.side - 1, 3 * span + 5])
-    for _ in range(data.draw(st.integers(1, 4))):
-        v = data.draw(st.integers(0, graph.n - 1))
-        i = data.draw(st.integers(0, rep.dimension - 1))
-        rows[v][i] += data.draw(st.one_of(near, far))
-    shifted = CubeRepresentation(rep.dimension, rep.side, tuple(map(tuple, rows)), rep.unit)
-    assert_same_report(graph, shifted)
+    if rep.dimension and graph.n:
+        assert_same_report(graph, moved(rep, data.draw(moves(rep))))
 
 
 def test_verify_matches_pairwise_on_cycles():
@@ -173,6 +213,69 @@ def test_separation_scan_reads_the_sparsest_dimension(monkeypatch):
     report = assert_same_report(Graph(n, [(v, v + 1) for v in range(0, n, 2)]), rep)
     assert report.ok
     assert scanned == [min(near)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(endpoint_models(), st.data())
+def test_model_verify_matches_graph_verify_on_builds(model, data):
+    for rep in built_representations(model):
+        assert assert_model_report(model, rep).ok
+        if rep.dimension and rep.n:
+            assert_model_report(model, moved(rep, data.draw(moves(rep))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoint_models(), st.data())
+def test_model_verify_matches_graph_verify_on_random_coordinates(model, data):
+    d = data.draw(st.integers(0, 4))
+    side = data.draw(st.integers(1, 4))
+    coord = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    rows = data.draw(st.lists(coord, min_size=model.n, max_size=model.n))
+    rep = CubeRepresentation(d, side, tuple(map(tuple, rows)), 1)
+    assert_model_report(model, rep)
+    if d and model.n:
+        assert_model_report(model, moved(rep, data.draw(moves(rep))))
+
+
+def test_model_verify_matches_graph_verify_on_corpus():
+    models = random_models(30, range(1, 60), seed=53) + random_models(4, [300], seed=61)
+    models += [star_model(m) for m in range(1, 9)]
+    # shared endpoints, duplicates, point intervals, and n = 0 and 1
+    models += [
+        make_model([(0, 1), (1, 1), (1, 2), (2, 2), (3, 3), (3, 3), (0, 3)]),
+        make_model([(0, 0)] * 5 + [(1, 1), (0, 2), (2, 2), (3, 3)]),
+        make_model([(0, 2)] * 4 + [(2, 4)] * 3),
+        make_model([]),
+        make_model([(5, 5)]),
+    ]
+    failing = 0
+    for t, model in enumerate(models):
+        for rep in built_representations(model):
+            assert assert_model_report(model, rep).ok
+            if rep.dimension == 0 or rep.n == 0:
+                continue
+            # deterministic moves: vertex t moved past everything, and a
+            # near nudge of every third vertex in dimension t
+            i = t % rep.dimension
+            span = max(max(row) for row in rep.coords) - min(min(row) for row in rep.coords)
+            draws = [(t % rep.n, i, span + rep.side + 1)]
+            draws += [(v, (i + 1) % rep.dimension, rep.side) for v in range(0, rep.n, 3)]
+            failing += not assert_model_report(model, moved(rep, draws)).ok
+    assert failing > len(models) // 2
+
+
+def test_model_verify_touching_intervals_are_adjacent():
+    # [0, 1] and [1, 2] share the endpoint 1: they must be near, and
+    # [0, 1] and [2, 3] apart, with zero dimensions too
+    model = make_model([(0, 1), (1, 2), (2, 3)])
+    far = CubeRepresentation(1, 1, ((0,), (5,), (10,)), 1)
+    report = assert_model_report(model, far)
+    assert report.missing_adjacency == ((0, 1), (1, 2))
+    assert report.missing_separation == ()
+    flat = CubeRepresentation(0, 1, ((),) * 3, 1)
+    assert assert_model_report(model, flat).missing_separation == ((0, 2),)
+    with pytest.raises(ValueError):
+        verify_representation(model, CubeRepresentation(0, 1, ((),) * 2, 1))
 
 
 @settings(max_examples=200, deadline=None)
