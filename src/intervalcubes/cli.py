@@ -8,6 +8,10 @@ recognition.  `construct` and `verify` check a model's representation
 against the model itself, and `params` reads only the ordering, so a
 model's graph is built, by `model_to_graph`, only for `exact`.
 
+Each command imports the modules it runs when it runs, and only edge-list
+input loads recognition; what every command needs (the parsers, limits,
+and the errors `main` maps to exit codes) is in `graphs` and `intervals`.
+
 Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 3 size refusal, 64 usage error, 65 malformed input.
 """
@@ -18,22 +22,11 @@ import argparse
 import json
 import sys
 
-from .construct import (
-    CubeRepresentation,
-    build_alpha_representation,
-    build_best,
-    build_representation,
-    normalize_unit,
+from .graphs import (
+    MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, GraphParseError, NotIntervalError, SizeRefusalError,
+    parse_graph,
 )
-from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
-from .graphs import MAX_VERTICES, Graph, GraphParseError, parse_graph
-from .intervals import CliqueOrdering, IntervalModel, model_to_clique_ordering, model_to_graph
-from .labelling import label_vertices
-from .oracle import MAX_ORACLE_VERTICES, SizeRefusalError, exact_cubicity
-from .params import param_report
-from .recognition import NotIntervalError, require_ordering
-from .search import histogram_csv, tightness_search
-from .verify import verify_representation
+from .intervals import DISTRIBUTIONS, CliqueOrdering, IntervalModel, model_to_clique_ordering
 
 EXIT_OK = 0
 EXIT_NOT_INTERVAL = 1
@@ -70,6 +63,8 @@ def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
     source = _read_input(path)
     if isinstance(source, IntervalModel):
         return source, model_to_clique_ordering(source)
+    from .recognition import require_ordering
+
     return source, require_ordering(source)
 
 
@@ -99,18 +94,27 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from .labelling import label_vertices
+
     _, ordering = _load(args.graph)
     _emit(label_vertices(ordering).to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_params(args) -> int:
+    from .params import param_report
+
     _, ordering = _load(args.graph)
     _emit(param_report(ordering).to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
+    from .construct import (
+        build_alpha_representation, build_best, build_representation, normalize_unit,
+    )
+    from .verify import verify_representation
+
     source, ordering = _load(args.graph)
     trace = None
     if args.variant == "claw":
@@ -134,6 +138,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import CubeRepresentation, verify_representation
+
     source = _read_input(args.graph)
     rep = CubeRepresentation.loads(_read_text(args.representation))
     report = verify_representation(source, rep)
@@ -142,6 +148,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .intervals import model_to_graph
+    from .oracle import exact_cubicity
+
     source = _read_input(args.graph)
     graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
     result = exact_cubicity(graph, b_max=args.max_b)
@@ -150,12 +159,16 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import GenConfig, random_interval_model
+
     cfg = GenConfig(n=args.n, seed=args.seed, dist=args.dist)
     _emit(random_interval_model(cfg).to_json_obj(), args.out)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
+    from .search import histogram_csv, tightness_search
+
     report = tightness_search(count=args.count, n_max=args.n_max, seed=args.seed)
     if report.counterexamples:
         print(

@@ -9,33 +9,27 @@ emits one coordinate per code bit: bit 0 places the vertex by its right
 end, bit 1 by its left end.  Dropping the pendants' coordinates keeps the
 represented graph intact because induced subgraphs only lose constraints.
 Positions are ints on one grid per build (see `clique_scale`); only the
-JSON methods of `CubeRepresentation` turn them into rationals.
+JSON methods of `CubeRepresentation` (defined in `verify`, so that
+checking a representation loads none of this module) turn them into
+rationals.
 
 Dimension count is exactly ceil(log2 claw) + 2.  A second variant appends
 a universal vertex to the ordering to get ceil(log2 alpha) dimensions,
 dropping the two coordinates that the augmented build leaves complete.
-`build_best` builds only the variant with fewer dimensions.
+`build_best` builds only the variant with fewer dimensions, from one
+suffix-best table and one psi pass over the ordering.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
+from .graphs import ConstructionError, Record
 from .intervals import CliqueOrdering
-from .labelling import Labelling, label_vertices
-from .params import ceil_log2, claw_number, vertex_claws
-from .rationals import format_rational, parse_rational
-from .recognition import ConstructionError
-from .verify import complete_dimensions
-
-
-# A document's values go onto the lcm of their denominators, which grows
-# with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
-# of JSON, needs a unit of 24,856 bits.  Built outputs need a few dozen.
-MAX_UNIT_BITS = 1024
+from .labelling import Labelling, label_vertices, suffix_best
+from .params import best_dimension, ceil_log2, claw_number, vertex_claws
+from .rationals import format_rational
+from .verify import CubeRepresentation, complete_dimensions
 
 
 def bit(a: int, i: int) -> int:
@@ -45,95 +39,28 @@ def bit(a: int, i: int) -> int:
     return (a >> i) & 1
 
 
-@dataclass(frozen=True)
-class PaddedGraph:
+class PaddedGraph(Record):
     """The clique ordering with pendant vertices appended so that the claw
     number equals 2**power; original vertices keep their indices.  The
-    pendants hang off `center`, which is None when nothing was added."""
+    `added` pendants hang off `center`, which is None when nothing was
+    added."""
 
-    ordering: CliqueOrdering
-    power: int
-    added: int
-    center: int | None
+    __slots__ = ("ordering", "power", "added", "center")
 
     @property
     def claw(self) -> int:
         return 1 << self.power
 
 
-@dataclass(frozen=True)
-class CubeRepresentation:
-    """Axis-parallel cubes of side `side`: vertices are adjacent exactly
-    when every coordinate differs by at most `side`.  Side and coordinates
-    are ints counting units of 1/`unit`.  dimension == 0 means every pair
-    is adjacent by convention."""
-
-    dimension: int
-    side: int
-    coords: tuple[tuple[int, ...], ...]
-    unit: int
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "side": format_rational(Fraction(self.side, self.unit)),
-            "coords": [
-                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
-            ],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "CubeRepresentation":
-        """Rationals onto the coarsest integer grid that holds them all: the
-        unit is the lcm of their denominators, refused with ValueError once
-        it passes MAX_UNIT_BITS, before any coordinate is built."""
-        if not isinstance(obj, dict):
-            raise ValueError("a representation is a JSON object")
-        dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
-        if type(dimension) is not int or dimension < 0 or side <= 0:
-            raise ValueError("dimension must be an integer >= 0 and side positive")
-        if not isinstance(rows, list) or any(
-            not isinstance(row, list) or len(row) != dimension for row in rows
-        ):
-            raise ValueError("coords must be a list of vectors of length dimension")
-        rows = [[parse_rational(x) for x in row] for row in rows]
-        unit = side.denominator
-        for denominator in {x.denominator for row in rows for x in row}:
-            unit = lcm(unit, denominator)
-            if unit.bit_length() > MAX_UNIT_BITS:
-                raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
-        coords = tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
-        return cls(dimension, side.numerator * (unit // side.denominator), coords, unit)
-
-    @classmethod
-    def loads(cls, text: str) -> "CubeRepresentation":
-        return cls.from_json_obj(json.loads(text))
-
-
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Record):
     """Everything the audit checks need: the clique scale, the codes and
     levels on the padded graph, the branch taken per (dimension, vertex),
-    and the unrestricted padded coordinates.  Scale and coordinates are
-    integers in units of 1/`unit`, as in the representation."""
+    and the unrestricted padded coordinates, the `padded` graph and its
+    `labelling`.  Scale and coordinates are integers in units of 1/`unit`,
+    as in the representation."""
 
-    power: int
-    claw: int
-    unit: int
-    scale: tuple[int, ...]
-    codes: tuple[int, ...]
-    levels: tuple[int, ...]
-    branch: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[int, ...], ...]
-    padded: PaddedGraph
-    labelling: Labelling
+    __slots__ = ("power", "claw", "unit", "scale", "codes", "levels", "branch", "coords",
+                 "padded", "labelling")
 
     def to_json_obj(self) -> dict:
         return {
@@ -152,14 +79,15 @@ class ConstructionTrace:
         }
 
 
-def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
+def pad_graph(ordering: CliqueOrdering, psi: int, claws: list[int] | None = None) -> PaddedGraph:
     """Append pendants to the last-clique vertex whose neighbourhood holds
     the most independent vertices (lowest index on ties) until the claw
     number psi is the next power of two.  Pendants touch only that center,
     so the padded claw number is known without another pass.
 
-    Each last-clique vertex's count comes from one `vertex_claws` pass over
-    the ordering, O(n + k + sum of psi(v)), not from a greedy per vertex.
+    Each last-clique vertex's count comes from `claws`, the ordering's
+    `vertex_claws` pass, O(n + k + sum of psi(v)), which is made here when
+    not given; not from a greedy per vertex.
     Its chain may end on a different vertex than the greedy on N(v) would,
     but always with the same count, so the center is the same."""
     if psi < 2:
@@ -170,7 +98,8 @@ def pad_graph(ordering: CliqueOrdering, psi: int) -> PaddedGraph:
         return PaddedGraph(ordering, power, 0, None)
 
     n, k = ordering.n, ordering.k
-    claws = vertex_claws(ordering)
+    if claws is None:
+        claws = vertex_claws(ordering)
     center = min(ordering.cliques[-1], key=lambda v: (-claws[v], v))
     added = target - claws[center]
 
@@ -229,19 +158,26 @@ def build_representation(
     Graphs whose claw number is below 2 (disjoint unions of cliques) take
     the degenerate one-dimensional route and carry no trace.
     """
-    psi, _ = claw_number(ordering)
+    claws = vertex_claws(ordering)
+    psi, _ = claw_number(ordering, claws)
     if psi < 2:
         return build_degenerate(ordering), None
-    return _build(ordering, psi)
+    return _build(ordering, psi, claws)
 
 
 def _build(
-    ordering: CliqueOrdering, psi: int
+    ordering: CliqueOrdering, psi: int, claws: list[int] | None = None,
+    labelling: Labelling | None = None,
 ) -> tuple[CubeRepresentation, ConstructionTrace]:
     """The construction on an ordering with claw number psi >= 2; the
-    representation covers the ordering's own vertices, not the pendants."""
-    padded = pad_graph(ordering, psi)
-    lab = label_vertices(padded.ordering)
+    representation covers the ordering's own vertices, not the pendants.
+    `claws` and `labelling`, the ordering's psi pass and labelling, are
+    made here when not given."""
+    padded = pad_graph(ordering, psi, claws)
+    # padding that adds nothing keeps the ordering, and so its labelling
+    lab = labelling
+    if lab is None or padded.added:
+        lab = label_vertices(padded.ordering)
     scale, unit = clique_scale(padded.ordering, lab)
     claw = padded.claw
     codes = branch_codes(lab, claw)
@@ -313,12 +249,16 @@ def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
     return _build_alpha(ordering, label_vertices(ordering).alpha)
 
 
-def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
+def _build_alpha(
+    ordering: CliqueOrdering, alpha: int, claws: list[int] | None = None
+) -> CubeRepresentation:
     n = ordering.n
     if alpha == 1:
         return CubeRepresentation(0, 1, ((),) * n, 1)
-    # with a universal vertex the claw number is the independence number
-    rep_aug, trace = _build(_augment_with_universal(ordering), alpha)
+    # with a universal vertex the claw number is the independence number;
+    # that vertex's psi is alpha, and it lifts no other psi(v) but a 0 to 1
+    aug_claws = None if claws is None else [max(c, 1) for c in claws] + [alpha]
+    rep_aug, trace = _build(_augment_with_universal(ordering), alpha, aug_claws)
     p = trace.power
     complete = complete_dimensions(rep_aug)
     if complete != [p, p + 1]:
@@ -329,27 +269,23 @@ def _build_alpha(ordering: CliqueOrdering, alpha: int) -> CubeRepresentation:
     return CubeRepresentation(p, rep_aug.side, coords, rep_aug.unit)
 
 
-def best_dimension(psi: int, alpha: int) -> int:
-    """The dimension `build_best` reaches for claw number psi and
-    independence number alpha >= 1.  Below claw number 2 build_degenerate
-    needs one dimension, or none when alpha == 1, where the alpha
-    variant's zero dimensions win anyway."""
-    claw_dims = ceil_log2(psi) + 2 if psi >= 2 else 1
-    return min(claw_dims, ceil_log2(alpha))
-
-
 def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
     """The smaller of the two variants; ties go to the alpha variant.
-    Both dimensions follow from psi and alpha, so only one is built."""
+    Both dimensions follow from psi and alpha, so only one is built.  One
+    suffix-best table serves the psi pass and the labelling, and that one
+    psi pass serves the claw number and the padding."""
     if ordering.n == 0:
         return build_degenerate(ordering)
-    psi, _ = claw_number(ordering)
-    alpha = label_vertices(ordering).alpha
+    best = suffix_best(ordering)
+    claws = vertex_claws(ordering, best)
+    psi, _ = claw_number(ordering, claws)
+    labelling = label_vertices(ordering, best)
+    alpha = labelling.alpha
     if best_dimension(psi, alpha) == ceil_log2(alpha):
-        return _build_alpha(ordering, alpha)
+        return _build_alpha(ordering, alpha, claws)
     if psi < 2:
         return build_degenerate(ordering)
-    return _build(ordering, psi)[0]
+    return _build(ordering, psi, claws, labelling)[0]
 
 
 def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:
@@ -357,4 +293,4 @@ def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:
     the integer coordinates are unchanged."""
     if rep.unit == rep.side:
         return rep
-    return replace(rep, unit=rep.side)
+    return CubeRepresentation(rep.dimension, rep.side, rep.coords, rep.side)

@@ -8,23 +8,19 @@ across processes) and endpoints are exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import IntervalModel
+from .graphs import Record
+from .intervals import DISTRIBUTIONS, IntervalModel
 
-DISTRIBUTIONS = ("uniform", "unit-jitter", "nested-heavy")
 
+class GenConfig(Record):
+    __slots__ = ("n", "seed", "dist")
 
-@dataclass(frozen=True)
-class GenConfig:
-    n: int
-    seed: int
-    dist: str = "uniform"
-
-    def __post_init__(self):
-        if self.dist not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.dist!r}; choose from {DISTRIBUTIONS}")
+    def __init__(self, n: int, seed: int, dist: str = "uniform"):
+        if dist not in DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution {dist!r}; choose from {DISTRIBUTIONS}")
+        super().__init__(n, seed, dist)
 
 
 def _rng(cfg: GenConfig) -> random.Random:

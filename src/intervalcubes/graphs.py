@@ -4,6 +4,10 @@ The edge-list text format is the interchange format for abstract graphs:
 a header line "n m" followed by m lines "u v".  Parsing is whitespace
 tolerant, collapses duplicate edges, and rejects self-loops and
 out-of-range endpoints with the offending line number.
+
+Every command loads this module, so it also holds what they all share:
+the size limits, the errors the CLI maps to exit codes, and `Record`, the
+base of the package's immutable result types.
 """
 
 from __future__ import annotations
@@ -13,6 +17,59 @@ from itertools import islice
 # parse_graph allocates per vertex from the header's count, which no edge
 # line bounds, so that count is checked against this limit first
 MAX_VERTICES = 10**6
+# the oracle's cost grows with n!, so it refuses larger graphs; kept here
+# so that the CLI's parser does not load `oracle`
+MAX_ORACLE_VERTICES = 8
+
+
+class Record:
+    """An immutable value whose fields are its class's `__slots__`, given
+    by position or keyword.  Records of one class are equal when their
+    fields are; assigning or deleting a field raises AttributeError.  A
+    plain class rather than a dataclass, so that no process pays for
+    importing `dataclasses` and decorating each class."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class NotIntervalError(Exception):
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(f"graph is not an interval graph ({reason})")
+
+
+class SizeRefusalError(ValueError):
+    """The instance exceeds the oracle's hard safety bounds."""
+
+
+class ConstructionError(AssertionError):
+    """An internal pipeline invariant failed; always a bug, never an input error."""
 
 
 class GraphParseError(ValueError):

@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph
+from .graphs import Graph, Record
 from .rationals import format_rational, parse_rational
 
+# the shapes of the seeded random models `generate` makes; kept here so
+# that the CLI's parser does not load `generate`
+DISTRIBUTIONS = ("uniform", "unit-jitter", "nested-heavy")
 
-@dataclass(frozen=True)
-class IntervalModel:
-    """Per-vertex closed intervals [lo, hi] with exact rational endpoints."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+class IntervalModel(Record):
+    """Per-vertex closed intervals [lo, hi] with exact rational endpoints:
+    `intervals` is a tuple of (lo, hi) pairs of Fractions."""
 
-    def __post_init__(self):
-        for i, (lo, hi) in enumerate(self.intervals):
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
+        for i, (lo, hi) in enumerate(intervals):
             if lo > hi:
                 raise ValueError(f"interval {i} has lo > hi: [{lo}, {hi}]")
+        super().__init__(intervals)
 
     @property
     def n(self) -> int:
@@ -62,15 +66,13 @@ class IntervalModel:
         return cls.from_json_obj(json.loads(text))
 
 
-@dataclass(frozen=True)
-class CliqueOrdering:
-    """Maximal cliques C_0..C_{k-1} in consecutive order, plus per-vertex
-    leftmost/rightmost clique indices.  Two vertices are adjacent exactly
+class CliqueOrdering(Record):
+    """Maximal cliques C_0..C_{k-1} in consecutive order (`cliques`, a
+    tuple of frozensets), plus per-vertex leftmost/rightmost clique indices
+    (`left`, `right`, tuples of ints).  Two vertices are adjacent exactly
     when their index ranges intersect."""
 
-    cliques: tuple[frozenset[int], ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ("cliques", "left", "right")
 
     @property
     def k(self) -> int:

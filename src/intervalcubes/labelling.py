@@ -12,17 +12,16 @@ subtraction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
+from .graphs import Record
 from .intervals import CliqueOrdering
 
 
-@dataclass(frozen=True)
-class Labelling:
-    """Per-vertex level plus the ordered anchor vertices, one per level."""
+class Labelling(Record):
+    """Per-vertex level plus the ordered anchor vertices, one per level,
+    as tuples of ints."""
 
-    levels: tuple[int, ...]
-    anchors: tuple[int, ...]
+    __slots__ = ("levels", "anchors")
 
     @property
     def alpha(self) -> int:
@@ -53,13 +52,15 @@ def suffix_best(ordering: CliqueOrdering) -> list[int | None]:
     return best
 
 
-def label_vertices(ordering: CliqueOrdering) -> Labelling:
-    """Deterministic labelling; anchor ties break to the lowest index."""
+def label_vertices(ordering: CliqueOrdering, best: list[int | None] | None = None) -> Labelling:
+    """Deterministic labelling; anchor ties break to the lowest index.
+    `best` is the ordering's `suffix_best` table, made here when not given."""
     n, k = ordering.n, ordering.k
     if n == 0:
         raise ValueError("cannot label an empty graph")
     left, right = ordering.left, ordering.right
-    best = suffix_best(ordering)
+    if best is None:
+        best = suffix_best(ordering)
 
     anchors: list[int] = []
     j = 0

@@ -19,16 +19,9 @@ family size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .graphs import MAX_ORACLE_VERTICES, Graph, Record, SizeRefusalError, non_edges
 
-from .graphs import Graph, non_edges
-
-MAX_ORACLE_VERTICES = 8
 MAX_ORACLE_NON_EDGES = 24
-
-
-class SizeRefusalError(ValueError):
-    """The instance exceeds the oracle's hard safety bounds."""
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +142,11 @@ def _enumerate_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]
     return candidates, missing, visited
 
 
-@dataclass(frozen=True)
-class ExactResult:
-    cubicity: int
-    witness: tuple[tuple[tuple[int, int], ...], ...]
-    candidates_enumerated: int
-    cover_nodes: int
+class ExactResult(Record):
+    """The cubicity; as `witness`, the non-edges each member of a smallest
+    family leaves missing; and the work counts."""
+
+    __slots__ = ("cubicity", "witness", "candidates_enumerated", "cover_nodes")
 
     def to_json_obj(self) -> dict:
         return {
@@ -165,11 +157,10 @@ class ExactResult:
         }
 
 
-@dataclass(frozen=True)
-class Exceeded:
-    b_max: int
-    candidates_enumerated: int
-    cover_nodes: int
+class Exceeded(Record):
+    """No family of at most `b_max` members exists; with the work counts."""
+
+    __slots__ = ("b_max", "candidates_enumerated", "cover_nodes")
 
     def to_json_obj(self) -> dict:
         return {

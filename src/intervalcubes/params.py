@@ -33,9 +33,7 @@ once more, on the centre it picks, for the witness leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph
+from .graphs import Graph, Record
 from .intervals import CliqueOrdering, greedy_independent
 from .labelling import Labelling, label_vertices, suffix_best
 
@@ -46,21 +44,27 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class StarWitness:
-    center: int
-    leaves: tuple[int, ...]
+def best_dimension(psi: int, alpha: int) -> int:
+    """The dimension `construct.build_best` reaches for claw number psi and
+    independence number alpha >= 1.  Below claw number 2 build_degenerate
+    needs one dimension, or none when alpha == 1, where the alpha
+    variant's zero dimensions win anyway."""
+    claw_dims = ceil_log2(psi) + 2 if psi >= 2 else 1
+    return min(claw_dims, ceil_log2(alpha))
+
+
+class StarWitness(Record):
+    __slots__ = ("center", "leaves")  # int, tuple of ints
 
     def to_json_obj(self) -> dict:
         return {"center": self.center, "leaves": list(self.leaves)}
 
 
-@dataclass(frozen=True)
-class ParamReport:
-    psi: int
-    alpha: int
-    witness: StarWitness | None
-    lower_bound: int  # ceil(log2 psi) when psi >= 1, else 0
+class ParamReport(Record):
+    """Ints psi, alpha and lower_bound (ceil(log2 psi) when psi >= 1, else
+    0), and witness, a StarWitness or None."""
+
+    __slots__ = ("psi", "alpha", "witness", "lower_bound")
 
     def to_json_obj(self) -> dict:
         return {
@@ -90,11 +94,14 @@ def neighborhood_mis(
     return len(leaves), tuple(leaves)
 
 
-def vertex_claws(ordering: CliqueOrdering) -> list[int]:
+def vertex_claws(ordering: CliqueOrdering, best: list[int | None] | None = None) -> list[int]:
     """psi(v) for every vertex v: the most independent vertices in N(v),
-    by the chain through the suffix-best table (see the module docstring)."""
+    by the chain through the suffix-best table (see the module docstring).
+    `best` is that table, made here when not given."""
     k, right = ordering.k, ordering.right
-    after = [right[u] + 1 for u in suffix_best(ordering)[:k]]
+    if best is None:
+        best = suffix_best(ordering)
+    after = [right[u] + 1 for u in best[:k]]
     claws = []
     for v, (lv, rv) in enumerate(zip(ordering.left, right)):
         if lv == rv and len(ordering.cliques[lv]) == 1:  # v is isolated
@@ -107,13 +114,16 @@ def vertex_claws(ordering: CliqueOrdering) -> list[int]:
     return claws
 
 
-def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
+def claw_number(
+    ordering: CliqueOrdering, claws: list[int] | None = None
+) -> tuple[int, StarWitness | None]:
     """Largest m with an induced star on m leaves; 0 for edgeless graphs.
 
     The centre is the lowest-indexed vertex with the largest psi(v), from
-    one `vertex_claws` pass; `neighborhood_mis` runs once, on that centre,
-    for the witness leaves."""
-    claws = vertex_claws(ordering)
+    one `vertex_claws` pass, or from `claws` when the caller has made it;
+    `neighborhood_mis` runs once, on that centre, for the witness leaves."""
+    if claws is None:
+        claws = vertex_claws(ordering)
     psi = max(claws, default=0)
     if psi == 0:
         return 0, None

@@ -21,28 +21,16 @@ refinement moves, a scan of that clique's vertices.  No step recurses.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .graphs import Graph
+from .graphs import ConstructionError, Graph, NotIntervalError, Record
 from .intervals import CliqueOrdering, ordering_from_cliques
 
 
-class NotIntervalError(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"graph is not an interval graph ({reason})")
-
-
-@dataclass(frozen=True)
-class NotInterval:
+class NotInterval(Record):
     """Recognition result for non-interval inputs; not an error."""
 
-    reason: str  # "not-chordal" | "no-consecutive-ordering"
-
-
-class ConstructionError(AssertionError):
-    """An internal pipeline invariant failed; always a bug, never an input error."""
+    __slots__ = ("reason",)  # "not-chordal" | "no-consecutive-ordering"
 
 
 def _lexbfs(graph: Graph) -> list[int]:
@@ -272,9 +260,11 @@ def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
         runs = membership[v]
         if not runs or runs != list(range(left[v], right[v] + 1)):
             raise ConstructionError(f"clique run of vertex {v} is not consecutive")
-    for u in range(n):
-        for v in graph.adj[u]:
-            if u < v and not ordering.ranges_intersect(u, v):
+    # u's own ends are read once per adjacency row, not once per edge
+    for u, row in enumerate(graph.adj):
+        lu, ru = left[u], right[u]
+        for v in row:
+            if u < v and not (left[v] <= ru and lu <= right[v]):
                 raise ConstructionError(f"ordering disagrees with adjacency on ({u}, {v})")
     # Listed by left end, the vertex at position p meets the later ones
     # whose left end is at or before its right end: upto[right] - p - 1 of

@@ -10,25 +10,24 @@ ceil(log2 alpha)) are implementation bugs and are flagged separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .construct import best_dimension
-from .generate import DISTRIBUTIONS, GenConfig, random_interval_model
-from .graphs import parse_graph, serialize_graph
-from .intervals import model_to_clique_ordering, model_to_graph
+from .generate import GenConfig, random_interval_model
+from .graphs import SizeRefusalError, parse_graph, serialize_graph
+from .intervals import DISTRIBUTIONS, model_to_clique_ordering, model_to_graph
 from .labelling import label_vertices
-from .oracle import Exceeded, SizeRefusalError, exact_cubicity
-from .params import ceil_log2, claw_number
+from .oracle import Exceeded, exact_cubicity
+from .params import best_dimension, ceil_log2, claw_number
 
 
-@dataclass
 class SearchReport:
-    graphs_tried: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    bound_violations: list[dict] = field(default_factory=list)
-    histogram: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
-    degenerate_skipped: int = 0
-    oracle_refused: int = 0
+    """What a search has found so far; it fills this in as it runs."""
+
+    def __init__(self):
+        self.graphs_tried = 0
+        self.counterexamples: list[dict] = []
+        self.bound_violations: list[dict] = []
+        self.histogram: dict[tuple[int, int, int, int], int] = {}
+        self.degenerate_skipped = 0
+        self.oracle_refused = 0
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,4 +1,6 @@
-"""Independent checking of cube representations against graphs.
+"""Cube representations, their JSON form, and their independent checking
+against graphs.  The `verify` command loads only this module and the
+graph, model and rational parsers.
 
 The verifier trusts nothing from the construction: it reads adjacency
 off the graph, or off an interval model's endpoints (closed intervals
@@ -22,20 +24,81 @@ window's pairs.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 
-from .graphs import Graph, non_edges
+from .graphs import Graph, Record, non_edges
 from .intervals import IntervalModel
+from .rationals import format_rational, parse_rational
+
+# A document's values go onto the lcm of their denominators, which grows
+# with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
+# of JSON, needs a unit of 24,856 bits.  Built outputs need a few dozen.
+MAX_UNIT_BITS = 1024
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    missing_adjacency: tuple[tuple[int, int], ...]
-    missing_separation: tuple[tuple[int, int], ...]
-    dimension_stats: tuple[int, ...]
+class CubeRepresentation(Record):
+    """Axis-parallel cubes of side `side`: vertices are adjacent exactly
+    when every coordinate differs by at most `side`.  Side and coordinates
+    (`coords`, a tuple of int tuples) are ints counting units of 1/`unit`;
+    only the JSON methods turn them into rationals.  dimension == 0 means
+    every pair is adjacent by convention."""
+
+    __slots__ = ("dimension", "side", "coords", "unit")
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "dimension": self.dimension,
+            "side": format_rational(Fraction(self.side, self.unit)),
+            "coords": [
+                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
+            ],
+        }
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "CubeRepresentation":
+        """Rationals onto the coarsest integer grid that holds them all: the
+        unit is the lcm of their denominators, refused with ValueError once
+        it passes MAX_UNIT_BITS, before any coordinate is built."""
+        if not isinstance(obj, dict):
+            raise ValueError("a representation is a JSON object")
+        dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
+        if type(dimension) is not int or dimension < 0 or side <= 0:
+            raise ValueError("dimension must be an integer >= 0 and side positive")
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != dimension for row in rows
+        ):
+            raise ValueError("coords must be a list of vectors of length dimension")
+        rows = [[parse_rational(x) for x in row] for row in rows]
+        unit = side.denominator
+        for denominator in {x.denominator for row in rows for x in row}:
+            unit = lcm(unit, denominator)
+            if unit.bit_length() > MAX_UNIT_BITS:
+                raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
+        coords = tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
+        return cls(dimension, side.numerator * (unit // side.denominator), coords, unit)
+
+    @classmethod
+    def loads(cls, text: str) -> "CubeRepresentation":
+        return cls.from_json_obj(json.loads(text))
+
+
+class VerificationReport(Record):
+    """`ok`, the unmatched pairs `missing_adjacency` and
+    `missing_separation` (tuples of (u, v), u < v), and per dimension the
+    non-edges it separates, `dimension_stats`."""
+
+    __slots__ = ("ok", "missing_adjacency", "missing_separation", "dimension_stats")
 
     def to_json_obj(self) -> dict:
         return {

@@ -9,7 +9,7 @@ from intervalcubes import (
     random_interval_model,
     serialize_graph,
 )
-from intervalcubes import cli, construct, graphs, recognition
+from intervalcubes import generate, graphs, intervals, recognition, verify
 from intervalcubes.cli import main
 from intervalcubes.generate import DISTRIBUTIONS
 
@@ -257,7 +257,7 @@ def test_verify_refuses_an_unbounded_grid_exit_65(capsys, tmp_path):
     rep_path.write_text(json.dumps({"dimension": 1, "side": "1", "coords": coords}))
     code, out, err = run(capsys, "verify", str(graph_path), str(rep_path))
     assert code == 65
-    assert out == "" and f"more than {construct.MAX_UNIT_BITS} bits" in err
+    assert out == "" and f"more than {verify.MAX_UNIT_BITS} bits" in err
 
     # a normalized build of a generated model still loads and verifies
     model = random_interval_model(GenConfig(n=300, seed=3, dist="unit-jitter"))
@@ -267,7 +267,7 @@ def test_verify_refuses_an_unbounded_grid_exit_65(capsys, tmp_path):
                      "--out", str(rep_path))
     assert code == 0
     unit = CubeRepresentation.loads(rep_path.read_text()).unit
-    assert unit.bit_length() <= construct.MAX_UNIT_BITS
+    assert unit.bit_length() <= verify.MAX_UNIT_BITS
     assert run(capsys, "verify", str(model_path), str(rep_path))[0] == 0
 
 
@@ -341,7 +341,7 @@ def test_model_input_skips_recognition(capsys, tmp_path, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(recognition, "recognize_and_order", refuse)
                 if command[0] in ("recognize", "order", "label"):
-                    patch.setattr(cli, "model_to_graph", no_graph)
+                    patch.setattr(intervals, "model_to_graph", no_graph)
                 model_code, model_out, _ = run(capsys, *command, model_path)
             assert model_code == code == 0
             edge_obj, model_obj = json.loads(edge_out), json.loads(model_out)
@@ -376,7 +376,7 @@ def test_vertex_limit_refuses_before_allocating(capsys, tmp_path, monkeypatch):
     def no_model(*args):
         raise AssertionError("generated the model")
 
-    monkeypatch.setattr(cli, "random_interval_model", no_model)
+    monkeypatch.setattr(generate, "random_interval_model", no_model)
     with pytest.raises(SystemExit) as excinfo:
         main(["gen", "--n", str(graphs.MAX_VERTICES + 1)])
     assert excinfo.value.code == 64

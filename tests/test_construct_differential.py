@@ -166,21 +166,44 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
     monkeypatch.setattr(Graph, "__init__", counting("graph", Graph.__init__))
 
-    winners = set()
+    winners, padded = set(), 0
     for graph, ordering in _corpus():
         calls.update(dict.fromkeys(calls, 0))
         built.clear()
         build_best(ordering)
+        padded += calls["padded"]
         assert calls["graph"] == 0
         assert calls["claw"] == (1 if graph.n else 0)
         # one greedy on a neighbourhood, for the witness of a graph with an
         # edge: any per-vertex greedy would run it n times
         assert calls["neighborhood"] == (1 if graph.edge_count else 0)
-        # one psi pass for the claw number, and one more only where padding
-        # picks a center
-        assert calls["psi"] == calls["claw"] + calls["padded"]
+        # one psi pass serves the claw number and the padding center
+        assert calls["psi"] == calls["claw"]
         assert calls["build"] <= 1
         if built:
             # the alpha variant builds on the ordering plus a universal vertex
             winners.add("alpha" if built[0] == graph.n + 1 else "claw")
     assert winners == {"claw", "alpha"}
+    assert padded > 0
+
+
+def _check_universal_vertex_claws(ordering):
+    claws = params.vertex_claws(ordering)
+    alpha = label_vertices(ordering).alpha
+    augmented = params.vertex_claws(_augment_with_universal(ordering))
+    assert augmented == [max(c, 1) for c in claws] + [alpha]
+
+
+def test_universal_vertex_claws_follow_from_the_ordering():
+    """The alpha variant pads the ordering plus a universal vertex with
+    psi values read off the ordering's own pass: the universal vertex's is
+    alpha, and it lifts no other but a 0 to 1."""
+    for graph, ordering in _corpus():
+        if graph.n:
+            _check_universal_vertex_claws(ordering)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_models())
+def test_universal_vertex_claws_follow_from_the_ordering_hypothesis(model):
+    _check_universal_vertex_claws(model_pipeline(model)[1])

@@ -20,13 +20,10 @@ PACKAGE = ROOT / "src" / "intervalcubes"
 
 
 def exported_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """The names the package's lazy table resolves on first use."""
+    import intervalcubes
+
+    return set(intervalcubes._EXPORTS)
 
 
 def references() -> list[tuple[str | None, str]]:
@@ -48,11 +45,14 @@ def references() -> list[tuple[str | None, str]]:
 
 
 def top_level_definitions() -> set[str]:
+    """Top-level functions and classes, less the module hooks such as
+    `__getattr__` that Python itself calls."""
     return {
         top.name
         for path in PACKAGE.glob("*.py")
         for top in ast.parse(path.read_text()).body
         if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not (top.name.startswith("__") and top.name.endswith("__"))
     }
 
 

@@ -1,0 +1,108 @@
+"""Each CLI command loads only the modules it runs, none loads
+`dataclasses`, and a bare `import intervalcubes` loads no submodule.
+
+Every command runs in a fresh interpreter, as the CLI does, and reports
+the package modules loaded once it has finished.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import intervalcubes
+
+SRC = str(Path(intervalcubes.__file__).resolve().parents[1])
+
+PROBE = """
+import json, sys
+before = "dataclasses" in sys.modules
+from intervalcubes import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "dataclasses": "dataclasses" in sys.modules and not before,
+    "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("intervalcubes.")),
+}))
+"""
+
+EVERY = {
+    "cli", "construct", "generate", "graphs", "intervals", "labelling", "oracle", "params",
+    "rationals", "recognition", "search", "verify",
+}
+BASE = {"cli", "graphs", "intervals", "rationals"}
+
+
+def _python(*args: str) -> str:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _run(*argv: str) -> dict:
+    return json.loads(_python("-c", PROBE, *argv).splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("startup")
+    _run("gen", "--n", "12", "--seed", "1", "--out", str(d / "model.json"))
+    (d / "path.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+    _run("construct", str(d / "model.json"), "--variant", "best", "--out", str(d / "rep.json"))
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["construct", "model.json", "--variant", "best", "--normalize"],
+         EVERY - {"recognition", "oracle", "search", "generate"}),
+        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"}),
+        (["verify", "model.json", "rep.json"], BASE | {"verify"}),
+        (["exact", "path.txt"], BASE | {"oracle"}),
+        (["search", "--count", "3", "--n-max", "5"],
+         EVERY - {"construct", "verify", "recognition"}),
+        (["gen", "--n", "5"], BASE | {"generate"}),
+    ],
+    ids=["construct-model", "construct-edges", "verify", "exact", "search", "gen"],
+)
+def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
+    argv = [str(inputs / a) if (inputs / a).exists() else a for a in argv]
+    result = _run(*argv, "--out", str(inputs / "out.json"))
+    assert result["code"] == 0
+    assert set(result["modules"]) == expected
+    assert not result["dataclasses"]
+
+
+def test_bare_import_loads_no_submodule():
+    probe = "import sys, intervalcubes; print([m for m in sys.modules if '.' in m])"
+    assert "intervalcubes." not in _python("-c", probe)
+
+
+def test_every_export_resolves_and_is_listed():
+    listed = dir(intervalcubes)
+    for name, module in intervalcubes._EXPORTS.items():
+        value = getattr(intervalcubes, name)
+        assert value is getattr(sys.modules[f"intervalcubes.{module}"], name)
+        assert name in listed
+
+
+def test_star_import_gives_every_export():
+    names: dict = {}
+    exec("from intervalcubes import *", names)
+    assert set(intervalcubes._EXPORTS) <= names.keys()
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        intervalcubes.no_such_name
+    assert not hasattr(intervalcubes, "no_such_name")
