@@ -27,7 +27,7 @@ from fractions import Fraction
 from .graphs import ConstructionError, Record
 from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices, suffix_best
-from .params import best_dimension, ceil_log2, claw_number, vertex_claws
+from .params import best_dimension, ceil_log2, vertex_claws
 from .rationals import format_rational
 from .verify import CubeRepresentation, complete_dimensions
 
@@ -159,7 +159,7 @@ def build_representation(
     the degenerate one-dimensional route and carry no trace.
     """
     claws = vertex_claws(ordering)
-    psi, _ = claw_number(ordering, claws)
+    psi = max(claws, default=0)
     if psi < 2:
         return build_degenerate(ordering), None
     return _build(ordering, psi, claws)
@@ -278,7 +278,7 @@ def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
         return build_degenerate(ordering)
     best = suffix_best(ordering)
     claws = vertex_claws(ordering, best)
-    psi, _ = claw_number(ordering, claws)
+    psi = max(claws)
     labelling = label_vertices(ordering, best)
     alpha = labelling.alpha
     if best_dimension(psi, alpha) == ceil_log2(alpha):

@@ -82,9 +82,6 @@ class CliqueOrdering(Record):
     def n(self) -> int:
         return len(self.left)
 
-    def ranges_intersect(self, u: int, v: int) -> bool:
-        return self.left[u] <= self.right[v] and self.left[v] <= self.right[u]
-
     def by_left(self) -> list[list[int]]:
         """Vertices grouped by leftmost clique index, each group ascending."""
         groups: list[list[int]] = [[] for _ in range(self.k)]

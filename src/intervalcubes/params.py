@@ -114,16 +114,14 @@ def vertex_claws(ordering: CliqueOrdering, best: list[int | None] | None = None)
     return claws
 
 
-def claw_number(
-    ordering: CliqueOrdering, claws: list[int] | None = None
-) -> tuple[int, StarWitness | None]:
+def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
     """Largest m with an induced star on m leaves; 0 for edgeless graphs.
 
     The centre is the lowest-indexed vertex with the largest psi(v), from
-    one `vertex_claws` pass, or from `claws` when the caller has made it;
-    `neighborhood_mis` runs once, on that centre, for the witness leaves."""
-    if claws is None:
-        claws = vertex_claws(ordering)
+    one `vertex_claws` pass; `neighborhood_mis` runs once, on that centre,
+    for the witness leaves.  The builders and the search need psi alone and
+    read it off their own pass."""
+    claws = vertex_claws(ordering)
     psi = max(claws, default=0)
     if psi == 0:
         return 0, None

@@ -15,7 +15,7 @@ from .graphs import SizeRefusalError, parse_graph, serialize_graph
 from .intervals import DISTRIBUTIONS, model_to_clique_ordering, model_to_graph
 from .labelling import label_vertices
 from .oracle import Exceeded, exact_cubicity
-from .params import best_dimension, ceil_log2, claw_number
+from .params import best_dimension, ceil_log2, vertex_claws
 
 
 class SearchReport:
@@ -76,7 +76,7 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        psi, _ = claw_number(ordering)
+        psi = max(vertex_claws(ordering))
         alpha = label_vertices(ordering).alpha
         dimension = best_dimension(psi, alpha)
         # the proven upper bound; family sizes are searched from 1

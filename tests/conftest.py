@@ -24,6 +24,7 @@ from intervalcubes.generate import DISTRIBUTIONS
 from intervalcubes.rationals import parse_rational
 
 from oracle_reference import reference_supergraphs
+from validators import ranges_intersect
 
 
 def make_model(pairs) -> IntervalModel:
@@ -131,8 +132,11 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
     clique suffix of the prefix; exists exactly for indifference graphs.
 
     This is the order search cut at the first forced edge, so the first
-    full order it reaches is umbrella-free for the graph itself.  Its cost
-    can grow with n!, so graphs above MAX_ORACLE_VERTICES are refused.
+    full order it reaches is umbrella-free for the graph itself.  The
+    search places twins in index order, which loses nothing: swapping
+    twins keeps an order umbrella-free, so one in that form exists
+    whenever any does.  Its cost can grow with n!, so graphs above
+    MAX_ORACLE_VERTICES are refused.
     """
     oracle._refuse_if_many_vertices(graph)
     found: list[tuple[int, ...]] = []
@@ -149,7 +153,8 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
 def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
     """The inclusion-maximal sets of input non-edges that one indifference
     supergraph can leave uncovered, as sorted pair lists."""
-    candidates, missing, _ = oracle._enumerate_candidates(graph)
+    missing = oracle._refuse_if_large(graph)
+    candidates, _ = oracle._enumerate_candidates(graph, missing)
     return reference_supergraphs(candidates, missing)
 
 
@@ -202,7 +207,7 @@ def range_graph(ordering) -> Graph:
     n = ordering.n
     return Graph(
         n,
-        [(u, v) for u in range(n) for v in range(u + 1, n) if ordering.ranges_intersect(u, v)],
+        [(u, v) for u in range(n) for v in range(u + 1, n) if ranges_intersect(ordering, u, v)],
     )
 
 

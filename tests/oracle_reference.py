@@ -6,8 +6,10 @@ for a vertex order in which every earlier neighbour run is a clique
 suffix of the prefix.  Its cost follows 2^(non-edges), so it is only fit
 for small inputs; the library enumerates vertex orders instead.
 
-Also here: exact claw and independence numbers by exhaustive search, and
-explicit unit-interval positions for a graph along a given vertex order.
+Also here: the order search over every vertex order, which the library
+now runs over twin-canonical orders seeded by greedy descents; exact
+claw and independence numbers by exhaustive search; and explicit
+unit-interval positions for a graph along a given vertex order.
 """
 
 from __future__ import annotations
@@ -221,6 +223,90 @@ def reference_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]]
     candidates = [universe ^ added for added in minimal_added]
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     return candidates, missing
+
+
+def order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
+    """Depth-first search over all vertex orders, placing one vertex at a time.
+
+    Placing x at position t joins x to every earlier vertex from position f
+    on, where f is the first earlier position whose vertex still has a
+    neighbor among the unplaced vertices, x included; f never decreases
+    along a branch.  Each prefix carries the edges this forces beyond the
+    graph, as the union of `pair_bit[x][u]` over the forced pairs.  A
+    prefix with prune(added) true is cut, and every full order that
+    survives goes to leaf(order, added), which returns True to stop.
+    Returns the number of prefixes visited.
+    """
+    n = graph.n
+    adj = _adj_masks(graph)
+    everyone = (1 << n) - 1
+    order: list[int] = []
+    prefix_masks = [0]
+    visited = 0
+
+    def extend(f: int, added: int) -> bool:
+        nonlocal visited
+        visited += 1
+        if prune(added):
+            return False
+        t = len(order)
+        if t == n:
+            return leaf(tuple(order), added)
+        placed = prefix_masks[t]
+        unplaced = everyone ^ placed
+        while f < t and not adj[order[f]] & unplaced:
+            f += 1
+        window = placed ^ prefix_masks[f]
+        for x in range(n):
+            if (placed >> x) & 1:
+                continue
+            gained = added
+            forced = window & ~adj[x]
+            while forced:
+                low = forced & -forced
+                gained |= pair_bit[x][low.bit_length() - 1]
+                forced ^= low
+            order.append(x)
+            prefix_masks.append(placed | (1 << x))
+            if extend(f, gained):
+                return True
+            order.pop()
+            prefix_masks.pop()
+        return False
+
+    extend(0, 0)
+    return visited
+
+
+def order_candidates(graph: Graph) -> tuple[list[int], list[tuple[int, int]], int]:
+    """The candidate masks, sorted by (-size, mask), the non-edge list and
+    the prefixes visited, from the search over every vertex order.
+
+    Every indifference supergraph of G contains the closure of G under one
+    of its umbrella-free orders, so the minimal added sets are the minimal
+    closures over all orders.  A prefix's added set only grows along its
+    branch, so prefixes containing a closure already found are cut; a new
+    closure evicts the found ones that contain it.
+    """
+    missing = non_edges(graph)
+    pair_bit = [[0] * graph.n for _ in range(graph.n)]
+    for i, (u, v) in enumerate(missing):
+        pair_bit[u][v] = pair_bit[v][u] = 1 << i
+    minimal_added: list[int] = []
+
+    def contains_found(added: int) -> bool:
+        return any(found & added == found for found in minimal_added)
+
+    def keep(_, added: int) -> bool:
+        minimal_added[:] = [found for found in minimal_added if found & added != added]
+        minimal_added.append(added)
+        return False
+
+    visited = order_closures(graph, pair_bit, contains_found, keep)
+    universe = (1 << len(missing)) - 1
+    candidates = [universe ^ added for added in minimal_added]
+    candidates.sort(key=lambda m: (-m.bit_count(), m))
+    return candidates, missing, visited
 
 
 def reference_supergraphs(candidates, missing) -> list[list[tuple[int, int]]]:

@@ -139,7 +139,7 @@ def test_padding_reference_on_rebuilt_graphs():
 
 
 def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
-    calls = {"claw": 0, "psi": 0, "neighborhood": 0, "pad": 0, "padded": 0, "build": 0, "graph": 0}
+    calls = {"psi": 0, "neighborhood": 0, "pad": 0, "padded": 0, "build": 0, "graph": 0}
     built = []  # vertex count of each ordering the builder ran on
 
     def counting(key, func):
@@ -154,7 +154,6 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(construct, "claw_number", counting("claw", construct.claw_number))
     # every psi pass, whether for the claw number or the padding center
     psi_pass = counting("psi", params.vertex_claws)
     monkeypatch.setattr(params, "vertex_claws", psi_pass)
@@ -173,12 +172,10 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         build_best(ordering)
         padded += calls["padded"]
         assert calls["graph"] == 0
-        assert calls["claw"] == (1 if graph.n else 0)
-        # one greedy on a neighbourhood, for the witness of a graph with an
-        # edge: any per-vertex greedy would run it n times
-        assert calls["neighborhood"] == (1 if graph.edge_count else 0)
+        # no greedy on a neighbourhood: the build needs psi, not a witness
+        assert calls["neighborhood"] == 0
         # one psi pass serves the claw number and the padding center
-        assert calls["psi"] == calls["claw"]
+        assert calls["psi"] == (1 if graph.n else 0)
         assert calls["build"] <= 1
         if built:
             # the alpha variant builds on the ordering plus a universal vertex

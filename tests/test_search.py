@@ -65,21 +65,18 @@ def test_refused_samples_are_counted_not_fatal():
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     from intervalcubes import construct, params, search
 
-    calls = {"claw": 0, "psi": 0, "neighborhood": 0, "build": 0}
-    claws = []  # the claw number of each sample
+    calls = {"psi": 0, "neighborhood": 0, "build": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            result = func(*args, **kwargs)
-            if key == "claw":
-                claws.append(result[0])
-            return result
+            return func(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(search, "claw_number", counting("claw", search.claw_number))
-    monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
+    psi_pass = counting("psi", params.vertex_claws)
+    monkeypatch.setattr(params, "vertex_claws", psi_pass)
+    monkeypatch.setattr(search, "vertex_claws", psi_pass)
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
@@ -87,8 +84,6 @@ def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     monkeypatch.setattr(construct, "_build_alpha", counting("build", construct._build_alpha))
     report = tightness_search(count=23, n_max=8, seed=3)
     assert report.graphs_tried + report.oracle_refused == 23
-    # one claw number and one psi pass per sample; the only greedy on a
-    # neighbourhood finds the witness, so a per-vertex greedy would show
-    # up as n of them
-    witnessed = sum(1 for psi in claws if psi >= 1)
-    assert calls == {"claw": 23, "psi": 23, "neighborhood": witnessed, "build": 0}
+    # one psi pass per sample, and no greedy on a neighbourhood: the
+    # search needs psi, not a witness
+    assert calls == {"psi": 23, "neighborhood": 0, "build": 0}

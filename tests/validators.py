@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from intervalcubes import CliqueOrdering, Graph, Labelling, greedy_independent
 
 
+def ranges_intersect(ordering: CliqueOrdering, u: int, v: int) -> bool:
+    """Whether the clique ranges of u and v share a clique index."""
+    return ordering.left[u] <= ordering.right[v] and ordering.left[v] <= ordering.right[u]
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed check: a kind tag plus the witness that breaks it."""
@@ -97,7 +102,7 @@ def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationRepor
 
     for u in range(n):
         for v in range(u + 1, n):
-            if graph.has_edge(u, v) != ordering.ranges_intersect(u, v):
+            if graph.has_edge(u, v) != ranges_intersect(ordering, u, v):
                 violations.append(
                     Violation("adjacency-mismatch", (u, v), "range overlap disagrees with edge")
                 )

@@ -11,6 +11,8 @@ from __future__ import annotations
 from intervalcubes import Graph, VerificationReport
 from intervalcubes.recognition import ConstructionError
 
+from validators import ranges_intersect
+
 
 def model_to_graph_pairwise(model) -> Graph:
     """Closed-interval overlap graph; a shared endpoint is an edge."""
@@ -74,5 +76,5 @@ def check_ordering_sanity_pairwise(graph: Graph, ordering):
             raise ConstructionError(f"clique run of vertex {v} is not consecutive")
     for u in range(graph.n):
         for v in range(u + 1, graph.n):
-            if graph.has_edge(u, v) != ordering.ranges_intersect(u, v):
+            if graph.has_edge(u, v) != ranges_intersect(ordering, u, v):
                 raise ConstructionError(f"ordering disagrees with adjacency on ({u}, {v})")
