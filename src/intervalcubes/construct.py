@@ -89,7 +89,9 @@ def pad_graph(ordering: CliqueOrdering, psi: int, claws: list[int] | None = None
     `vertex_claws` pass, O(n + k + sum of psi(v)), which is made here when
     not given; not from a greedy per vertex.
     Its chain may end on a different vertex than the greedy on N(v) would,
-    but always with the same count, so the center is the same."""
+    but always with the same count, so the center is the same.  The last
+    clique is the vertices whose range ends at k - 1, and the pendants
+    are appended ranges, so the rest costs O(n + k)."""
     if psi < 2:
         raise ValueError("padding needs claw number at least 2")
     power = ceil_log2(psi)
@@ -97,23 +99,21 @@ def pad_graph(ordering: CliqueOrdering, psi: int, claws: list[int] | None = None
     if target == psi:
         return PaddedGraph(ordering, power, 0, None)
 
-    n, k = ordering.n, ordering.k
+    k = ordering.k
     if claws is None:
         claws = vertex_claws(ordering)
-    center = min(ordering.cliques[-1], key=lambda v: (-claws[v], v))
+    last = [v for v, r in enumerate(ordering.right) if r == k - 1]
+    center = min(last, key=lambda v: (-claws[v], v))
     added = target - claws[center]
 
     # a center alone in the last clique is isolated: the first pendant
     # clique takes that clique's place, which {center} alone would not
     # survive as a maximal clique
-    first = k - 1 if len(ordering.cliques[-1]) == 1 else k
-    cliques = list(ordering.cliques[:first]) + [
-        frozenset({center, n + i}) for i in range(added)
-    ]
+    first = k - 1 if len(last) == 1 else k
     left = list(ordering.left) + [first + i for i in range(added)]
     right = list(ordering.right) + [first + i for i in range(added)]
     right[center] = first + added - 1
-    padded_ordering = CliqueOrdering(tuple(cliques), tuple(left), tuple(right))
+    padded_ordering = CliqueOrdering(first + added, tuple(left), tuple(right))
     return PaddedGraph(padded_ordering, power, added, center)
 
 
@@ -220,20 +220,17 @@ def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
     2j; zero dimensions when there is at most one clique."""
     if ordering.left != ordering.right:
         raise ValueError("graph is not a disjoint union of cliques")
-    n = ordering.n
     if ordering.k <= 1:
-        return CubeRepresentation(0, 1, ((),) * n, 1)
-    coord = [0] * n
-    for rank, clique in enumerate(sorted(ordering.cliques, key=min)):
-        for v in clique:
-            coord[v] = 2 * rank
-    return CubeRepresentation(1, 1, tuple((x,) for x in coord), 1)
+        return CubeRepresentation(0, 1, ((),) * ordering.n, 1)
+    # walking the vertices upwards meets each clique first at its smallest
+    rank: dict[int, int] = {}
+    coords = tuple((2 * rank.setdefault(j, len(rank)),) for j in ordering.left)
+    return CubeRepresentation(1, 1, coords, 1)
 
 
 def _augment_with_universal(ordering: CliqueOrdering) -> CliqueOrdering:
-    n, k = ordering.n, ordering.k
-    cliques = tuple(c | {n} for c in ordering.cliques)
-    return CliqueOrdering(cliques, ordering.left + (0,), ordering.right + (k - 1,))
+    k = ordering.k
+    return CliqueOrdering(k, ordering.left + (0,), ordering.right + (k - 1,))
 
 
 def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:

@@ -2,8 +2,9 @@
 
 An interval graph's maximal cliques can be linearly ordered so that the
 cliques containing any one vertex are consecutive.  The CliqueOrdering
-type is that witness: the clique list plus each vertex's leftmost and
-rightmost clique index.  Everything downstream (labelling, coordinate
+type is that witness, kept as each vertex's leftmost and rightmost clique
+index alone: clique C_j is every vertex whose range holds j, so no
+clique list is stored.  Everything downstream (labelling, coordinate
 construction) consumes orderings, not raw models.
 """
 
@@ -67,16 +68,13 @@ class IntervalModel(Record):
 
 
 class CliqueOrdering(Record):
-    """Maximal cliques C_0..C_{k-1} in consecutive order (`cliques`, a
-    tuple of frozensets), plus per-vertex leftmost/rightmost clique indices
-    (`left`, `right`, tuples of ints).  Two vertices are adjacent exactly
-    when their index ranges intersect."""
+    """Maximal cliques C_0..C_{k-1} in consecutive order, kept as the
+    number of cliques `k` and per-vertex leftmost/rightmost clique
+    indices (`left`, `right`, tuples of ints): C_j holds the vertices
+    whose range holds j.  Two vertices are adjacent exactly when their
+    index ranges intersect."""
 
-    __slots__ = ("cliques", "left", "right")
-
-    @property
-    def k(self) -> int:
-        return len(self.cliques)
+    __slots__ = ("k", "left", "right")
 
     @property
     def n(self) -> int:
@@ -90,15 +88,16 @@ class CliqueOrdering(Record):
         return groups
 
     def to_json_obj(self) -> dict:
-        return {
-            "cliques": [sorted(c) for c in self.cliques],
-            "left": list(self.left),
-            "right": list(self.right),
-        }
+        cliques: list[list[int]] = [[] for _ in range(self.k)]
+        for v, (lv, rv) in enumerate(zip(self.left, self.right)):
+            for j in range(lv, rv + 1):
+                cliques[j].append(v)
+        return {"cliques": cliques, "left": list(self.left), "right": list(self.right)}
 
 
 def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
-    """Derive left/right indices from an ordered clique list."""
+    """Left/right indices from an ordered clique list; ValueError unless
+    every vertex is in some clique and its cliques are consecutive."""
     left = [-1] * n
     right = [-1] * n
     for i, clique in enumerate(cliques):
@@ -109,7 +108,19 @@ def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
     if any(l < 0 for l in left):
         missing = [v for v in range(n) if left[v] < 0]
         raise ValueError(f"vertices not covered by any clique: {missing}")
-    return CliqueOrdering(tuple(frozenset(c) for c in cliques), tuple(left), tuple(right))
+    # a vertex's range spans at least the cliques it is in, and exactly
+    # them when they are consecutive
+    if sum(right) - sum(left) + n != sum(map(len, cliques)):
+        raise ValueError("some vertex's cliques are not consecutive")
+    return CliqueOrdering(len(cliques), tuple(left), tuple(right))
+
+
+def ranked_endpoints(model: IntervalModel) -> tuple[list[int], list[int]]:
+    """Each interval's ends as ranks among the distinct endpoints, so that
+    every later comparison is between small ints."""
+    ivs = model.intervals
+    rank = {x: r for r, x in enumerate(sorted({x for iv in ivs for x in iv}))}
+    return [rank[a] for a, _ in ivs], [rank[b] for _, b in ivs]
 
 
 def model_to_graph(model: IntervalModel) -> Graph:
@@ -135,30 +146,29 @@ def model_to_graph(model: IntervalModel) -> Graph:
 def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
     """Left-to-right endpoint sweep producing the maximal cliques in order.
 
-    At each coordinate we first admit every interval starting there, then,
-    if an interval ends there and some interval was admitted since the last
-    snapshot, the current active set is a maximal clique.
+    At each coordinate every interval starting there is admitted first;
+    then, if an interval ends there and some interval was admitted since
+    the last snapshot, the open intervals form the next maximal clique.
+    An interval's range runs from the first snapshot taken once it is
+    open to the last one taken before it closes, so each vertex's indices
+    are read off the snapshot count at its ends and no clique is listed.
     """
-    starts: dict[Fraction, list[int]] = {}
-    ends: dict[Fraction, list[int]] = {}
-    for v, (lo, hi) in enumerate(model.intervals):
-        starts.setdefault(lo, []).append(v)
-        ends.setdefault(hi, []).append(v)
-    coords = sorted(set(starts) | set(ends))
-    active: set[int] = set()
-    inserted_since_snapshot = False
-    cliques: list[frozenset[int]] = []
-    for x in coords:
-        for v in starts.get(x, ()):
-            active.add(v)
-            inserted_since_snapshot = True
-        ending = ends.get(x, ())
-        if ending and inserted_since_snapshot:
-            cliques.append(frozenset(active))
-            inserted_since_snapshot = False
-        for v in ending:
-            active.remove(v)
-    return ordering_from_cliques(cliques, model.n)
+    lo, hi = ranked_endpoints(model)
+    m = max(hi, default=-1) + 1  # the largest endpoint is some interval's hi
+    starting, ending = [False] * m, [False] * m
+    for r in lo:
+        starting[r] = True
+    for r in hi:
+        ending[r] = True
+    k, admitted = 0, False
+    at_start, at_end = [0] * m, [0] * m
+    for x in range(m):
+        at_start[x] = k
+        admitted = admitted or starting[x]
+        if ending[x] and admitted:
+            k, admitted = k + 1, False
+        at_end[x] = k - 1
+    return CliqueOrdering(k, tuple(at_start[r] for r in lo), tuple(at_end[r] for r in hi))
 
 
 def greedy_independent(ordering: CliqueOrdering, vertices=None) -> list[int]:

@@ -56,8 +56,6 @@ def label_vertices(ordering: CliqueOrdering, best: list[int | None] | None = Non
     """Deterministic labelling; anchor ties break to the lowest index.
     `best` is the ordering's `suffix_best` table, made here when not given."""
     n, k = ordering.n, ordering.k
-    if n == 0:
-        raise ValueError("cannot label an empty graph")
     left, right = ordering.left, ordering.right
     if best is None:
         best = suffix_best(ordering)

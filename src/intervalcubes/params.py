@@ -33,6 +33,8 @@ once more, on the centre it picks, for the witness leaves.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .graphs import Graph, Record
 from .intervals import CliqueOrdering, greedy_independent
 from .labelling import Labelling, label_vertices, suffix_best
@@ -75,21 +77,19 @@ class ParamReport(Record):
         }
 
 
-def neighborhood_mis(
-    ordering: CliqueOrdering, v: int, by_left: list[list[int]]
-) -> tuple[int, tuple[int, ...]]:
+def neighborhood_mis(ordering: CliqueOrdering, v: int) -> tuple[int, tuple[int, ...]]:
     """Maximum independent set size within N(v), with the chosen leaves.
 
-    N(v) with v is C_{left v} plus every vertex whose range starts in
-    (left v, right v]; `by_left` is `ordering.by_left()`, the vertices
-    grouped by their left clique index.  Induced subgraphs of interval
-    graphs are interval and inherit the clique ranges, so the
-    earliest-finish greedy is exact here.
+    N(v) is every other vertex whose range meets v's, one scan of the
+    ranges.  Induced subgraphs of interval graphs are interval and
+    inherit the clique ranges, so the earliest-finish greedy is exact
+    here.
     """
-    left, right = ordering.left[v], ordering.right[v]
-    pool = [u for u in ordering.cliques[left] if u != v]
-    for j in range(left + 1, right + 1):
-        pool.extend(by_left[j])
+    lv, rv = ordering.left[v], ordering.right[v]
+    pool = [
+        u for u, (lu, ru) in enumerate(zip(ordering.left, ordering.right))
+        if lu <= rv and lv <= ru and u != v
+    ]
     leaves = greedy_independent(ordering, pool)
     return len(leaves), tuple(leaves)
 
@@ -102,9 +102,15 @@ def vertex_claws(ordering: CliqueOrdering, best: list[int | None] | None = None)
     if best is None:
         best = suffix_best(ordering)
     after = [right[u] + 1 for u in best[:k]]
+    # |C_j| by a difference array over the ranges
+    change = [0] * (k + 1)
+    for lv, rv in zip(ordering.left, right):
+        change[lv] += 1
+        change[rv + 1] -= 1
+    size = list(accumulate(change))
     claws = []
     for v, (lv, rv) in enumerate(zip(ordering.left, right)):
-        if lv == rv and len(ordering.cliques[lv]) == 1:  # v is isolated
+        if lv == rv and size[lv] == 1:  # v is isolated
             claws.append(0)
             continue
         count, j = 1, lv + 1
@@ -126,7 +132,7 @@ def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
     if psi == 0:
         return 0, None
     center = claws.index(psi)
-    _, leaves = neighborhood_mis(ordering, center, ordering.by_left())
+    _, leaves = neighborhood_mis(ordering, center)
     return psi, StarWitness(center=center, leaves=leaves)
 
 

@@ -16,6 +16,11 @@ consecutive ones testing", Theoret. Comput. Sci. 234 (2000):
 Steps 1 and 2 cost O(n + m), plus sorting each neighbourhood once for
 the LexBFS tie-break.  Step 3 costs O(n + Σ|C|) plus, for every clique a
 refinement moves, a scan of that clique's vertices.  No step recurses.
+
+The clique sets live only inside this module: `ordering_from_cliques`
+turns the arranged list into each vertex's first and last clique index,
+checking on the way that its cliques are consecutive, and the returned
+`CliqueOrdering` holds those ranges alone.
 """
 
 from __future__ import annotations
@@ -218,7 +223,7 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
     """Recognize an interval graph and return a valid clique ordering,
     or a NotInterval result carrying the failing stage."""
     if graph.n == 0:
-        return CliqueOrdering((), (), ())
+        return CliqueOrdering(0, (), ())
     peo = perfect_elimination_ordering(graph)
     if peo is None:
         return NotInterval("not-chordal")
@@ -226,10 +231,9 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
     arrangement = _arrange_cliques(cliques, graph.n)
     if arrangement is None:
         return NotInterval("no-consecutive-ordering")
-    ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
-    # a vertex's range spans at least the cliques it is in, and exactly
-    # them when they are consecutive
-    if sum(ordering.right) - sum(ordering.left) + graph.n != sum(map(len, cliques)):
+    try:
+        ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
+    except ValueError:
         return NotInterval("no-consecutive-ordering")
     _check_ordering_sanity(graph, ordering)
     return ordering
@@ -244,22 +248,15 @@ def require_ordering(graph: Graph) -> CliqueOrdering:
 
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
-    """Cheap canaries in O(n + m + Σ|C_j|); the full validator,
-    `validate_ordering`, is a test oracle in tests/validators.py.
+    """Cheap canaries in O(n + m); the full validator, `validate_ordering`,
+    is a test oracle in tests/validators.py.  That every vertex's cliques
+    are consecutive is checked where the ranges are made, by
+    `ordering_from_cliques`.
 
-    Every vertex's cliques form one non-empty run from `left` to `right`.
     Every edge's ranges meet, and exactly m pairs of ranges meet, so the
     ranges describe the graph's edges and nothing else.
     """
     n, left, right = graph.n, ordering.left, ordering.right
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for i, clique in enumerate(ordering.cliques):
-        for v in clique:
-            membership[v].append(i)
-    for v in range(n):
-        runs = membership[v]
-        if not runs or runs != list(range(left[v], right[v] + 1)):
-            raise ConstructionError(f"clique run of vertex {v} is not consecutive")
     # u's own ends are read once per adjacency row, not once per edge
     for u, row in enumerate(graph.adj):
         lu, ru = left[u], right[u]

@@ -31,7 +31,7 @@ from heapq import heappop, heappush
 from math import lcm
 
 from .graphs import Graph, Record, non_edges
-from .intervals import IntervalModel
+from .intervals import IntervalModel, ranked_endpoints
 from .rationals import format_rational, parse_rational
 
 # A document's values go onto the lcm of their denominators, which grows
@@ -133,7 +133,7 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
     rows, side, d = rep.coords, rep.side, rep.dimension
     model = isinstance(graph, IntervalModel)
     if model:
-        lo, hi = _ranked_endpoints(graph)
+        lo, hi = ranked_endpoints(graph)
 
         def apart(v, us):
             lv, hv = lo[v], hi[v]
@@ -174,14 +174,6 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
         missing_separation=tuple(missing_separation),
         dimension_stats=stats,
     )
-
-
-def _ranked_endpoints(model: IntervalModel) -> tuple[list[int], list[int]]:
-    """Each interval's ends as ranks among the distinct endpoints, so that
-    every later comparison is between small ints."""
-    ivs = model.intervals
-    rank = {x: r for r, x in enumerate(sorted({x for iv in ivs for x in iv}))}
-    return [rank[a] for a, _ in ivs], [rank[b] for _, b in ivs]
 
 
 def _disjoint_pairs(lo: list[int], hi: list[int]) -> list[tuple[int, int]]:

@@ -69,6 +69,23 @@ def test_params(capsys, p3_file):
     assert obj["psi"] == 2 and obj["alpha"] == 2 and obj["lower_bound"] == 1
 
 
+@pytest.mark.parametrize("text", ["0 0\n", '{"intervals": []}'], ids=["edge-list", "model"])
+def test_empty_graph_accepted(capsys, tmp_path, text):
+    path = tmp_path / "empty"
+    path.write_text(text)
+    expected = {
+        "recognize": {"interval": True, "cliques": 0},
+        "order": {"cliques": [], "left": [], "right": []},
+        "label": {"levels": [], "anchors": [], "alpha": 0},
+        "params": {"psi": 0, "alpha": 0, "lower_bound": 0, "witness": None},
+    }
+    for command, obj in expected.items():
+        code, out, _ = run(capsys, command, str(path))
+        assert (code, json.loads(out)) == (0, obj), command
+    code, out, _ = run(capsys, "construct", str(path), "--variant", "best")
+    assert code == 0 and json.loads(out)["coords"] == []
+
+
 def test_construct_variants(capsys, p3_file):
     code, out, _ = run(capsys, "construct", p3_file)
     assert code == 0

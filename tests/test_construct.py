@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from intervalcubes import (
+    CliqueOrdering,
     CubeRepresentation,
     Graph,
     NotIntervalError,
@@ -37,10 +38,12 @@ from conftest import (
     padded_graph,
     path_graph,
     random_models,
+    range_graph,
     star_graph,
     star_model,
     values,
 )
+from validators import clique_sets
 
 F = Fraction
 
@@ -79,7 +82,7 @@ def test_pad_star3_becomes_star4():
     # the pendant hangs off the center (the only vertex in the last clique
     # with a 3-leaf star)
     assert padded.center == 0
-    assert padded.ordering.cliques[-1] == frozenset({0, 4})
+    assert clique_sets(padded.ordering)[-1] == frozenset({0, 4})
     psi, _ = adjacency_claw_number(padded.ordering, padded_graph(graph, padded))
     assert psi == 4
 
@@ -104,13 +107,13 @@ def test_pad_center_ties_go_to_lowest_index():
     # vertices 0 and 1 both span the line and see the same three leaves
     model = make_model([(0, 10), (0, 10), (1, 1), (3, 3), (5, 5)])
     graph, ordering = model_pipeline(model)
-    assert ordering.cliques[-1] == frozenset({0, 1, 4})
+    assert clique_sets(ordering)[-1] == frozenset({0, 1, 4})
     padded = pad(ordering)
     assert (padded.center, padded.added) == (0, 1)
 
 
 def assert_cliques_not_nested(ordering):
-    assert not any(a <= b for a, b in permutations(ordering.cliques, 2))
+    assert not any(a <= b for a, b in permutations(clique_sets(ordering), 2))
 
 
 def test_pad_center_alone_in_last_clique():
@@ -118,10 +121,10 @@ def test_pad_center_alone_in_last_clique():
     # clique replaces {8} rather than following it, and so contains it
     model = make_model([(0, 0)] * 5 + [(1, 1), (0, 2), (2, 2), (3, 3)])
     graph, ordering = model_pipeline(model)
-    assert ordering.cliques[-1] == frozenset({8})
+    assert clique_sets(ordering)[-1] == frozenset({8})
     padded = pad(ordering)
     assert (padded.center, padded.added) == (8, 4)
-    assert padded.ordering.cliques[ordering.k - 1 :] == tuple(
+    assert clique_sets(padded.ordering)[ordering.k - 1 :] == tuple(
         frozenset({8, 9 + i}) for i in range(4)
     )
     assert (padded.ordering.left[8], padded.ordering.right[8]) == (3, 6)
@@ -265,6 +268,15 @@ def test_degenerate_edgeless():
     rep = build_degenerate(require_ordering(g))
     assert [row[0] for row in rep.coords] == [0, 2, 4]
     assert verify_representation(g, rep).ok
+
+
+def test_degenerate_ranks_cliques_by_smallest_member():
+    # C_0 = {1, 4}, C_1 = {2}, C_2 = {0, 3}: ranked by their smallest
+    # members the cliques run C_2, C_0, C_1, whatever their indices
+    ordering = CliqueOrdering(3, (2, 0, 1, 2, 0), (2, 0, 1, 2, 0))
+    rep = build_degenerate(ordering)
+    assert rep.coords == ((0,), (2,), (4,), (0,), (2,))
+    assert verify_representation(range_graph(ordering), rep).ok
 
 
 def test_degenerate_rejects_p3():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcubes import (
     CliqueOrdering,
@@ -8,10 +10,19 @@ from intervalcubes import (
     greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
+    ordering_from_cliques,
 )
 
-from conftest import bron_kerbosch, make_model, model_pipeline, p3_model, random_models, star_model
-from validators import validate_ordering
+from conftest import (
+    bron_kerbosch,
+    interval_models,
+    make_model,
+    model_pipeline,
+    p3_model,
+    random_models,
+    star_model,
+)
+from validators import clique_sets, validate_ordering
 
 
 def test_model_rejects_inverted_interval():
@@ -37,25 +48,25 @@ def test_model_to_graph_disjoint():
 
 def test_p3_model_sweep():
     ordering = model_to_clique_ordering(p3_model())
-    assert ordering.cliques == (frozenset({0, 1}), frozenset({0, 2}))
+    assert clique_sets(ordering) == (frozenset({0, 1}), frozenset({0, 2}))
     assert ordering.left[0] == 0 and ordering.right[0] == 1
 
 
 def test_nested_single_clique():
     ordering = model_to_clique_ordering(make_model([(0, 3), (1, 2)]))
-    assert ordering.cliques == (frozenset({0, 1}),)
+    assert clique_sets(ordering) == (frozenset({0, 1}),)
 
 
 def test_star_model_sweep():
     ordering = model_to_clique_ordering(star_model(4))
     assert ordering.k == 4
-    assert ordering.cliques == tuple(frozenset({0, i}) for i in range(1, 5))
+    assert clique_sets(ordering) == tuple(frozenset({0, i}) for i in range(1, 5))
 
 
 def test_sweep_matches_bron_kerbosch():
     for model in random_models(40, range(2, 15), seed=11):
         graph, ordering = model_pipeline(model)
-        assert set(ordering.cliques) == bron_kerbosch(graph)
+        assert set(clique_sets(ordering)) == bron_kerbosch(graph)
 
 
 def test_sweep_ordering_validates():
@@ -66,29 +77,70 @@ def test_sweep_ordering_validates():
         assert ordering.k <= graph.n
 
 
-def test_validate_flags_swapped_cliques():
-    model = p3_model()
-    graph, ordering = model_pipeline(model)
-    broken = CliqueOrdering(
-        cliques=(ordering.cliques[1], ordering.cliques[0]),
-        left=ordering.left,
-        right=ordering.right,
+def _reference_sweep(model) -> list[frozenset[int]]:
+    """The set-based endpoint sweep that `model_to_clique_ordering`
+    replaced, as the reference of its differential test: the maximal
+    cliques in order, as frozensets."""
+    starts: dict[Fraction, list[int]] = {}
+    ends: dict[Fraction, list[int]] = {}
+    for v, (lo, hi) in enumerate(model.intervals):
+        starts.setdefault(lo, []).append(v)
+        ends.setdefault(hi, []).append(v)
+    coords = sorted(set(starts) | set(ends))
+    active: set[int] = set()
+    inserted_since_snapshot = False
+    cliques: list[frozenset[int]] = []
+    for x in coords:
+        for v in starts.get(x, ()):
+            active.add(v)
+            inserted_since_snapshot = True
+        ending = ends.get(x, ())
+        if ending and inserted_since_snapshot:
+            cliques.append(frozenset(active))
+            inserted_since_snapshot = False
+        for v in ending:
+            active.remove(v)
+    return cliques
+
+
+@st.composite
+def crowded_models(draw):
+    """Models on the nine coordinates 0, 1/2, .., 4, so that endpoints are
+    shared, points are common and intervals nest; possibly empty."""
+    n = draw(st.integers(0, 16))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=n, max_size=n))
+    return make_model([(f"{min(p)}/2", f"{max(p)}/2") for p in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(crowded_models(), interval_models()))
+def test_sweep_matches_set_sweep(model):
+    cliques = _reference_sweep(model)
+    ordering = model_to_clique_ordering(model)
+    assert ordering == ordering_from_cliques(cliques, model.n)
+    assert ordering.to_json_obj()["cliques"] == [sorted(c) for c in cliques]
+
+
+def test_ordering_from_cliques_rejects_swapped_cliques():
+    # the path 0-1-2-3 with its last two cliques swapped: 1 and 2 each
+    # skip the middle clique
+    with pytest.raises(ValueError, match="not consecutive"):
+        ordering_from_cliques([{0, 1}, {2, 3}, {1, 2}], 4)
+    assert ordering_from_cliques([{0, 1}, {1, 2}, {2, 3}], 4) == CliqueOrdering(
+        3, (0, 0, 1, 2), (0, 1, 2, 2)
     )
-    report = validate_ordering(graph, broken)
-    assert report.has("not-consecutive")
 
 
 def test_validate_flags_subset_clique():
-    model = p3_model()
-    graph, _ = model_pipeline(model)
-    broken = CliqueOrdering(
-        cliques=(frozenset({1}), frozenset({0, 1}), frozenset({0, 2})),
-        left=(1, 0, 2),
-        right=(2, 1, 2),
-    )
+    # P3 with the centre's range running over a middle clique {0} that
+    # sits inside both neighbouring cliques
+    graph, _ = model_pipeline(p3_model())
+    broken = CliqueOrdering(k=3, left=(0, 0, 2), right=(2, 0, 2))
+    assert clique_sets(broken)[1] == frozenset({0})
     report = validate_ordering(graph, broken)
     assert report.has("not-maximal")
     assert report.has("clique-subset")
+    assert not report.has("adjacency-mismatch")
 
 
 def test_validate_accepts_correct_p3():

@@ -1,5 +1,3 @@
-import pytest
-
 from intervalcubes import (
     CliqueOrdering,
     Labelling,
@@ -43,9 +41,10 @@ def test_complete_graph_single_level():
     assert lab.anchors == (0,)
 
 
-def test_empty_graph_rejected():
-    with pytest.raises(ValueError):
-        label_vertices(CliqueOrdering((), (), ()))
+def test_empty_graph_labels_empty():
+    lab = label_vertices(CliqueOrdering(0, (), ()))
+    assert lab == Labelling((), ())
+    assert lab.alpha == 0
 
 
 def test_matches_literal_algorithm():

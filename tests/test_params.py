@@ -29,6 +29,7 @@ from conftest import (
 )
 import claw_reference
 from oracle_reference import brute_alpha, brute_claw
+from validators import clique_sets
 
 
 def test_ceil_log2():
@@ -68,10 +69,10 @@ def test_edgeless_claw_is_zero():
 
 def test_neighborhood_mis_examples():
     graph, ordering = model_pipeline(star_model(4))
-    assert neighborhood_mis(ordering, 0, ordering.by_left())[0] == 4
-    assert neighborhood_mis(ordering, 1, ordering.by_left())[0] == 1
+    assert neighborhood_mis(ordering, 0)[0] == 4
+    assert neighborhood_mis(ordering, 1)[0] == 1
     g3, o3 = model_pipeline(p3_model())
-    assert neighborhood_mis(o3, 1, o3.by_left())[0] == 1
+    assert neighborhood_mis(o3, 1)[0] == 1
 
 
 def test_independence_number_examples():
@@ -169,10 +170,16 @@ def _psi_cases():
 
 
 def _check_psi_pass(ordering):
-    """The chain pass against the greedy on each neighbourhood, and the
-    claw number and padding against their per-vertex-greedy references."""
-    by_left = ordering.by_left()
-    expected = [neighborhood_mis(ordering, v, by_left)[0] for v in range(ordering.n)]
+    """The chain pass and the one-scan neighbourhood greedy against the
+    greedy on each neighbourhood listed from its cliques, and the claw
+    number and padding against their per-vertex-greedy references."""
+    by_left, cliques = ordering.by_left(), clique_sets(ordering)
+    reference = [
+        claw_reference.neighborhood_mis(ordering, v, by_left, cliques)
+        for v in range(ordering.n)
+    ]
+    assert [neighborhood_mis(ordering, v) for v in range(ordering.n)] == reference
+    expected = [m for m, _ in reference]
     assert vertex_claws(ordering) == expected
     assert claw_number(ordering) == claw_reference.claw_number(ordering)
     psi = max(expected, default=0)

@@ -5,6 +5,7 @@ from intervalcubes import (
     NotInterval,
     recognize_and_order,
 )
+from intervalcubes import recognition
 from intervalcubes.recognition import (
     maximal_cliques_chordal,
     perfect_elimination_ordering,
@@ -45,6 +46,17 @@ def test_net_rejected_no_consecutive_ordering():
     result = recognize_and_order(net_graph())
     assert isinstance(result, NotInterval)
     assert result.reason == "no-consecutive-ordering"
+
+
+def test_non_consecutive_arrangement_rejected(monkeypatch):
+    # the refinement leaves the last check of every vertex's run to
+    # `ordering_from_cliques`; an arrangement that fails it is refused
+    graph = path_graph(4)
+    cliques = maximal_cliques_chordal(graph, perfect_elimination_ordering(graph))
+    middle = cliques.index(frozenset({1, 2}))
+    ends = [i for i in range(3) if i != middle]
+    monkeypatch.setattr(recognition, "_arrange_cliques", lambda cliques, n: [*ends, middle])
+    assert recognize_and_order(graph) == NotInterval("no-consecutive-ordering")
 
 
 def test_p3_recognized():

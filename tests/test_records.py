@@ -29,8 +29,8 @@ from intervalcubes.graphs import Record
 
 def _samples() -> list[tuple[Record, Record]]:
     """Two records of each class that differ in one field."""
-    ordering = CliqueOrdering((frozenset({0, 1}),), (0, 0), (0, 0))
-    other = CliqueOrdering((frozenset({0, 1}),), (0, 0), (0, 1))
+    ordering = CliqueOrdering(1, (0, 0), (0, 0))
+    other = CliqueOrdering(1, (0, 0), (0, 1))
     padded = PaddedGraph(ordering, 1, 0, None)
     lab = Labelling((0, 0), (0,))
     witness = StarWitness(0, (1, 2))

@@ -305,10 +305,6 @@ def _bad_orderings():
     graph, ordering = _p4()
     yield "extra intersecting pair", graph, ordering_from_cliques([{0, 1, 2}, {2, 3}], 4)
     yield "missing intersecting pair", graph, ordering_from_cliques([{0, 1}, {2}, {2, 3}], 4)
-    # the centre of K_1,3 misses the middle clique, yet its range 0..2
-    # still meets exactly the three leaves
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    yield "non-consecutive run", star, ordering_from_cliques([{0, 1}, {2}, {0, 3}], 4)
     # 0 and 3 swap places: the ordering is the path 3-1-2-0, still 3 edges
     yield "swapped pair", graph, ordering_from_cliques([{3, 1}, {1, 2}, {2, 0}], 4)
 
@@ -319,6 +315,14 @@ def test_ordering_sanity_canaries(case):
     for check in (_check_ordering_sanity, check_ordering_sanity_pairwise):
         with pytest.raises(ConstructionError):
             check(graph, ordering)
+
+
+def test_ordering_from_cliques_refuses_non_consecutive_run():
+    # the centre of K_1,3 misses the middle clique, yet its range 0..2
+    # would still meet exactly the three leaves, so no canary downstream
+    # could tell: the ranges are refused where they are made
+    with pytest.raises(ValueError, match="not consecutive"):
+        ordering_from_cliques([{0, 1}, {2}, {0, 3}], 4)
 
 
 def test_ordering_sanity_accepts_valid_orderings():

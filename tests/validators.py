@@ -14,6 +14,16 @@ from dataclasses import dataclass
 from intervalcubes import CliqueOrdering, Graph, Labelling, greedy_independent
 
 
+def clique_sets(ordering: CliqueOrdering) -> tuple[frozenset[int], ...]:
+    """C_0..C_{k-1} read off the ranges, which must lie in 0..k-1: C_j
+    holds every vertex whose range holds j."""
+    members: list[list[int]] = [[] for _ in range(ordering.k)]
+    for v, (lv, rv) in enumerate(zip(ordering.left, ordering.right)):
+        for j in range(lv, rv + 1):
+            members[j].append(v)
+    return tuple(map(frozenset, members))
+
+
 def ranges_intersect(ordering: CliqueOrdering, u: int, v: int) -> bool:
     """Whether the clique ranges of u and v share a clique index."""
     return ordering.left[u] <= ordering.right[v] and ordering.left[v] <= ordering.right[u]
@@ -52,7 +62,9 @@ class ValidationReport:
 def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationReport:
     """Check every CliqueOrdering invariant against the graph; empty report
     means valid.  Kinds: coverage, not-a-clique, not-maximal, clique-subset,
-    not-consecutive, adjacency-mismatch, empty."""
+    adjacency-mismatch, empty.  The cliques are read off the ranges, so
+    each vertex's cliques are consecutive by construction; a range must
+    lie in 0..k-1."""
     violations: list[Violation] = []
     n, k = graph.n, ordering.k
     if ordering.n != n:
@@ -61,15 +73,18 @@ def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationRepor
         )
     if n >= 1 and k == 0:
         return ValidationReport((Violation("empty", (n,), "no cliques for non-empty graph"),))
+    outside = [
+        v for v in range(n)
+        if not 0 <= ordering.left[v] <= ordering.right[v] < k
+    ]
+    if outside:
+        return ValidationReport(
+            tuple(Violation("coverage", (v,), "range outside the cliques") for v in outside)
+        )
 
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for i, clique in enumerate(ordering.cliques):
+    cliques = clique_sets(ordering)
+    for i, clique in enumerate(cliques):
         members = sorted(clique)
-        for v in members:
-            if not (0 <= v < n):
-                violations.append(Violation("coverage", (i, v), "clique member out of range"))
-                continue
-            membership[v].append(i)
         for a_idx, u in enumerate(members):
             for v in members[a_idx + 1:]:
                 if not graph.has_edge(u, v):
@@ -84,21 +99,10 @@ def validate_ordering(graph: Graph, ordering: CliqueOrdering) -> ValidationRepor
 
     for i in range(k):
         for j in range(k):
-            if i != j and ordering.cliques[i] <= ordering.cliques[j]:
+            if i != j and cliques[i] <= cliques[j]:
                 violations.append(
                     Violation("clique-subset", (i, j), "clique contained in another")
                 )
-
-    for v in range(n):
-        runs = membership[v]
-        if not runs:
-            violations.append(Violation("coverage", (v,), "vertex in no clique"))
-            continue
-        expected = list(range(ordering.left[v], ordering.right[v] + 1))
-        if runs != expected:
-            violations.append(
-                Violation("not-consecutive", (v,), f"clique indices {runs} != range {expected}")
-            )
 
     for u in range(n):
         for v in range(u + 1, n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from intervalcubes import Graph, VerificationReport
 from intervalcubes.recognition import ConstructionError
 
-from validators import ranges_intersect
+from validators import clique_sets, ranges_intersect
 
 
 def model_to_graph_pairwise(model) -> Graph:
@@ -67,7 +67,7 @@ def verify_pairwise(graph: Graph, rep) -> VerificationReport:
 def check_ordering_sanity_pairwise(graph: Graph, ordering):
     """Consecutive clique runs, then range overlap against every pair."""
     membership: list[list[int]] = [[] for _ in range(graph.n)]
-    for i, clique in enumerate(ordering.cliques):
+    for i, clique in enumerate(clique_sets(ordering)):
         for v in clique:
             membership[v].append(i)
     for v in range(graph.n):
