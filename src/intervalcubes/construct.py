@@ -16,8 +16,10 @@ rationals.
 Dimension count is exactly ceil(log2 claw) + 2.  A second variant appends
 a universal vertex to the ordering to get ceil(log2 alpha) dimensions,
 dropping the two coordinates that the augmented build leaves complete.
-`build_best` builds only the variant with fewer dimensions, from one
-suffix-best table and one psi pass over the ordering.
+Each builder makes psi(v) and the labelling once, by `params.parameters`,
+and hands both down: the padding picks its centre by psi(v), and the alpha
+variant derives the augmented ordering's psi(v) and labelling from them.
+`build_best` builds only the variant with fewer dimensions.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 from .graphs import ConstructionError, Record
 from .intervals import CliqueOrdering
-from .labelling import Labelling, label_vertices, suffix_best
-from .params import best_dimension, ceil_log2, vertex_claws
+from .labelling import Labelling, label_vertices
+from .params import best_dimension, ceil_log2, parameters
 from .rationals import format_rational
 from .verify import CubeRepresentation, complete_dimensions
 
@@ -53,24 +55,32 @@ class PaddedGraph(Record):
 
 
 class ConstructionTrace(Record):
-    """Everything the audit checks need: the clique scale, the codes and
-    levels on the padded graph, the branch taken per (dimension, vertex),
-    and the unrestricted padded coordinates, the `padded` graph and its
-    `labelling`.  Scale and coordinates are integers in units of 1/`unit`,
-    as in the representation."""
+    """What the build made and the audit checks read: the `padded` graph
+    and its `labelling`, the clique `scale` and the unrestricted padded
+    coordinates.  Scale and coordinates are integers in units of
+    1/`unit`, as in the representation.  The codes and the branch taken
+    per (dimension, vertex) follow from the labelling and the claw."""
 
-    __slots__ = ("power", "claw", "unit", "scale", "codes", "levels", "branch", "coords",
-                 "padded", "labelling")
+    __slots__ = ("padded", "labelling", "scale", "unit", "coords")
+
+    @property
+    def power(self) -> int:
+        return self.padded.power
+
+    @property
+    def claw(self) -> int:
+        return self.padded.claw
 
     def to_json_obj(self) -> dict:
+        codes = branch_codes(self.labelling, self.claw)
         return {
             "power": self.power,
             "claw": self.claw,
             "bits": list(range(self.power + 2)),
             "scale": [format_rational(Fraction(x, self.unit)) for x in self.scale],
-            "codes": list(self.codes),
-            "levels": list(self.levels),
-            "branch": [list(row) for row in self.branch],
+            "codes": list(codes),
+            "levels": list(self.labelling.levels),
+            "branch": [[bit(c, i) for c in codes] for i in range(self.power + 2)],
             "added": self.padded.added,
             "original_n": self.padded.ordering.n - self.padded.added,
             "padded_coords": [
@@ -79,19 +89,20 @@ class ConstructionTrace(Record):
         }
 
 
-def pad_graph(ordering: CliqueOrdering, psi: int, claws: list[int] | None = None) -> PaddedGraph:
+def pad_graph(ordering: CliqueOrdering, claws: list[int]) -> PaddedGraph:
     """Append pendants to the last-clique vertex whose neighbourhood holds
     the most independent vertices (lowest index on ties) until the claw
-    number psi is the next power of two.  Pendants touch only that center,
-    so the padded claw number is known without another pass.
+    number psi, the largest of `claws`, is the next power of two.  Pendants
+    touch only that center, so the padded claw number is known without
+    another pass.
 
     Each last-clique vertex's count comes from `claws`, the ordering's
-    `vertex_claws` pass, O(n + k + sum of psi(v)), which is made here when
-    not given; not from a greedy per vertex.
+    psi(v) from `parameters`; not from a greedy per vertex.
     Its chain may end on a different vertex than the greedy on N(v) would,
     but always with the same count, so the center is the same.  The last
     clique is the vertices whose range ends at k - 1, and the pendants
     are appended ranges, so the rest costs O(n + k)."""
+    psi = max(claws, default=0)
     if psi < 2:
         raise ValueError("padding needs claw number at least 2")
     power = ceil_log2(psi)
@@ -100,8 +111,6 @@ def pad_graph(ordering: CliqueOrdering, psi: int, claws: list[int] | None = None
         return PaddedGraph(ordering, power, 0, None)
 
     k = ordering.k
-    if claws is None:
-        claws = vertex_claws(ordering)
     last = [v for v, r in enumerate(ordering.right) if r == k - 1]
     center = min(last, key=lambda v: (-claws[v], v))
     added = target - claws[center]
@@ -158,60 +167,34 @@ def build_representation(
     Graphs whose claw number is below 2 (disjoint unions of cliques) take
     the degenerate one-dimensional route and carry no trace.
     """
-    claws = vertex_claws(ordering)
-    psi = max(claws, default=0)
-    if psi < 2:
+    claws, labelling = parameters(ordering)
+    if max(claws, default=0) < 2:
         return build_degenerate(ordering), None
-    return _build(ordering, psi, claws)
+    return _build(ordering, claws, labelling)
 
 
 def _build(
-    ordering: CliqueOrdering, psi: int, claws: list[int] | None = None,
-    labelling: Labelling | None = None,
+    ordering: CliqueOrdering, claws: list[int], labelling: Labelling
 ) -> tuple[CubeRepresentation, ConstructionTrace]:
-    """The construction on an ordering with claw number psi >= 2; the
-    representation covers the ordering's own vertices, not the pendants.
-    `claws` and `labelling`, the ordering's psi pass and labelling, are
-    made here when not given."""
-    padded = pad_graph(ordering, psi, claws)
+    """The construction on an ordering with claw number max(claws) >= 2,
+    from its psi(v) and labelling; the representation covers the
+    ordering's own vertices, not the pendants."""
+    padded = pad_graph(ordering, claws)
     # padding that adds nothing keeps the ordering, and so its labelling
-    lab = labelling
-    if lab is None or padded.added:
-        lab = label_vertices(padded.ordering)
+    lab = label_vertices(padded.ordering) if padded.added else labelling
     scale, unit = clique_scale(padded.ordering, lab)
-    claw = padded.claw
-    codes = branch_codes(lab, claw)
-    side = claw * unit - unit // 2
+    codes = branch_codes(lab, padded.claw)
+    side = padded.claw * unit - unit // 2
     dims = padded.power + 2
 
+    # code bit i set: the cube starts at the left end in dimension i
     left, right = padded.ordering.left, padded.ordering.right
     coords = []
-    branch = [[0] * padded.ordering.n for _ in range(dims)]
-    for v in range(padded.ordering.n):
-        row = []
-        for i in range(dims):
-            b = bit(codes[v], i)
-            branch[i][v] = b
-            if b == 0:
-                row.append(scale[right[v]] - side)
-            else:
-                row.append(scale[left[v]])
-        coords.append(tuple(row))
-
+    for v, code in enumerate(codes):
+        at_left, at_right = scale[left[v]], scale[right[v]] - side
+        coords.append(tuple([at_left if code >> i & 1 else at_right for i in range(dims)]))
     rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]), unit)
-    trace = ConstructionTrace(
-        power=padded.power,
-        claw=claw,
-        unit=unit,
-        scale=scale,
-        codes=codes,
-        levels=lab.levels,
-        branch=tuple(tuple(row) for row in branch),
-        coords=tuple(coords),
-        padded=padded,
-        labelling=lab,
-    )
-    return rep, trace
+    return rep, ConstructionTrace(padded, lab, scale, unit, tuple(coords))
 
 
 def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
@@ -243,19 +226,22 @@ def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
     """
     if ordering.n == 0:
         return CubeRepresentation(0, 1, (), 1)
-    return _build_alpha(ordering, label_vertices(ordering).alpha)
+    return _build_alpha(ordering, *parameters(ordering))
 
 
 def _build_alpha(
-    ordering: CliqueOrdering, alpha: int, claws: list[int] | None = None
+    ordering: CliqueOrdering, claws: list[int], labelling: Labelling
 ) -> CubeRepresentation:
-    n = ordering.n
+    n, alpha = ordering.n, labelling.alpha
     if alpha == 1:
         return CubeRepresentation(0, 1, ((),) * n, 1)
     # with a universal vertex the claw number is the independence number;
-    # that vertex's psi is alpha, and it lifts no other psi(v) but a 0 to 1
-    aug_claws = None if claws is None else [max(c, 1) for c in claws] + [alpha]
-    rep_aug, trace = _build(_augment_with_universal(ordering), alpha, aug_claws)
+    # that vertex's psi is alpha, and it lifts no other psi(v) but a 0 to 1.
+    # It sits at level 0 and is no anchor: a vertex starting at clique 0
+    # ends no later and has a lower index
+    aug_claws = [max(c, 1) for c in claws] + [alpha]
+    aug_labelling = Labelling(labelling.levels + (0,), labelling.anchors)
+    rep_aug, trace = _build(_augment_with_universal(ordering), aug_claws, aug_labelling)
     p = trace.power
     complete = complete_dimensions(rep_aug)
     if complete != [p, p + 1]:
@@ -268,21 +254,17 @@ def _build_alpha(
 
 def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
     """The smaller of the two variants; ties go to the alpha variant.
-    Both dimensions follow from psi and alpha, so only one is built.  One
-    suffix-best table serves the psi pass and the labelling, and that one
-    psi pass serves the claw number and the padding."""
+    Both dimensions follow from psi and alpha, so only one is built, from
+    the one `parameters` pass that gave them."""
     if ordering.n == 0:
         return build_degenerate(ordering)
-    best = suffix_best(ordering)
-    claws = vertex_claws(ordering, best)
-    psi = max(claws)
-    labelling = label_vertices(ordering, best)
-    alpha = labelling.alpha
+    claws, labelling = parameters(ordering)
+    psi, alpha = max(claws), labelling.alpha
     if best_dimension(psi, alpha) == ceil_log2(alpha):
-        return _build_alpha(ordering, alpha, claws)
+        return _build_alpha(ordering, claws, labelling)
     if psi < 2:
         return build_degenerate(ordering)
-    return _build(ordering, psi, claws, labelling)[0]
+    return _build(ordering, claws, labelling)[0]
 
 
 def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:

@@ -103,9 +103,6 @@ class Graph:
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]

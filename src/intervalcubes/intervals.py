@@ -171,13 +171,12 @@ def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
     return CliqueOrdering(k, tuple(at_start[r] for r in lo), tuple(at_end[r] for r in hi))
 
 
-def greedy_independent(ordering: CliqueOrdering, vertices=None) -> list[int]:
+def greedy_independent(ordering: CliqueOrdering, vertices) -> list[int]:
     """Earliest-finish greedy over clique ranges: a maximum independent set
-    of the (induced sub)graph the ordering describes."""
-    pool = range(ordering.n) if vertices is None else vertices
+    of the subgraph the ordering describes induced on `vertices`."""
     chosen: list[int] = []
     last_right = -1
-    for v in sorted(pool, key=lambda v: (ordering.right[v], v)):
+    for v in sorted(vertices, key=lambda v: (ordering.right[v], v)):
         if ordering.left[v] > last_right:
             chosen.append(v)
             last_right = ordering.right[v]

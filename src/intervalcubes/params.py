@@ -28,7 +28,9 @@ alone.  The chain's last pick may be a vertex outside N(v) where the
 greedy picks another that also overruns right v: the count is the same,
 the leaves may not be.  No clique or neighbourhood is listed or sorted,
 so all psi(v) cost O(n + k + sum of psi(v)); `claw_number` runs the greedy
-once more, on the centre it picks, for the witness leaves.
+once more, on the centre it picks, for the witness leaves.  A build needs
+every psi(v) and the labelling, and `parameters` makes both from one
+suffix-best table: each builder and each search sample calls it once.
 """
 
 from __future__ import annotations
@@ -94,13 +96,11 @@ def neighborhood_mis(ordering: CliqueOrdering, v: int) -> tuple[int, tuple[int, 
     return len(leaves), tuple(leaves)
 
 
-def vertex_claws(ordering: CliqueOrdering, best: list[int | None] | None = None) -> list[int]:
+def vertex_claws(ordering: CliqueOrdering, best: list[int | None]) -> list[int]:
     """psi(v) for every vertex v: the most independent vertices in N(v),
-    by the chain through the suffix-best table (see the module docstring).
-    `best` is that table, made here when not given."""
+    by the chain through `best`, the ordering's suffix-best table (see the
+    module docstring)."""
     k, right = ordering.k, ordering.right
-    if best is None:
-        best = suffix_best(ordering)
     after = [right[u] + 1 for u in best[:k]]
     # |C_j| by a difference array over the ranges
     change = [0] * (k + 1)
@@ -120,14 +120,21 @@ def vertex_claws(ordering: CliqueOrdering, best: list[int | None] | None = None)
     return claws
 
 
+def parameters(ordering: CliqueOrdering) -> tuple[list[int], Labelling]:
+    """psi(v) for every vertex and the labelling, from one suffix-best
+    table: the builders and the search make both here, once each."""
+    best = suffix_best(ordering)
+    return vertex_claws(ordering, best), label_vertices(ordering, best)
+
+
 def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
     """Largest m with an induced star on m leaves; 0 for edgeless graphs.
 
     The centre is the lowest-indexed vertex with the largest psi(v), from
     one `vertex_claws` pass; `neighborhood_mis` runs once, on that centre,
-    for the witness leaves.  The builders and the search need psi alone and
-    read it off their own pass."""
-    claws = vertex_claws(ordering)
+    for the witness leaves.  The builders and the search need no witness
+    and read psi(v) off `parameters`."""
+    claws = vertex_claws(ordering, suffix_best(ordering))
     psi = max(claws, default=0)
     if psi == 0:
         return 0, None

@@ -13,9 +13,8 @@ from __future__ import annotations
 from .generate import GenConfig, random_interval_model
 from .graphs import SizeRefusalError, parse_graph, serialize_graph
 from .intervals import DISTRIBUTIONS, model_to_clique_ordering, model_to_graph
-from .labelling import label_vertices
 from .oracle import Exceeded, exact_cubicity
-from .params import best_dimension, ceil_log2, vertex_claws
+from .params import best_dimension, ceil_log2, parameters
 
 
 class SearchReport:
@@ -76,8 +75,8 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        psi = max(vertex_claws(ordering))
-        alpha = label_vertices(ordering).alpha
+        claws, labelling = parameters(ordering)
+        psi, alpha = max(claws), labelling.alpha
         dimension = best_dimension(psi, alpha)
         # the proven upper bound; family sizes are searched from 1
         bound = max(1, dimension)

@@ -12,7 +12,6 @@ from intervalcubes import (
     Graph,
     IntervalModel,
     StarWitness,
-    claw_number,
     greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
@@ -21,6 +20,7 @@ from intervalcubes import (
 )
 from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.params import parameters
 from intervalcubes.rationals import parse_rational
 
 from oracle_reference import reference_supergraphs
@@ -96,7 +96,7 @@ def literal_labelling(ordering, graph):
     level = 0
     while remaining:
         anchor = min(remaining, key=lambda v: (ordering.right[v], v))
-        group = {anchor} | {v for v in remaining if graph.has_edge(anchor, v)}
+        group = {anchor} | {v for v in remaining if v in graph.adj[anchor]}
         for v in group:
             levels[v] = level
         anchors.append(anchor)
@@ -184,8 +184,8 @@ def adjacency_claw_number(ordering, graph: Graph):
 
 
 def pad(ordering):
-    """pad_graph as the claw build calls it, with the ordering's claw number."""
-    return pad_graph(ordering, claw_number(ordering)[0])
+    """pad_graph as the claw build calls it, with the ordering's psi(v)."""
+    return pad_graph(ordering, parameters(ordering)[0])
 
 
 def padded_graph(graph: Graph, padded) -> Graph:

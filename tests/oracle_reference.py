@@ -79,7 +79,7 @@ def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
     for a in range(n):
         for b in range(a + 1, n):
             u, v = order[a], order[b]
-            if graph.has_edge(u, v):
+            if v in graph.adj[u]:
                 edges.append((v, u, (Fraction(-1), 0)))
             else:
                 edges.append((u, v, (Fraction(1), 1)))
@@ -122,7 +122,7 @@ def unit_realization(graph: Graph, order) -> tuple[Fraction, ...] | None:
 
     for u in range(n):
         for v in range(u + 1, n):
-            if graph.has_edge(u, v) != (abs(values[u] - values[v]) <= 1):
+            if (v in graph.adj[u]) != (abs(values[u] - values[v]) <= 1):
                 return None
     return values
 

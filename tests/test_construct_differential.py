@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from intervalcubes import (
     CubeRepresentation,
     Graph,
+    Labelling,
     build_alpha_representation,
     build_best,
     build_representation,
@@ -16,7 +17,7 @@ from intervalcubes import (
     recognize_and_order,
     verify_representation,
 )
-from intervalcubes import construct, params
+from intervalcubes import construct, labelling, params
 from intervalcubes.construct import _augment_with_universal, best_dimension
 
 from conftest import (
@@ -155,9 +156,7 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         return wrapper
 
     # every psi pass, whether for the claw number or the padding center
-    psi_pass = counting("psi", params.vertex_claws)
-    monkeypatch.setattr(params, "vertex_claws", psi_pass)
-    monkeypatch.setattr(construct, "vertex_claws", psi_pass)
+    monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
@@ -184,17 +183,56 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
     assert padded > 0
 
 
+def count_suffix_best(monkeypatch) -> list:
+    """Patch every binding of `suffix_best`; the returned list collects
+    the ordering of each call."""
+    seen, table = [], labelling.suffix_best
+
+    def counting(ordering):
+        seen.append(ordering)
+        return table(ordering)
+
+    monkeypatch.setattr(params, "suffix_best", counting)
+    monkeypatch.setattr(labelling, "suffix_best", counting)
+    return seen
+
+
+def test_each_build_makes_one_suffix_best_table_on_its_input(monkeypatch):
+    """Each variant makes the suffix-best table once on the input
+    ordering, and once more only on a padded ordering it must label anew:
+    the alpha variant's universal vertex costs no table of its own."""
+    padded, pad = [], construct.pad_graph
+
+    def recording_pad(*args):
+        padded.append(pad(*args))
+        return padded[-1]
+
+    monkeypatch.setattr(construct, "pad_graph", recording_pad)
+    seen = count_suffix_best(monkeypatch)
+    for graph, ordering in _corpus():
+        if graph.n == 0:
+            continue
+        for builder in (build_representation, build_alpha_representation, build_best):
+            seen.clear()
+            padded.clear()
+            builder(ordering)
+            assert seen == [ordering, *(p.ordering for p in padded if p.added)]
+            assert seen[0] is ordering
+
+
 def _check_universal_vertex_claws(ordering):
-    claws = params.vertex_claws(ordering)
-    alpha = label_vertices(ordering).alpha
-    augmented = params.vertex_claws(_augment_with_universal(ordering))
-    assert augmented == [max(c, 1) for c in claws] + [alpha]
+    claws, lab = params.parameters(ordering)
+    augmented = _augment_with_universal(ordering)
+    assert params.parameters(augmented)[0] == [max(c, 1) for c in claws] + [lab.alpha]
+    # the universal vertex is never an anchor, and sits at level 0
+    assert label_vertices(augmented) == Labelling(lab.levels + (0,), lab.anchors)
 
 
 def test_universal_vertex_claws_follow_from_the_ordering():
-    """The alpha variant pads the ordering plus a universal vertex with
-    psi values read off the ordering's own pass: the universal vertex's is
-    alpha, and it lifts no other but a 0 to 1."""
+    """The alpha variant builds on the ordering plus a universal vertex
+    with psi values and a labelling read off the ordering's own pass: the
+    universal vertex's psi is alpha, and it lifts no other but a 0 to 1;
+    it adds level 0 and no anchor."""
     for graph, ordering in _corpus():
         if graph.n:
             _check_universal_vertex_claws(ordering)

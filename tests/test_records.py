@@ -34,8 +34,7 @@ def _samples() -> list[tuple[Record, Record]]:
     padded = PaddedGraph(ordering, 1, 0, None)
     lab = Labelling((0, 0), (0,))
     witness = StarWitness(0, (1, 2))
-    trace = dict(power=1, claw=2, unit=2, scale=(0,), codes=(2, 2), levels=(0, 0),
-                 branch=((0, 0),), coords=((0,), (0,)), padded=padded, labelling=lab)
+    trace = dict(padded=padded, labelling=lab, scale=(0,), unit=2, coords=((0,), (0,)))
     return [
         (IntervalModel(((Fraction(0), Fraction(1)),)),
          IntervalModel(((Fraction(0), Fraction(2)),))),
@@ -46,7 +45,7 @@ def _samples() -> list[tuple[Record, Record]]:
         (ParamReport(2, 2, witness, 1), ParamReport(2, 2, None, 1)),
         (padded, PaddedGraph(other, 1, 0, None)),
         (CubeRepresentation(1, 2, ((0,), (1,)), 1), CubeRepresentation(1, 2, ((0,), (1,)), 2)),
-        (ConstructionTrace(**trace), ConstructionTrace(**{**trace, "claw": 4})),
+        (ConstructionTrace(**trace), ConstructionTrace(**{**trace, "unit": 4})),
         (VerificationReport(True, (), (), (0,)), VerificationReport(False, ((0, 1),), (), (0,))),
         (ExactResult(1, (), 3, 4), ExactResult(1, (), 3, 5)),
         (Exceeded(2, 3, 4), Exceeded(3, 3, 4)),

@@ -63,9 +63,9 @@ def test_refused_samples_are_counted_not_fatal():
 
 
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
-    from intervalcubes import construct, params, search
+    from intervalcubes import construct, labelling, params
 
-    calls = {"psi": 0, "neighborhood": 0, "build": 0}
+    calls = {"psi": 0, "table": 0, "neighborhood": 0, "build": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -74,9 +74,11 @@ def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
 
         return wrapper
 
-    psi_pass = counting("psi", params.vertex_claws)
-    monkeypatch.setattr(params, "vertex_claws", psi_pass)
-    monkeypatch.setattr(search, "vertex_claws", psi_pass)
+    # every binding of the suffix-best table and of the psi pass
+    table = counting("table", labelling.suffix_best)
+    monkeypatch.setattr(labelling, "suffix_best", table)
+    monkeypatch.setattr(params, "suffix_best", table)
+    monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
@@ -84,6 +86,6 @@ def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     monkeypatch.setattr(construct, "_build_alpha", counting("build", construct._build_alpha))
     report = tightness_search(count=23, n_max=8, seed=3)
     assert report.graphs_tried + report.oracle_refused == 23
-    # one psi pass per sample, and no greedy on a neighbourhood: the
-    # search needs psi, not a witness
-    assert calls == {"psi": 23, "neighborhood": 0, "build": 0}
+    # one suffix-best table and one psi pass per sample, and no greedy on
+    # a neighbourhood: the search needs psi, not a witness
+    assert calls == {"psi": 23, "table": 23, "neighborhood": 0, "build": 0}

@@ -113,16 +113,11 @@ def test_check_trace_flags_corrupted_scale():
     bad_scale = list(trace.scale)
     bad_scale[1] = -5 * trace.unit
     corrupted = ConstructionTrace(
-        power=trace.power,
-        claw=trace.claw,
-        unit=trace.unit,
-        scale=tuple(bad_scale),
-        codes=trace.codes,
-        levels=trace.levels,
-        branch=trace.branch,
-        coords=trace.coords,
         padded=trace.padded,
         labelling=trace.labelling,
+        scale=tuple(bad_scale),
+        unit=trace.unit,
+        coords=trace.coords,
     )
     report = check_trace(corrupted, trace.padded.ordering, trace.labelling)
     assert not report.ok

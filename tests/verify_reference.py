@@ -41,7 +41,7 @@ def verify_pairwise(graph: Graph, rep) -> VerificationReport:
         gu = grid[u]
         for v in range(u + 1, graph.n):
             gv = grid[v]
-            adjacent = graph.has_edge(u, v)
+            adjacent = v in graph.adj[u]
             separated = False
             for i in range(d):
                 gap = gu[i] - gv[i]
@@ -76,5 +76,5 @@ def check_ordering_sanity_pairwise(graph: Graph, ordering):
             raise ConstructionError(f"clique run of vertex {v} is not consecutive")
     for u in range(graph.n):
         for v in range(u + 1, graph.n):
-            if graph.has_edge(u, v) != ranges_intersect(ordering, u, v):
+            if (v in graph.adj[u]) != ranges_intersect(ordering, u, v):
                 raise ConstructionError(f"ordering disagrees with adjacency on ({u}, {v})")
