@@ -12,8 +12,8 @@ it runs.
 
 # module -> the names it exports here
 _MODULES = {
-    "construct": "ConstructionTrace PaddedGraph bit branch_codes build_alpha_representation "
-    "build_best build_degenerate build_representation clique_scale normalize_unit pad_graph",
+    "construct": "ConstructionTrace bit branch_codes build_alpha_representation build_best "
+    "build_degenerate build_representation clique_scale normalize_unit",
     "generate": "GenConfig random_interval_model",
     "graphs": "ConstructionError Graph GraphParseError NotIntervalError SizeRefusalError "
     "non_edges parse_graph serialize_graph",
@@ -21,10 +21,10 @@ _MODULES = {
     "model_to_clique_ordering model_to_graph ordering_from_cliques",
     "labelling": "Labelling label_vertices",
     "oracle": "ExactResult Exceeded exact_cubicity",
-    "params": "ParamReport StarWitness ceil_log2 claw_number neighborhood_mis param_report",
+    "params": "ParamReport StarWitness ceil_log2 neighborhood_mis param_report",
     "recognition": "NotInterval recognize_and_order require_ordering",
     "search": "SearchReport histogram_csv tightness_search",
-    "verify": "CubeRepresentation VerificationReport complete_dimensions verify_representation",
+    "verify": "CubeRepresentation VerificationReport verify_representation",
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = sorted(_EXPORTS)

@@ -1,25 +1,43 @@
 """Assembly of unit-cube representations for interval graphs.
 
 Every stage works on the clique ordering alone; no graph is read.  The
-pipeline pads the claw number to a power of two by appending pendant
-cliques hung off one vertex of the last clique, lays the cliques out on a
-line with a scale that hits integer positions at the anchor cliques,
-gives every vertex a branch code whose low bits copy its level, and then
-emits one coordinate per code bit: bit 0 places the vertex by its right
-end, bit 1 by its left end.  Dropping the pendants' coordinates keeps the
-represented graph intact because induced subgraphs only lose constraints.
-Positions are ints on one grid per build (see `clique_scale`); only the
-JSON methods of `CubeRepresentation` (defined in `verify`, so that
-checking a representation loads none of this module) turn them into
-rationals.
+build lays the cliques out on a line with a scale that hits integer
+positions at the anchor cliques, gives every vertex a branch code whose
+low bits copy its level, and then emits one coordinate per code bit: bit
+set places the vertex's cube at its left end, bit clear at its right
+end.  It runs on the input ordering as it is, with claw = 2**power for
+any power whose claw is at least every psi(v); the cube side is
+claw - 1/2.  Positions are ints on one grid per build (see
+`clique_scale`); only the JSON methods of `CubeRepresentation` (defined
+in `verify`, so that checking a representation loads none of this
+module) turn them into rationals.
 
-Dimension count is exactly ceil(log2 claw) + 2.  A second variant appends
-a universal vertex to the ordering to get ceil(log2 alpha) dimensions,
-dropping the two coordinates that the augmented build leaves complete.
-Each builder makes psi(v) and the labelling once, by `params.parameters`,
-and hands both down: the padding picks its centre by psi(v), and the alpha
-variant derives the augmented ordering's psi(v) and labelling from them.
-`build_best` builds only the variant with fewer dimensions.
+Why it is exact.  Let pos(c) be clique c's position, scale[c] / unit,
+and m(c) the number of anchors ending before clique c.  Then pos(c) lies
+in (m(c) - 1/2, m(c)], and the level of v is l_v = m(left v).  Some range starts at every clique index, because the
+cliques are maximal.
+
+- Adjacent u, v.  With left u <= left v, the anchors ending in
+  [left u, left v), together with v, are independent in N(u), so
+  l_v - l_u <= psi(u) - 1.  With right u < right v, the anchors ending in
+  [right u, right v), together with the vertex starting at clique
+  right v, are independent in N(v).  So same-end offsets are below
+  claw - 1/2 = side, and a left-end/right-end offset is below
+  2*claw - 3/2 < 2*side: the cubes meet in every dimension.
+- Non-adjacent u, v with right u < left v.  Then l_u < l_v, and some
+  code bit is 0 for u and 1 for v, which puts them more than the side
+  apart there.  The one exception is two levels in blocks of equal
+  parity at least two blocks apart; then the set parity bit is 1 for
+  both, and their left ends lie more than claw + 1/2 > side apart.
+
+The claw variant takes power = ceil(log2 psi) and has power + 2
+dimensions.  The alpha variant takes power = p = ceil(log2 alpha), since
+no psi(v) exceeds alpha, and keeps the first p dimensions: every level is
+below alpha <= 2**p, so code bit p is 1 for every vertex (its cube at its
+left end) and bit p + 1 is 0 (at its right end), and both of those spans
+are at most alpha - 1 < side.  A claw build makes psi and the labelling
+once, by `params.parameters`; the alpha variant needs only the
+labelling.  `build_best` builds only the variant with fewer dimensions.
 """
 
 from __future__ import annotations
@@ -31,7 +49,7 @@ from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
 from .params import best_dimension, ceil_log2, parameters
 from .rationals import format_rational
-from .verify import CubeRepresentation, complete_dimensions
+from .verify import CubeRepresentation
 
 
 def bit(a: int, i: int) -> int:
@@ -41,35 +59,18 @@ def bit(a: int, i: int) -> int:
     return (a >> i) & 1
 
 
-class PaddedGraph(Record):
-    """The clique ordering with pendant vertices appended so that the claw
-    number equals 2**power; original vertices keep their indices.  The
-    `added` pendants hang off `center`, which is None when nothing was
-    added."""
+class ConstructionTrace(Record):
+    """What the build made and the audit checks read: the `labelling`,
+    the `power` with claw = 2**power, and the clique `scale`, integers in
+    units of 1/`unit` as in the representation.  The codes and the branch
+    taken per (dimension, vertex) follow from the labelling and the
+    claw."""
 
-    __slots__ = ("ordering", "power", "added", "center")
+    __slots__ = ("labelling", "power", "scale", "unit")
 
     @property
     def claw(self) -> int:
         return 1 << self.power
-
-
-class ConstructionTrace(Record):
-    """What the build made and the audit checks read: the `padded` graph
-    and its `labelling`, the clique `scale` and the unrestricted padded
-    coordinates.  Scale and coordinates are integers in units of
-    1/`unit`, as in the representation.  The codes and the branch taken
-    per (dimension, vertex) follow from the labelling and the claw."""
-
-    __slots__ = ("padded", "labelling", "scale", "unit", "coords")
-
-    @property
-    def power(self) -> int:
-        return self.padded.power
-
-    @property
-    def claw(self) -> int:
-        return self.padded.claw
 
     def to_json_obj(self) -> dict:
         codes = branch_codes(self.labelling, self.claw)
@@ -81,49 +82,7 @@ class ConstructionTrace(Record):
             "codes": list(codes),
             "levels": list(self.labelling.levels),
             "branch": [[bit(c, i) for c in codes] for i in range(self.power + 2)],
-            "added": self.padded.added,
-            "original_n": self.padded.ordering.n - self.padded.added,
-            "padded_coords": [
-                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
-            ],
         }
-
-
-def pad_graph(ordering: CliqueOrdering, claws: list[int]) -> PaddedGraph:
-    """Append pendants to the last-clique vertex whose neighbourhood holds
-    the most independent vertices (lowest index on ties) until the claw
-    number psi, the largest of `claws`, is the next power of two.  Pendants
-    touch only that center, so the padded claw number is known without
-    another pass.
-
-    Each last-clique vertex's count comes from `claws`, the ordering's
-    psi(v) from `parameters`; not from a greedy per vertex.
-    Its chain may end on a different vertex than the greedy on N(v) would,
-    but always with the same count, so the center is the same.  The last
-    clique is the vertices whose range ends at k - 1, and the pendants
-    are appended ranges, so the rest costs O(n + k)."""
-    psi = max(claws, default=0)
-    if psi < 2:
-        raise ValueError("padding needs claw number at least 2")
-    power = ceil_log2(psi)
-    target = 1 << power
-    if target == psi:
-        return PaddedGraph(ordering, power, 0, None)
-
-    k = ordering.k
-    last = [v for v, r in enumerate(ordering.right) if r == k - 1]
-    center = min(last, key=lambda v: (-claws[v], v))
-    added = target - claws[center]
-
-    # a center alone in the last clique is isolated: the first pendant
-    # clique takes that clique's place, which {center} alone would not
-    # survive as a maximal clique
-    first = k - 1 if len(last) == 1 else k
-    left = list(ordering.left) + [first + i for i in range(added)]
-    right = list(ordering.right) + [first + i for i in range(added)]
-    right[center] = first + added - 1
-    padded_ordering = CliqueOrdering(first + added, tuple(left), tuple(right))
-    return PaddedGraph(padded_ordering, power, added, center)
 
 
 def clique_scale(ordering: CliqueOrdering, labelling: Labelling) -> tuple[tuple[int, ...], int]:
@@ -167,34 +126,30 @@ def build_representation(
     Graphs whose claw number is below 2 (disjoint unions of cliques) take
     the degenerate one-dimensional route and carry no trace.
     """
-    claws, labelling = parameters(ordering)
-    if max(claws, default=0) < 2:
+    psi, labelling = parameters(ordering)
+    if psi < 2:
         return build_degenerate(ordering), None
-    return _build(ordering, claws, labelling)
+    return _build(ordering, labelling, ceil_log2(psi))
 
 
 def _build(
-    ordering: CliqueOrdering, claws: list[int], labelling: Labelling
+    ordering: CliqueOrdering, labelling: Labelling, power: int
 ) -> tuple[CubeRepresentation, ConstructionTrace]:
-    """The construction on an ordering with claw number max(claws) >= 2,
-    from its psi(v) and labelling; the representation covers the
-    ordering's own vertices, not the pendants."""
-    padded = pad_graph(ordering, claws)
-    # padding that adds nothing keeps the ordering, and so its labelling
-    lab = label_vertices(padded.ordering) if padded.added else labelling
-    scale, unit = clique_scale(padded.ordering, lab)
-    codes = branch_codes(lab, padded.claw)
-    side = padded.claw * unit - unit // 2
-    dims = padded.power + 2
+    """The construction in power + 2 dimensions, from the ordering's
+    labelling; the caller makes sure that no psi(v) exceeds 2**power."""
+    claw = 1 << power
+    scale, unit = clique_scale(ordering, labelling)
+    codes = branch_codes(labelling, claw)
+    side = claw * unit - unit // 2
+    dims = power + 2
 
     # code bit i set: the cube starts at the left end in dimension i
-    left, right = padded.ordering.left, padded.ordering.right
     coords = []
-    for v, code in enumerate(codes):
-        at_left, at_right = scale[left[v]], scale[right[v]] - side
+    for code, lv, rv in zip(codes, ordering.left, ordering.right):
+        at_left, at_right = scale[lv], scale[rv] - side
         coords.append(tuple([at_left if code >> i & 1 else at_right for i in range(dims)]))
-    rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]), unit)
-    return rep, ConstructionTrace(padded, lab, scale, unit, tuple(coords))
+    rep = CubeRepresentation(dims, side, tuple(coords), unit)
+    return rep, ConstructionTrace(labelling, power, scale, unit)
 
 
 def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
@@ -211,60 +166,31 @@ def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
     return CubeRepresentation(1, 1, coords, 1)
 
 
-def _augment_with_universal(ordering: CliqueOrdering) -> CliqueOrdering:
-    k = ordering.k
-    return CliqueOrdering(k, ordering.left + (0,), ordering.right + (k - 1,))
-
-
 def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
-    """Exactly ceil(log2 alpha) dimensions via a universal vertex.
-
-    Adding a universal vertex forces claw number == independence number,
-    which makes the two extra dimensions of the claw build complete; both
-    are detected by direct span checks, then dropped together with the
-    universal vertex.
-    """
-    if ordering.n == 0:
-        return CubeRepresentation(0, 1, (), 1)
-    return _build_alpha(ordering, *parameters(ordering))
+    """Exactly ceil(log2 alpha) dimensions: the first p = ceil(log2 alpha)
+    of the build with claw 2**p (see the module docstring)."""
+    return _build_alpha(ordering, label_vertices(ordering))
 
 
-def _build_alpha(
-    ordering: CliqueOrdering, claws: list[int], labelling: Labelling
-) -> CubeRepresentation:
-    n, alpha = ordering.n, labelling.alpha
-    if alpha == 1:
-        return CubeRepresentation(0, 1, ((),) * n, 1)
-    # with a universal vertex the claw number is the independence number;
-    # that vertex's psi is alpha, and it lifts no other psi(v) but a 0 to 1.
-    # It sits at level 0 and is no anchor: a vertex starting at clique 0
-    # ends no later and has a lower index
-    aug_claws = [max(c, 1) for c in claws] + [alpha]
-    aug_labelling = Labelling(labelling.levels + (0,), labelling.anchors)
-    rep_aug, trace = _build(_augment_with_universal(ordering), aug_claws, aug_labelling)
-    p = trace.power
-    complete = complete_dimensions(rep_aug)
-    if complete != [p, p + 1]:
-        raise ConstructionError(
-            f"expected dimensions {p} and {p + 1} to be complete, found {complete}"
-        )
-    coords = tuple(tuple(rep_aug.coords[v][i] for i in range(p)) for v in range(n))
-    return CubeRepresentation(p, rep_aug.side, coords, rep_aug.unit)
+def _build_alpha(ordering: CliqueOrdering, labelling: Labelling) -> CubeRepresentation:
+    if labelling.alpha <= 1:
+        return CubeRepresentation(0, 1, ((),) * ordering.n, 1)
+    p = ceil_log2(labelling.alpha)
+    rep, _ = _build(ordering, labelling, p)
+    return CubeRepresentation(p, rep.side, tuple(row[:p] for row in rep.coords), rep.unit)
 
 
 def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
     """The smaller of the two variants; ties go to the alpha variant.
     Both dimensions follow from psi and alpha, so only one is built, from
     the one `parameters` pass that gave them."""
-    if ordering.n == 0:
-        return build_degenerate(ordering)
-    claws, labelling = parameters(ordering)
-    psi, alpha = max(claws), labelling.alpha
-    if best_dimension(psi, alpha) == ceil_log2(alpha):
-        return _build_alpha(ordering, claws, labelling)
+    psi, labelling = parameters(ordering)
+    alpha = labelling.alpha
+    if alpha <= 1 or best_dimension(psi, alpha) == ceil_log2(alpha):
+        return _build_alpha(ordering, labelling)
     if psi < 2:
         return build_degenerate(ordering)
-    return _build(ordering, claws, labelling)[0]
+    return _build(ordering, labelling, ceil_log2(psi))[0]
 
 
 def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:

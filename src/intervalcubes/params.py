@@ -7,30 +7,31 @@ makes.  N(v) is C_{left v} without v plus every vertex whose range starts
 in (left v, right v].
 
 - First pick.  Some range ends at r = left v, because the cliques are
-  maximal (padding and the universal vertex keep them so): some range of
-  C_j leaves before C_{j+1}, and every range ends by the last clique.  If
-  a neighbour ends there, the greedy's first pick ends at r.  Otherwise
-  the ranges ending there are v itself or start after right v; either way
-  every neighbour ends at r or later and holds right v, so the greedy
-  stops after one pick, and so does the chain below.
+  maximal: some range of C_j leaves before C_{j+1}, and every range ends
+  by the last clique.  If a neighbour ends there, the greedy's first pick
+  ends at r.  Otherwise the ranges ending there are v itself or start
+  after right v; either way every neighbour ends at r or later and holds
+  right v, so the greedy stops after one pick, and so does the chain
+  below.
 - Later picks.  After a pick ending at r, the greedy takes the earliest
   finisher among the ranges starting in (r, right v], and that is
   `best[r + 1]` of the labelling's suffix-best table whenever that vertex
   starts by right v.  When it starts later it also ends after right v, and
   so does every range starting in (r, right v]: the greedy takes one of
   them and stops.  Some range starts at every clique index, because the
-  cliques are maximal (each pendant of a padded ordering starts its own
-  clique), so the greedy has a pick wherever the chain takes a step.
+  cliques are maximal, so the greedy has a pick wherever the chain takes
+  a step.
 
 So psi(v) is 1 plus the steps of the chain j -> right[best[j]] + 1 from
 j = left v + 1 while j <= right v, or 0 when v's range is one clique holding v
 alone.  The chain's last pick may be a vertex outside N(v) where the
 greedy picks another that also overruns right v: the count is the same,
 the leaves may not be.  No clique or neighbourhood is listed or sorted,
-so all psi(v) cost O(n + k + sum of psi(v)); `claw_number` runs the greedy
-once more, on the centre it picks, for the witness leaves.  A build needs
-every psi(v) and the labelling, and `parameters` makes both from one
-suffix-best table: each builder and each search sample calls it once.
+so all psi(v) cost O(n + k + sum of psi(v)); `param_report` runs the
+greedy once more, on the centre it picks, for the witness leaves.  A claw
+build needs psi and the labelling, and `parameters` makes both from one
+suffix-best table, as `param_report` makes psi, its witness and the
+labelling: each build, each search sample and each report makes one.
 """
 
 from __future__ import annotations
@@ -120,39 +121,36 @@ def vertex_claws(ordering: CliqueOrdering, best: list[int | None]) -> list[int]:
     return claws
 
 
-def parameters(ordering: CliqueOrdering) -> tuple[list[int], Labelling]:
-    """psi(v) for every vertex and the labelling, from one suffix-best
-    table: the builders and the search make both here, once each."""
+def parameters(ordering: CliqueOrdering) -> tuple[int, Labelling]:
+    """The claw number psi (0 for no vertices) and the labelling, from one
+    suffix-best table: the claw and best builders and the search make both
+    here, once each."""
     best = suffix_best(ordering)
-    return vertex_claws(ordering, best), label_vertices(ordering, best)
-
-
-def claw_number(ordering: CliqueOrdering) -> tuple[int, StarWitness | None]:
-    """Largest m with an induced star on m leaves; 0 for edgeless graphs.
-
-    The centre is the lowest-indexed vertex with the largest psi(v), from
-    one `vertex_claws` pass; `neighborhood_mis` runs once, on that centre,
-    for the witness leaves.  The builders and the search need no witness
-    and read psi(v) off `parameters`."""
-    claws = vertex_claws(ordering, suffix_best(ordering))
-    psi = max(claws, default=0)
-    if psi == 0:
-        return 0, None
-    center = claws.index(psi)
-    _, leaves = neighborhood_mis(ordering, center)
-    return psi, StarWitness(center=center, leaves=leaves)
+    return max(vertex_claws(ordering, best), default=0), label_vertices(ordering, best)
 
 
 def param_report(
     ordering: CliqueOrdering, graph: Graph | None = None, labelling: Labelling | None = None
 ) -> ParamReport:
-    """psi, alpha and the lower bound, all read off the ordering and the
-    labelling, which is made from the ordering when not given.  `graph` is
-    not read; it stays in the signature because the benchmark harness
-    passes it."""
+    """psi, its witness, alpha and the lower bound, all read off the
+    ordering and the labelling, which is made from the ordering when not
+    given; one suffix-best table serves both.  `graph` is not read; it
+    stays in the signature because the benchmark harness passes it.
+
+    psi is the largest m with an induced star on m leaves, 0 for edgeless
+    graphs.  The witness centre is the lowest-indexed vertex with the
+    largest psi(v), from one `vertex_claws` pass; `neighborhood_mis` runs
+    once, on that centre, for the leaves.  The builders and the search
+    need no witness and read psi off `parameters`."""
+    best = suffix_best(ordering)
     if labelling is None:
-        labelling = label_vertices(ordering)
-    psi, witness = claw_number(ordering)
+        labelling = label_vertices(ordering, best)
+    claws = vertex_claws(ordering, best)
+    psi = max(claws, default=0)
+    witness = None
+    if psi:
+        center = claws.index(psi)
+        witness = StarWitness(center=center, leaves=neighborhood_mis(ordering, center)[1])
     return ParamReport(
         psi=psi,
         alpha=labelling.alpha,

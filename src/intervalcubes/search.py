@@ -75,8 +75,8 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
-        claws, labelling = parameters(ordering)
-        psi, alpha = max(claws), labelling.alpha
+        psi, labelling = parameters(ordering)
+        alpha = labelling.alpha
         dimension = best_dimension(psi, alpha)
         # the proven upper bound; family sizes are searched from 1
         bound = max(1, dimension)

@@ -261,13 +261,3 @@ def _unseparated(apart, cols, side: int, order, starts):
         for u in us:
             yield (u, v) if u < v else (v, u)
 
-
-def complete_dimensions(rep) -> list[int]:
-    """Dimensions whose coordinate span stays within the side: every pair
-    is adjacent there, so the dimension constrains nothing."""
-    out = []
-    for i in range(rep.dimension):
-        values = [row[i] for row in rep.coords]
-        if not values or max(values) - min(values) <= rep.side:
-            out.append(i)
-    return out

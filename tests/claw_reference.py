@@ -1,16 +1,17 @@
 """The claw pass and padding centre choice as they were before the chain
 pass: the earliest-finish greedy on every vertex's neighbourhood, sorted
-anew each time, O(m log n).  Kept as the references for
-`params.claw_number`, `params.neighborhood_mis` and `construct.pad_graph`;
-they read the cliques as sets, derived from the ranges by
-`validators.clique_sets`, where the library reads the ranges alone."""
+anew each time, O(m log n).  Kept as the references for the claw number
+of `params.param_report`, for `params.neighborhood_mis` and for the
+chain-pass centre of `padding_reference.pad_graph`; they read the cliques
+as sets, derived from the ranges by `validators.clique_sets`, where the
+library reads the ranges alone."""
 
 from __future__ import annotations
 
-from intervalcubes.construct import PaddedGraph
 from intervalcubes.intervals import CliqueOrdering, greedy_independent
 from intervalcubes.params import StarWitness, ceil_log2
 
+from padding_reference import PaddedGraph
 from validators import clique_sets
 
 

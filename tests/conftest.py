@@ -15,15 +15,15 @@ from intervalcubes import (
     greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
-    pad_graph,
+    param_report,
     random_interval_model,
 )
 from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
-from intervalcubes.params import parameters
 from intervalcubes.rationals import parse_rational
 
 from oracle_reference import reference_supergraphs
+from padding_reference import pad_graph, psi_values
 from validators import ranges_intersect
 
 
@@ -171,10 +171,16 @@ def model_pipeline(model):
     return graph, ordering
 
 
+def claw_number(ordering):
+    """The claw number psi and its witness, as `param_report` gives them."""
+    report = param_report(ordering)
+    return report.psi, report.witness
+
+
 def adjacency_claw_number(ordering, graph: Graph):
     """The claw pass over adjacency sets: the earliest-finish greedy on each
-    vertex's neighbour set.  The reference for `claw_number`, which reads
-    the neighbourhoods off the clique ranges instead."""
+    vertex's neighbour set.  The reference for `param_report`'s claw
+    number, which reads the neighbourhoods off the clique ranges instead."""
     best, witness = 0, None
     for v in range(graph.n):
         leaves = greedy_independent(ordering, graph.adj[v])
@@ -184,8 +190,9 @@ def adjacency_claw_number(ordering, graph: Graph):
 
 
 def pad(ordering):
-    """pad_graph as the claw build calls it, with the ordering's psi(v)."""
-    return pad_graph(ordering, parameters(ordering)[0])
+    """The reference padding as its claw build calls it, with the
+    ordering's psi(v)."""
+    return pad_graph(ordering, psi_values(ordering))
 
 
 def padded_graph(graph: Graph, padded) -> Graph:

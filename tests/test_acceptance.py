@@ -19,8 +19,6 @@ from intervalcubes import (
     build_best,
     build_representation,
     ceil_log2,
-    claw_number,
-    complete_dimensions,
     exact_cubicity,
     label_vertices,
     model_to_clique_ordering,
@@ -31,17 +29,24 @@ from intervalcubes import (
     tightness_search,
     verify_representation,
 )
-from intervalcubes.construct import _augment_with_universal
 from intervalcubes.generate import DISTRIBUTIONS
 from intervalcubes.recognition import (
     maximal_cliques_chordal,
     perfect_elimination_ordering,
 )
 
-from conftest import augmented_graph, cycle_graph, net_graph, padded_graph, star_graph
+from conftest import (
+    augmented_graph,
+    claw_number,
+    cycle_graph,
+    net_graph,
+    padded_graph,
+    star_graph,
+)
 from oracle_reference import brute_alpha, brute_claw
+from padding_reference import augment_with_universal, padded_claw_build
 from pqtree_reference import consecutive_arrangement, consecutive_arrangement_exhaustive
-from validators import check_trace, validate_labelling, validate_ordering
+from validators import check_trace, complete_dimensions, validate_labelling, validate_ordering
 
 
 def emit(number: int, ok: bool, detail: str):
@@ -99,9 +104,6 @@ def test_criterion_1_constructive_upper_bound(corpora):
         run = PipelineRun(graph, ordering, labelling, rep, trace)
         corpora.theorem1.append(run)
         corpora.orderings.append((ordering, labelling, graph))
-        corpora.orderings.append(
-            (trace.padded.ordering, trace.labelling, padded_graph(graph, trace.padded))
-        )
     emit(1, failures == 0, f"200 instances, {failures} failures")
 
 
@@ -124,6 +126,10 @@ def test_criterion_2_star_values(corpora):
 
 
 def test_criterion_3_psi_equals_alpha_specialization(corpora):
+    """The paper's route to ceil(log2 alpha): a universal vertex makes the
+    claw number alpha, and the claw build on that ordering, with or
+    without padding, leaves dimensions p and p + 1 complete.  The alpha
+    variant builds without that vertex at the same dimension."""
     failures = 0
     done = 0
     seed = 0
@@ -133,14 +139,15 @@ def test_criterion_3_psi_equals_alpha_specialization(corpora):
         labelling = label_vertices(ordering)
         if labelling.alpha < 2:
             continue
-        aug, aug_ordering = augmented_graph(graph), _augment_with_universal(ordering)
+        aug, aug_ordering = augmented_graph(graph), augment_with_universal(ordering)
         aug_lab = label_vertices(aug_ordering)
-        rep_aug, trace = build_representation(aug_ordering)
+        rep_aug, trace = padded_claw_build(aug_ordering)
         p = trace.power
         alpha_rep = build_alpha_representation(ordering)
         ok = (
             complete_dimensions(rep_aug) == [p, p + 1]
-            and alpha_rep.dimension == ceil_log2(labelling.alpha)
+            and complete_dimensions(build_representation(aug_ordering)[0]) == [p, p + 1]
+            and alpha_rep.dimension == p == ceil_log2(labelling.alpha)
             and verify_representation(graph, alpha_rep).ok
         )
         if not ok:
@@ -174,7 +181,7 @@ def test_criterion_5_trace_invariants(corpora):
     assert corpora.theorem1, "criterion 1 must run first"
     failures = 0
     for run in corpora.theorem1:
-        report = check_trace(run.trace, run.trace.padded.ordering, run.trace.labelling)
+        report = check_trace(run.trace, run.ordering, run.rep.coords)
         if not report.ok:
             failures += 1
     emit(5, failures == 0, f"traces from criterion 1, {failures} failures")

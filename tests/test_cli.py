@@ -102,6 +102,7 @@ def test_construct_normalize_and_trace(capsys, p3_file):
     obj = json.loads(out)
     assert obj["side"] == "1"
     assert obj["trace"]["claw"] == 2
+    assert set(obj["trace"]) == {"power", "claw", "bits", "scale", "codes", "levels", "branch"}
 
 
 def test_construct_non_interval_exit_1(capsys, c4_file):

@@ -16,7 +16,6 @@ from intervalcubes import (
     build_degenerate,
     build_representation,
     ceil_log2,
-    claw_number,
     clique_scale,
     label_vertices,
     normalize_unit,
@@ -28,6 +27,7 @@ from intervalcubes.labelling import Labelling
 
 from conftest import (
     adjacency_claw_number,
+    claw_number,
     complete_graph,
     cycle_graph,
     interval_models,
@@ -43,6 +43,7 @@ from conftest import (
     star_model,
     values,
 )
+from padding_reference import padded_claw_build
 from validators import clique_sets
 
 F = Fraction
@@ -71,6 +72,10 @@ def test_branch_codes_low_bits_copy_level():
         assert 4 <= code < 12
         for i in range(2):  # p = 2
             assert bit(code, i) == bit(lvl, i)
+
+
+# The padding of the paper's route, kept in tests/padding_reference.py as
+# the reference the builders are compared against.
 
 
 def test_pad_star3_becomes_star4():
@@ -363,10 +368,13 @@ def test_representation_json_round_trip():
 
 
 def test_padding_restriction_is_sound():
-    """Coordinates restricted from the padded graph must verify against the
-    original, whatever the padding added."""
+    """Coordinates the reference restricts from the padded graph must
+    verify against the original, whatever the padding added; the build on
+    the star itself reaches the same dimension."""
     for m in (3, 5, 6, 7):
         g = star_graph(m)
-        rep, trace = build_representation(require_ordering(g))
+        ordering = require_ordering(g)
+        rep, trace = padded_claw_build(ordering)
         assert trace.padded.added == (1 << trace.power) - m
         assert verify_representation(g, rep).ok
+        assert build_representation(ordering)[0].dimension == rep.dimension

@@ -1,6 +1,8 @@
-"""build_best against both public variants, the ordering-only padding
-and universal vertex against graphs built independently from the input,
-and the integer grid of every representation built."""
+"""build_best against both public variants, both variants against the
+paper's route through padding and a universal vertex (kept in
+`padding_reference`), that route's ordering edits against graphs built
+independently from the input, and the integer grid of every
+representation built."""
 
 from hypothesis import given, settings
 
@@ -11,18 +13,18 @@ from intervalcubes import (
     build_alpha_representation,
     build_best,
     build_representation,
-    claw_number,
     label_vertices,
     normalize_unit,
     recognize_and_order,
     verify_representation,
 )
 from intervalcubes import construct, labelling, params
-from intervalcubes.construct import _augment_with_universal, best_dimension
+from intervalcubes.construct import best_dimension
 
 from conftest import (
     adjacency_claw_number,
     augmented_graph,
+    claw_number,
     complete_graph,
     interval_models,
     model_pipeline,
@@ -34,6 +36,12 @@ from conftest import (
     star_graph,
     star_model,
     values,
+)
+from padding_reference import (
+    augment_with_universal,
+    padded_claw_build,
+    psi_values,
+    universal_alpha_build,
 )
 from validators import check_trace
 
@@ -87,8 +95,8 @@ def _check_integer_grid(graph, ordering):
     claw_rep, trace = build_representation(ordering)
     if trace is not None:
         assert trace.unit == claw_rep.unit
-        assert _all_ints(trace.scale, *trace.coords)
-        assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
+        assert _all_ints(trace.scale)
+        assert check_trace(trace, ordering, claw_rep.coords).ok
     for built in (claw_rep, build_alpha_representation(ordering), build_best(ordering)):
         for rep in (built, normalize_unit(built)):
             assert _all_ints((rep.dimension, rep.side, rep.unit), *rep.coords)
@@ -111,11 +119,51 @@ def test_integer_grid_round_trip_hypothesis(model):
     _check_integer_grid(*model_pipeline(model))
 
 
+def _check_against_padding_reference(graph, ordering) -> int:
+    """Each variant against the paper's route: the same dimension, both
+    verify, the same levels on the input's vertices, and the same JSON
+    whenever that route adds no pendant, that is when psi (claw variant)
+    or alpha (alpha variant) is a power of two, or below 2.  Returns how
+    many of the two variants the route padded."""
+    psi, lab = params.parameters(ordering)
+    rep, trace = build_representation(ordering)
+    if trace is not None:
+        assert trace.labelling == lab
+    padded = 0
+    pairs = (
+        (rep, *padded_claw_build(ordering), psi),
+        (build_alpha_representation(ordering), *universal_alpha_build(ordering), lab.alpha),
+    )
+    for built, reference, ref_trace, size in pairs:
+        assert built.dimension == reference.dimension
+        assert verify_representation(graph, built).ok
+        assert verify_representation(graph, reference).ok
+        if ref_trace is not None:
+            assert ref_trace.labelling.levels[: ordering.n] == lab.levels
+            padded += ref_trace.padded.added > 0
+        if size & (size - 1) == 0 or size < 2:
+            assert built.dumps() == reference.dumps()
+    return padded
+
+
+def test_builds_match_padding_reference():
+    padded = sum(_check_against_padding_reference(*case) for case in _corpus())
+    assert padded > 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_models())
+def test_builds_match_padding_reference_hypothesis(model):
+    graph, ordering = model_pipeline(model)
+    _check_against_padding_reference(graph, ordering)
+    _check_against_padding_reference(graph, recognize_and_order(graph))
+
+
 def test_padding_reference_on_rebuilt_graphs():
-    """The padded claw number, known by construction, equals a full claw
-    pass on the padded graph rebuilt from the input, and the padded
-    ordering describes exactly that graph; likewise for the universal
-    vertex, whose claw number is the independence number."""
+    """The reference's padded claw number, known by construction, equals a
+    full claw pass on the padded graph rebuilt from the input, and the
+    padded ordering describes exactly that graph; likewise for the
+    universal vertex, whose claw number is the independence number."""
     padded_count = 0
     for graph, ordering in _corpus():
         if graph.n == 0:
@@ -128,11 +176,11 @@ def test_padding_reference_on_rebuilt_graphs():
             padded_count += padded.added > 0
 
         alpha = label_vertices(ordering).alpha
-        aug, aug_ordering = augmented_graph(graph), _augment_with_universal(ordering)
+        aug, aug_ordering = augmented_graph(graph), augment_with_universal(ordering)
         assert range_graph(aug_ordering) == aug
         if alpha >= 2:
             assert adjacency_claw_number(aug_ordering, aug)[0] == alpha
-            _, trace = build_representation(aug_ordering)
+            _, trace = padded_claw_build(aug_ordering)
             rebuilt = padded_graph(aug, trace.padded)
             assert adjacency_claw_number(trace.padded.ordering, rebuilt)[0] == trace.claw
             assert range_graph(trace.padded.ordering) == rebuilt
@@ -140,47 +188,36 @@ def test_padding_reference_on_rebuilt_graphs():
 
 
 def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
-    calls = {"psi": 0, "neighborhood": 0, "pad": 0, "padded": 0, "build": 0, "graph": 0}
-    built = []  # vertex count of each ordering the builder ran on
+    calls = {"psi": 0, "neighborhood": 0, "build": 0, "alpha": 0, "graph": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            if key == "build":
-                built.append(args[0].n)
-            result = func(*args, **kwargs)
-            if key == "pad" and result.added:
-                calls["padded"] += 1
-            return result
+            return func(*args, **kwargs)
 
         return wrapper
 
-    # every psi pass, whether for the claw number or the padding center
     monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
     monkeypatch.setattr(
         params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
     )
-    monkeypatch.setattr(construct, "pad_graph", counting("pad", construct.pad_graph))
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
+    monkeypatch.setattr(construct, "_build_alpha", counting("alpha", construct._build_alpha))
     monkeypatch.setattr(Graph, "__init__", counting("graph", Graph.__init__))
 
-    winners, padded = set(), 0
+    winners = set()
     for graph, ordering in _corpus():
         calls.update(dict.fromkeys(calls, 0))
-        built.clear()
         build_best(ordering)
-        padded += calls["padded"]
         assert calls["graph"] == 0
         # no greedy on a neighbourhood: the build needs psi, not a witness
         assert calls["neighborhood"] == 0
-        # one psi pass serves the claw number and the padding center
-        assert calls["psi"] == (1 if graph.n else 0)
+        assert calls["psi"] == 1
+        # the alpha variant runs the one build on the input itself
         assert calls["build"] <= 1
-        if built:
-            # the alpha variant builds on the ordering plus a universal vertex
-            winners.add("alpha" if built[0] == graph.n + 1 else "claw")
+        if calls["build"]:
+            winners.add("alpha" if calls["alpha"] else "claw")
     assert winners == {"claw", "alpha"}
-    assert padded > 0
 
 
 def count_suffix_best(monkeypatch) -> list:
@@ -198,41 +235,30 @@ def count_suffix_best(monkeypatch) -> list:
 
 
 def test_each_build_makes_one_suffix_best_table_on_its_input(monkeypatch):
-    """Each variant makes the suffix-best table once on the input
-    ordering, and once more only on a padded ordering it must label anew:
-    the alpha variant's universal vertex costs no table of its own."""
-    padded, pad = [], construct.pad_graph
-
-    def recording_pad(*args):
-        padded.append(pad(*args))
-        return padded[-1]
-
-    monkeypatch.setattr(construct, "pad_graph", recording_pad)
+    """Each variant makes the suffix-best table exactly once, on the input
+    ordering, whatever its claw and independence numbers."""
     seen = count_suffix_best(monkeypatch)
     for graph, ordering in _corpus():
-        if graph.n == 0:
-            continue
         for builder in (build_representation, build_alpha_representation, build_best):
             seen.clear()
-            padded.clear()
             builder(ordering)
-            assert seen == [ordering, *(p.ordering for p in padded if p.added)]
+            assert len(seen) == 1
             assert seen[0] is ordering
 
 
 def _check_universal_vertex_claws(ordering):
-    claws, lab = params.parameters(ordering)
-    augmented = _augment_with_universal(ordering)
-    assert params.parameters(augmented)[0] == [max(c, 1) for c in claws] + [lab.alpha]
+    claws, lab = psi_values(ordering), label_vertices(ordering)
+    augmented = augment_with_universal(ordering)
+    assert psi_values(augmented) == [max(c, 1) for c in claws] + [lab.alpha]
     # the universal vertex is never an anchor, and sits at level 0
     assert label_vertices(augmented) == Labelling(lab.levels + (0,), lab.anchors)
 
 
 def test_universal_vertex_claws_follow_from_the_ordering():
-    """The alpha variant builds on the ordering plus a universal vertex
-    with psi values and a labelling read off the ordering's own pass: the
-    universal vertex's psi is alpha, and it lifts no other but a 0 to 1;
-    it adds level 0 and no anchor."""
+    """The reference alpha route builds on the ordering plus a universal
+    vertex with psi values and a labelling read off the ordering's own
+    pass: the universal vertex's psi is alpha, and it lifts no other but a
+    0 to 1; it adds level 0 and no anchor."""
     for graph, ordering in _corpus():
         if graph.n:
             _check_universal_vertex_claws(ordering)

@@ -7,13 +7,13 @@ from intervalcubes import (
     SizeRefusalError,
     build_best,
     ceil_log2,
-    claw_number,
     exact_cubicity,
     label_vertices,
     non_edges,
 )
 
 from conftest import (
+    claw_number,
     complete_graph,
     cycle_graph,
     indifference_ordering,

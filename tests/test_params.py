@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from intervalcubes import (
     Graph,
     ceil_log2,
-    claw_number,
     label_vertices,
     neighborhood_mis,
-    pad_graph,
     param_report,
     recognize_and_order,
+    serialize_graph,
 )
-from intervalcubes.construct import _augment_with_universal
 from intervalcubes.labelling import suffix_best
 from intervalcubes.params import vertex_claws
 
 from conftest import (
     adjacency_claw_number,
     augmented_graph,
+    claw_number,
     complete_graph,
     interval_models,
     model_pipeline,
@@ -30,6 +29,7 @@ from conftest import (
 )
 import claw_reference
 from oracle_reference import brute_alpha, brute_claw
+from padding_reference import augment_with_universal, pad_graph
 from validators import clique_sets
 
 
@@ -121,6 +121,30 @@ def test_param_report_fields():
     assert obj["witness"]["center"] == 0
 
 
+def test_params_command_makes_one_suffix_best_table(monkeypatch, tmp_path, capsys):
+    """`params` reads psi, its witness and alpha off one suffix-best table,
+    on a model and on an edge list."""
+    from intervalcubes import cli, labelling, params
+
+    seen, table = [], labelling.suffix_best
+
+    def counting(ordering):
+        seen.append(ordering)
+        return table(ordering)
+
+    monkeypatch.setattr(params, "suffix_best", counting)
+    monkeypatch.setattr(labelling, "suffix_best", counting)
+    for i, model in enumerate(random_models(6, range(2, 30), seed=41)):
+        graph = model_pipeline(model)[0]
+        for name, text in (("model", model.dumps()), ("graph", serialize_graph(graph))):
+            path = tmp_path / f"{name}{i}.txt"
+            path.write_text(text)
+            seen.clear()
+            assert cli.main(["params", str(path)]) == 0
+            assert len(seen) == 1
+    capsys.readouterr()
+
+
 def _claw_corpus():
     """(graph, ordering) pairs over both ordering routes: the endpoint sweep
     of the random models and recognition of the same graphs, plus large
@@ -153,10 +177,11 @@ def test_claw_number_matches_adjacency_greedy_hypothesis(model):
 
 def _psi_orderings(ordering):
     """The ordering, the same with a universal vertex, and the padded
-    ordering the claw build makes of it: every form the psi pass meets."""
+    ordering the reference claw build makes of it: every form the psi pass
+    meets on the paper's route."""
     out = [ordering]
     if ordering.n:
-        out.append(_augment_with_universal(ordering))
+        out.append(augment_with_universal(ordering))
     if claw_number(ordering)[0] >= 2:
         out.append(pad(ordering).ordering)
     return out

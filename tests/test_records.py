@@ -19,7 +19,6 @@ from intervalcubes import (
     IntervalModel,
     Labelling,
     NotInterval,
-    PaddedGraph,
     ParamReport,
     StarWitness,
     VerificationReport,
@@ -31,10 +30,9 @@ def _samples() -> list[tuple[Record, Record]]:
     """Two records of each class that differ in one field."""
     ordering = CliqueOrdering(1, (0, 0), (0, 0))
     other = CliqueOrdering(1, (0, 0), (0, 1))
-    padded = PaddedGraph(ordering, 1, 0, None)
     lab = Labelling((0, 0), (0,))
     witness = StarWitness(0, (1, 2))
-    trace = dict(padded=padded, labelling=lab, scale=(0,), unit=2, coords=((0,), (0,)))
+    trace = dict(labelling=lab, power=1, scale=(0,), unit=2)
     return [
         (IntervalModel(((Fraction(0), Fraction(1)),)),
          IntervalModel(((Fraction(0), Fraction(2)),))),
@@ -43,7 +41,6 @@ def _samples() -> list[tuple[Record, Record]]:
         (lab, Labelling((0, 1), (0,))),
         (witness, StarWitness(0, (1, 3))),
         (ParamReport(2, 2, witness, 1), ParamReport(2, 2, None, 1)),
-        (padded, PaddedGraph(other, 1, 0, None)),
         (CubeRepresentation(1, 2, ((0,), (1,)), 1), CubeRepresentation(1, 2, ((0,), (1,)), 2)),
         (ConstructionTrace(**trace), ConstructionTrace(**{**trace, "unit": 4})),
         (VerificationReport(True, (), (), (0,)), VerificationReport(False, ((0, 1),), (), (0,))),

@@ -5,19 +5,19 @@ import pytest
 from intervalcubes import (
     CubeRepresentation,
     build_representation,
-    complete_dimensions,
     verify_representation,
 )
 from intervalcubes.construct import ConstructionTrace
 
 from conftest import (
+    claw_number,
     complete_graph,
     model_pipeline,
     p3_model,
     random_models,
     star_model,
 )
-from validators import check_trace
+from validators import check_trace, complete_dimensions
 
 F = Fraction
 
@@ -91,47 +91,42 @@ def test_complete_dimensions_zero_dim():
 
 def test_check_trace_star4():
     graph, ordering = model_pipeline(star_model(4))
-    _, trace = build_representation(ordering)
-    report = check_trace(trace, trace.padded.ordering, trace.labelling)
+    rep, trace = build_representation(ordering)
+    report = check_trace(trace, ordering, rep.coords)
     assert report.ok
     # the center's span sits strictly inside the reach
-    center_span = trace.scale[trace.padded.ordering.right[0]] - trace.scale[
-        trace.padded.ordering.left[0]
-    ]
+    center_span = trace.scale[ordering.right[0]] - trace.scale[ordering.left[0]]
     assert F(center_span, trace.unit) == 3 < F(7, 2)
 
 
 def test_check_trace_p3():
     graph, ordering = model_pipeline(p3_model())
-    _, trace = build_representation(ordering)
-    assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
+    rep, trace = build_representation(ordering)
+    assert check_trace(trace, ordering, rep.coords).ok
 
 
 def test_check_trace_flags_corrupted_scale():
     graph, ordering = model_pipeline(p3_model())
-    _, trace = build_representation(ordering)
+    rep, trace = build_representation(ordering)
     bad_scale = list(trace.scale)
     bad_scale[1] = -5 * trace.unit
     corrupted = ConstructionTrace(
-        padded=trace.padded,
         labelling=trace.labelling,
+        power=trace.power,
         scale=tuple(bad_scale),
         unit=trace.unit,
-        coords=trace.coords,
     )
-    report = check_trace(corrupted, trace.padded.ordering, trace.labelling)
+    report = check_trace(corrupted, ordering, rep.coords)
     assert not report.ok
     assert report.has("scale-not-increasing")
     assert report.has("scale-outside-cube")
 
 
 def test_trace_checks_on_random_corpus():
-    from intervalcubes import claw_number
-
     for model in random_models(40, range(3, 35), seed=43):
         graph, ordering = model_pipeline(model)
         psi, _ = claw_number(ordering)
         if psi < 2:
             continue
-        _, trace = build_representation(ordering)
-        assert check_trace(trace, trace.padded.ordering, trace.labelling).ok
+        rep, trace = build_representation(ordering)
+        assert check_trace(trace, ordering, rep.coords).ok

@@ -184,8 +184,10 @@ def validate_labelling(
     return ValidationReport(tuple(violations))
 
 
-def check_trace(trace, ordering, labelling) -> ValidationReport:
-    """Audit a construction trace on the padded graph.
+def check_trace(trace, ordering, coords) -> ValidationReport:
+    """Audit a construction trace against the ordering it was built on and
+    the built coordinates, one row per vertex and every dimension of the
+    build.
 
     Kinds:
       scale-not-increasing  consecutive scale values out of order
@@ -195,7 +197,7 @@ def check_trace(trace, ordering, labelling) -> ValidationReport:
                             its cube in some dimension
     """
     violations: list[Violation] = []
-    scale = trace.scale
+    scale, labelling = trace.scale, trace.labelling
     reach = trace.claw * trace.unit - trace.unit // 2
 
     for j in range(len(scale) - 1):
@@ -208,16 +210,14 @@ def check_trace(trace, ordering, labelling) -> ValidationReport:
         if r >= len(scale) or scale[r] != i * trace.unit:
             violations.append(Violation("scale-anchor", (i, u), ""))
 
-    n = len(trace.coords)
-    for v in range(n):
+    for v in range(len(coords)):
         lo, hi = ordering.left[v], ordering.right[v]
         if not scale[hi] - scale[lo] < reach:
             violations.append(
                 Violation("span-bound", (v,), f"{scale[hi] - scale[lo]} >= {reach}")
             )
         for j in range(lo, hi + 1):
-            for i in range(len(trace.coords[v])):
-                base = trace.coords[v][i]
+            for i, base in enumerate(coords[v]):
                 if not (base <= scale[j] <= base + reach):
                     violations.append(
                         Violation(
@@ -227,3 +227,14 @@ def check_trace(trace, ordering, labelling) -> ValidationReport:
                         )
                     )
     return ValidationReport(tuple(violations))
+
+
+def complete_dimensions(rep) -> list[int]:
+    """Dimensions whose coordinate span stays within the side: every pair
+    is adjacent there, so the dimension constrains nothing."""
+    out = []
+    for i in range(rep.dimension):
+        values = [row[i] for row in rep.coords]
+        if not values or max(values) - min(values) <= rep.side:
+            out.append(i)
+    return out
