@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from .graphs import MAX_ORACLE_VERTICES, Graph, Record, SizeRefusalError, non_edges
 
-MAX_ORACLE_NON_EDGES = 24
-
 
 # ----------------------------------------------------------------------
 # vertex-order closures
@@ -123,21 +121,11 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
 # supergraph enumeration and exact cubicity
 # ----------------------------------------------------------------------
 
-def _refuse_if_many_vertices(graph: Graph):
+def _refuse_if_large(graph: Graph):
     if graph.n > MAX_ORACLE_VERTICES:
         raise SizeRefusalError(
             f"{graph.n} vertices exceeds the oracle bound of {MAX_ORACLE_VERTICES}"
         )
-
-
-def _refuse_if_large(graph: Graph) -> list[tuple[int, int]]:
-    _refuse_if_many_vertices(graph)
-    missing = non_edges(graph)
-    if len(missing) > MAX_ORACLE_NON_EDGES:
-        raise SizeRefusalError(
-            f"{len(missing)} non-edges exceeds the oracle bound of {MAX_ORACLE_NON_EDGES}"
-        )
-    return missing
 
 
 def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -217,7 +205,8 @@ class Exceeded(Record):
 def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
     """Minimum family size by iterative-deepening branch and bound over the
     candidate missing sets; complete graphs need zero."""
-    missing = _refuse_if_large(graph)
+    _refuse_if_large(graph)
+    missing = non_edges(graph)
     if not missing:
         return ExactResult(0, (), 0, 0)
     candidates, visited = _enumerate_candidates(graph, missing)

@@ -4,17 +4,18 @@ Habib, McConnell, Paul & Viennot, "Lex-BFS and partition refinement, with
 applications to transitive orientation, interval graph recognition and
 consecutive ones testing", Theoret. Comput. Sci. 234 (2000):
 
-1. One lexicographic breadth-first search (LexBFS) orders the vertices.
-   Its reverse is a perfect elimination ordering exactly when the graph
-   is chordal (Rose, Tarjan & Lueker 1976); otherwise the reason tag is
-   `not-chordal`.
-2. The maximal cliques are read off that order.
-3. A partition refinement of the cliques orders them so that every
+1. One lexicographic breadth-first search (LexBFS) orders the vertices
+   and notes each vertex's earlier neighbours and parent.  Its reverse is
+   a perfect elimination ordering exactly when the graph is chordal
+   (Rose, Tarjan & Lueker 1976); otherwise the reason tag is
+   `not-chordal`.  The same loop over the parents that tests this reads
+   off the maximal cliques.
+2. A partition refinement of the cliques orders them so that every
    vertex's cliques are consecutive, or fails with the reason tag
    `no-consecutive-ordering`.
 
-Steps 1 and 2 cost O(n + m), plus sorting each neighbourhood once for
-the LexBFS tie-break.  Step 3 costs O(n + Σ|C|) plus, for every clique a
+Step 1 costs O(n + m), plus sorting each neighbourhood once for the
+LexBFS tie-break.  Step 2 costs O(n + Σ|C|) plus, for every clique a
 refinement moves, a scan of that clique's vertices.  No step recurses.
 
 The clique sets live only inside this module: `ordering_from_cliques`
@@ -38,8 +39,10 @@ class NotInterval(Record):
     __slots__ = ("reason",)  # "not-chordal" | "no-consecutive-ordering"
 
 
-def _lexbfs(graph: Graph) -> list[int]:
-    """LexBFS visit order by partition refinement, lowest id on ties.
+def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
+    """LexBFS by partition refinement, lowest id on ties: each vertex's
+    earlier neighbours, keyed in visit order, and its parent, the latest
+    of them (vertices with no earlier neighbour have none).
 
     The unvisited vertices sit in a linked list of classes.  Visiting v
     moves its neighbours in each class it reaches only in part into a new
@@ -53,7 +56,8 @@ def _lexbfs(graph: Graph) -> list[int]:
     prev, nxt = [-1], [-1]
     where = dict.fromkeys(range(n), 0)  # class of each unvisited vertex
     head = 0
-    order = []
+    earlier: dict[int, frozenset[int]] = {}
+    parent: dict[int, int] = {}
     for _ in range(n):
         while not classes[head]:
             head = nxt[head]
@@ -63,8 +67,9 @@ def _lexbfs(graph: Graph) -> list[int]:
             v = stack.pop()
         classes[head].discard(v)
         del where[v]
-        order.append(v)
         reached = graph.adj[v] & where.keys()
+        earlier[v] = graph.adj[v] - reached
+        parent.update(dict.fromkeys(reached, v))
         for old, hits in Counter(map(where.__getitem__, reached)).items():
             if hits == len(classes[old]):
                 continue  # the whole class is reached: nothing to split
@@ -76,7 +81,7 @@ def _lexbfs(graph: Graph) -> list[int]:
             where.update(dict.fromkeys(moved, new))
             if old == head:
                 head = new
-    return order
+    return earlier, parent
 
 
 def _link(prev: list[int], nxt: list[int], left: int, right: int) -> int:
@@ -92,49 +97,25 @@ def _link(prev: list[int], nxt: list[int], left: int, right: int) -> int:
     return new
 
 
-def _earlier_neighbours(graph: Graph, order: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Each vertex's position in `order` and its neighbours placed before it."""
-    pos = [0] * graph.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return pos, [[w for w in graph.adj[v] if pos[w] < pos[v]] for v in range(graph.n)]
+def maximal_cliques_chordal(graph: Graph) -> list[frozenset[int]] | None:
+    """All maximal cliques of a chordal graph in LexBFS discovery order,
+    or None if the graph is not chordal.
 
-
-def perfect_elimination_ordering(graph: Graph) -> list[int] | None:
-    """The reverse of the LexBFS order if it is a perfect elimination
-    ordering, else None: the graph is not chordal.
-
-    Each vertex's earlier neighbours in LexBFS order must all be adjacent
-    to the latest of them, its parent (Tarjan & Yannakakis 1984).
+    In LexBFS order, with C(v) = v plus its earlier neighbours: the graph
+    is chordal exactly when each vertex's earlier neighbours other than
+    its parent are all adjacent to the parent (Tarjan & Yannakakis 1984),
+    and then C(p) is not maximal exactly when some u whose parent is p has
+    |C(u)| = |C(p)| + 1.
     """
-    order = _lexbfs(graph)
-    pos, earlier = _earlier_neighbours(graph, order)
-    for v in order:
-        if len(earlier[v]) > 1:
-            parent = max(earlier[v], key=pos.__getitem__)
-            if not graph.adj[parent].issuperset(w for w in earlier[v] if w != parent):
-                return None
-    order.reverse()
-    return order
-
-
-def maximal_cliques_chordal(graph: Graph, peo: list[int]) -> list[frozenset[int]]:
-    """All maximal cliques of a chordal graph, from its elimination ordering.
-
-    Walking the reverse of `peo` (the discovery order), C(v) is v plus its
-    earlier neighbours.  C(v) is not maximal exactly when some u whose
-    parent (latest earlier neighbour) is v has |C(u)| = |C(v)| + 1.  The
-    maximal ones are returned in discovery order.
-    """
-    order = peo[::-1]
-    pos, earlier = _earlier_neighbours(graph, order)
+    earlier, parent = _lexbfs(graph)
     maximal = [True] * graph.n
-    for u in order:
-        if earlier[u]:
-            parent = max(earlier[u], key=pos.__getitem__)
-            if len(earlier[u]) == len(earlier[parent]) + 1:
-                maximal[parent] = False
-    return [frozenset([v, *earlier[v]]) for v in order if maximal[v]]
+    for u, p in parent.items():
+        # p is not its own neighbour, so the difference holds p and no more
+        if len(earlier[u] - graph.adj[p]) > 1:
+            return None
+        if len(earlier[u]) == len(earlier[p]) + 1:
+            maximal[p] = False
+    return [clique | {v} for v, clique in earlier.items() if maximal[v]]
 
 
 def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
@@ -224,10 +205,9 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
     or a NotInterval result carrying the failing stage."""
     if graph.n == 0:
         return CliqueOrdering(0, (), ())
-    peo = perfect_elimination_ordering(graph)
-    if peo is None:
+    cliques = maximal_cliques_chordal(graph)
+    if cliques is None:
         return NotInterval("not-chordal")
-    cliques = maximal_cliques_chordal(graph, peo)
     arrangement = _arrange_cliques(cliques, graph.n)
     if arrangement is None:
         return NotInterval("no-consecutive-ordering")

@@ -60,8 +60,8 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
 
     The counterexample test applies in the claw >= 2 regime; disjoint
     unions of cliques sit outside it (their cubicity is trivially 0 or 1)
-    and are tallied but never flagged.  Samples beyond the oracle's size
-    bounds are counted in `oracle_refused`, not in `graphs_tried`.
+    and are tallied but never flagged.  Samples beyond the oracle's vertex
+    bound are counted in `oracle_refused`, not in `graphs_tried`.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

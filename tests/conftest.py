@@ -15,6 +15,7 @@ from intervalcubes import (
     greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
+    non_edges,
     param_report,
     random_interval_model,
 )
@@ -138,7 +139,7 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
     whenever any does.  Its cost can grow with n!, so graphs above
     MAX_ORACLE_VERTICES are refused.
     """
-    oracle._refuse_if_many_vertices(graph)
+    oracle._refuse_if_large(graph)
     found: list[tuple[int, ...]] = []
 
     def stop(order: tuple[int, ...], _) -> bool:
@@ -153,7 +154,8 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
 def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
     """The inclusion-maximal sets of input non-edges that one indifference
     supergraph can leave uncovered, as sorted pair lists."""
-    missing = oracle._refuse_if_large(graph)
+    oracle._refuse_if_large(graph)
+    missing = non_edges(graph)
     candidates, _ = oracle._enumerate_candidates(graph, missing)
     return reference_supergraphs(candidates, missing)
 

@@ -30,10 +30,7 @@ from intervalcubes import (
     verify_representation,
 )
 from intervalcubes.generate import DISTRIBUTIONS
-from intervalcubes.recognition import (
-    maximal_cliques_chordal,
-    perfect_elimination_ordering,
-)
+from intervalcubes.recognition import maximal_cliques_chordal
 
 from conftest import (
     augmented_graph,
@@ -242,9 +239,8 @@ def test_criterion_8_tightness_evidence():
 def _pq_agreement(graph) -> tuple[bool, bool]:
     """(agree, feasible): PQ-tree vs exhaustive permutations on the
     clique-vertex incidence of a chordal graph."""
-    peo = perfect_elimination_ordering(graph)
-    assert peo is not None
-    cliques = maximal_cliques_chordal(graph, peo)
+    cliques = maximal_cliques_chordal(graph)
+    assert cliques is not None
     assert len(cliques) <= 8
     rows = [[ci for ci, c in enumerate(cliques) if v in c] for v in range(graph.n)]
     fast = consecutive_arrangement(rows, len(cliques))

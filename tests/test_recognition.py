@@ -6,10 +6,7 @@ from intervalcubes import (
     recognize_and_order,
 )
 from intervalcubes import recognition
-from intervalcubes.recognition import (
-    maximal_cliques_chordal,
-    perfect_elimination_ordering,
-)
+from intervalcubes.recognition import maximal_cliques_chordal
 
 from conftest import (
     bron_kerbosch,
@@ -43,6 +40,9 @@ def test_c5_rejected_not_chordal():
 
 
 def test_net_rejected_no_consecutive_ordering():
+    # the net is chordal, so it gets its cliques, but no order of them
+    # keeps every vertex's cliques consecutive
+    assert set(maximal_cliques_chordal(net_graph())) == bron_kerbosch(net_graph())
     result = recognize_and_order(net_graph())
     assert isinstance(result, NotInterval)
     assert result.reason == "no-consecutive-ordering"
@@ -52,7 +52,7 @@ def test_non_consecutive_arrangement_rejected(monkeypatch):
     # the refinement leaves the last check of every vertex's run to
     # `ordering_from_cliques`; an arrangement that fails it is refused
     graph = path_graph(4)
-    cliques = maximal_cliques_chordal(graph, perfect_elimination_ordering(graph))
+    cliques = maximal_cliques_chordal(graph)
     middle = cliques.index(frozenset({1, 2}))
     ends = [i for i in range(3) if i != middle]
     monkeypatch.setattr(recognition, "_arrange_cliques", lambda cliques, n: [*ends, middle])
@@ -103,9 +103,10 @@ def test_model_graphs_all_accepted_and_valid():
 def test_chordal_clique_enumeration_matches_bron_kerbosch():
     for model in random_models(30, range(2, 14), seed=9):
         graph, _ = model_pipeline(model)
-        peo = perfect_elimination_ordering(graph)
-        assert peo is not None
-        assert set(maximal_cliques_chordal(graph, peo)) == bron_kerbosch(graph)
+        cliques = maximal_cliques_chordal(graph)
+        assert cliques is not None
+        assert len(set(cliques)) == len(cliques)
+        assert set(cliques) == bron_kerbosch(graph)
         assert set(reference_cliques(graph, reference_peo(graph))) == bron_kerbosch(graph)
 
 
@@ -121,9 +122,8 @@ def test_trees_are_chordal_and_recognition_agrees_with_exhaustive():
     accepted = rejected = 0
     for seed in range(60):
         g = random_tree(3 + seed % 7, seed)
-        peo = perfect_elimination_ordering(g)
-        assert peo is not None
-        cliques = maximal_cliques_chordal(g, peo)
+        cliques = maximal_cliques_chordal(g)
+        assert cliques is not None
         rows = [[i for i, c in enumerate(cliques) if v in c] for v in range(g.n)]
         if len(cliques) <= 8:
             exhaustive = consecutive_arrangement_exhaustive(rows, len(cliques))
@@ -143,7 +143,6 @@ def test_trees_are_chordal_and_recognition_agrees_with_exhaustive():
 
 def test_rejected_graphs_have_no_arrangement_by_permutation():
     g = net_graph()
-    peo = perfect_elimination_ordering(g)
-    cliques = maximal_cliques_chordal(g, peo)
+    cliques = maximal_cliques_chordal(g)
     rows = [[i for i, c in enumerate(cliques) if v in c] for v in range(g.n)]
     assert consecutive_arrangement_exhaustive(rows, len(cliques)) is None

@@ -2,7 +2,9 @@
 
 Both must give the same verdict and reason tag.  Every accepted ordering
 must pass the full validator and the pipeline's sanity check, and the
-maximal cliques read off the LexBFS order must be the Bron–Kerbosch ones.
+chordality test read off the LexBFS walk must agree with the reference
+elimination ordering, and the maximal cliques read off the same walk must
+be the Bron–Kerbosch ones.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalcubes import Graph, NotInterval, model_to_graph, recognize_and_order
-from intervalcubes.recognition import (
-    _check_ordering_sanity,
-    maximal_cliques_chordal,
-    perfect_elimination_ordering,
-)
+from intervalcubes.recognition import _check_ordering_sanity, maximal_cliques_chordal
 
 from conftest import bron_kerbosch, cycle_graph, interval_models, net_graph
+from pqtree_reference import perfect_elimination_ordering as reference_peo
 from pqtree_reference import recognize_and_order as reference_recognize
 from validators import validate_ordering
 
@@ -34,9 +33,11 @@ def assert_matches_reference(graph: Graph):
     else:
         assert validate_ordering(graph, result).ok, (graph.n, graph.edges())
         _check_ordering_sanity(graph, result)
-    peo = perfect_elimination_ordering(graph)
-    if peo is not None:
-        assert set(maximal_cliques_chordal(graph, peo)) == bron_kerbosch(graph)
+    cliques = maximal_cliques_chordal(graph)
+    assert (cliques is None) == (reference_peo(graph) is None), (graph.n, graph.edges())
+    if cliques is not None:
+        assert len(set(cliques)) == len(cliques)
+        assert set(cliques) == bron_kerbosch(graph)
     return result
 
 

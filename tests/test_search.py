@@ -53,13 +53,13 @@ def test_injected_stars_match_lower_bound():
 
 
 def test_refused_samples_are_counted_not_fatal():
-    # count 23 is the smallest that reaches a sample beyond the oracle's
-    # non-edge bound for seed 3 at n <= 8
-    report = tightness_search(count=23, n_max=8, seed=3)
+    # the library's n_max may pass the oracle's vertex bound, which the
+    # CLI's may not: the third sample of seed 3 at n <= 9 has 9 vertices
+    report = tightness_search(count=3, n_max=9, seed=3)
     assert report.oracle_refused == 1
-    assert report.graphs_tried == 22
+    assert report.graphs_tried == 2
     assert report.to_json_obj()["oracle_refused"] == 1
-    assert sum(report.histogram.values()) == 22
+    assert sum(report.histogram.values()) == 2
 
 
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
