@@ -22,7 +22,7 @@ _MODULES = {
     "labelling": "Labelling label_vertices",
     "oracle": "ExactResult Exceeded exact_cubicity",
     "params": "ParamReport StarWitness ceil_log2 neighborhood_mis param_report",
-    "recognition": "NotInterval recognize_and_order require_ordering",
+    "recognition": "recognize_and_order",
     "search": "SearchReport histogram_csv tightness_search",
     "verify": "CubeRepresentation VerificationReport verify_representation",
 }

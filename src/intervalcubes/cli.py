@@ -58,14 +58,15 @@ def _read_input(path: str) -> Graph | IntervalModel:
 
 
 def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
-    """The parsed input and a clique ordering; raises NotIntervalError for
-    an edge list that is not an interval graph."""
+    """The parsed input and a clique ordering: a model's from its sweep, an
+    edge list's from recognition, which raises NotIntervalError for a
+    graph that is not an interval graph."""
     source = _read_input(path)
     if isinstance(source, IntervalModel):
         return source, model_to_clique_ordering(source)
-    from .recognition import require_ordering
+    from .recognition import recognize_and_order
 
-    return source, require_ordering(source)
+    return source, recognize_and_order(source)
 
 
 def _emit(obj, out: str | None):

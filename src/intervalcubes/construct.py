@@ -48,7 +48,6 @@ from .graphs import ConstructionError, Record
 from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
 from .params import best_dimension, ceil_log2, parameters
-from .rationals import format_rational
 from .verify import CubeRepresentation
 
 
@@ -78,7 +77,7 @@ class ConstructionTrace(Record):
             "power": self.power,
             "claw": self.claw,
             "bits": list(range(self.power + 2)),
-            "scale": [format_rational(Fraction(x, self.unit)) for x in self.scale],
+            "scale": [str(Fraction(x, self.unit)) for x in self.scale],
             "codes": list(codes),
             "levels": list(self.labelling.levels),
             "branch": [[bit(c, i) for c in codes] for i in range(self.power + 2)],

@@ -7,7 +7,7 @@ out-of-range endpoints with the offending line number.
 
 Every command loads this module, so it also holds what they all share:
 the size limits, the errors the CLI maps to exit codes, and `Record`, the
-base of the package's immutable result types.
+base of the package's immutable value types, `Graph` among them.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class GraphParseError(ValueError):
         super().__init__(message)
 
 
-class Graph:
-    """Immutable simple graph: vertex count plus per-vertex neighbor sets."""
+class Graph(Record):
+    """Immutable simple graph: vertex count `n` plus `adj`, a tuple of
+    per-vertex neighbour frozensets, built from an edge list."""
 
     __slots__ = ("n", "adj")
 
@@ -100,8 +101,7 @@ class Graph:
         # adjacency is never held twice over
         for v, s in enumerate(adj):
             adj[v] = frozenset(s)
-        self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(adj)
+        super().__init__(n, tuple(adj))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -110,12 +110,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .graphs import Graph, Record
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 # the shapes of the seeded random models `generate` makes; kept here so
 # that the CLI's parser does not load `generate`
@@ -41,7 +41,7 @@ class IntervalModel(Record):
     def to_json_obj(self) -> dict:
         return {
             "intervals": [
-                {"id": i, "lo": format_rational(lo), "hi": format_rational(hi)}
+                {"id": i, "lo": str(lo), "hi": str(hi)}
                 for i, (lo, hi) in enumerate(self.intervals)
             ]
         }

@@ -174,10 +174,14 @@ def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple
 
 
 class ExactResult(Record):
-    """The cubicity; as `witness`, the non-edges each member of a smallest
-    family leaves missing; and the work counts."""
+    """As `witness`, the non-edges each member of a smallest family leaves
+    missing, so the cubicity is its size; and the work counts."""
 
-    __slots__ = ("cubicity", "witness", "candidates_enumerated", "cover_nodes")
+    __slots__ = ("witness", "candidates_enumerated", "cover_nodes")
+
+    @property
+    def cubicity(self) -> int:
+        return len(self.witness)
 
     def to_json_obj(self) -> dict:
         return {
@@ -208,7 +212,7 @@ def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
     _refuse_if_large(graph)
     missing = non_edges(graph)
     if not missing:
-        return ExactResult(0, (), 0, 0)
+        return ExactResult((), 0, 0)
     candidates, visited = _enumerate_candidates(graph, missing)
     universe = (1 << len(missing)) - 1
     nodes = 0
@@ -236,5 +240,5 @@ def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
                 tuple(missing[i] for i in range(len(missing)) if (mask >> i) & 1)
                 for mask in chosen
             )
-            return ExactResult(b, witness, visited, nodes)
+            return ExactResult(witness, visited, nodes)
     return Exceeded(b_max, visited, nodes)

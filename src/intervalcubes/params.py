@@ -66,10 +66,14 @@ class StarWitness(Record):
 
 
 class ParamReport(Record):
-    """Ints psi, alpha and lower_bound (ceil(log2 psi) when psi >= 1, else
-    0), and witness, a StarWitness or None."""
+    """Ints psi and alpha, and witness, a StarWitness or None."""
 
-    __slots__ = ("psi", "alpha", "witness", "lower_bound")
+    __slots__ = ("psi", "alpha", "witness")
+
+    @property
+    def lower_bound(self) -> int:
+        """ceil(log2 psi) when psi >= 1, else 0."""
+        return ceil_log2(self.psi) if self.psi >= 1 else 0
 
     def to_json_obj(self) -> dict:
         return {
@@ -151,9 +155,4 @@ def param_report(
     if psi:
         center = claws.index(psi)
         witness = StarWitness(center=center, leaves=neighborhood_mis(ordering, center)[1])
-    return ParamReport(
-        psi=psi,
-        alpha=labelling.alpha,
-        witness=witness,
-        lower_bound=ceil_log2(psi) if psi >= 1 else 0,
-    )
+    return ParamReport(psi=psi, alpha=labelling.alpha, witness=witness)

@@ -1,4 +1,5 @@
-"""Exact rational parsing and formatting for interchange documents."""
+"""Exact rational parsing for interchange documents.  Writing needs no
+helper: `str` of a Fraction is "p/q", or plain "p" when integral."""
 
 from __future__ import annotations
 
@@ -25,8 +26,3 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Format as "p/q", or plain "p" when integral."""
-    return str(value)

@@ -14,6 +14,8 @@ consecutive ones testing", Theoret. Comput. Sci. 234 (2000):
    vertex's cliques are consecutive, or fails with the reason tag
    `no-consecutive-ordering`.
 
+A failing stage raises `NotIntervalError`, whose `reason` is its tag.
+
 Step 1 costs O(n + m), plus sorting each neighbourhood once for the
 LexBFS tie-break.  Step 2 costs O(n + Σ|C|) plus, for every clique a
 refinement moves, a scan of that clique's vertices.  No step recurses.
@@ -29,14 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate
 
-from .graphs import ConstructionError, Graph, NotIntervalError, Record
+from .graphs import ConstructionError, Graph, NotIntervalError
 from .intervals import CliqueOrdering, ordering_from_cliques
-
-
-class NotInterval(Record):
-    """Recognition result for non-interval inputs; not an error."""
-
-    __slots__ = ("reason",)  # "not-chordal" | "no-consecutive-ordering"
 
 
 def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
@@ -200,31 +196,24 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
     return arrangement
 
 
-def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
-    """Recognize an interval graph and return a valid clique ordering,
-    or a NotInterval result carrying the failing stage."""
+def recognize_and_order(graph: Graph) -> CliqueOrdering:
+    """Recognize an interval graph and return a valid clique ordering;
+    raises NotIntervalError, whose `reason` names the failing stage, for
+    any other graph."""
     if graph.n == 0:
         return CliqueOrdering(0, (), ())
     cliques = maximal_cliques_chordal(graph)
     if cliques is None:
-        return NotInterval("not-chordal")
+        raise NotIntervalError("not-chordal")
     arrangement = _arrange_cliques(cliques, graph.n)
     if arrangement is None:
-        return NotInterval("no-consecutive-ordering")
+        raise NotIntervalError("no-consecutive-ordering")
     try:
         ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
     except ValueError:
-        return NotInterval("no-consecutive-ordering")
+        raise NotIntervalError("no-consecutive-ordering") from None
     _check_ordering_sanity(graph, ordering)
     return ordering
-
-
-def require_ordering(graph: Graph) -> CliqueOrdering:
-    """Recognition that raises instead of returning a result object."""
-    result = recognize_and_order(graph)
-    if isinstance(result, NotInterval):
-        raise NotIntervalError(result.reason)
-    return result
 
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):

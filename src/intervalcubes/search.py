@@ -21,12 +21,22 @@ class SearchReport:
     """What a search has found so far; it fills this in as it runs."""
 
     def __init__(self):
-        self.graphs_tried = 0
         self.counterexamples: list[dict] = []
         self.bound_violations: list[dict] = []
+        # (psi, alpha, cubicity, dimension) -> samples
         self.histogram: dict[tuple[int, int, int, int], int] = {}
-        self.degenerate_skipped = 0
         self.oracle_refused = 0
+
+    @property
+    def graphs_tried(self) -> int:
+        """Samples the oracle ran on: each lands in the histogram or, when
+        the proven bound failed, in `bound_violations`."""
+        return sum(self.histogram.values()) + len(self.bound_violations)
+
+    @property
+    def degenerate_skipped(self) -> int:
+        """Samples below claw number 2, tallied but never flagged."""
+        return sum(count for (psi, *_), count in self.histogram.items() if psi < 2)
 
     def to_json_obj(self) -> dict:
         return {
@@ -85,8 +95,6 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         except SizeRefusalError:
             report.oracle_refused += 1
             continue
-        report.graphs_tried += 1
-
         if isinstance(result, Exceeded):
             # the proven upper bound failed to cover: an implementation bug
             report.bound_violations.append(
@@ -101,10 +109,7 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         cub = result.cubicity
         key = (psi, alpha, cub, dimension)
         report.histogram[key] = report.histogram.get(key, 0) + 1
-        if psi < 2:
-            report.degenerate_skipped += 1
-            continue
-        if cub > ceil_log2(psi):
+        if psi >= 2 and cub > ceil_log2(psi):
             entry = {
                 "graph": serialize_graph(graph),
                 "psi": psi,

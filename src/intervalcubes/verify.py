@@ -32,7 +32,7 @@ from math import lcm
 
 from .graphs import Graph, Record, non_edges
 from .intervals import IntervalModel, ranked_endpoints
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 # A document's values go onto the lcm of their denominators, which grows
 # with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
@@ -56,9 +56,9 @@ class CubeRepresentation(Record):
     def to_json_obj(self) -> dict:
         return {
             "dimension": self.dimension,
-            "side": format_rational(Fraction(self.side, self.unit)),
+            "side": str(Fraction(self.side, self.unit)),
             "coords": [
-                [format_rational(Fraction(x, self.unit)) for x in row] for row in self.coords
+                [str(Fraction(x, self.unit)) for x in row] for row in self.coords
             ],
         }
 
@@ -69,7 +69,8 @@ class CubeRepresentation(Record):
     def from_json_obj(cls, obj) -> "CubeRepresentation":
         """Rationals onto the coarsest integer grid that holds them all: the
         unit is the lcm of their denominators, refused with ValueError once
-        it passes MAX_UNIT_BITS, before any coordinate is built."""
+        it passes MAX_UNIT_BITS, before any coordinate is built.  With no
+        coordinates, a positive dimension is refused too."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
         dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
@@ -79,6 +80,9 @@ class CubeRepresentation(Record):
             not isinstance(row, list) or len(row) != dimension for row in rows
         ):
             raise ValueError("coords must be a list of vectors of length dimension")
+        # no vector bounds the dimension then, and the verifier's cost grows with it
+        if dimension and not rows:
+            raise ValueError("dimension must be 0 when coords is empty")
         rows = [[parse_rational(x) for x in row] for row in rows]
         unit = side.denominator
         for denominator in {x.denominator for row in rows for x in row}:
@@ -94,11 +98,15 @@ class CubeRepresentation(Record):
 
 
 class VerificationReport(Record):
-    """`ok`, the unmatched pairs `missing_adjacency` and
-    `missing_separation` (tuples of (u, v), u < v), and per dimension the
-    non-edges it separates, `dimension_stats`."""
+    """The unmatched pairs `missing_adjacency` and `missing_separation`
+    (tuples of (u, v), u < v), and per dimension the non-edges it
+    separates, `dimension_stats`; `ok` when no pair is unmatched."""
 
-    __slots__ = ("ok", "missing_adjacency", "missing_separation", "dimension_stats")
+    __slots__ = ("missing_adjacency", "missing_separation", "dimension_stats")
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing_adjacency and not self.missing_separation
 
     def to_json_obj(self) -> dict:
         return {
@@ -147,11 +155,9 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
             return [u for u in us if u not in av]
 
     if d == 0:
-        unseparated = tuple(_disjoint_pairs(lo, hi) if model else non_edges(graph))
         return VerificationReport(
-            ok=not unseparated,
             missing_adjacency=(),
-            missing_separation=unseparated,
+            missing_separation=tuple(_disjoint_pairs(lo, hi) if model else non_edges(graph)),
             dimension_stats=(),
         )
     cols = [[row[i] for row in rows] for i in range(d)]
@@ -169,7 +175,6 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
     others = [cols[i] for i in dims[1:]]
     missing_separation = sorted(_unseparated(apart, others, side, order, starts))
     return VerificationReport(
-        ok=not missing_adjacency and not missing_separation,
         missing_adjacency=tuple(missing_adjacency),
         missing_separation=tuple(missing_separation),
         dimension_stats=stats,

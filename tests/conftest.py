@@ -11,6 +11,7 @@ from intervalcubes import (
     GenConfig,
     Graph,
     IntervalModel,
+    NotIntervalError,
     StarWitness,
     greedy_independent,
     model_to_clique_ordering,
@@ -62,6 +63,16 @@ def star_model(m: int):
 def net_graph() -> Graph:
     """Triangle with a pendant on each corner: chordal but not interval."""
     return Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+
+
+def recognition_outcome(recognize, graph: Graph):
+    """What `recognize` (the library's recognizer or a reference one) makes
+    of `graph`: its clique ordering, or the reason tag of the
+    NotIntervalError it raises."""
+    try:
+        return recognize(graph)
+    except NotIntervalError as exc:
+        return exc.reason
 
 
 def p3_model():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from intervalcubes import Graph, NotInterval
+from intervalcubes import Graph, NotIntervalError
 from intervalcubes.intervals import CliqueOrdering, ordering_from_cliques
 from intervalcubes.recognition import _check_ordering_sanity
 
@@ -375,21 +375,22 @@ def maximal_cliques_chordal(graph: Graph, peo: list[int]) -> list[frozenset[int]
     return cliques
 
 
-def recognize_and_order(graph: Graph) -> CliqueOrdering | NotInterval:
-    """Recognize an interval graph and return a valid clique ordering,
-    or a NotInterval result carrying the failing stage."""
+def recognize_and_order(graph: Graph) -> CliqueOrdering:
+    """Recognize an interval graph and return a valid clique ordering;
+    raises NotIntervalError, whose `reason` names the failing stage, for
+    any other graph."""
     if graph.n == 0:
-        return CliqueOrdering((), (), ())
+        return CliqueOrdering(0, (), ())
     peo = perfect_elimination_ordering(graph)
     if peo is None:
-        return NotInterval("not-chordal")
+        raise NotIntervalError("not-chordal")
     cliques = maximal_cliques_chordal(graph, peo)
     rows = [
         [i for i, c in enumerate(cliques) if v in c] for v in range(graph.n)
     ]
     arrangement = consecutive_arrangement(rows, len(cliques))
     if arrangement is None:
-        return NotInterval("no-consecutive-ordering")
+        raise NotIntervalError("no-consecutive-ordering")
     ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
     _check_ordering_sanity(graph, ordering)
     return ordering

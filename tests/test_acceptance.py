@@ -14,7 +14,6 @@ import pytest
 from intervalcubes import (
     ExactResult,
     GenConfig,
-    NotInterval,
     build_alpha_representation,
     build_best,
     build_representation,
@@ -25,7 +24,6 @@ from intervalcubes import (
     model_to_graph,
     random_interval_model,
     recognize_and_order,
-    require_ordering,
     tightness_search,
     verify_representation,
 )
@@ -38,6 +36,7 @@ from conftest import (
     cycle_graph,
     net_graph,
     padded_graph,
+    recognition_outcome,
     star_graph,
 )
 from oracle_reference import brute_alpha, brute_claw
@@ -110,7 +109,7 @@ def test_criterion_2_star_values(corpora):
     for m, want in expected.items():
         g = star_graph(m)
         result = exact_cubicity(g, b_max=4)
-        built = build_best(require_ordering(g))
+        built = build_best(recognize_and_order(g))
         ok = (
             isinstance(result, ExactResult)
             and result.cubicity == want == ceil_log2(m)
@@ -246,8 +245,8 @@ def _pq_agreement(graph) -> tuple[bool, bool]:
     fast = consecutive_arrangement(rows, len(cliques))
     slow = consecutive_arrangement_exhaustive(rows, len(cliques))
     agree = (fast is None) == (slow is None)
-    recognized = recognize_and_order(graph)
-    if isinstance(recognized, NotInterval):
+    recognized = recognition_outcome(recognize_and_order, graph)
+    if isinstance(recognized, str):
         agree = agree and fast is None
     else:
         agree = agree and fast is not None and validate_ordering(graph, recognized).ok
@@ -265,12 +264,13 @@ def _random_tree(n: int, seed: int):
 
 def test_criterion_9_recognition_correctness():
     problems = []
-    if not isinstance(recognize_and_order(cycle_graph(4)), NotInterval):
-        problems.append("C4 accepted")
-    if not isinstance(recognize_and_order(cycle_graph(5)), NotInterval):
-        problems.append("C5 accepted")
-    if not isinstance(recognize_and_order(net_graph()), NotInterval):
-        problems.append("net graph accepted")
+    for name, graph, reason in (
+        ("C4", cycle_graph(4), "not-chordal"),
+        ("C5", cycle_graph(5), "not-chordal"),
+        ("net graph", net_graph(), "no-consecutive-ordering"),
+    ):
+        if recognition_outcome(recognize_and_order, graph) != reason:
+            problems.append(f"{name} not rejected as {reason}")
 
     # 200-case chordal corpus with clique count <= 8: interval-model graphs
     # (all accepted), random trees (caterpillars accepted, others rejected
@@ -291,8 +291,7 @@ def test_criterion_9_recognition_correctness():
         n = 2 + (i * 13) % 8
         model, graph, ordering, _ = seeded_model(n, seed=9_000 + i)
         i += 1
-        recognized = recognize_and_order(graph)
-        if isinstance(recognized, NotInterval):
+        if isinstance(recognition_outcome(recognize_and_order, graph), str):
             problems.append(f"model graph rejected (seed {9_000 + i})")
             break
         corpus.append(graph)

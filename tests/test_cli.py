@@ -289,6 +289,19 @@ def test_verify_refuses_an_unbounded_grid_exit_65(capsys, tmp_path):
     assert run(capsys, "verify", str(model_path), str(rep_path))[0] == 0
 
 
+def test_verify_refuses_a_dimension_without_coordinates_exit_65(capsys, tmp_path):
+    # 47 bytes that would otherwise make the verifier build a million columns
+    graph_path = tmp_path / "empty.txt"
+    graph_path.write_text("0 0\n")
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text('{"dimension": 1000000, "side": 1, "coords": []}')
+    code, out, err = run(capsys, "verify", str(graph_path), str(rep_path))
+    assert code == 65
+    assert out == "" and err.startswith("bad input:") and "dimension must be 0" in err
+    rep_path.write_text('{"dimension": 0, "side": 1, "coords": []}')
+    assert run(capsys, "verify", str(graph_path), str(rep_path))[0] == 0
+
+
 def test_verify_non_object_documents_exit_65(capsys, tmp_path, p3_file):
     for text in ("[]", '"rep"', "3"):
         path = tmp_path / "doc.json"

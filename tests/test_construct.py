@@ -20,7 +20,6 @@ from intervalcubes import (
     label_vertices,
     normalize_unit,
     recognize_and_order,
-    require_ordering,
     verify_representation,
 )
 from intervalcubes.labelling import Labelling
@@ -241,7 +240,7 @@ def test_build_dimension_formula():
 
 
 def test_build_routes_complete_to_degenerate():
-    rep, trace = build_representation(require_ordering(complete_graph(3)))
+    rep, trace = build_representation(recognize_and_order(complete_graph(3)))
     assert trace is None
     assert rep.dimension == 0
     assert verify_representation(complete_graph(3), rep).ok
@@ -249,11 +248,11 @@ def test_build_routes_complete_to_degenerate():
 
 def test_build_rejects_non_interval():
     with pytest.raises(NotIntervalError):
-        build_representation(require_ordering(cycle_graph(4)))
+        build_representation(recognize_and_order(cycle_graph(4)))
 
 
 def test_degenerate_complete():
-    rep = build_degenerate(require_ordering(complete_graph(5)))
+    rep = build_degenerate(recognize_and_order(complete_graph(5)))
     assert rep.dimension == 0
     assert rep.coords == ((),) * 5
     assert verify_representation(complete_graph(5), rep).ok
@@ -261,7 +260,7 @@ def test_degenerate_complete():
 
 def test_degenerate_two_triangles():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    rep = build_degenerate(require_ordering(g))
+    rep = build_degenerate(recognize_and_order(g))
     assert rep.dimension == 1
     assert rep.unit == 1
     assert {row[0] for row in rep.coords} == {0, 2}
@@ -270,7 +269,7 @@ def test_degenerate_two_triangles():
 
 def test_degenerate_edgeless():
     g = Graph(3)
-    rep = build_degenerate(require_ordering(g))
+    rep = build_degenerate(recognize_and_order(g))
     assert [row[0] for row in rep.coords] == [0, 2, 4]
     assert verify_representation(g, rep).ok
 
@@ -286,12 +285,12 @@ def test_degenerate_ranks_cliques_by_smallest_member():
 
 def test_degenerate_rejects_p3():
     with pytest.raises(ValueError):
-        build_degenerate(require_ordering(path_graph(3)))
+        build_degenerate(recognize_and_order(path_graph(3)))
 
 
 def test_alpha_variant_p3():
     g = path_graph(3)
-    rep = build_alpha_representation(require_ordering(g))
+    rep = build_alpha_representation(recognize_and_order(g))
     assert rep.dimension == 1
     assert verify_representation(g, rep).ok
     # the surviving dimension separates the two leaves
@@ -300,13 +299,13 @@ def test_alpha_variant_p3():
 
 def test_alpha_variant_star4():
     g = star_graph(4)
-    rep = build_alpha_representation(require_ordering(g))
+    rep = build_alpha_representation(recognize_and_order(g))
     assert rep.dimension == 2
     assert verify_representation(g, rep).ok
 
 
 def test_alpha_variant_complete():
-    rep = build_alpha_representation(require_ordering(complete_graph(4)))
+    rep = build_alpha_representation(recognize_and_order(complete_graph(4)))
     assert rep.dimension == 0
 
 
@@ -321,10 +320,10 @@ def test_alpha_variant_dimension_formula():
 
 
 def test_build_best_examples():
-    assert build_best(require_ordering(star_graph(4))).dimension == 2
-    assert build_best(require_ordering(path_graph(3))).dimension == 1
+    assert build_best(recognize_and_order(star_graph(4))).dimension == 2
+    assert build_best(recognize_and_order(path_graph(3))).dimension == 1
     p7 = path_graph(7)  # claw 2, independence 4
-    rep = build_best(require_ordering(p7))
+    rep = build_best(recognize_and_order(p7))
     assert rep.dimension == 2
     assert verify_representation(p7, rep).ok
 
@@ -373,7 +372,7 @@ def test_padding_restriction_is_sound():
     the star itself reaches the same dimension."""
     for m in (3, 5, 6, 7):
         g = star_graph(m)
-        ordering = require_ordering(g)
+        ordering = recognize_and_order(g)
         rep, trace = padded_claw_build(ordering)
         assert trace.padded.added == (1 << trace.power) - m
         assert verify_representation(g, rep).ok

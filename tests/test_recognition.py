@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from intervalcubes import (
     Graph,
-    NotInterval,
+    NotIntervalError,
     recognize_and_order,
 )
 from intervalcubes import recognition
@@ -16,6 +18,7 @@ from conftest import (
     net_graph,
     path_graph,
     random_models,
+    recognition_outcome,
     star_graph,
 )
 from pqtree_reference import (
@@ -28,24 +31,24 @@ from validators import validate_ordering
 
 
 def test_c4_rejected_not_chordal():
-    result = recognize_and_order(cycle_graph(4))
-    assert isinstance(result, NotInterval)
-    assert result.reason == "not-chordal"
+    with pytest.raises(NotIntervalError) as caught:
+        recognize_and_order(cycle_graph(4))
+    assert caught.value.reason == "not-chordal"
 
 
 def test_c5_rejected_not_chordal():
-    result = recognize_and_order(cycle_graph(5))
-    assert isinstance(result, NotInterval)
-    assert result.reason == "not-chordal"
+    with pytest.raises(NotIntervalError) as caught:
+        recognize_and_order(cycle_graph(5))
+    assert caught.value.reason == "not-chordal"
 
 
 def test_net_rejected_no_consecutive_ordering():
     # the net is chordal, so it gets its cliques, but no order of them
     # keeps every vertex's cliques consecutive
     assert set(maximal_cliques_chordal(net_graph())) == bron_kerbosch(net_graph())
-    result = recognize_and_order(net_graph())
-    assert isinstance(result, NotInterval)
-    assert result.reason == "no-consecutive-ordering"
+    with pytest.raises(NotIntervalError) as caught:
+        recognize_and_order(net_graph())
+    assert caught.value.reason == "no-consecutive-ordering"
 
 
 def test_non_consecutive_arrangement_rejected(monkeypatch):
@@ -56,12 +59,13 @@ def test_non_consecutive_arrangement_rejected(monkeypatch):
     middle = cliques.index(frozenset({1, 2}))
     ends = [i for i in range(3) if i != middle]
     monkeypatch.setattr(recognition, "_arrange_cliques", lambda cliques, n: [*ends, middle])
-    assert recognize_and_order(graph) == NotInterval("no-consecutive-ordering")
+    with pytest.raises(NotIntervalError) as caught:
+        recognize_and_order(graph)
+    assert caught.value.reason == "no-consecutive-ordering"
 
 
 def test_p3_recognized():
     ordering = recognize_and_order(path_graph(3))
-    assert not isinstance(ordering, NotInterval)
     assert ordering.k == 2
     assert validate_ordering(path_graph(3), ordering).ok
 
@@ -95,7 +99,6 @@ def test_model_graphs_all_accepted_and_valid():
     for model in random_models(60, range(1, 25), seed=2):
         graph, _ = model_pipeline(model)
         ordering = recognize_and_order(graph)
-        assert not isinstance(ordering, NotInterval)
         assert validate_ordering(graph, ordering).ok
         assert ordering.k <= graph.n
 
@@ -127,10 +130,10 @@ def test_trees_are_chordal_and_recognition_agrees_with_exhaustive():
         rows = [[i for i, c in enumerate(cliques) if v in c] for v in range(g.n)]
         if len(cliques) <= 8:
             exhaustive = consecutive_arrangement_exhaustive(rows, len(cliques))
-            result = recognize_and_order(g)
-            reference = reference_recognize(g)
-            assert isinstance(result, NotInterval) == isinstance(reference, NotInterval)
-            if isinstance(result, NotInterval):
+            result = recognition_outcome(recognize_and_order, g)
+            reference = recognition_outcome(reference_recognize, g)
+            assert isinstance(result, str) == isinstance(reference, str)
+            if isinstance(result, str):
                 assert result == reference
                 assert exhaustive is None
                 rejected += 1

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from intervalcubes import (
+    CliqueOrdering,
     CubeRepresentation,
+    Graph,
+    build_alpha_representation,
+    build_best,
     build_representation,
     verify_representation,
 )
@@ -63,6 +67,20 @@ def test_verifier_rejects_vertex_mismatch():
     rep = CubeRepresentation(0, 1, ((),), 1)
     with pytest.raises(ValueError):
         verify_representation(complete_graph(3), rep)
+
+
+def test_positive_dimension_needs_coordinates():
+    # with no vector to bound it, the claimed dimension alone would size
+    # the verifier's per-dimension columns
+    with pytest.raises(ValueError, match="dimension must be 0"):
+        CubeRepresentation.loads('{"dimension": 1000000, "side": 1, "coords": []}')
+    # every builder gives the empty graph dimension 0, which loads back
+    empty = CliqueOrdering(0, (), ())
+    for rep in (build_representation(empty)[0], build_alpha_representation(empty),
+                build_best(empty)):
+        assert rep.dimension == 0
+        assert CubeRepresentation.loads(rep.dumps()) == rep
+        assert verify_representation(Graph(0), rep).ok
 
 
 def test_dimension_stats_count_separations():

@@ -57,7 +57,6 @@ def verify_pairwise(graph: Graph, rep) -> VerificationReport:
             elif not adjacent and not separated:
                 missing_separation.append((u, v))
     return VerificationReport(
-        ok=not missing_adjacency and not missing_separation,
         missing_adjacency=tuple(missing_adjacency),
         missing_separation=tuple(missing_separation),
         dimension_stats=tuple(stats),
