@@ -42,12 +42,11 @@ labelling.  `build_best` builds only the variant with fewer dimensions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graphs import ConstructionError, Record
 from .intervals import CliqueOrdering
 from .labelling import Labelling, label_vertices
 from .params import best_dimension, ceil_log2, parameters
+from .rationals import format_ratio
 from .verify import CubeRepresentation
 
 
@@ -77,7 +76,7 @@ class ConstructionTrace(Record):
             "power": self.power,
             "claw": self.claw,
             "bits": list(range(self.power + 2)),
-            "scale": [str(Fraction(x, self.unit)) for x in self.scale],
+            "scale": [format_ratio(x, self.unit) for x in self.scale],
             "codes": list(codes),
             "levels": list(self.labelling.levels),
             "branch": [[bit(c, i) for c in codes] for i in range(self.power + 2)],

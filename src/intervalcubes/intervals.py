@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .graphs import Graph, Record
-from .rationals import parse_rational
+from .rationals import parse_ratio
 
 # the shapes of the seeded random models `generate` makes; kept here so
 # that the CLI's parser does not load `generate`
@@ -59,7 +59,7 @@ class IntervalModel(Record):
             i = rec["id"]
             if type(i) is not int or not (0 <= i < len(records)) or slots[i] is not None:
                 raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
-            slots[i] = (parse_rational(rec["lo"]), parse_rational(rec["hi"]))
+            slots[i] = (Fraction(*parse_ratio(rec["lo"])), Fraction(*parse_ratio(rec["hi"])))
         return cls(tuple(slots))  # type: ignore[arg-type]
 
     @classmethod
@@ -117,10 +117,20 @@ def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
 
 def ranked_endpoints(model: IntervalModel) -> tuple[list[int], list[int]]:
     """Each interval's ends as ranks among the distinct endpoints, so that
-    every later comparison is between small ints."""
-    ivs = model.intervals
-    rank = {x: r for r, x in enumerate(sorted({x for iv in ivs for x in iv}))}
-    return [rank[a] for a, _ in ivs], [rank[b] for _, b in ivs]
+    every later comparison is between small ints.
+
+    The endpoints are hashed as (numerator, denominator) pairs and sorted
+    by integer part, then by fractional part as a float.  Division of ints
+    rounds correctly, so monotonically: only two distinct values that share
+    both keys could be out of order, and then the sort is redone on
+    Fractions."""
+    ends = [(x.numerator, x.denominator) for iv in model.intervals for x in iv]
+    keyed = sorted((p // q, p % q / q, p, q) for p, q in set(ends))
+    if any(a[:2] == b[:2] for a, b in zip(keyed, keyed[1:])):
+        keyed.sort(key=lambda k: Fraction(k[2], k[3]))
+    rank = {(k[2], k[3]): r for r, k in enumerate(keyed)}
+    ranks = [rank[x] for x in ends]
+    return ranks[0::2], ranks[1::2]
 
 
 def model_to_graph(model: IntervalModel) -> Graph:

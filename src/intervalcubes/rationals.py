@@ -1,9 +1,15 @@
-"""Exact rational parsing for interchange documents.  Writing needs no
-helper: `str` of a Fraction is "p/q", or plain "p" when integral."""
+"""Exact rational parsing and writing for interchange documents.
+
+Documents mostly hold plain "p" and "p/q" text, so `parse_ratio` reads
+those with `int` alone and `format_ratio` writes them with `gcd`; only
+other text (decimals, whitespace, a leading "+") takes the `Fraction`
+parser, and both give exactly what `Fraction` would.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def parse_rational(value) -> Fraction:
@@ -26,3 +32,33 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_ratio(value) -> tuple[int, int]:
+    """`parse_rational` as a reduced (numerator, denominator) pair, with
+    the denominator positive.  JSON integers and "p", "-p", "p/q" and
+    "-p/q" in ASCII digits are read with `int`; anything else, and a zero
+    denominator, goes to `parse_rational`, so the value and every error
+    are the same."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.removeprefix("-").partition("/")
+        if num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+            else:
+                g = gcd(p, q)
+                return (-p // g if value[0] == "-" else p // g), q // g
+    f = parse_rational(value)
+    return f.numerator, f.denominator
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """The text of numerator/denominator (denominator positive) that `str`
+    of the `Fraction` gives: "p/q" in lowest terms, or "p" when integral."""
+    g = gcd(numerator, denominator)
+    p, q = numerator // g, denominator // g
+    return str(p) if q == 1 else f"{p}/{q}"

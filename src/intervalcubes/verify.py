@@ -10,29 +10,50 @@ the sweep that built its representation.  A representation's side and
 coordinates are integers on one grid, so every comparison is an exact
 integer comparison.
 
-Checking every pair would cost Θ(n²·d).  Whether two cubes meet is a
-fixed-radius near-neighbour question in the max norm, so the check sorts
-each dimension and slides a window of width `side` (Bentley, Stanat and
-Williams 1977): it touches the pairs near in one dimension, not every
-pair.  The edges too far apart come from a scan of a graph's edge list,
-O(m·d).  A model's edges are never listed: a sweep by left end meets
-each edge once, and heaps of the open intervals' extreme coordinates
-flag the vertices that have a far edge at all, so the cost is
-O(d·n log n + P) plus the open sets of those vertices, with P the
-window's pairs.
+Every pair is met once, from the later of its two vertices in a sweep
+order: by left end for a model, by index for a graph.  The vertices are
+renumbered by sweep position, and each one's earlier non-neighbours are
+one int bitmask: for a model, the intervals that closed before it
+opened, a prefix of the order by right end; for a graph, the complement
+of its adjacency.  Each dimension is sorted once, and a window of width
+`side` slides along it (Bentley, Stanat and Williams 1977), counting the
+pairs near there; P is that count in the dimension with the fewest.
+Then one of two paths checks the pairs.
+
+- Masks.  Per dimension, one window bitmask slides along the sorted
+  order, each vertex entering and leaving it once.  At each vertex it is
+  ANDed into the vertex's mask of the earlier vertices near in every
+  dimension so far, and the popcount of its AND with the vertex's
+  non-neighbours counts the non-edges near there.  That is about 4·d·n
+  operations on ints of up to n bits, Θ(d·n²/64) machine words whatever
+  the input, and 2·n masks of n²/8 bytes in all: 12.5 MB at n = 10^4,
+  but 125 GB at `MAX_VERTICES`.
+- Window.  The edges are listed, from a graph's adjacency or by
+  bisecting a model's sorted left ends, and each dimension keeps those
+  that are too long there; the window over the sparsest dimension then
+  walks its P pairs for the non-edges near in every dimension.  That is
+  one Python step per pair, and per edge and dimension:
+  O(d·n log n + P + d·m).  Every edge is near in the sparsest dimension
+  or misses adjacency, so m <= P + |missing_adjacency|.
+
+The masks run when P + d·m >= d·n·(n + 4096)/1024: measured on CPython
+3.11 from n = 100 to 10^4, on built and synthetic representations, a
+Python step costs about as much as 1024 bits of mask work, and the masks
+take about four steps per vertex and dimension besides.  So dense inputs
+take the masks and sparse ones the window, at any n: the path P_10^6
+has about 2.2 million window pairs.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from fractions import Fraction
-from heapq import heappop, heappush
 from math import lcm
+from re import finditer
 
-from .graphs import Graph, Record, non_edges
+from .graphs import Graph, Record
 from .intervals import IntervalModel, ranked_endpoints
-from .rationals import parse_rational
+from .rationals import format_ratio, parse_ratio
 
 # A document's values go onto the lcm of their denominators, which grows
 # with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
@@ -54,12 +75,11 @@ class CubeRepresentation(Record):
         return len(self.coords)
 
     def to_json_obj(self) -> dict:
+        unit = self.unit
         return {
             "dimension": self.dimension,
-            "side": str(Fraction(self.side, self.unit)),
-            "coords": [
-                [str(Fraction(x, self.unit)) for x in row] for row in self.coords
-            ],
+            "side": format_ratio(self.side, unit),
+            "coords": [[format_ratio(x, unit) for x in row] for row in self.coords],
         }
 
     def dumps(self) -> str:
@@ -73,7 +93,7 @@ class CubeRepresentation(Record):
         coordinates, a positive dimension is refused too."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
-        dimension, side, rows = obj["dimension"], parse_rational(obj["side"]), obj["coords"]
+        dimension, (side, side_q), rows = obj["dimension"], parse_ratio(obj["side"]), obj["coords"]
         if type(dimension) is not int or dimension < 0 or side <= 0:
             raise ValueError("dimension must be an integer >= 0 and side positive")
         if not isinstance(rows, list) or any(
@@ -83,14 +103,14 @@ class CubeRepresentation(Record):
         # no vector bounds the dimension then, and the verifier's cost grows with it
         if dimension and not rows:
             raise ValueError("dimension must be 0 when coords is empty")
-        rows = [[parse_rational(x) for x in row] for row in rows]
-        unit = side.denominator
-        for denominator in {x.denominator for row in rows for x in row}:
-            unit = lcm(unit, denominator)
+        rows = [[parse_ratio(x) for x in row] for row in rows]
+        unit = side_q
+        for q in {q for row in rows for _, q in row}:
+            unit = lcm(unit, q)
             if unit.bit_length() > MAX_UNIT_BITS:
                 raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
-        coords = tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
-        return cls(dimension, side.numerator * (unit // side.denominator), coords, unit)
+        coords = tuple(tuple(p * (unit // q) for p, q in row) for row in rows)
+        return cls(dimension, side * (unit // side_q), coords, unit)
 
     @classmethod
     def loads(cls, text: str) -> "CubeRepresentation":
@@ -119,121 +139,132 @@ class VerificationReport(Record):
 
 def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationReport:
     """Check that adjacent pairs stay within the side in every dimension and
-    non-adjacent pairs exceed it somewhere, without walking every pair.
-    `graph` is a `Graph` or an `IntervalModel`.
-
-    Each dimension is sorted once, and a two-pointer window gives the
-    number of pairs within the side there.  `dimension_stats[i]` is the
-    non-edges separated in dimension i: every pair beyond the side there,
-    less the edges beyond it, which `_far_edges` or `_far_model_edges`
-    finds along with `missing_adjacency`.  A non-edge within the side in
-    every dimension is within it in the dimension with the fewest near
-    pairs, so `missing_separation` comes from sliding the window over that
-    one.  Cost O(d·n log n + m·d + P) for a graph, with P the near pairs
-    of that dimension; for a model the m·d term becomes the open sets of
-    the vertices that have a far edge.  With dimension 0 every pair counts
-    as adjacent, so every non-edge is reported.  Lists are in
-    lexicographic order.
+    non-adjacent pairs exceed it somewhere, by the path the module
+    docstring describes.  `graph` is a `Graph` or an `IntervalModel`.
+    `dimension_stats[i]` is the non-edges separated in dimension i.  With
+    dimension 0 every pair counts as adjacent, so every non-edge is
+    reported.  Lists are in lexicographic order.
     """
     n = graph.n
     if rep.n != n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {n}")
-    rows, side, d = rep.coords, rep.side, rep.dimension
+    side, d = rep.side, rep.dimension
     model = isinstance(graph, IntervalModel)
     if model:
         lo, hi = ranked_endpoints(graph)
-
-        def apart(v, us):
-            lv, hv = lo[v], hi[v]
-            return [u for u in us if lo[u] > hv or hi[u] < lv]
-
+        seq = sorted(range(n), key=lo.__getitem__)
+        lo, hi = [lo[v] for v in seq], [hi[v] for v in seq]
+        # position p meets the later positions up to the last start within hi[p]
+        m = sum(bisect_right(lo, h) for h in hi) - n * (n + 1) // 2
     else:
-        adj = graph.adj
-
-        def apart(v, us):
-            av = adj[v]
-            return [u for u in us if u not in av]
-
-    if d == 0:
-        return VerificationReport(
-            missing_adjacency=(),
-            missing_separation=tuple(_disjoint_pairs(lo, hi) if model else non_edges(graph)),
-            dimension_stats=(),
-        )
+        seq = range(n)
+        m = graph.edge_count
+    rows = [rep.coords[v] for v in seq]
     cols = [[row[i] for row in rows] for i in range(d)]
     windows = [_window(col, side) for col in cols]
     near = [sum(j - s for j, s in enumerate(starts)) for _, starts in windows]
 
-    far_edges = _far_model_edges(lo, hi, cols, side) if model else _far_edges(graph, cols, side)
-    missing_adjacency = sorted(set().union(*far_edges))
-    pairs = n * (n - 1) // 2
-    stats = tuple(pairs - near[i] - len(far_edges[i]) for i in range(d))
+    if _masks_pay(min(near, default=0), m, d, n):
+        if model:
+            non = _closed_before(lo, hi)
+        else:
+            adj = graph.adj
+            non = [((1 << v) - 1) ^ sum(1 << u for u in adj[v] if u < v) for v in range(n)]
+        adjacency, separation, stats = _by_masks(non, cols, windows, side)
+    else:
+        if model:
+            edges = [(p, q) for p in range(n) for q in range(p + 1, bisect_right(lo, hi[p]))]
 
-    # the dimensions that separate the most pairs first
-    dims = sorted(range(d), key=near.__getitem__)
-    order, starts = windows[dims[0]]
-    others = [cols[i] for i in dims[1:]]
-    missing_separation = sorted(_unseparated(apart, others, side, order, starts))
+            def apart(v, us):
+                lv, hv = lo[v], hi[v]
+                return [u for u in us if lo[u] > hv or hi[u] < lv]
+
+        else:
+            adj = graph.adj
+            edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+
+            def apart(v, us):
+                av = adj[v]
+                return [u for u in us if u not in av]
+
+        far = [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
+        adjacency = set().union(*far)
+        pairs = n * (n - 1) // 2
+        stats = [pairs - near[i] - len(far[i]) for i in range(d)]
+        # the dimensions that separate the most pairs first
+        dims = sorted(range(d), key=near.__getitem__)
+        order, starts = windows[dims[0]] if d else (range(n), [0] * n)
+        separation = _unseparated(apart, [cols[i] for i in dims[1:]], side, order, starts)
     return VerificationReport(
-        missing_adjacency=tuple(missing_adjacency),
-        missing_separation=tuple(missing_separation),
-        dimension_stats=stats,
+        missing_adjacency=_labelled(seq, adjacency),
+        missing_separation=_labelled(seq, separation),
+        dimension_stats=tuple(stats),
     )
 
 
-def _disjoint_pairs(lo: list[int], hi: list[int]) -> list[tuple[int, int]]:
-    """The non-adjacent pairs of a model: for each u, the intervals
-    starting after u ends, a suffix of the order by left end."""
-    order = sorted(range(len(lo)), key=lo.__getitem__)
-    los = [lo[v] for v in order]
-    return sorted(
-        (u, v) if u < v else (v, u)
-        for u, h in enumerate(hi)
-        for v in order[bisect_right(los, h) :]
-    )
+def _masks_pay(pairs: int, edges: int, d: int, n: int) -> bool:
+    """The path rule (see the module docstring): the window walks `pairs`
+    and filters `edges` once per dimension; the masks cost about 4 steps
+    per vertex and dimension plus one per 1024 bits."""
+    return pairs + d * edges >= d * n * (n + 4096) // 1024
 
 
-def _far_edges(graph: Graph, cols, side: int) -> list[list[tuple[int, int]]]:
-    """Per dimension, the edges whose coordinates there differ by more
-    than `side`, from one scan of the edge list per dimension."""
-    edges = [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
-    return [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
+def _labelled(seq, pairs) -> tuple[tuple[int, int], ...]:
+    """Pairs of sweep positions as sorted (smaller, larger) vertex pairs."""
+    labelled = ((seq[p], seq[q]) for p, q in pairs)
+    return tuple(sorted((a, b) if a < b else (b, a) for a, b in labelled))
 
 
-def _far_model_edges(lo, hi, cols, side: int) -> list[list[tuple[int, int]]]:
-    """Per dimension, the edges of the model whose coordinates there differ
-    by more than `side`, without listing the edges.
+def _closed_before(lo: list[int], hi: list[int]) -> list[int]:
+    """For intervals in order of left end, per position the bitmask of the
+    earlier positions not adjacent to it: the intervals that closed before
+    it opened, a prefix of the order by right end."""
+    by_hi = sorted(range(len(lo)), key=hi.__getitem__)
+    non, closed, q = [], 0, 0
+    for x in lo:
+        while hi[by_hi[q]] < x:  # the interval opening at x stops this
+            closed |= 1 << by_hi[q]
+            q += 1
+        non.append(closed)
+    return non
 
-    Sweeping by left end, the intervals still open when v opens are
-    exactly v's earlier neighbours, so each edge is met once.  Per
-    dimension, a max-heap and a min-heap of the open intervals'
-    coordinates, whose entries for closed intervals are dropped as they
-    surface, tell whether any of those edges is too long there; only then
-    is the open set scanned for them."""
-    n = len(lo)
-    by_hi = sorted(range(n), key=hi.__getitem__)
-    far: list[list[tuple[int, int]]] = [[] for _ in cols]
-    highs: list[list[tuple[int, int]]] = [[] for _ in cols]  # (-x, u): largest on top
-    lows: list[list[tuple[int, int]]] = [[] for _ in cols]
-    open_: set[int] = set()
-    p = 0
-    for v in sorted(range(n), key=lo.__getitem__):
-        lv = lo[v]
-        while hi[by_hi[p]] < lv:  # closed before v opens; v itself stops this
-            open_.remove(by_hi[p])
-            p += 1
-        for i, col in enumerate(cols):
-            x, high, low = col[v], highs[i], lows[i]
-            while high and high[0][1] not in open_:
-                heappop(high)
-            while low and low[0][1] not in open_:
-                heappop(low)
-            if high and -high[0][0] - x > side or low and x - low[0][0] > side:
-                far[i].extend((u, v) if u < v else (v, u) for u in open_ if abs(col[u] - x) > side)
-            heappush(high, (-x, v))
-            heappush(low, (x, v))
-        open_.add(v)
-    return far
+
+def _by_masks(non: list[int], cols, windows, side: int):
+    """Missing adjacencies and separations, as iterators of (earlier,
+    later) position pairs, and the non-edges separated per dimension, from
+    `non[p]`, the bitmask of the positions before p not adjacent to it.
+
+    Per dimension, one window mask slides along the sorted order: each
+    vertex enters it once and leaves it once.  At p it is ANDed into
+    near[p], the earlier positions near p in every dimension so far, and
+    its AND with non[p] counts the non-edges near p there."""
+    n = len(non)
+    near = [(1 << p) - 1 for p in range(n)]
+    stats = []
+    non_edges = sum(mask.bit_count() for mask in non)
+    for col, (order, starts) in zip(cols, windows):
+        xs = [col[p] for p in order]
+        window = count = a = b = 0
+        for j, p in enumerate(order):
+            reach = xs[j] + side
+            while b < n and xs[b] <= reach:
+                window |= 1 << order[b]
+                b += 1
+            while a < starts[j]:
+                window ^= 1 << order[a]
+                a += 1
+            near[p] &= window
+            count += (non[p] & window).bit_count()
+        stats.append(non_edges - count)
+    # read out lazily, so that only the caller's sorted copy of the pairs is held
+    adjacency = ((q, p) for p in range(n) for q in _members(((1 << p) - 1) ^ (non[p] | near[p])))
+    separation = ((q, p) for p in range(n) for q in _members(non[p] & near[p]))
+    return adjacency, separation, stats
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits, from one scan of the binary text."""
+    return [bit.start() for bit in finditer("1", bin(mask)[:1:-1])] if mask else []
 
 
 def _window(col: list[int], side: int) -> tuple[list[int], list[int]]:
@@ -252,10 +283,9 @@ def _window(col: list[int], side: int) -> tuple[list[int], list[int]]:
 
 def _unseparated(apart, cols, side: int, order, starts):
     """The non-edges among the window pairs that lie within `side` in
-    every dimension of `cols` as well, each as (smaller, larger);
-    `apart(v, us)` lists the vertices of `us` not adjacent to v.  Each
-    column filters the survivors of the one before, so put first those
-    that separate the most pairs."""
+    every dimension of `cols` as well; `apart(v, us)` lists the vertices
+    of `us` not adjacent to v.  Each column filters the survivors of the
+    one before, so put first those that separate the most pairs."""
     for j, v in enumerate(order):
         us = apart(v, order[starts[j] : j])
         for col in cols:
@@ -264,5 +294,4 @@ def _unseparated(apart, cols, side: int, order, starts):
             low, high = col[v] - side, col[v] + side
             us = [u for u in us if low <= col[u] <= high]
         for u in us:
-            yield (u, v) if u < v else (v, u)
-
+            yield u, v

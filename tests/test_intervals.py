@@ -12,6 +12,7 @@ from intervalcubes import (
     model_to_graph,
     ordering_from_cliques,
 )
+from intervalcubes.intervals import ranked_endpoints
 
 from conftest import (
     bron_kerbosch,
@@ -181,3 +182,32 @@ def test_greedy_independent_is_maximum():
             ):
                 best = max(best, len(members))
         assert len(chosen) == best
+
+
+def fraction_ranks(model):
+    """Endpoint ranks from a sort of the Fractions themselves."""
+    rank = {x: r for r, x in enumerate(sorted({x for iv in model.intervals for x in iv}))}
+    return [rank[lo] for lo, _ in model.intervals], [rank[hi] for _, hi in model.intervals]
+
+
+endpoints = st.one_of(
+    st.fractions(-50, 50, max_denominator=12),
+    st.integers(-50, 50).map(Fraction),
+    # fractional parts that differ past a float's precision
+    st.sampled_from([Fraction(1, 3), Fraction(10**30 + 1, 3 * 10**30), Fraction(-2, 3),
+                     Fraction(-(10**30) - 1, 3 * 10**30), Fraction(10**40 + 1, 10**40)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(endpoints, st.fractions(0, 6, max_denominator=12)), max_size=20))
+def test_ranked_endpoints_match_fraction_ranks(pairs):
+    model = IntervalModel(tuple((lo, lo + length) for lo, length in pairs))
+    assert ranked_endpoints(model) == fraction_ranks(model)
+
+
+def test_ranked_endpoints_order_values_a_float_cannot_tell_apart():
+    third = Fraction(1, 3)
+    below = third - Fraction(1, 10**30)  # the same float fractional part, a larger numerator
+    model = IntervalModel(((third, third), (below, third), (Fraction(-1), below)))
+    assert ranked_endpoints(model) == fraction_ranks(model) == ([2, 1, 0], [2, 2, 1])

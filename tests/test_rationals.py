@@ -1,0 +1,155 @@
+"""The integer readers and writers of the interchange format against
+`Fraction`: `parse_ratio` gives the value `Fraction` parses, or the error
+`parse_rational` raises, and `format_ratio` the text `str` of the
+`Fraction` gives, on generated and hostile input."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intervalcubes import (
+    CubeRepresentation,
+    GenConfig,
+    build_alpha_representation,
+    build_best,
+    build_representation,
+    model_to_clique_ordering,
+    normalize_unit,
+    random_interval_model,
+)
+from intervalcubes.rationals import format_ratio, parse_ratio, parse_rational
+
+from conftest import interval_models
+
+HOSTILE = [
+    "0", "-0", "+0", "0/0", "1/0", "-1/00", "0/5", "-0/5", "00012/0006", "-12/8",
+    "--1", "-+1", "+-1", "-", "/", "-/1", "1/", "/1", "1/-2", "1//2", "1/2/3",
+    " 1/2 ", "\t-3\n", "1 /2", "1/ 2", "- 1", " 7", "7 ", "\x1c5",
+    "٣", "٣/٤", "-٣", "²", "1²", "½", "１２",
+    "1e3", "1E3", "-2e-1", "1/2e3", "inf", "nan", "Infinity",
+    "1_000", "1_0/2", "3.5", "-.5", "5.", ".", "1.2/3", "0x10", "0b1",
+    "1" * 5000, "1/" + "7" * 5000, "-" + "9" * 400 + "/" + "3" * 400,
+]
+
+texts = st.one_of(
+    st.from_regex(r"\A[+-]?[0-9]{1,40}(/[0-9]{1,40})?\Z"),
+    st.text(alphabet="0123456789+-/. _eE\t\n ٣²", max_size=12),
+    st.sampled_from(HOSTILE),
+)
+
+
+def _error(call, value):
+    """The message of the ValueError that `call(value)` raises, or None."""
+    try:
+        call(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _fraction_or_none(text: str):
+    """What `Fraction` reads from the text, with exponents refused as the
+    interchange format refuses them."""
+    if "e" in text or "E" in text:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def assert_reads_like_fraction(text: str):
+    expected = _fraction_or_none(text)
+    if expected is None:
+        # refused, with parse_rational's message
+        assert _error(parse_ratio, text) == _error(parse_rational, text) is not None
+    else:
+        assert parse_ratio(text) == (expected.numerator, expected.denominator)
+
+
+@settings(max_examples=600, deadline=None)
+@given(texts)
+def test_parse_ratio_matches_fraction(text):
+    assert_reads_like_fraction(text)
+
+
+@pytest.mark.parametrize("text", HOSTILE)
+def test_parse_ratio_on_hostile_text(text):
+    assert_reads_like_fraction(text)
+
+
+@given(st.integers(-(10**30), 10**30))
+def test_parse_ratio_reads_json_integers(value):
+    assert parse_ratio(value) == (value, 1)
+    assert parse_ratio(str(value)) == (value, 1)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 1.0, None, [1], {"p": 1}])
+def test_parse_ratio_refuses_other_json_values(value):
+    assert _error(parse_ratio, value) == _error(parse_rational, value) is not None
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+def test_format_ratio_matches_fraction_text(numerator, denominator):
+    assert format_ratio(numerator, denominator) == str(Fraction(numerator, denominator))
+    assert parse_ratio(format_ratio(numerator, denominator)) == (
+        Fraction(numerator, denominator).numerator,
+        Fraction(numerator, denominator).denominator,
+    )
+
+
+def fraction_json(rep) -> dict:
+    """A representation's JSON as `str` of each value's `Fraction` writes it."""
+    return {
+        "dimension": rep.dimension,
+        "side": str(Fraction(rep.side, rep.unit)),
+        "coords": [[str(Fraction(x, rep.unit)) for x in row] for row in rep.coords],
+    }
+
+
+def _built(model):
+    ordering = model_to_clique_ordering(model)
+    rep, trace = build_representation(ordering)
+    built = [rep, build_alpha_representation(ordering), build_best(ordering)]
+    return built + [normalize_unit(r) for r in built], trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_models())
+def test_representation_text_matches_fraction_text_on_builds(model):
+    reps, trace = _built(model)
+    for rep in reps:
+        assert rep.to_json_obj() == fraction_json(rep)
+        assert CubeRepresentation.loads(rep.dumps()) == rep
+    if trace is not None:
+        assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
+
+
+def test_representation_text_matches_fraction_text_on_generated_models():
+    for dist in ("uniform", "unit-jitter", "nested-heavy"):
+        reps, trace = _built(random_interval_model(GenConfig(n=300, seed=3, dist=dist)))
+        for rep in reps:
+            assert rep.to_json_obj() == fraction_json(rep)
+        assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_representation_text_matches_fraction_text_on_random_grids(data):
+    d = data.draw(st.integers(0, 3))
+    unit = data.draw(st.integers(1, 10**12))
+    coord = st.lists(st.integers(-(10**15), 10**15), min_size=d, max_size=d)
+    rows = data.draw(st.lists(coord, max_size=6))
+    if d and not rows:
+        rows = [[0] * d]
+    rep = CubeRepresentation(d, data.draw(st.integers(1, 10**15)), tuple(map(tuple, rows)), unit)
+    obj = rep.to_json_obj()
+    assert obj == fraction_json(rep)
+    # read back onto the coarsest grid: the same values
+    again = CubeRepresentation.from_json_obj(obj)
+    assert Fraction(again.side, again.unit) == Fraction(rep.side, rep.unit)
+    assert [[Fraction(x, again.unit) for x in row] for row in again.coords] == [
+        [Fraction(x, rep.unit) for x in row] for row in rep.coords
+    ]

@@ -1,10 +1,12 @@
 """The sweeps that build and check graphs against their all-pairs
 references in `verify_reference`: equal graphs, equal verification
 reports, and the same sanity verdicts, on built, corrupted and arbitrary
-inputs.  Verification against an interval model, which never lists the
-model's edges, is checked against verification of the model's graph."""
+inputs.  Verification against an interval model is checked against
+verification of the model's graph, and each of the verifier's two paths,
+bitmasks and window, is forced in turn against the pairwise reference."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from intervalcubes import (
     CubeRepresentation,
+    GenConfig,
     Graph,
+    IntervalModel,
     build_alpha_representation,
     build_best,
     build_representation,
@@ -20,6 +24,7 @@ from intervalcubes import (
     model_to_graph,
     normalize_unit,
     ordering_from_cliques,
+    random_interval_model,
     verify_representation,
 )
 from intervalcubes import verify
@@ -213,6 +218,124 @@ def test_separation_scan_reads_the_sparsest_dimension(monkeypatch):
     report = assert_same_report(Graph(n, [(v, v + 1) for v in range(0, n, 2)]), rep)
     assert report.ok
     assert scanned == [min(near)]
+
+
+def assert_both_paths(source, rep, graph=None):
+    """Each verify path, forced in turn, gives the pairwise reference's
+    report on `source`, a graph or a model (whose graph is `graph`)."""
+    if graph is None:
+        graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
+    expected = verify_pairwise(graph, rep)
+    for masks in (True, False):
+        with patch.object(verify, "_masks_pay", lambda *args: masks):
+            assert verify_representation(source, rep) == expected
+    return expected
+
+
+def random_representation(data, n, d_max=4):
+    """Random small coordinates, negative and repeated, so that gaps of
+    exactly the side and of one more are common."""
+    d = data.draw(st.integers(0, d_max))
+    side = data.draw(st.integers(1, 4))
+    coord = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    rows = data.draw(st.lists(coord, min_size=n, max_size=n))
+    return CubeRepresentation(d, side, tuple(map(tuple, rows)), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(endpoint_models(), st.data())
+def test_both_paths_match_pairwise_on_models(model, data):
+    # endpoint_models has n = 0 and 1, shared endpoints and point intervals
+    graph = model_to_graph(model)
+    reps = built_representations(model) + [random_representation(data, model.n)]
+    for rep in reps:
+        for source in (model, graph):
+            assert_both_paths(source, rep, graph)
+        if rep.dimension and rep.n:
+            broken = moved(rep, data.draw(moves(rep)))
+            for source in (model, graph):
+                assert_both_paths(source, broken, graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitrary_instances())
+def test_both_paths_match_pairwise_on_arbitrary_graphs(instance):
+    assert_both_paths(*instance)
+
+
+def test_both_paths_on_degenerate_sizes():
+    models = [
+        make_model([]),
+        make_model([(5, 5)]),
+        make_model([(0, 1), (1, 1), (1, 2), (2, 2), (3, 3), (3, 3), (0, 3)]),
+        make_model([(0, 0)] * 5 + [(1, 1), (0, 2), (2, 2), (3, 3)]),
+    ]
+    for model in models:
+        n = model.n
+        for d in (0, 1, 3):
+            for rows in ([(0,) * d] * n, [tuple(range(v, v + d)) for v in range(n)]):
+                rep = CubeRepresentation(d, 1, tuple(rows), 1)
+                assert_both_paths(model, rep)
+                assert_both_paths(model_to_graph(model), rep)
+    # dimension 0 reports every non-edge, on either path
+    flat = CubeRepresentation(0, 1, ((),) * 4, 1)
+    assert assert_both_paths(path_graph(4), flat).missing_separation == ((0, 2), (0, 3), (1, 3))
+
+
+def test_both_paths_on_corpus():
+    models = random_models(12, range(1, 80), seed=67) + [star_model(m) for m in (1, 2, 5)]
+    for t, model in enumerate(models):
+        graph = model_to_graph(model)
+        for rep in built_representations(model):
+            assert assert_both_paths(model, rep, graph).ok
+            if rep.dimension == 0 or rep.n == 0:
+                continue
+            span = max(max(row) for row in rep.coords) - min(min(row) for row in rep.coords)
+            draws = [(t % rep.n, t % rep.dimension, span + rep.side + 1)]
+            draws += [(v, (t + 1) % rep.dimension, rep.side) for v in range(0, rep.n, 3)]
+            assert_both_paths(model, moved(rep, draws), graph)
+
+
+def test_path_rule_takes_masks_on_dense_input_and_the_window_on_sparse():
+    # the benchmark's shapes: dense generated models at n = 400 take the
+    # masks; the path, the caterpillar and a unit-jitter model at n = 500
+    # keep the window; as models and as edge lists
+    dense = [random_interval_model(GenConfig(n=400, seed=0, dist=dist))
+             for dist in ("uniform", "nested-heavy")]
+    sparse = [
+        make_model([(i, i + 1) for i in range(500)]),
+        make_model([(3 * i, 3 * i + 3) for i in range(250)]
+                   + [(3 * i + 1, 3 * i + 1) for i in range(250)]),
+        random_interval_model(GenConfig(n=500, seed=0, dist="unit-jitter")),
+    ]
+    cases = [(m, build_best(model_to_clique_ordering(m)), "masks") for m in dense]
+    cases += [(m, build_best(model_to_clique_ordering(m)), "window") for m in sparse]
+    # a unit interval model whose dimensions are copies of one line: every
+    # window pair is an edge, and the d passes over the edges tip the rule
+    line = make_model([(x, x + 6) for x in range(400)])
+    cases.append((line, CubeRepresentation(4, 6, tuple((x,) * 4 for x in range(400)), 1), "masks"))
+
+    taken = []
+    by_masks, unseparated, rule = verify._by_masks, verify._unseparated, verify._masks_pay
+
+    def spy(name, call):
+        def wrapped(*args):
+            taken.append(name)
+            return call(*args)
+
+        return wrapped
+
+    with patch.object(verify, "_by_masks", spy("masks", by_masks)), \
+            patch.object(verify, "_unseparated", spy("window", unseparated)), \
+            patch.object(verify, "_masks_pay", lambda *args: taken.append(args) or rule(*args)):
+        for model, rep, expected in cases:
+            graph = model_to_graph(model)
+            for source in (model, graph):
+                taken.clear()
+                assert verify_representation(source, rep).ok
+                # a model's edges are counted without listing them
+                (_, edges, d, n), path = taken
+                assert (edges, d, n, path) == (graph.edge_count, rep.dimension, graph.n, expected)
 
 
 @settings(max_examples=200, deadline=None)
