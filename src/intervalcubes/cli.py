@@ -6,7 +6,7 @@ other subcommands.  An edge list gets its clique ordering from
 recognition.  A model gets it from its endpoint sweep, without
 recognition.  `construct` and `verify` check a model's representation
 against the model itself, and `params` reads only the ordering, so a
-model's graph is built, by `model_to_graph`, only for `exact`.
+model's graph is built only for `exact`, within the oracle's bound.
 
 Each command imports the modules it runs when it runs, and only edge-list
 input loads recognition; what every command needs (the parsers, limits,
@@ -150,9 +150,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     from .intervals import model_to_graph
-    from .oracle import exact_cubicity
+    from .oracle import exact_cubicity, refuse_if_large
 
     source = _read_input(args.graph)
+    refuse_if_large(source)
     graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
     result = exact_cubicity(graph, b_max=args.max_b)
     _emit(result.to_json_obj(), args.out)

@@ -107,13 +107,7 @@ def branch_codes(labelling: Labelling, claw: int) -> tuple[int, ...]:
     extra bits alternate with the level's block parity."""
     if claw < 2 or claw & (claw - 1):
         raise ValueError("claw must be a power of two, at least 2")
-    codes = []
-    for level in labelling.levels:
-        if (level // claw) % 2 == 0:
-            codes.append(level % claw + claw)
-        else:
-            codes.append(level % claw + 2 * claw)
-    return tuple(codes)
+    return tuple(level % claw + claw * (1 + level // claw % 2) for level in labelling.levels)
 
 
 def build_representation(

@@ -2,13 +2,13 @@
 
 The same configuration always yields the same model, bit for bit: seeds
 are combined arithmetically (never via object hashing, which varies
-across processes) and endpoints are exact rationals.
+across processes) and endpoints are exact: ints, and Fractions for
+`unit-jitter`.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .graphs import Record
 from .intervals import DISTRIBUTIONS, IntervalModel
@@ -33,14 +33,15 @@ def random_interval_model(cfg: GenConfig) -> IntervalModel:
         raise ValueError("need at least one interval")
     rng = _rng(cfg)
     n = cfg.n
-    intervals: list[tuple[Fraction, Fraction]] = []
+    intervals = []
     if cfg.dist == "uniform":
         span = 2 * n
         for _ in range(n):
-            lo = Fraction(rng.randint(0, span))
-            length = Fraction(rng.randint(1, n))
-            intervals.append((lo, lo + length))
+            lo = rng.randint(0, span)
+            intervals.append((lo, lo + rng.randint(1, n)))
     elif cfg.dist == "unit-jitter":
+        from fractions import Fraction
+
         for _ in range(n):
             lo = Fraction(rng.randint(0, 3 * n), 4)
             length = 1 + Fraction(rng.randint(-4, 4), 16)
@@ -48,7 +49,7 @@ def random_interval_model(cfg: GenConfig) -> IntervalModel:
     else:  # nested-heavy: wide spread of lengths around shared centers
         span = 4 * n
         for _ in range(n):
-            center = Fraction(rng.randint(0, span))
-            width = Fraction(max(1, span >> rng.randint(0, span.bit_length() - 1)))
+            center = rng.randint(0, span)
+            width = max(1, span >> rng.randint(0, span.bit_length() - 1))
             intervals.append((center - width, center + width))
     return IntervalModel(tuple(intervals))

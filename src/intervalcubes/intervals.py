@@ -5,17 +5,18 @@ cliques containing any one vertex are consecutive.  The CliqueOrdering
 type is that witness, kept as each vertex's leftmost and rightmost clique
 index alone: clique C_j is every vertex whose range holds j, so no
 clique list is stored.  Everything downstream (labelling, coordinate
-construction) consumes orderings, not raw models.
+construction) consumes orderings, not raw models.  A model is ranked once,
+when it is made, so the sweep, `model_to_graph` and the verifier compare
+small ints, and loading "p" or "p/q" text builds no Fraction.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from fractions import Fraction
 
 from .graphs import Graph, Record
-from .rationals import parse_ratio
+from .rationals import format_ratio, parse_ratio
 
 # the shapes of the seeded random models `generate` makes; kept here so
 # that the CLI's parser does not load `generate`
@@ -23,28 +24,32 @@ DISTRIBUTIONS = ("uniform", "unit-jitter", "nested-heavy")
 
 
 class IntervalModel(Record):
-    """Per-vertex closed intervals [lo, hi] with exact rational endpoints:
-    `intervals` is a tuple of (lo, hi) pairs of Fractions."""
+    """Per-vertex closed intervals with exact rational endpoints, kept as
+    ranks: `values` holds the distinct endpoints in increasing order as
+    reduced (numerator, denominator) pairs, and interval v is
+    [values[lo[v]], values[hi[v]]].  Built from (lo, hi) pairs of ints or
+    Fractions, which `intervals` gives back, as ints where integral."""
 
-    __slots__ = ("intervals",)
+    __slots__ = ("values", "lo", "hi")
 
-    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
-        for i, (lo, hi) in enumerate(intervals):
-            if lo > hi:
-                raise ValueError(f"interval {i} has lo > hi: [{lo}, {hi}]")
-        super().__init__(intervals)
+    def __init__(self, intervals):
+        _ranked(self, [(x.numerator, x.denominator) for iv in intervals for x in iv])
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
+
+    @property
+    def intervals(self) -> tuple:
+        from fractions import Fraction
+
+        exact = [p if q == 1 else Fraction(p, q) for p, q in self.values]
+        return tuple((exact[a], exact[b]) for a, b in zip(self.lo, self.hi))
 
     def to_json_obj(self) -> dict:
-        return {
-            "intervals": [
-                {"id": i, "lo": str(lo), "hi": str(hi)}
-                for i, (lo, hi) in enumerate(self.intervals)
-            ]
-        }
+        text = [format_ratio(p, q) for p, q in self.values]
+        ends = enumerate(zip(self.lo, self.hi))
+        return {"intervals": [{"id": i, "lo": text[a], "hi": text[b]} for i, (a, b) in ends]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
@@ -54,17 +59,40 @@ class IntervalModel(Record):
         records = obj["intervals"] if isinstance(obj, dict) else None
         if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
             raise ValueError("a model is an object with a list of interval records")
-        slots: list[tuple[Fraction, Fraction] | None] = [None] * len(records)
+        ends: list[tuple[int, int] | None] = [None] * (2 * len(records))
         for rec in records:
             i = rec["id"]
-            if type(i) is not int or not (0 <= i < len(records)) or slots[i] is not None:
+            if type(i) is not int or not (0 <= i < len(records)) or ends[2 * i] is not None:
                 raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
-            slots[i] = (Fraction(*parse_ratio(rec["lo"])), Fraction(*parse_ratio(rec["hi"])))
-        return cls(tuple(slots))  # type: ignore[arg-type]
+            ends[2 * i : 2 * i + 2] = parse_ratio(rec["lo"]), parse_ratio(rec["hi"])
+        return _ranked(cls.__new__(cls), ends)
 
     @classmethod
     def loads(cls, text: str) -> "IntervalModel":
         return cls.from_json_obj(json.loads(text))
+
+
+def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
+    """`model` with its fields set from `ends`, the (numerator, denominator)
+    pairs lo_0, hi_0, lo_1, ...; ValueError if some lo > hi.  The distinct
+    pairs are sorted by integer part, then by fractional part as a float:
+    division of ints rounds correctly, so monotonically, and only distinct
+    values that tie on both keys send the sort to Fractions."""
+    keys = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
+    values = sorted(keys, key=keys.__getitem__)
+    if len(set(keys.values())) < len(values):
+        from fractions import Fraction
+
+        values.sort(key=lambda e: Fraction(*e))
+    rank = dict(zip(values, range(len(values))))
+    ranks = [rank[e] for e in ends]
+    lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if a > b:
+            a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
+            raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
+    Record.__init__(model, tuple(values), lo, hi)
+    return model
 
 
 class CliqueOrdering(Record):
@@ -115,41 +143,19 @@ def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
     return CliqueOrdering(len(cliques), tuple(left), tuple(right))
 
 
-def ranked_endpoints(model: IntervalModel) -> tuple[list[int], list[int]]:
-    """Each interval's ends as ranks among the distinct endpoints, so that
-    every later comparison is between small ints.
-
-    The endpoints are hashed as (numerator, denominator) pairs and sorted
-    by integer part, then by fractional part as a float.  Division of ints
-    rounds correctly, so monotonically: only two distinct values that share
-    both keys could be out of order, and then the sort is redone on
-    Fractions."""
-    ends = [(x.numerator, x.denominator) for iv in model.intervals for x in iv]
-    keyed = sorted((p // q, p % q / q, p, q) for p, q in set(ends))
-    if any(a[:2] == b[:2] for a, b in zip(keyed, keyed[1:])):
-        keyed.sort(key=lambda k: Fraction(k[2], k[3]))
-    rank = {(k[2], k[3]): r for r, k in enumerate(keyed)}
-    ranks = [rank[x] for x in ends]
-    return ranks[0::2], ranks[1::2]
-
-
 def model_to_graph(model: IntervalModel) -> Graph:
     """Closed-interval overlap graph; a shared endpoint is an edge.
 
     Sorted by `lo`, the intervals meeting u from its right are exactly the
     later starts at or before `hi` of u, one bisection away: O(n log n + m).
-    This reads the endpoints directly, never the clique sweep, so the
+    This reads the endpoint ranks directly, never the clique sweep, so the
     graph a representation is verified against stays independent of the
     ordering it was built from.
     """
-    ivs = model.intervals
-    order = sorted(range(model.n), key=lambda v: ivs[v][0])
-    los = [ivs[v][0] for v in order]
-    edges = [
-        (u, v)
-        for p, u in enumerate(order)
-        for v in order[p + 1 : bisect_right(los, ivs[u][1])]
-    ]
+    lo, hi = model.lo, model.hi
+    order = sorted(range(model.n), key=lo.__getitem__)
+    los = [lo[v] for v in order]
+    edges = [(u, v) for p, u in enumerate(order) for v in order[p + 1 : bisect_right(los, hi[u])]]
     return Graph(model.n, edges)
 
 
@@ -163,19 +169,15 @@ def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
     open to the last one taken before it closes, so each vertex's indices
     are read off the snapshot count at its ends and no clique is listed.
     """
-    lo, hi = ranked_endpoints(model)
-    m = max(hi, default=-1) + 1  # the largest endpoint is some interval's hi
-    starting, ending = [False] * m, [False] * m
-    for r in lo:
-        starting[r] = True
-    for r in hi:
-        ending[r] = True
+    lo, hi = model.lo, model.hi
+    m = len(model.values)
+    starting, ending = set(lo), set(hi)
     k, admitted = 0, False
     at_start, at_end = [0] * m, [0] * m
     for x in range(m):
         at_start[x] = k
-        admitted = admitted or starting[x]
-        if ending[x] and admitted:
+        admitted = admitted or x in starting
+        if x in ending and admitted:
             k, admitted = k + 1, False
         at_end[x] = k - 1
     return CliqueOrdering(k, tuple(at_start[r] for r in lo), tuple(at_end[r] for r in hi))

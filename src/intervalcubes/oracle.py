@@ -121,7 +121,8 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
 # supergraph enumeration and exact cubicity
 # ----------------------------------------------------------------------
 
-def _refuse_if_large(graph: Graph):
+def refuse_if_large(graph):
+    """SizeRefusalError past the vertex bound; reads only `graph.n`."""
     if graph.n > MAX_ORACLE_VERTICES:
         raise SizeRefusalError(
             f"{graph.n} vertices exceeds the oracle bound of {MAX_ORACLE_VERTICES}"
@@ -209,7 +210,7 @@ class Exceeded(Record):
 def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
     """Minimum family size by iterative-deepening branch and bound over the
     candidate missing sets; complete graphs need zero."""
-    _refuse_if_large(graph)
+    refuse_if_large(graph)
     missing = non_edges(graph)
     if not missing:
         return ExactResult((), 0, 0)

@@ -3,12 +3,12 @@
 Documents mostly hold plain "p" and "p/q" text, so `parse_ratio` reads
 those with `int` alone and `format_ratio` writes them with `gcd`; only
 other text (decimals, whitespace, a leading "+") takes the `Fraction`
-parser, and both give exactly what `Fraction` would.
+parser, and both give exactly what `Fraction` would.  Only that parser
+imports `fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -20,6 +20,8 @@ def parse_rational(value) -> Fraction:
     forms like "1e9" are rejected too: their cost grows with the
     exponent's value, not with the length of the text.
     """
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

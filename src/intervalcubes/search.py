@@ -16,6 +16,8 @@ from .intervals import DISTRIBUTIONS, model_to_clique_ordering, model_to_graph
 from .oracle import Exceeded, exact_cubicity
 from .params import best_dimension, ceil_log2, parameters
 
+_COLUMNS = ("psi", "alpha", "cubicity", "dimension", "count")
+
 
 class SearchReport:
     """What a search has found so far; it fills this in as it runs."""
@@ -45,24 +47,18 @@ class SearchReport:
             "counterexamples": self.counterexamples,
             "bound_violations": self.bound_violations,
             "degenerate_skipped": self.degenerate_skipped,
-            "histogram": [
-                {
-                    "psi": psi,
-                    "alpha": alpha,
-                    "cubicity": cub,
-                    "dimension": dim,
-                    "count": count,
-                }
-                for (psi, alpha, cub, dim), count in sorted(self.histogram.items())
-            ],
+            "histogram": [dict(zip(_COLUMNS, row)) for row in _rows(self)],
         }
 
 
 def histogram_csv(report: SearchReport) -> str:
-    lines = ["psi,alpha,cubicity,dimension,count"]
-    for (psi, alpha, cub, dim), count in sorted(report.histogram.items()):
-        lines.append(f"{psi},{alpha},{cub},{dim},{count}")
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in [_COLUMNS, *_rows(report)])
+
+
+def _rows(report: SearchReport) -> list[tuple[int, ...]]:
+    """The histogram's rows: the key (psi, alpha, cubicity, dimension),
+    then the count, in key order."""
+    return [(*key, count) for key, count in sorted(report.histogram.items())]
 
 
 def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:

@@ -3,10 +3,11 @@ against graphs.  The `verify` command loads only this module and the
 graph, model and rational parsers.
 
 The verifier trusts nothing from the construction: it reads adjacency
-off the graph, or off an interval model's endpoints (closed intervals
-that meet are adjacent), and compares it against max-norm geometry only.
-It never reads a clique ordering, so a model is checked independently of
-the sweep that built its representation.  A representation's side and
+off the graph, or off an interval model's endpoint ranks, made from the
+endpoint values when the model was (closed intervals that meet are
+adjacent), and compares it against max-norm geometry only.  It never
+reads a clique ordering, so a model is checked independently of the
+sweep that built its representation.  A representation's side and
 coordinates are integers on one grid, so every comparison is an exact
 integer comparison.
 
@@ -52,7 +53,7 @@ from math import lcm
 from re import finditer
 
 from .graphs import Graph, Record
-from .intervals import IntervalModel, ranked_endpoints
+from .intervals import IntervalModel
 from .rationals import format_ratio, parse_ratio
 
 # A document's values go onto the lcm of their denominators, which grows
@@ -151,9 +152,8 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
     side, d = rep.side, rep.dimension
     model = isinstance(graph, IntervalModel)
     if model:
-        lo, hi = ranked_endpoints(graph)
-        seq = sorted(range(n), key=lo.__getitem__)
-        lo, hi = [lo[v] for v in seq], [hi[v] for v in seq]
+        seq = sorted(range(n), key=graph.lo.__getitem__)
+        lo, hi = [graph.lo[v] for v in seq], [graph.hi[v] for v in seq]
         # position p meets the later positions up to the last start within hi[p]
         m = sum(bisect_right(lo, h) for h in hi) - n * (n + 1) // 2
     else:

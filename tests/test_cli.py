@@ -156,6 +156,32 @@ def test_exact_size_refusal_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_exact_refuses_a_model_before_building_its_graph(capsys, tmp_path, monkeypatch):
+    def no_graph(model):
+        raise AssertionError("built the graph of a model the oracle refuses")
+
+    monkeypatch.setattr(intervals, "model_to_graph", no_graph)
+    path = tmp_path / "nine.json"
+    path.write_text(make_model([(i, i + 1) for i in range(9)]).dumps())
+    assert run(capsys, "exact", str(path)) == (
+        3, "", "9 vertices exceeds the oracle bound of 8\n"
+    )
+
+
+@pytest.mark.parametrize("variant", ["claw", "alpha", "best"])
+def test_construct_ranks_a_model_once(capsys, tmp_path, monkeypatch, variant):
+    """The sweep and the verifier read the ranks the model was loaded
+    with; neither ranks the endpoints again."""
+    calls = []
+    ranked = intervals._ranked
+    monkeypatch.setattr(intervals, "_ranked", lambda *args: calls.append(1) or ranked(*args))
+    path = tmp_path / "model.json"
+    path.write_text(random_interval_model(GenConfig(30, 2, "unit-jitter")).dumps())
+    calls.clear()
+    code, _, _ = run(capsys, "construct", str(path), "--variant", variant, "--normalize")
+    assert code == 0 and len(calls) == 1
+
+
 def test_gen_pipes_into_construct(capsys, tmp_path):
     model_path = tmp_path / "model.json"
     code, out, _ = run(capsys, "gen", "--n", "12", "--seed", "5", "--out", str(model_path))

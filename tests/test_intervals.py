@@ -12,7 +12,6 @@ from intervalcubes import (
     model_to_graph,
     ordering_from_cliques,
 )
-from intervalcubes.intervals import ranked_endpoints
 
 from conftest import (
     bron_kerbosch,
@@ -184,10 +183,10 @@ def test_greedy_independent_is_maximum():
         assert len(chosen) == best
 
 
-def fraction_ranks(model):
+def fraction_ranks(pairs):
     """Endpoint ranks from a sort of the Fractions themselves."""
-    rank = {x: r for r, x in enumerate(sorted({x for iv in model.intervals for x in iv}))}
-    return [rank[lo] for lo, _ in model.intervals], [rank[hi] for _, hi in model.intervals]
+    rank = {x: r for r, x in enumerate(sorted({x for iv in pairs for x in iv}))}
+    return tuple(rank[lo] for lo, _ in pairs), tuple(rank[hi] for _, hi in pairs)
 
 
 endpoints = st.one_of(
@@ -197,17 +196,75 @@ endpoints = st.one_of(
     st.sampled_from([Fraction(1, 3), Fraction(10**30 + 1, 3 * 10**30), Fraction(-2, 3),
                      Fraction(-(10**30) - 1, 3 * 10**30), Fraction(10**40 + 1, 10**40)]),
 )
+endpoint_pairs = st.lists(
+    st.tuples(endpoints, st.fractions(0, 6, max_denominator=12)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=20,
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(endpoints, st.fractions(0, 6, max_denominator=12)), max_size=20))
-def test_ranked_endpoints_match_fraction_ranks(pairs):
-    model = IntervalModel(tuple((lo, lo + length) for lo, length in pairs))
-    assert ranked_endpoints(model) == fraction_ranks(model)
+@given(endpoint_pairs)
+def test_model_ranks_match_fraction_ranks(pairs):
+    model = IntervalModel(tuple(pairs))
+    assert (model.lo, model.hi) == fraction_ranks(pairs)
+    values = sorted({x for iv in pairs for x in iv})
+    assert model.values == tuple((x.numerator, x.denominator) for x in values)
 
 
-def test_ranked_endpoints_order_values_a_float_cannot_tell_apart():
+def test_model_ranks_order_values_a_float_cannot_tell_apart():
     third = Fraction(1, 3)
     below = third - Fraction(1, 10**30)  # the same float fractional part, a larger numerator
-    model = IntervalModel(((third, third), (below, third), (Fraction(-1), below)))
-    assert ranked_endpoints(model) == fraction_ranks(model) == ([2, 1, 0], [2, 2, 1])
+    pairs = ((third, third), (below, third), (Fraction(-1), below))
+    model = IntervalModel(pairs)
+    assert (model.lo, model.hi) == fraction_ranks(pairs) == ((2, 1, 0), (2, 2, 1))
+    assert IntervalModel.loads(model.dumps()) == model
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(endpoint_pairs, st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 9)).map(
+    lambda p: (p[0], p[0] + p[1])), max_size=12)))
+def test_model_gives_back_its_intervals(pairs):
+    model = IntervalModel(tuple(pairs))
+    assert model.intervals == tuple(pairs)
+    assert all(type(x) is int or x.denominator > 1 for iv in model.intervals for x in iv)
+    assert IntervalModel(model.intervals) == model
+    assert IntervalModel(intervals=model.intervals) == model
+    assert IntervalModel.loads(model.dumps()) == model
+
+
+# shared endpoints, point intervals, negatives, non-canonical and huge text
+ENDPOINT_TEXT = [
+    "0", "-0", "+1", " 7 ", "0/5", "-0/5", "00012/0006", "-12/8", "5/2", "-5/2", "0.25",
+    "-3/2", "7/3", "9" * 400, "-" + "9" * 400, "1/" + "7" * 300, "-" + "3" * 200 + "/" + "7" * 210,
+    str(10**30 + 1) + "/" + str(3 * 10**30), "1/3",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ENDPOINT_TEXT), st.sampled_from(ENDPOINT_TEXT)),
+                max_size=12))
+def test_model_text_matches_fraction_text(texts):
+    pairs = [sorted(p, key=Fraction) for p in texts]
+    obj = {"intervals": [{"id": i, "lo": lo, "hi": hi} for i, (lo, hi) in enumerate(pairs)]}
+    expected = [{"id": i, "lo": str(Fraction(lo)), "hi": str(Fraction(hi))}
+                for i, (lo, hi) in enumerate(pairs)]
+    model = IntervalModel.from_json_obj(obj)
+    assert model.to_json_obj() == {"intervals": expected}
+    assert model == IntervalModel(tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs))
+
+
+def test_generated_model_text_matches_fraction_text():
+    for model in random_models(12, (1, 2, 7, 30), seed=4):
+        expected = [{"id": i, "lo": str(Fraction(lo)), "hi": str(Fraction(hi))}
+                    for i, (lo, hi) in enumerate(model.intervals)]
+        assert model.to_json_obj() == {"intervals": expected}
+
+
+def test_inverted_interval_message():
+    with pytest.raises(ValueError, match=r"^interval 1 has lo > hi: \[5/2, -1/3\]$"):
+        IntervalModel(((0, 0), (Fraction(5, 2), Fraction(-1, 3))))
+    with pytest.raises(ValueError, match=r"^interval 0 has lo > hi: \[2, 1\]$"):
+        IntervalModel(((2, 1), (3, 0)))
+    text = '{"intervals": [{"id": 1, "lo": "10/4", "hi": "-2/6"}, {"id": 0, "lo": "0", "hi": "0"}]}'
+    with pytest.raises(ValueError, match=r"^interval 1 has lo > hi: \[5/2, -1/3\]$"):
+        IntervalModel.loads(text)

@@ -53,9 +53,12 @@ def _samples() -> list[tuple[Record, Record]]:
 
 
 def _copy(record: Record) -> Record:
-    """An equal record built afresh; a graph is built from its edge list."""
+    """An equal record built afresh; a graph is built from its edge list,
+    a model from its intervals."""
     if isinstance(record, Graph):
         return Graph(record.n, record.edges())
+    if isinstance(record, IntervalModel):
+        return IntervalModel(record.intervals)
     return type(record)(**{name: getattr(record, name) for name in record.__slots__})
 
 
@@ -87,9 +90,11 @@ def test_fields_cannot_change(a, b):
         a.extra = 1
 
 
-# a graph is built from an edge list, not from its fields
+# a graph is built from an edge list and a model from its intervals, not from their fields
 @pytest.mark.parametrize(
-    "a, b", [s for s in _samples() if type(s[0]) is not Graph], ids=lambda r: type(r).__name__
+    "a, b",
+    [s for s in _samples() if type(s[0]) not in (Graph, IntervalModel)],
+    ids=lambda r: type(r).__name__,
 )
 def test_fields_are_all_given_once(a, b):
     values = [getattr(a, name) for name in a.__slots__]

@@ -1,5 +1,6 @@
 """Each CLI command loads only the modules it runs, none loads
-`dataclasses`, and a bare `import intervalcubes` loads no submodule.
+`dataclasses`, the commands that read "p"/"p/q" endpoints do not load
+`fractions`, and a bare `import intervalcubes` loads no submodule.
 
 Every command runs in a fresh interpreter, as the CLI does, and reports
 the package modules loaded once it has finished.
@@ -21,12 +22,13 @@ SRC = str(Path(intervalcubes.__file__).resolve().parents[1])
 
 PROBE = """
 import json, sys
-before = "dataclasses" in sys.modules
+before = {m for m in ("dataclasses", "fractions") if m in sys.modules}
 from intervalcubes import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps({
     "code": code,
-    "dataclasses": "dataclasses" in sys.modules and not before,
+    "dataclasses": "dataclasses" in sys.modules and "dataclasses" not in before,
+    "fractions": "fractions" in sys.modules and "fractions" not in before,
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("intervalcubes.")),
 }))
 """
@@ -55,32 +57,42 @@ def _run(*argv: str) -> dict:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
-    _run("gen", "--n", "12", "--seed", "1", "--out", str(d / "model.json"))
+    # unit-jitter endpoints are "p/q" text, such as "21/16"
+    _run("gen", "--n", "12", "--seed", "1", "--dist", "unit-jitter", "--out", str(d / "model.json"))
+    (d / "small.json").write_text(
+        '{"intervals": [{"id": 0, "lo": "-1/2", "hi": "3/2"}, {"id": 1, "lo": "1", "hi": "5/2"}]}'
+    )
     (d / "path.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
     _run("construct", str(d / "model.json"), "--variant", "best", "--out", str(d / "rep.json"))
     return d
 
 
+# gen's and search's unit-jitter models have fractional endpoints, and
+# search samples from all three distributions
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, fractions",
     [
         (["construct", "model.json", "--variant", "best", "--normalize"],
-         EVERY - {"recognition", "oracle", "search", "generate"}),
-        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"}),
-        (["verify", "model.json", "rep.json"], BASE | {"verify"}),
-        (["exact", "path.txt"], BASE | {"oracle"}),
+         EVERY - {"recognition", "oracle", "search", "generate"}, False),
+        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"},
+         False),
+        (["verify", "model.json", "rep.json"], BASE | {"verify"}, False),
+        (["exact", "path.txt"], BASE | {"oracle"}, False),
+        (["exact", "small.json"], BASE | {"oracle"}, False),
         (["search", "--count", "3", "--n-max", "5"],
-         EVERY - {"construct", "verify", "recognition"}),
-        (["gen", "--n", "5"], BASE | {"generate"}),
+         EVERY - {"construct", "verify", "recognition"}, None),
+        (["gen", "--n", "5"], BASE | {"generate"}, None),
     ],
-    ids=["construct-model", "construct-edges", "verify", "exact", "search", "gen"],
+    ids=["construct-model", "construct-edges", "verify", "exact", "exact-model", "search", "gen"],
 )
-def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
+def test_each_command_loads_only_what_it_runs(inputs, argv, expected, fractions):
     argv = [str(inputs / a) if (inputs / a).exists() else a for a in argv]
     result = _run(*argv, "--out", str(inputs / "out.json"))
     assert result["code"] == 0
     assert set(result["modules"]) == expected
     assert not result["dataclasses"]
+    if fractions is not None:
+        assert result["fractions"] == fractions
 
 
 def test_bare_import_loads_no_submodule():
