@@ -11,6 +11,11 @@ model's graph is built only for `exact`, within the oracle's bound.
 Each command imports the modules it runs when it runs, and only edge-list
 input loads recognition; what every command needs (the parsers, limits,
 and the errors `main` maps to exit codes) is in `graphs` and `intervals`.
+One table, `_COMMANDS`, defines every command and option.  A canonical
+command line (exact long options given once as `--opt value`, values
+and positionals not starting with "-", ints in ASCII digits) is read
+from it directly; argparse, built from the same table, is imported only
+for help, for errors and for any other spelling.
 
 Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 3 size refusal, 64 usage error, 65 malformed input.
@@ -18,9 +23,9 @@ Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .graphs import (
     MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, GraphParseError, NotIntervalError, SizeRefusalError,
@@ -36,12 +41,6 @@ EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -49,12 +48,11 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_input(path: str) -> Graph | IntervalModel:
+def _read_input(path: str, refuse=None) -> Graph | IntervalModel:
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
+    if text.lstrip().startswith(("{", "[")):
         return IntervalModel.loads(text)
-    return parse_graph(text)
+    return parse_graph(text, refuse)
 
 
 def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
@@ -152,8 +150,8 @@ def _cmd_exact(args) -> int:
     from .intervals import model_to_graph
     from .oracle import exact_cubicity, refuse_if_large
 
-    source = _read_input(args.graph)
-    refuse_if_large(source)
+    source = _read_input(args.graph, refuse_if_large)
+    refuse_if_large(source.n)
     graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
     result = exact_cubicity(graph, b_max=args.max_b)
     _emit(result.to_json_obj(), args.out)
@@ -173,17 +171,11 @@ def _cmd_search(args) -> int:
 
     report = tightness_search(count=args.count, n_max=args.n_max, seed=args.seed)
     if report.counterexamples:
-        print(
-            f"FOUND {len(report.counterexamples)} candidate counterexample(s) "
-            "with cubicity above ceil(log2 claw); see report",
-            file=sys.stderr,
-        )
+        print(f"FOUND {len(report.counterexamples)} candidate counterexample(s) with cubicity "
+              "above ceil(log2 claw); see report", file=sys.stderr)
     if report.bound_violations:
-        print(
-            f"BUG: {len(report.bound_violations)} instance(s) broke the proven "
-            "upper bound",
-            file=sys.stderr,
-        )
+        print(f"BUG: {len(report.bound_violations)} instance(s) broke the proven upper bound",
+              file=sys.stderr)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(histogram_csv(report))
@@ -191,73 +183,118 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's handler, help, positionals, and options as (flag,
+# add_argument keywords); every command also takes `--out`, added first
+_OUT = ("--out", {"help": "write output to a file instead of stdout"})
+_COMMANDS = {
+    "recognize": (_cmd_recognize, "test whether a graph is an interval graph", ("graph",), ()),
+    "order": (_cmd_order, "emit a consecutive clique ordering", ("graph",), ()),
+    "label": (_cmd_label, "emit vertex levels and anchors", ("graph",), ()),
+    "params": (_cmd_params, "claw number, independence number, lower bound", ("graph",), ()),
+    "construct": (_cmd_construct, "build a cube representation", ("graph",), (
+        ("--variant", {"choices": ("claw", "alpha", "best"), "default": "claw"}),
+        ("--normalize", {"action": "store_true", "default": False,
+                         "help": "rescale to unit side"}),
+        ("--trace", {"action": "store_true", "default": False,
+                     "help": "include the construction trace"}),
+    )),
+    "verify": (_cmd_verify, "check a representation against a graph",
+               ("graph", "representation"), ()),
+    "exact": (_cmd_exact, "exact cubicity by brute force (small graphs)", ("graph",),
+              (("--max-b", {"type": int, "default": 4}),)),
+    "gen": (_cmd_gen, "generate a seeded random interval model", (), (
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--dist", {"choices": DISTRIBUTIONS, "default": "uniform"}),
+    )),
+    "search": (_cmd_search, "tightness search over random instances", (), (
+        ("--count", {"type": int, "required": True}),
+        ("--n-max", {"type": int, "default": 6, "choices": range(2, MAX_ORACLE_VERTICES + 1)}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--csv", {"help": "also write the histogram as CSV"}),
+    )),
+}
+
+
+def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="intervalcubes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func, error=p.error)
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        return p
-
-    p = add("recognize", _cmd_recognize, "test whether a graph is an interval graph")
-    p.add_argument("graph")
-    p = add("order", _cmd_order, "emit a consecutive clique ordering")
-    p.add_argument("graph")
-    p = add("label", _cmd_label, "emit vertex levels and anchors")
-    p.add_argument("graph")
-    p = add("params", _cmd_params, "claw number, independence number, lower bound")
-    p.add_argument("graph")
-
-    p = add("construct", _cmd_construct, "build a cube representation")
-    p.add_argument("graph")
-    p.add_argument("--variant", choices=("claw", "alpha", "best"), default="claw")
-    p.add_argument("--normalize", action="store_true", help="rescale to unit side")
-    p.add_argument("--trace", action="store_true", help="include the construction trace")
-
-    p = add("verify", _cmd_verify, "check a representation against a graph")
-    p.add_argument("graph")
-    p.add_argument("representation")
-
-    p = add("exact", _cmd_exact, "exact cubicity by brute force (small graphs)")
-    p.add_argument("graph")
-    p.add_argument("--max-b", type=int, default=4, dest="max_b")
-
-    p = add("gen", _cmd_gen, "generate a seeded random interval model")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
-
-    p = add("search", _cmd_search, "tightness search over random instances")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=6, dest="n_max",
-                   choices=range(2, MAX_ORACLE_VERTICES + 1))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", help="also write the histogram as CSV")
-
+        p.add_argument(_OUT[0], **_OUT[1])
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _quick_args(argv) -> SimpleNamespace | None:
+    """The fields argparse gives a canonical `argv` (see the module
+    docstring; a flag stands alone, choices match their exact text, and
+    an int has at most 18 digits), all but `error`; None for any other."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals, options = _COMMANDS[argv[0]]
+    table = dict((_OUT, *options))
+    given, fields, words = [], {}, iter(argv[1:])
+    for word in words:
+        keywords = table.get(word)
+        if not word.startswith("-"):
+            given.append(word)
+        elif keywords is None or word in fields:
+            return None
+        elif keywords.get("action"):
+            fields[word] = True
+        else:
+            value = next(words, "-")
+            if "type" in keywords and value.isascii() and value.isdigit() and len(value) <= 18:
+                value = int(value)
+            elif value.startswith("-") or "type" in keywords:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+            fields[word] = value
+    missing = any(kw.get("required") and flag not in fields for flag, kw in table.items())
+    if missing or len(given) != len(positionals):
+        return None
+    dests = {flag[2:].replace("-", "_"): fields.get(flag, kw.get("default"))
+             for flag, kw in table.items()}
+    return SimpleNamespace(command=argv[0], func=func, **dict(zip(positionals, given)), **dests)
+
+
+def _misuse(args) -> str | None:
+    """The message for a value the parser's types and choices let through."""
     if args.command == "search" and args.count < 0:
-        args.error("--count must not be negative")
+        return "--count must not be negative"
     if args.command == "gen" and not 1 <= args.n <= MAX_VERTICES:
-        args.error(f"--n must be between 1 and {MAX_VERTICES}")
+        return f"--n must be between 1 and {MAX_VERTICES}"
     if args.command == "exact" and args.max_b < 1:
-        args.error("--max-b must be at least 1")
+        return "--max-b must be at least 1"
+    return None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _quick_args(argv)
+    # argparse parses anything else, and reports every error with its usage line
+    if args is None or _misuse(args):
+        args = build_parser().parse_args(argv)
+        if _misuse(args):
+            args.error(_misuse(args))
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except NotIntervalError as exc:
+    except (NotIntervalError, SizeRefusalError) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_NOT_INTERVAL
-    except SizeRefusalError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SIZE_REFUSAL
+        return EXIT_SIZE_REFUSAL if isinstance(exc, SizeRefusalError) else EXIT_NOT_INTERVAL
     except (GraphParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -2,8 +2,8 @@
 
 The same configuration always yields the same model, bit for bit: seeds
 are combined arithmetically (never via object hashing, which varies
-across processes) and endpoints are exact: ints, and Fractions for
-`unit-jitter`.
+across processes) and endpoints are exact: ints, and quarters and
+sixteenths for `unit-jitter`, made as int pairs without `fractions`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 
 from .graphs import Record
-from .intervals import DISTRIBUTIONS, IntervalModel
+from .intervals import DISTRIBUTIONS, IntervalModel, _ranked
+from .rationals import lowest
 
 
 class GenConfig(Record):
@@ -33,23 +34,22 @@ def random_interval_model(cfg: GenConfig) -> IntervalModel:
         raise ValueError("need at least one interval")
     rng = _rng(cfg)
     n = cfg.n
-    intervals = []
+    ends = []  # lo_0, hi_0, lo_1, ... as reduced (numerator, denominator) pairs
     if cfg.dist == "uniform":
         span = 2 * n
         for _ in range(n):
             lo = rng.randint(0, span)
-            intervals.append((lo, lo + rng.randint(1, n)))
+            ends += (lo, 1), (lo + rng.randint(1, n), 1)
     elif cfg.dist == "unit-jitter":
-        from fractions import Fraction
-
+        # lo = a/4 and the length 1 + b/16, so hi = (4a + 16 + b)/16
         for _ in range(n):
-            lo = Fraction(rng.randint(0, 3 * n), 4)
-            length = 1 + Fraction(rng.randint(-4, 4), 16)
-            intervals.append((lo, lo + length))
+            a = rng.randint(0, 3 * n)
+            hi = 4 * a + 16 + rng.randint(-4, 4)
+            ends += lowest(a, 4), lowest(hi, 16)
     else:  # nested-heavy: wide spread of lengths around shared centers
         span = 4 * n
         for _ in range(n):
             center = rng.randint(0, span)
             width = max(1, span >> rng.randint(0, span.bit_length() - 1))
-            intervals.append((center - width, center + width))
-    return IntervalModel(tuple(intervals))
+            ends += (center - width, 1), (center + width, 1)
+    return _ranked(IntervalModel.__new__(IntervalModel), ends)

@@ -12,6 +12,7 @@ base of the package's immutable value types, `Graph` among them.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
 
 # parse_graph allocates per vertex from the header's count, which no edge
@@ -115,18 +116,20 @@ class Graph(Record):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format; blank lines are ignored.
-
-    The text is split into lines once.  Edge lines are checked as `Graph`
-    consumes them, so no second copy of the edges is held.
+def parse_graph(text: str, refuse=None) -> Graph:
+    """Parse the edge-list format; blank lines are ignored.  `refuse`, if
+    given, sees the header's vertex count before the text is split into
+    lines.  Edge lines are checked as `Graph` consumes them, so no second
+    copy of the edges is held.
     """
-    lines = text.splitlines()
-    head = next((i for i, ln in enumerate(lines) if ln and not ln.isspace()), None)
-    if head is None:
+    # the header is the rest of the line holding the first non-space
+    # character, up to the next of the line breaks `str.splitlines` knows,
+    # and its number is that of the last line of the blanks before it
+    blanks, head = re.match(r"(\s*)([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)", text).groups()
+    if not head:
         raise GraphParseError("missing header line")
-    head_no = head + 1
-    parts = lines[head].split()
+    head_no = len((blanks + "#").splitlines())
+    parts = head.split()
     if len(parts) != 2:
         raise GraphParseError("header must be 'n m'", head_no)
     try:
@@ -137,12 +140,15 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("header counts must be non-negative", head_no)
     if n > MAX_VERTICES:
         raise GraphParseError(f"{n} vertices exceeds the limit of {MAX_VERTICES}", head_no)
-    found = sum(1 for ln in islice(lines, head + 1, None) if ln and not ln.isspace())
+    if refuse:
+        refuse(n)
+    lines = text.splitlines()
+    found = sum(1 for ln in islice(lines, head_no, None) if ln and not ln.isspace())
     if found != m:
         raise GraphParseError(f"expected {m} edge lines, found {found}")
 
     def edges():
-        for no, ln in islice(enumerate(lines, 1), head + 1, None):
+        for no, ln in islice(enumerate(lines, 1), head_no, None):
             parts = ln.split()
             if not parts:
                 continue

@@ -121,12 +121,10 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
 # supergraph enumeration and exact cubicity
 # ----------------------------------------------------------------------
 
-def refuse_if_large(graph):
-    """SizeRefusalError past the vertex bound; reads only `graph.n`."""
-    if graph.n > MAX_ORACLE_VERTICES:
-        raise SizeRefusalError(
-            f"{graph.n} vertices exceeds the oracle bound of {MAX_ORACLE_VERTICES}"
-        )
+def refuse_if_large(n: int):
+    """SizeRefusalError past the vertex bound, for a graph of n vertices."""
+    if n > MAX_ORACLE_VERTICES:
+        raise SizeRefusalError(f"{n} vertices exceeds the oracle bound of {MAX_ORACLE_VERTICES}")
 
 
 def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -210,7 +208,7 @@ class Exceeded(Record):
 def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
     """Minimum family size by iterative-deepening branch and bound over the
     candidate missing sets; complete graphs need zero."""
-    refuse_if_large(graph)
+    refuse_if_large(graph.n)
     missing = non_edges(graph)
     if not missing:
         return ExactResult((), 0, 0)

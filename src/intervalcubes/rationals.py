@@ -48,19 +48,23 @@ def parse_ratio(value) -> tuple[int, int]:
         num, slash, den = value.removeprefix("-").partition("/")
         if num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
             try:
-                p, q = int(num), int(den or 1)
+                p, q = lowest(int(num), int(den or 1))
             except ValueError:  # past the interpreter's digit limit
                 pass
             else:
-                g = gcd(p, q)
-                return (-p // g if value[0] == "-" else p // g), q // g
+                return (-p if value[0] == "-" else p), q
     f = parse_rational(value)
     return f.numerator, f.denominator
+
+
+def lowest(numerator: int, denominator: int) -> tuple[int, int]:
+    """numerator/denominator (denominator positive) in lowest terms."""
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
     """The text of numerator/denominator (denominator positive) that `str`
     of the `Fraction` gives: "p/q" in lowest terms, or "p" when integral."""
-    g = gcd(numerator, denominator)
-    p, q = numerator // g, denominator // g
+    p, q = lowest(numerator, denominator)
     return str(p) if q == 1 else f"{p}/{q}"

@@ -28,7 +28,6 @@ checking on the way that its cliques are consecutive, and the returned
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate
 
 from .graphs import ConstructionError, Graph, NotIntervalError
@@ -66,10 +65,10 @@ def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
         reached = graph.adj[v] & where.keys()
         earlier[v] = graph.adj[v] - reached
         parent.update(dict.fromkeys(reached, v))
-        for old, hits in Counter(map(where.__getitem__, reached)).items():
-            if hits == len(classes[old]):
-                continue  # the whole class is reached: nothing to split
+        for old in dict.fromkeys(map(where.__getitem__, reached)):
             moved = classes[old] & reached
+            if len(moved) == len(classes[old]):
+                continue  # the whole class is reached: nothing to split
             classes[old] -= moved
             new = _link(prev, nxt, prev[old], old)
             classes.append(moved)
@@ -161,21 +160,23 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
     while True:
         if pending:
             x = pending.pop()
-            count = Counter(where[c] for c in cliques_of[x])
-            if len(count) < 2:
+            mine: dict[int, list[int]] = {}  # x's cliques by class, ascending
+            for c in cliques_of[x]:
+                mine.setdefault(where[c], []).append(c)
+            if len(mine) < 2:
                 continue
-            starts = [q for q in count if prev[q] not in count]
+            starts = [q for q in mine if prev[q] not in mine]
             if len(starts) != 1:
                 return None
             run = starts
-            for _ in range(len(count) - 1):
+            for _ in range(len(mine) - 1):
                 run.append(nxt[run[-1]])
-            if any(count[q] != size[q] for q in run[1:-1]):
+            if any(len(mine.get(q, ())) != size[q] for q in run[1:-1]):
                 return None
             done.add(x)
             for end, after in ((run[0], True), (run[-1], False)):
-                if count[end] < size[end]:
-                    split_off(end, [c for c in cliques_of[x] if where[c] == end], after)
+                if len(mine[end]) < size[end]:
+                    split_off(end, mine[end], after)
             continue
         while splittable and size[splittable[-1]] < 2:
             splittable.pop()

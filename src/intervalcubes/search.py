@@ -93,30 +93,22 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
             continue
         if isinstance(result, Exceeded):
             # the proven upper bound failed to cover: an implementation bug
-            report.bound_violations.append(
-                {
-                    "graph": serialize_graph(graph),
-                    "psi": psi,
-                    "alpha": alpha,
-                    "bound": bound,
-                }
-            )
+            report.bound_violations.append(_found(graph, psi, alpha, bound=bound))
             continue
         cub = result.cubicity
         key = (psi, alpha, cub, dimension)
         report.histogram[key] = report.histogram.get(key, 0) + 1
         if psi >= 2 and cub > ceil_log2(psi):
-            entry = {
-                "graph": serialize_graph(graph),
-                "psi": psi,
-                "alpha": alpha,
-                "cubicity": cub,
-                "lower_bound": ceil_log2(psi),
-            }
+            entry = _found(graph, psi, alpha, cubicity=cub, lower_bound=ceil_log2(psi))
             # keep only entries that survive a from-scratch recheck
             if _recheck_counterexample(entry):
                 report.counterexamples.append(entry)
     return report
+
+
+def _found(graph, psi: int, alpha: int, **facts) -> dict:
+    """A flagged sample: its serialized graph, psi, alpha and `facts`."""
+    return {"graph": serialize_graph(graph), "psi": psi, "alpha": alpha, **facts}
 
 
 def _recheck_counterexample(entry: dict) -> bool:

@@ -104,7 +104,11 @@ class CubeRepresentation(Record):
         # no vector bounds the dimension then, and the verifier's cost grows with it
         if dimension and not rows:
             raise ValueError("dimension must be 0 when coords is empty")
-        rows = [[parse_ratio(x) for x in row] for row in rows]
+        # few strings are distinct, so each is parsed once; other values
+        # (true and 1.0 hash like 1, lists not at all) are parsed each time
+        seen: dict[str, tuple[int, int]] = {}
+        rows = [[seen.get(x) or seen.setdefault(x, parse_ratio(x)) if type(x) is str
+                 else parse_ratio(x) for x in row] for row in rows]
         unit = side_q
         for q in {q for row in rows for _, q in row}:
             unit = lcm(unit, q)

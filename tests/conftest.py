@@ -150,7 +150,7 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
     whenever any does.  Its cost can grow with n!, so graphs above
     MAX_ORACLE_VERTICES are refused.
     """
-    oracle.refuse_if_large(graph)
+    oracle.refuse_if_large(graph.n)
     found: list[tuple[int, ...]] = []
 
     def stop(order: tuple[int, ...], _) -> bool:
@@ -165,7 +165,7 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
 def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
     """The inclusion-maximal sets of input non-edges that one indifference
     supergraph can leave uncovered, as sorted pair lists."""
-    oracle.refuse_if_large(graph)
+    oracle.refuse_if_large(graph.n)
     missing = non_edges(graph)
     candidates, _ = oracle._enumerate_candidates(graph, missing)
     return reference_supergraphs(candidates, missing)

@@ -168,6 +168,21 @@ def test_exact_refuses_a_model_before_building_its_graph(capsys, tmp_path, monke
     )
 
 
+def test_exact_refuses_an_edge_list_on_its_header(capsys, tmp_path, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("read the edges of a graph the oracle refuses")
+
+    monkeypatch.setattr(graphs, "Graph", no_graph)
+    path = tmp_path / "nine.txt"
+    path.write_text("\n 9 8\n" + "".join(f"{i} {i + 1}\n" for i in range(8)))
+    assert run(capsys, "exact", str(path)) == (
+        3, "", "9 vertices exceeds the oracle bound of 8\n"
+    )
+    # the header is still checked first
+    path.write_text("9 x\n")
+    assert run(capsys, "exact", str(path))[0] == 65
+
+
 @pytest.mark.parametrize("variant", ["claw", "alpha", "best"])
 def test_construct_ranks_a_model_once(capsys, tmp_path, monkeypatch, variant):
     """The sweep and the verifier read the ranks the model was loaded
@@ -272,6 +287,9 @@ def _rep_doc(p3_file, tmp_path, capsys, **changes):
         {"dimension": True, "coords": [["0"], ["1"], ["2"]]},
         {"coords": ["123", "456", "789"]},
         {"coords": [["1e100000", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+        {"dimension": 2, "coords": [["1", True], ["0", "0"], ["0", "0"]]},
+        {"dimension": 2, "coords": [[1, 1.0], [0, 0], [0, 0]]},
+        {"dimension": 2, "coords": [["1/2", ["x"]], ["0", "0"], ["0", "0"]]},
     ],
 )
 def test_verify_malformed_representation_exit_65(capsys, tmp_path, p3_file, changes):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intervalcubes import (
     Graph,
@@ -72,6 +72,57 @@ def test_parse_counts_line_numbers_across_blank_lines():
         parse_graph("\n3 1\n\n0 5")
     with pytest.raises(GraphParseError, match="line 5: edge line must be"):
         parse_graph("3 2\n \n0 1\n\n1 2 7")
+
+
+# every character `str.isspace` accepts here, the line breaks of
+# `str.splitlines` among them, and some that are neither
+BLANKS = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(n):
+    raise _Refused(n)
+
+
+def _header_by_lines(text: str):
+    """What the header says when every line is split first: the error
+    text, or the vertex count the header gives."""
+    lines = text.splitlines()
+    head = next((i for i, ln in enumerate(lines) if ln and not ln.isspace()), None)
+    if head is None:
+        return "missing header line"
+    parts = lines[head].split()
+    if len(parts) != 2:
+        return f"line {head + 1}: header must be 'n m'"
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        return f"line {head + 1}: header must be two integers"
+    if n < 0 or m < 0:
+        return f"line {head + 1}: header counts must be non-negative"
+    return n
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=BLANKS + "\x00\u2027-01x", max_size=24))
+def test_header_is_the_first_non_blank_line_splitlines_gives(text):
+    """The header is found without splitting the text: the same line, with
+    the same number, as the first non-blank one of `text.splitlines()`."""
+    with pytest.raises((_Refused, GraphParseError)) as excinfo:
+        parse_graph(text, _refuse)
+    found = excinfo.value.args[0] if excinfo.type is _Refused else str(excinfo.value)
+    assert found == _header_by_lines(text)
+
+
+def test_refuse_sees_the_vertex_count_before_any_edge_line():
+    with pytest.raises(_Refused) as excinfo:
+        parse_graph("\x0c\n 5 3\n0 9\nnot an edge\n", _refuse)
+    assert excinfo.value.args == (5,)
+    with pytest.raises(GraphParseError, match="line 2: header must be two integers"):
+        parse_graph("\r\n5 x\n", _refuse)
 
 
 def test_parse_reports_edge_count_before_malformed_lines():

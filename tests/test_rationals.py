@@ -91,6 +91,39 @@ def test_parse_ratio_refuses_other_json_values(value):
     assert _error(parse_ratio, value) == _error(parse_rational, value) is not None
 
 
+# each distinct coordinate string is parsed once; JSON true and 1.0 hash
+# like 1 and a list not at all, so they must still be refused, and the
+# first bad value in document order is the one reported
+@pytest.mark.parametrize(
+    "coords, bad",
+    [
+        ([["1", True]], True),
+        ([[1, 1.0]], 1.0),
+        ([["1/2", ["x"]]], ["x"]),
+        ([["1", "1"], [True, "x"]], True),
+        ([["1", "x"], [True, "1"]], "x"),
+        ([["2/4", "0"], ["2/4", "x"], ["x", "0"]], "x"),
+    ],
+)
+def test_coordinates_refuse_other_json_values_in_document_order(coords, bad):
+    obj = {"dimension": 2, "side": "1", "coords": coords}
+    assert _error(CubeRepresentation.from_json_obj, obj) == _error(parse_rational, bad) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(texts, min_size=2, max_size=2), min_size=1, max_size=6))
+def test_repeated_coordinate_strings_read_as_each_alone(rows):
+    obj = {"dimension": 2, "side": "1", "coords": rows}
+    errors = [_error(parse_ratio, x) for row in rows for x in row]
+    first = next((e for e in errors if e is not None), None)
+    assert _error(CubeRepresentation.from_json_obj, obj) == first
+    if first is None:
+        rep = CubeRepresentation.from_json_obj(obj)
+        assert [[Fraction(x, rep.unit) for x in row] for row in rep.coords] == [
+            [Fraction(*parse_ratio(x)) for x in row] for row in rows
+        ]
+
+
 @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
 def test_format_ratio_matches_fraction_text(numerator, denominator):
     assert format_ratio(numerator, denominator) == str(Fraction(numerator, denominator))

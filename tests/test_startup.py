@@ -1,9 +1,11 @@
 """Each CLI command loads only the modules it runs, none loads
-`dataclasses`, the commands that read "p"/"p/q" endpoints do not load
-`fractions`, and a bare `import intervalcubes` loads no submodule.
+`dataclasses`, no command loads `fractions` on "p"/"p/q" endpoints or to
+make models, a canonical command line loads neither `argparse` nor
+`gettext`, and a bare `import intervalcubes` loads no submodule.
 
 Every command runs in a fresh interpreter, as the CLI does, and reports
-the package modules loaded once it has finished.
+the package modules and the watched standard modules it loaded once it
+has finished.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ SRC = str(Path(intervalcubes.__file__).resolve().parents[1])
 
 PROBE = """
 import json, sys
-before = {m for m in ("dataclasses", "fractions") if m in sys.modules}
+watched = ("argparse", "dataclasses", "fractions", "gettext")
+before = {m for m in watched if m in sys.modules}
 from intervalcubes import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps({
     "code": code,
-    "dataclasses": "dataclasses" in sys.modules and "dataclasses" not in before,
-    "fractions": "fractions" in sys.modules and "fractions" not in before,
+    "loaded": [m for m in watched if m in sys.modules and m not in before],
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("intervalcubes.")),
 }))
 """
@@ -67,32 +69,38 @@ def inputs(tmp_path_factory):
     return d
 
 
-# gen's and search's unit-jitter models have fractional endpoints, and
-# search samples from all three distributions
+# search samples from all three distributions, unit-jitter among them
 @pytest.mark.parametrize(
-    "argv, expected, fractions",
+    "argv, expected",
     [
-        (["construct", "model.json", "--variant", "best", "--normalize"],
-         EVERY - {"recognition", "oracle", "search", "generate"}, False),
-        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"},
-         False),
-        (["verify", "model.json", "rep.json"], BASE | {"verify"}, False),
-        (["exact", "path.txt"], BASE | {"oracle"}, False),
-        (["exact", "small.json"], BASE | {"oracle"}, False),
-        (["search", "--count", "3", "--n-max", "5"],
-         EVERY - {"construct", "verify", "recognition"}, None),
-        (["gen", "--n", "5"], BASE | {"generate"}, None),
+        (["recognize", "path.txt"], BASE | {"recognition"}),
+        (["order", "path.txt"], BASE | {"recognition"}),
+        (["label", "model.json"], BASE | {"labelling"}),
+        (["params", "path.txt"], BASE | {"recognition", "labelling", "params"}),
+        (["construct", "model.json", "--variant", "best", "--normalize", "--trace"],
+         EVERY - {"recognition", "oracle", "search", "generate"}),
+        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"}),
+        (["verify", "model.json", "rep.json"], BASE | {"verify"}),
+        (["exact", "path.txt", "--max-b", "2"], BASE | {"oracle"}),
+        (["exact", "small.json"], BASE | {"oracle"}),
+        (["search", "--count", "3", "--n-max", "5", "--seed", "1", "--csv", "hist.csv"],
+         EVERY - {"construct", "verify", "recognition"}),
+        (["gen", "--n", "5", "--seed", "2", "--dist", "unit-jitter"], BASE | {"generate"}),
     ],
-    ids=["construct-model", "construct-edges", "verify", "exact", "exact-model", "search", "gen"],
+    ids=["recognize", "order", "label", "params", "construct-model", "construct-edges", "verify",
+         "exact", "exact-model", "search", "gen"],
 )
-def test_each_command_loads_only_what_it_runs(inputs, argv, expected, fractions):
-    argv = [str(inputs / a) if (inputs / a).exists() else a for a in argv]
+def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
+    argv = [str(inputs / a) if a.endswith((".txt", ".json", ".csv")) else a for a in argv]
     result = _run(*argv, "--out", str(inputs / "out.json"))
     assert result["code"] == 0
     assert set(result["modules"]) == expected
-    assert not result["dataclasses"]
-    if fractions is not None:
-        assert result["fractions"] == fractions
+    assert result["loaded"] == []
+
+
+def test_help_still_exits_0():
+    out = _python("-m", "intervalcubes", "construct", "-h")
+    assert out.startswith("usage: intervalcubes construct [-h] [--out OUT]")
 
 
 def test_bare_import_loads_no_submodule():
