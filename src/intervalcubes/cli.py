@@ -28,8 +28,7 @@ import sys
 from types import SimpleNamespace
 
 from .graphs import (
-    MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, GraphParseError, NotIntervalError, SizeRefusalError,
-    parse_graph,
+    MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, NotIntervalError, SizeRefusalError, parse_graph,
 )
 from .intervals import DISTRIBUTIONS, CliqueOrdering, IntervalModel, model_to_clique_ordering
 
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     except (NotIntervalError, SizeRefusalError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SIZE_REFUSAL if isinstance(exc, SizeRefusalError) else EXIT_NOT_INTERVAL
-    except (GraphParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -7,13 +7,14 @@ index alone: clique C_j is every vertex whose range holds j, so no
 clique list is stored.  Everything downstream (labelling, coordinate
 construction) consumes orderings, not raw models.  A model is ranked once,
 when it is made, so the sweep, `model_to_graph` and the verifier compare
-small ints, and loading "p" or "p/q" text builds no Fraction.
+small ints, and neither loading nor ranking builds a Fraction.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from functools import cmp_to_key
 
 from .graphs import Graph, Record
 from .rationals import format_ratio, parse_ratio
@@ -69,7 +70,16 @@ class IntervalModel(Record):
 
     @classmethod
     def loads(cls, text: str) -> "IntervalModel":
-        return cls.from_json_obj(json.loads(text))
+        return cls.from_json_obj(read_json(text))
+
+
+def read_json(text: str):
+    """`json.loads`, with a document nested too deep for its parser
+    refused as malformed (ValueError), not with a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
@@ -77,13 +87,12 @@ def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
     pairs lo_0, hi_0, lo_1, ...; ValueError if some lo > hi.  The distinct
     pairs are sorted by integer part, then by fractional part as a float:
     division of ints rounds correctly, so monotonically, and only distinct
-    values that tie on both keys send the sort to Fractions."""
+    values that tie on both keys send the sort to an exact comparison of
+    cross products."""
     keys = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
     values = sorted(keys, key=keys.__getitem__)
     if len(set(keys.values())) < len(values):
-        from fractions import Fraction
-
-        values.sort(key=lambda e: Fraction(*e))
+        values.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
     rank = dict(zip(values, range(len(values))))
     ranks = [rank[e] for e in ends]
     lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])

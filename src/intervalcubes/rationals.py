@@ -1,60 +1,47 @@
 """Exact rational parsing and writing for interchange documents.
 
-Documents mostly hold plain "p" and "p/q" text, so `parse_ratio` reads
-those with `int` alone and `format_ratio` writes them with `gcd`; only
-other text (decimals, whitespace, a leading "+") takes the `Fraction`
-parser, and both give exactly what `Fraction` would.  Only that parser
-imports `fractions`.
+A value is a JSON integer, or text made of optional blanks and a sign,
+then "p", "p/q" (blanks allowed around the slash) or a decimal "p.d",
+".d" or "p.", with digits grouped by single underscores, then optional
+blanks.  That is what `Fraction` reads on Python 3.12 and later, less
+exponents, whose cost grows with their value rather than with the text.
+`parse_ratio` reads it with one regular expression and `int` alone, so
+every supported Python reads a document the same way, and `format_ratio`
+writes "p" or "p/q" in lowest terms; neither imports `fractions`.
 """
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
-
-def parse_rational(value) -> Fraction:
-    """Parse "p/q", decimal strings like "2.5", or integers, exactly.
-
-    Floats are rejected: callers must hand us a string if the value is not
-    integral, so nothing is blurred by binary floating point.  Exponent
-    forms like "1e9" are rejected too: their cost grows with the
-    exponent's value, not with the length of the text.
-    """
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and not ("e" in value or "E" in value):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+# `\s` matches what `str.strip` strips and `\d` the digits `int` reads;
+# "_" is left to `int`, which refuses it leading, trailing or doubled
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
 
 
 def parse_ratio(value) -> tuple[int, int]:
-    """`parse_rational` as a reduced (numerator, denominator) pair, with
-    the denominator positive.  JSON integers and "p", "-p", "p/q" and
-    "-p/q" in ASCII digits are read with `int`; anything else, and a zero
-    denominator, goes to `parse_rational`, so the value and every error
-    are the same."""
+    """A JSON integer or rational text as a reduced (numerator,
+    denominator) pair, with the denominator positive.  Anything else (JSON
+    true, a float, a zero denominator, digits past the interpreter's
+    limit) raises ValueError."""
     if type(value) is int:
         return value, 1
-    if type(value) is str and value.isascii():
-        num, slash, den = value.removeprefix("-").partition("/")
-        if num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
-            try:
-                p, q = lowest(int(num), int(den or 1))
-            except ValueError:  # past the interpreter's digit limit
-                pass
-            else:
-                return (-p if value[0] == "-" else p), q
-    f = parse_rational(value)
-    return f.numerator, f.denominator
+    match = _RATIONAL(value) if isinstance(value, str) else None
+    if match:
+        sign, num, den, decimals = match.groups()
+        try:
+            # the digits are read before any power of ten is built for them
+            p, q, d = int(num or 0), int(den or 1), int(decimals or 0)
+        except ValueError as exc:
+            raise ValueError(f"not a rational: {value!r}") from exc
+        if decimals:
+            q = 10 ** len(decimals.replace("_", ""))
+            p = p * q + d
+        if q:
+            g = gcd(p, q)
+            return (-p if sign == "-" else p) // g, q // g
+    raise ValueError(f"not a rational: {value!r}")
 
 
 def lowest(numerator: int, denominator: int) -> tuple[int, int]:

@@ -53,7 +53,7 @@ from math import lcm
 from re import finditer
 
 from .graphs import Graph, Record
-from .intervals import IntervalModel
+from .intervals import IntervalModel, read_json
 from .rationals import format_ratio, parse_ratio
 
 # A document's values go onto the lcm of their denominators, which grows
@@ -76,11 +76,13 @@ class CubeRepresentation(Record):
         return len(self.coords)
 
     def to_json_obj(self) -> dict:
+        # few values are distinct, so each is formatted once
         unit = self.unit
+        text = {x: format_ratio(x, unit) for x in set().union(*self.coords)}
         return {
             "dimension": self.dimension,
             "side": format_ratio(self.side, unit),
-            "coords": [[format_ratio(x, unit) for x in row] for row in self.coords],
+            "coords": [[text[x] for x in row] for row in self.coords],
         }
 
     def dumps(self) -> str:
@@ -119,7 +121,7 @@ class CubeRepresentation(Record):
 
     @classmethod
     def loads(cls, text: str) -> "CubeRepresentation":
-        return cls.from_json_obj(json.loads(text))
+        return cls.from_json_obj(read_json(text))
 
 
 class VerificationReport(Record):

@@ -22,10 +22,10 @@ from intervalcubes import (
 )
 from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
-from intervalcubes.rationals import parse_rational
 
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values
+from rational_reference import parse_rational
 from validators import ranges_intersect
 
 

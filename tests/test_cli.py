@@ -354,6 +354,25 @@ def test_verify_non_object_documents_exit_65(capsys, tmp_path, p3_file):
         assert run(capsys, "verify", str(path), p3_file)[0] == 65
 
 
+# deeper than json's parser recurses: a RecursionError would exit 1, the
+# "not an interval graph" code, with a traceback
+DEEP = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["recognize", "deep"], ["params", "deep"], ["construct", "deep"], ["verify", "deep", "deep"],
+     ["verify", "p3", "deep"]],
+)
+def test_deeply_nested_json_exit_65(capsys, tmp_path, p3_file, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    files = {"deep": str(path), "p3": p3_file}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (65, "")
+    assert err == "bad input: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "records",
     [

@@ -156,6 +156,12 @@ def test_model_json_round_trip():
     assert again.intervals[2][0] == Fraction(1, 4)
 
 
+def test_model_refuses_deeply_nested_json():
+    for text in ("[" * 10**5 + "]" * 10**5, '{"intervals": ' + "[" * 10**5):
+        with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+            IntervalModel.loads(text)
+
+
 def test_model_json_rejects_bad_ids():
     with pytest.raises(ValueError):
         IntervalModel.loads('{"intervals": [{"id": 1, "lo": "0", "hi": "1"}]}')

@@ -1,7 +1,8 @@
 """Each CLI command loads only the modules it runs, none loads
-`dataclasses`, no command loads `fractions` on "p"/"p/q" endpoints or to
-make models, a canonical command line loads neither `argparse` nor
-`gettext`, and a bare `import intervalcubes` loads no submodule.
+`dataclasses`, no command loads `fractions`, whatever the text of its
+endpoints and coordinates, a canonical command line loads neither
+`argparse` nor `gettext`, and a bare `import intervalcubes` loads no
+submodule.
 
 Every command runs in a fresh interpreter, as the CLI does, and reports
 the package modules and the watched standard modules it loaded once it
@@ -40,6 +41,8 @@ EVERY = {
     "rationals", "recognition", "search", "verify",
 }
 BASE = {"cli", "graphs", "intervals", "rationals"}
+# construct on a model: no recognition
+BUILD = EVERY - {"recognition", "oracle", "search", "generate"}
 
 
 def _python(*args: str) -> str:
@@ -65,7 +68,17 @@ def inputs(tmp_path_factory):
         '{"intervals": [{"id": 0, "lo": "-1/2", "hi": "3/2"}, {"id": 1, "lo": "1", "hi": "5/2"}]}'
     )
     (d / "path.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
-    _run("construct", str(d / "model.json"), "--variant", "best", "--out", str(d / "rep.json"))
+    # every spelling the grammar reads, and two values a float cannot tell apart
+    (d / "texts.json").write_text(json.dumps({"intervals": [
+        {"id": 0, "lo": "0.5", "hi": "1_000 / 3"}, {"id": 1, "lo": " 1/ 2", "hi": "+2.2_5"},
+        {"id": 2, "lo": "-1_0", "hi": ".5"}]}))
+    below = f"{10**30 - 3}/{3 * 10**30}"  # 1/3 - 1/10^30
+    (d / "ties.json").write_text(json.dumps({"intervals": [
+        {"id": 0, "lo": "1/3", "hi": "1/3"}, {"id": 1, "lo": below, "hi": "1/3"},
+        {"id": 2, "lo": "-1", "hi": below}]}))
+    for name in ("model", "texts", "ties"):
+        model, rep = str(d / f"{name}.json"), str(d / f"{name}.rep.json")
+        _run("construct", model, "--variant", "best", "--out", rep)
     return d
 
 
@@ -77,10 +90,13 @@ def inputs(tmp_path_factory):
         (["order", "path.txt"], BASE | {"recognition"}),
         (["label", "model.json"], BASE | {"labelling"}),
         (["params", "path.txt"], BASE | {"recognition", "labelling", "params"}),
-        (["construct", "model.json", "--variant", "best", "--normalize", "--trace"],
-         EVERY - {"recognition", "oracle", "search", "generate"}),
+        (["construct", "model.json", "--variant", "best", "--normalize", "--trace"], BUILD),
         (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"}),
-        (["verify", "model.json", "rep.json"], BASE | {"verify"}),
+        (["verify", "model.json", "model.rep.json"], BASE | {"verify"}),
+        (["construct", "texts.json", "--variant", "best"], BUILD),
+        (["verify", "texts.json", "texts.rep.json"], BASE | {"verify"}),
+        (["construct", "ties.json", "--variant", "best"], BUILD),
+        (["verify", "ties.json", "ties.rep.json"], BASE | {"verify"}),
         (["exact", "path.txt", "--max-b", "2"], BASE | {"oracle"}),
         (["exact", "small.json"], BASE | {"oracle"}),
         (["search", "--count", "3", "--n-max", "5", "--seed", "1", "--csv", "hist.csv"],
@@ -88,7 +104,8 @@ def inputs(tmp_path_factory):
         (["gen", "--n", "5", "--seed", "2", "--dist", "unit-jitter"], BASE | {"generate"}),
     ],
     ids=["recognize", "order", "label", "params", "construct-model", "construct-edges", "verify",
-         "exact", "exact-model", "search", "gen"],
+         "construct-texts", "verify-texts", "construct-ties", "verify-ties", "exact", "exact-model",
+         "search", "gen"],
 )
 def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
     argv = [str(inputs / a) if a.endswith((".txt", ".json", ".csv")) else a for a in argv]

@@ -83,6 +83,12 @@ def test_positive_dimension_needs_coordinates():
         assert verify_representation(Graph(0), rep).ok
 
 
+def test_representation_refuses_deeply_nested_json():
+    for text in ("[" * 10**5 + "]" * 10**5, '{"dimension": 1, "side": 1, "coords": ' + "[" * 10**5):
+        with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+            CubeRepresentation.loads(text)
+
+
 def test_dimension_stats_count_separations():
     graph, ordering = model_pipeline(p3_model())
     rep, _ = build_representation(ordering)
