@@ -7,14 +7,19 @@ blanks.  That is what `Fraction` reads on Python 3.12 and later, less
 exponents, whose cost grows with their value rather than with the text.
 `parse_ratio` reads it with one regular expression and `int` alone, so
 every supported Python reads a document the same way, and `format_ratio`
-writes "p" or "p/q" in lowest terms; neither imports `fractions`.
+writes "p" or "p/q" in lowest terms; neither imports `fractions`.  A
+decimal whose reduced pair has more digits than `str` writes is refused,
+so every value read can be written back.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 
+# 0, no limit, where the interpreter predates the limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # `\s` matches what `str.strip` strips and `\d` the digits `int` reads;
 # "_" is left to `int`, which refuses it leading, trailing or doubled
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
@@ -24,7 +29,7 @@ def parse_ratio(value) -> tuple[int, int]:
     """A JSON integer or rational text as a reduced (numerator,
     denominator) pair, with the denominator positive.  Anything else (JSON
     true, a float, a zero denominator, digits past the interpreter's
-    limit) raises ValueError."""
+    limit, in the text or in the reduced pair) raises ValueError."""
     if type(value) is int:
         return value, 1
     match = _RATIONAL(value) if isinstance(value, str) else None
@@ -34,14 +39,36 @@ def parse_ratio(value) -> tuple[int, int]:
             # the digits are read before any power of ten is built for them
             p, q, d = int(num or 0), int(den or 1), int(decimals or 0)
         except ValueError as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            raise _refusal(value) from exc
         if decimals:
             q = 10 ** len(decimals.replace("_", ""))
             p = p * q + d
         if q:
-            g = gcd(p, q)
-            return (-p if sign == "-" else p) // g, q // g
-    raise ValueError(f"not a rational: {value!r}")
+            p, q = lowest(p, q)
+            # "p/q" reduces to no more digits than it has; a decimal may not
+            if not decimals or _writable(p, q, len(num) + len(decimals)):
+                return (-p if sign == "-" else p), q
+    raise _refusal(value)
+
+
+def _writable(p: int, q: int, digits: int) -> bool:
+    """Whether `str` writes both p and q, read from a decimal of `digits`
+    digits and underscores in all (so p has at most `digits` digits and q
+    at most `digits` + 1): neither has more than the interpreter's limit."""
+    limit = _max_str_digits()
+    return not limit or digits < limit or max(p, q) < 10**limit
+
+
+def _refusal(value) -> ValueError:
+    """The error for a value that is not a rational, quoting at most the
+    first 40 characters of a text, and a bounded repr of anything else."""
+    if isinstance(value, str):
+        shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    else:
+        from reprlib import repr as bounded
+
+        shown = bounded(value)
+    return ValueError(f"not a rational: {shown}")
 
 
 def lowest(numerator: int, denominator: int) -> tuple[int, int]:

@@ -10,20 +10,24 @@ consecutive ones testing", Theoret. Comput. Sci. 234 (2000):
    (Rose, Tarjan & Lueker 1976); otherwise the reason tag is
    `not-chordal`.  The same loop over the parents that tests this reads
    off the maximal cliques.
-2. A partition refinement of the cliques orders them so that every
-   vertex's cliques are consecutive, or fails with the reason tag
+2. A refinement of the cliques orders them so that every vertex's
+   cliques are consecutive, or fails with the reason tag
    `no-consecutive-ordering`.
 
 A failing stage raises `NotIntervalError`, whose `reason` is its tag.
+Step 1 costs O(n + m), plus sorting each moved part for the LexBFS
+tie-break; step 2 costs O(n + Σ|C|) plus, for every clique a refinement
+moves, a scan of that clique's vertices.  No step recurses.
 
-Step 1 costs O(n + m), plus sorting each neighbourhood once for the
-LexBFS tie-break.  Step 2 costs O(n + Σ|C|) plus, for every clique a
-refinement moves, a scan of that clique's vertices.  No step recurses.
-
-The clique sets live only inside this module: `ordering_from_cliques`
-turns the arranged list into each vertex's first and last clique index,
-checking on the way that its cliques are consecutive, and the returned
-`CliqueOrdering` holds those ranges alone.
+Both steps refine one ordered partition, `_Partition`, of vertex or
+clique ids: a linked list of classes in int lists (`prev`, `nxt`, -1 for
+none), each class's live `size` and each id's class, `where`.  A split
+moves part of a class into a new class right before or after it.  Each
+class stacks its ids in the order they are to be taken; an id that moved
+on or was visited leaves a stale entry, which `pop` skips.  The clique
+sets live only here: `ordering_from_cliques` turns the arranged list into
+each vertex's first and last clique index, checking that its cliques are
+consecutive, and the returned `CliqueOrdering` holds those ranges alone.
 """
 
 from __future__ import annotations
@@ -34,62 +38,72 @@ from .graphs import ConstructionError, Graph, NotIntervalError
 from .intervals import CliqueOrdering, ordering_from_cliques
 
 
+class _Partition:
+    """The ids 0..len(stack)-1 in one class, stacked as `stack`."""
+
+    def __init__(self, stack: list[int]):
+        self.where = [0] * len(stack)
+        self.size, self.prev, self.nxt = [len(stack)], [-1], [-1]
+        self.stacks = [stack]
+
+    def group(self, ids: list[int]) -> dict[int, list[int]]:
+        where, by = self.where, {}
+        for x in ids:
+            by.setdefault(where[x], []).append(x)
+        return by
+
+    def pop(self, q: int) -> int:
+        """The top live id of class q's stack; it stays in class q."""
+        stack, where = self.stacks[q], self.where
+        x = stack.pop()
+        while where[x] != q:
+            x = stack.pop()
+        return x
+
+    def split(self, old: int, moved: list[int], after: bool) -> int:
+        """Move `moved`, a strict subset of class `old` in stack order, into
+        a new class right after or before it; returns the new class."""
+        new, prev, nxt = len(self.size), self.prev, self.nxt
+        left, right = (old, nxt[old]) if after else (prev[old], old)
+        prev.append(left)
+        nxt.append(right)
+        if left >= 0:
+            nxt[left] = new
+        if right >= 0:
+            prev[right] = new
+        for x in moved:
+            self.where[x] = new
+        self.size.append(len(moved))
+        self.size[old] -= len(moved)
+        self.stacks.append(moved)
+        return new
+
+
 def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
-    """LexBFS by partition refinement, lowest id on ties: each vertex's
-    earlier neighbours, keyed in visit order, and its parent, the latest
-    of them (vertices with no earlier neighbour have none).
-
-    The unvisited vertices sit in a linked list of classes.  Visiting v
-    moves its neighbours in each class it reaches only in part into a new
-    class just before that one, by set operations.  Each class also stacks
-    its members in descending id, so the lowest pops off the end; a vertex
-    that moved on leaves a stale entry behind, which the pop skips.
-    """
-    n = graph.n
-    classes = [set(range(n))]
-    stacks = [list(range(n - 1, -1, -1))]
-    prev, nxt = [-1], [-1]
-    where = dict.fromkeys(range(n), 0)  # class of each unvisited vertex
-    head = 0
-    earlier: dict[int, frozenset[int]] = {}
-    parent: dict[int, int] = {}
-    for _ in range(n):
-        while not classes[head]:
+    """LexBFS, lowest id on ties: each vertex's earlier neighbours, keyed
+    in visit order, and its parent, the latest of them (vertices with no
+    earlier neighbour have none).  Visiting v moves its neighbours in each
+    class it reaches only in part into a new class just before that one."""
+    adj = graph.adj
+    part = _Partition(list(range(graph.n - 1, -1, -1)))
+    where, size, nxt = part.where, part.size, part.nxt
+    head, earlier, parent = 0, {}, {}
+    for _ in range(graph.n):
+        while not size[head]:
             head = nxt[head]
-        stack = stacks[head]
-        v = stack.pop()
-        while where.get(v) != head:
-            v = stack.pop()
-        classes[head].discard(v)
-        del where[v]
-        reached = graph.adj[v] & where.keys()
-        earlier[v] = graph.adj[v] - reached
+        v = part.pop(head)
+        where[v] = -1  # visited
+        size[head] -= 1
+        reached = [u for u in adj[v] if where[u] >= 0]
+        # not `.difference(reached)`, which copies adj[v]'s whole table first
+        earlier[v] = adj[v] - set(reached)
         parent.update(dict.fromkeys(reached, v))
-        for old in dict.fromkeys(map(where.__getitem__, reached)):
-            moved = classes[old] & reached
-            if len(moved) == len(classes[old]):
-                continue  # the whole class is reached: nothing to split
-            classes[old] -= moved
-            new = _link(prev, nxt, prev[old], old)
-            classes.append(moved)
-            stacks.append(sorted(moved, reverse=True))
-            where.update(dict.fromkeys(moved, new))
-            if old == head:
-                head = new
+        for old, moved in part.group(reached).items():
+            if len(moved) < size[old]:  # a class reached whole stays as it is
+                new = part.split(old, sorted(moved, reverse=True), after=False)
+                if old == head:
+                    head = new
     return earlier, parent
-
-
-def _link(prev: list[int], nxt: list[int], left: int, right: int) -> int:
-    """Add a class between neighbours `left` and `right` (-1 for none) of
-    a linked list kept as two arrays; returns its index."""
-    new = len(prev)
-    prev.append(left)
-    nxt.append(right)
-    if left >= 0:
-        nxt[left] = new
-    if right >= 0:
-        prev[right] = new
-    return new
 
 
 def maximal_cliques_chordal(graph: Graph) -> list[frozenset[int]] | None:
@@ -114,21 +128,21 @@ def maximal_cliques_chordal(graph: Graph) -> list[frozenset[int]] | None:
 
 
 def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
-    """Order the clique ids so that every vertex's cliques may be
-    consecutive, or None if they cannot; `cliques` must be in discovery
-    order.
+    """The clique ids in an order where every vertex's cliques may be
+    consecutive, or None; `cliques` must be in discovery order.
 
-    An ordered partition of the clique ids, a linked list of classes,
-    starts as one class and is refined until every class is a singleton:
+    The cliques start as one class, stacked in ascending id (so the
+    last-discovered pops first), refined until every class is a singleton:
     - a pending pivot x, not yet done, whose cliques meet two or more
       classes needs those classes contiguous and the middle ones wholly
       its own; it moves its cliques in the two end classes of that run to
       the run's inner side, and is then done;
-    - with no pivot pending, the last-discovered clique of a non-singleton
-      class is split off after the rest;
+    - with no pivot pending, the top clique of a non-singleton class is
+      split off after the rest;
     - every clique moved queues its vertices as pivots.
     A done pivot's cliques stay a run of whole classes, so with no pivot
-    pending each class can be ordered on its own.  The caller checks the
+    pending each class can be ordered on its own.  Only a run's last class
+    gets one before it, so class 0 stays the head.  The caller checks the
     final order for every vertex.
     """
     k = len(cliques)
@@ -136,33 +150,23 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
     for c, clique in enumerate(cliques):
         for v in clique:
             cliques_of[v].append(c)
-    where = [0] * k  # class of each clique
-    members = [list(range(k))]  # ascending clique ids per class; stale entries allowed
-    size, prev, nxt = [k], [-1], [-1]
+    part = _Partition(list(range(k)))
+    size, prev, nxt = part.size, part.prev, part.nxt
     splittable = [0]  # every class of two or more cliques is on this stack
     done: set[int] = set()
     pending: set[int] = set()
 
     def split_off(old: int, moved: list[int], after: bool):
-        """Move `moved`, an ascending strict subset of class `old`, into a
-        new class right after or right before it.  Only the last class of a
-        run gets one before it, so class 0 stays the head."""
-        new = _link(prev, nxt, old, nxt[old]) if after else _link(prev, nxt, prev[old], old)
+        new = part.split(old, moved, after)
         for c in moved:
-            where[c] = new
             pending.update(cliques[c].difference(done))
-        members.append(moved)
-        size.append(len(moved))
-        size[old] -= len(moved)
         if len(moved) > 1:
             splittable.append(new)
 
     while True:
         if pending:
             x = pending.pop()
-            mine: dict[int, list[int]] = {}  # x's cliques by class, ascending
-            for c in cliques_of[x]:
-                mine.setdefault(where[c], []).append(c)
+            mine = part.group(cliques_of[x])  # x's cliques by class, ascending
             if len(mine) < 2:
                 continue
             starts = [q for q in mine if prev[q] not in mine]
@@ -183,13 +187,9 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
         if not splittable:
             break
         old = splittable[-1]
-        stack = members[old]
-        c = stack.pop()
-        while where[c] != old:
-            c = stack.pop()
-        split_off(old, [c], after=True)
+        split_off(old, [part.pop(old)], after=True)
 
-    at = dict(zip(where, range(k)))  # the clique of each singleton class
+    at = dict(zip(part.where, range(k)))  # the clique of each singleton class
     arrangement, q = [], 0
     while q >= 0:
         arrangement.append(at[q])

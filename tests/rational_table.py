@@ -1,7 +1,8 @@
 """The pinned grammar of rational text, as a table: each text with the
 reduced (numerator, denominator) pair `parse_ratio` reads from it, or
 None where it refuses the text, always with the message "not a rational:
-" and the text's repr.  Every supported Python must give exactly these,
+" and the text's repr, or for a text of more than 40 characters the repr
+of its first 40 and its length.  Every supported Python must give exactly these,
 whatever its own `Fraction` reads: `Fraction` took underscores from 3.11
 on and blanks beside "/" from 3.12 on.  The table imports nothing but the
 library, so it also runs as a script on interpreters without pytest:
@@ -45,12 +46,18 @@ CROSS_VERSION = {
     "٣.٥": (7, 2), "1\u2028/\u20282": (1, 2), "1/2 ": (1, 2), "": None, " ": None,
     "1\x00": None, "1/0_0": None, "0_0/1": (0, 1), "1" * 4300: (int("1" * 4300), 1),
     "1" * 4301: None, "1_" * 4299 + "1": (int("1" * 4300), 1), "." + "5" * 4301: None,
+    # a decimal whose reduced pair has more digits than `str` writes is
+    # refused; one that reduces to fewer loads
+    "1" * 3000 + "." + "1" * 3000: None, "1." + "5" + "0" * 4299: (3, 2),
+    "." + "1" * 4300: None, "." + "5" * 4300: (int("1" * 4300), 2 * 10**4299),
 }
 
 TABLE = [(text, _READ.get(text)) for text in HOSTILE] + list(CROSS_VERSION.items())
 
 
 def refusal(text) -> str:
+    if len(text) > 40:
+        return f"not a rational: {text[:40]!r}... ({len(text)} characters)"
     return f"not a rational: {text!r}"
 
 
@@ -69,12 +76,19 @@ def mismatches(parse_ratio) -> list:
     return found
 
 
+def _shown(value) -> str:
+    try:
+        return str(value)[:60]
+    except ValueError:  # a pair holding an int past the digit limit
+        return "a pair with more digits than str writes"
+
+
 if __name__ == "__main__":
     from intervalcubes.rationals import parse_ratio
 
     wrong = mismatches(parse_ratio)
     for text, pinned, got in wrong:
-        print(f"{text[:40]!r}: pinned {str(pinned)[:60]}, got {str(got)[:60]}")
+        print(f"{text[:40]!r}: pinned {_shown(pinned)}, got {_shown(got)}")
     version, right = sys.version.split()[0], len(TABLE) - len(wrong)
     print(f"Python {version}: {right} of {len(TABLE)} texts as pinned")
     sys.exit(1 if wrong else 0)

@@ -6,12 +6,14 @@ from intervalcubes import (
     CubeRepresentation,
     GenConfig,
     model_to_graph,
+    parse_graph,
     random_interval_model,
     serialize_graph,
 )
-from intervalcubes import generate, graphs, intervals, recognition, verify
+from intervalcubes import construct, generate, graphs, intervals, oracle, recognition, search, verify
 from intervalcubes.cli import main
 from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.params import best_dimension, ceil_log2, parameters
 
 from conftest import make_model, star_model
 
@@ -373,6 +375,23 @@ def test_deeply_nested_json_exit_65(capsys, tmp_path, p3_file, argv):
     assert err == "bad input: JSON nested too deeply\n"
 
 
+def test_long_decimal_coordinate_is_refused_in_a_bounded_line(capsys, tmp_path, p3_file):
+    rep_path = _rep_doc(p3_file, tmp_path, capsys, coords=[["0." + "1" * 10**6]] * 3, dimension=1)
+    code, out, err = run(capsys, "verify", p3_file, rep_path)
+    assert (code, out) == (65, "")
+    assert err == f"bad input: not a rational: {'0.' + '1' * 38!r}... (1000002 characters)\n"
+
+
+def test_decimal_that_cannot_be_written_back_exit_65(capsys, tmp_path):
+    """Its reduced numerator has 6000 digits, more than `str` writes, so
+    the model is refused where it is read, not when it is written."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"intervals": [{"id": 0, "lo": "0", "hi": "1" * 3000 + "." + "1" * 3000}]}))
+    code, out, err = run(capsys, "params", str(path))
+    assert (code, out) == (65, "")
+    assert err.startswith("bad input: not a rational: '1111") and len(err) < 100
+
+
 @pytest.mark.parametrize(
     "records",
     [
@@ -474,3 +493,86 @@ def test_vertex_limit_refuses_before_allocating(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen", "--n", str(graphs.MAX_VERTICES + 1)])
     assert excinfo.value.code == 64
+
+
+# The paths below run only when the oracle or a builder misbehaves, so each
+# test makes it misbehave.
+
+def _psi(graph) -> int:
+    return parameters(recognition.recognize_and_order(graph))[0]
+
+
+def test_search_reports_a_sample_above_the_lower_bound(capsys, tmp_path, monkeypatch):
+    """An oracle that reports ceil(log2 psi) + 1 on every psi >= 2 sample:
+    each such sample is a counterexample, which the recheck (the same
+    oracle) confirms, and whose graph text reads back to the sample."""
+    sampled = []
+
+    def above_the_bound(graph, b_max):
+        if _psi(graph) < 2:
+            return oracle.exact_cubicity(graph, b_max=b_max)
+        sampled.append(graph)
+        return oracle.ExactResult(((),) * (ceil_log2(_psi(graph)) + 1), 0, 0)
+
+    monkeypatch.setattr(search, "exact_cubicity", above_the_bound)
+    out_path = tmp_path / "search.json"
+    code, _, err = run(capsys, "search", "--count", "12", "--n-max", "6", "--out", str(out_path))
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    found = report["counterexamples"]
+    assert found and report["bound_violations"] == []
+    assert err.startswith(f"FOUND {len(found)} candidate counterexample(s)")
+    for entry in found:
+        graph = parse_graph(entry["graph"])
+        assert graph in sampled
+        assert entry["psi"] == _psi(graph) >= 2
+        assert entry["cubicity"] == entry["lower_bound"] + 1 == ceil_log2(entry["psi"]) + 1
+
+
+def test_search_reports_a_broken_upper_bound(capsys, tmp_path, monkeypatch):
+    def exceeded(graph, b_max):
+        return oracle.Exceeded(b_max, 0, 0)
+
+    monkeypatch.setattr(search, "exact_cubicity", exceeded)
+    out_path = tmp_path / "search.json"
+    code, _, err = run(capsys, "search", "--count", "5", "--n-max", "6", "--out", str(out_path))
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    assert report["graphs_tried"] == len(report["bound_violations"]) == 5
+    assert report["histogram"] == [] and report["counterexamples"] == []
+    for entry in report["bound_violations"]:
+        graph = parse_graph(entry["graph"])
+        assert entry["psi"] == _psi(graph)
+        assert entry["bound"] == max(1, best_dimension(entry["psi"], entry["alpha"]))
+    assert err == "BUG: 5 instance(s) broke the proven upper bound\n"
+
+
+@pytest.mark.parametrize(
+    "variant, builder",
+    [("claw", "build_representation"), ("alpha", "build_alpha_representation"),
+     ("best", "build_best")],
+)
+def test_construct_refuses_a_representation_that_fails_verification(
+    capsys, tmp_path, monkeypatch, p3_file, variant, builder
+):
+    real = getattr(construct, builder)
+
+    def moved(rep):
+        coords = [list(row) for row in rep.coords]
+        coords[0][0] += 10 * rep.side + 1  # far from every other cube
+        return CubeRepresentation(rep.dimension, rep.side, tuple(map(tuple, coords)), rep.unit)
+
+    def one_cube_moved(ordering):
+        built = real(ordering)
+        return (moved(built[0]), built[1]) if variant == "claw" else moved(built)
+
+    monkeypatch.setattr(construct, builder, one_cube_moved)
+    out_path = tmp_path / "rep.json"
+    code, out, err = run(
+        capsys, "construct", p3_file, "--variant", variant, "--trace", "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    heading, report = err.split("\n", 1)
+    assert heading == "constructed representation failed verification"
+    assert json.loads(report)["ok"] is False
+    assert not out_path.exists()

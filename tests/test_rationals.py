@@ -67,8 +67,10 @@ def _fraction_or_none(text: str):
 def assert_reads_like_fraction(text: str):
     expected = _fraction_or_none(portable(text))
     if expected is None:
-        # refused, with the reference's message
-        assert _error(parse_ratio, text) == _error(parse_rational, text) == refusal(text)
+        # refused, as the reference refuses it: its message quotes the whole
+        # text, and the library's at most its first 40 characters
+        assert _error(parse_ratio, text) == refusal(text)
+        assert _error(parse_rational, text) == f"not a rational: {text!r}"
     else:
         assert parse_ratio(text) == (expected.numerator, expected.denominator)
 
@@ -98,6 +100,35 @@ def test_a_million_digit_decimal_is_refused_at_the_digit_limit():
         parse_ratio(text)
     assert str(excinfo.value) == refusal(text)
     assert "Exceeds the limit" in str(excinfo.value.__cause__)
+
+
+def test_refusal_quotes_a_bounded_prefix():
+    text = "0." + "1" * 10**6
+    assert _error(parse_ratio, text) == f"not a rational: {text[:40]!r}... (1000002 characters)"
+    # anything but text is quoted with reprlib, itself bounded
+    assert _error(parse_ratio, [["1"] * 10**6]) == "not a rational: [['1', '1', '1', '1', '1', '1', ...]]"
+
+
+# decimals around the interpreter's digit limit (4300 by default): digits
+# before and after the point, and trailing zeros a reduction drops
+long_decimals = st.builds(
+    lambda a, i, b, j, zeros: a * i + "." + b * j + "0" * zeros,
+    st.sampled_from("0159"), st.integers(0, 4400),
+    st.sampled_from("0159"), st.integers(0, 4400), st.integers(0, 4400),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(texts, long_decimals))
+def test_every_value_read_is_written_back(text):
+    """What `parse_ratio` reads, `format_ratio` writes, and the text it
+    writes reads back to the same value."""
+    try:
+        value = parse_ratio(text)
+    except ValueError as exc:
+        assert str(exc) == refusal(text)
+        return
+    assert parse_ratio(format_ratio(*value)) == value
 
 
 @given(st.integers(-(10**30), 10**30))
