@@ -3,19 +3,19 @@
 Every stage works on the clique ordering alone; no graph is read.  The
 build lays the cliques out on a line with a scale that hits integer
 positions at the anchor cliques, gives every vertex a branch code whose
-low bits copy its level, and then emits one coordinate per code bit: bit
-set places the vertex's cube at its left end, bit clear at its right
-end.  It runs on the input ordering as it is, with claw = 2**power for
-any power whose claw is at least every psi(v); the cube side is
-claw - 1/2.  Positions are ints on one grid per build (see
+low bits copy its level, and then emits one column of coordinates per
+code bit: bit set places the vertex's cube at its left end, bit clear at
+its right end.  It runs on the input ordering as it is, with
+claw = 2**power for any power whose claw is at least every psi(v); the
+cube side is claw - 1/2.  Positions are ints on one grid per build (see
 `clique_scale`); only the JSON methods of `CubeRepresentation` (defined
 in `verify`, so that checking a representation loads none of this
-module) turn them into rationals.
+module) turn them into rationals and rows.
 
 Why it is exact.  Let pos(c) be clique c's position, scale[c] / unit,
 and m(c) the number of anchors ending before clique c.  Then pos(c) lies
-in (m(c) - 1/2, m(c)], and the level of v is l_v = m(left v).  Some range starts at every clique index, because the
-cliques are maximal.
+in (m(c) - 1/2, m(c)], and the level of v is l_v = m(left v).  Some
+range starts at every clique index, because the cliques are maximal.
 
 - Adjacent u, v.  With left u <= left v, the anchors ending in
   [left u, left v), together with v, are independent in N(u), so
@@ -32,7 +32,7 @@ cliques are maximal.
 
 The claw variant takes power = ceil(log2 psi) and has power + 2
 dimensions.  The alpha variant takes power = p = ceil(log2 alpha), since
-no psi(v) exceeds alpha, and keeps the first p dimensions: every level is
+no psi(v) exceeds alpha, and keeps the first p columns: every level is
 below alpha <= 2**p, so code bit p is 1 for every vertex (its cube at its
 left end) and bit p + 1 is 0 (at its right end), and both of those spans
 are at most alpha - 1 < side.  A claw build makes psi and the labelling
@@ -133,14 +133,14 @@ def _build(
     scale, unit = clique_scale(ordering, labelling)
     codes = branch_codes(labelling, claw)
     side = claw * unit - unit // 2
-    dims = power + 2
-
+    at_left = [scale[lv] for lv in ordering.left]
+    at_right = [scale[rv] - side for rv in ordering.right]
     # code bit i set: the cube starts at the left end in dimension i
-    coords = []
-    for code, lv, rv in zip(codes, ordering.left, ordering.right):
-        at_left, at_right = scale[lv], scale[rv] - side
-        coords.append(tuple([at_left if code >> i & 1 else at_right for i in range(dims)]))
-    rep = CubeRepresentation(dims, side, tuple(coords), unit)
+    coords = tuple(
+        tuple([a if code >> i & 1 else b for code, a, b in zip(codes, at_left, at_right)])
+        for i in range(power + 2)
+    )
+    rep = CubeRepresentation(ordering.n, side, coords, unit)
     return rep, ConstructionTrace(labelling, power, scale, unit)
 
 
@@ -151,11 +151,11 @@ def build_degenerate(ordering: CliqueOrdering) -> CubeRepresentation:
     if ordering.left != ordering.right:
         raise ValueError("graph is not a disjoint union of cliques")
     if ordering.k <= 1:
-        return CubeRepresentation(0, 1, ((),) * ordering.n, 1)
+        return CubeRepresentation(ordering.n, 1, (), 1)
     # walking the vertices upwards meets each clique first at its smallest
     rank: dict[int, int] = {}
-    coords = tuple((2 * rank.setdefault(j, len(rank)),) for j in ordering.left)
-    return CubeRepresentation(1, 1, coords, 1)
+    col = tuple([2 * rank.setdefault(j, len(rank)) for j in ordering.left])
+    return CubeRepresentation(ordering.n, 1, (col,), 1)
 
 
 def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
@@ -166,10 +166,10 @@ def build_alpha_representation(ordering: CliqueOrdering) -> CubeRepresentation:
 
 def _build_alpha(ordering: CliqueOrdering, labelling: Labelling) -> CubeRepresentation:
     if labelling.alpha <= 1:
-        return CubeRepresentation(0, 1, ((),) * ordering.n, 1)
+        return CubeRepresentation(ordering.n, 1, (), 1)
     p = ceil_log2(labelling.alpha)
     rep, _ = _build(ordering, labelling, p)
-    return CubeRepresentation(p, rep.side, tuple(row[:p] for row in rep.coords), rep.unit)
+    return CubeRepresentation(rep.n, rep.side, rep.coords[:p], rep.unit)
 
 
 def build_best(ordering: CliqueOrdering) -> CubeRepresentation:
@@ -190,4 +190,4 @@ def normalize_unit(rep: CubeRepresentation) -> CubeRepresentation:
     the integer coordinates are unchanged."""
     if rep.unit == rep.side:
         return rep
-    return CubeRepresentation(rep.dimension, rep.side, rep.coords, rep.side)
+    return CubeRepresentation(rep.n, rep.side, rep.coords, rep.side)

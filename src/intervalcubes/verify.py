@@ -7,16 +7,15 @@ off the graph, or off an interval model's endpoint ranks, made from the
 endpoint values when the model was (closed intervals that meet are
 adjacent), and compares it against max-norm geometry only.  It never
 reads a clique ordering, so a model is checked independently of the
-sweep that built its representation.  A representation's side and
-coordinates are integers on one grid, so every comparison is an exact
-integer comparison.
+sweep that built its representation.  Side and coordinates are integers
+on one grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
-order: by left end for a model, by index for a graph.  The vertices are
-renumbered by sweep position, and each one's earlier non-neighbours are
+order: by index for a graph, and by left end for a model, whose columns
+are permuted into that order.  Each vertex's earlier non-neighbours are
 one int bitmask: for a model, the intervals that closed before it
 opened, a prefix of the order by right end; for a graph, the complement
-of its adjacency.  Each dimension is sorted once, and a window of width
+of its adjacency.  Each column is sorted once, and a window of width
 `side` slides along it (Bentley, Stanat and Williams 1977), counting the
 pairs near there; P is that count in the dimension with the fewest.
 Then one of two paths checks the pairs.
@@ -63,26 +62,27 @@ MAX_UNIT_BITS = 1024
 
 
 class CubeRepresentation(Record):
-    """Axis-parallel cubes of side `side`: vertices are adjacent exactly
-    when every coordinate differs by at most `side`.  Side and coordinates
-    (`coords`, a tuple of int tuples) are ints counting units of 1/`unit`;
-    only the JSON methods turn them into rationals.  dimension == 0 means
-    every pair is adjacent by convention."""
+    """Axis-parallel cubes of side `side` around `n` vertices, adjacent
+    exactly when every coordinate differs by at most `side`.  The side and
+    `coords[i][v]`, vertex v's coordinate in dimension i (one tuple per
+    dimension), are ints counting units of 1/`unit`; only the JSON methods
+    make rationals and rows.  dimension == 0 means every pair is adjacent."""
 
-    __slots__ = ("dimension", "side", "coords", "unit")
+    __slots__ = ("n", "side", "coords", "unit")
 
     @property
-    def n(self) -> int:
+    def dimension(self) -> int:
         return len(self.coords)
 
     def to_json_obj(self) -> dict:
         # few values are distinct, so each is formatted once
         unit = self.unit
         text = {x: format_ratio(x, unit) for x in set().union(*self.coords)}
+        cols = [[text[x] for x in col] for col in self.coords]
         return {
             "dimension": self.dimension,
             "side": format_ratio(self.side, unit),
-            "coords": [[text[x] for x in row] for row in self.coords],
+            "coords": [list(row) for row in zip(*cols)] if cols else [[] for _ in range(self.n)],
         }
 
     def dumps(self) -> str:
@@ -103,9 +103,6 @@ class CubeRepresentation(Record):
             not isinstance(row, list) or len(row) != dimension for row in rows
         ):
             raise ValueError("coords must be a list of vectors of length dimension")
-        # no vector bounds the dimension then, and the verifier's cost grows with it
-        if dimension and not rows:
-            raise ValueError("dimension must be 0 when coords is empty")
         # few strings are distinct, so each is parsed once; other values
         # (true and 1.0 hash like 1, lists not at all) are parsed each time
         seen: dict[str, tuple[int, int]] = {}
@@ -116,8 +113,11 @@ class CubeRepresentation(Record):
             unit = lcm(unit, q)
             if unit.bit_length() > MAX_UNIT_BITS:
                 raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
-        coords = tuple(tuple(p * (unit // q) for p, q in row) for row in rows)
-        return cls(dimension, side * (unit // side_q), coords, unit)
+        coords = tuple(tuple(p * (unit // q) for p, q in col) for col in zip(*rows))
+        # with no vector no column bounds the dimension, and the verifier's cost grows with it
+        if len(coords) != dimension:
+            raise ValueError("dimension must be 0 when coords is empty")
+        return cls(len(rows), side * (unit // side_q), coords, unit)
 
     @classmethod
     def loads(cls, text: str) -> "CubeRepresentation":
@@ -150,27 +150,25 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
     docstring describes.  `graph` is a `Graph` or an `IntervalModel`.
     `dimension_stats[i]` is the non-edges separated in dimension i.  With
     dimension 0 every pair counts as adjacent, so every non-edge is
-    reported.  Lists are in lexicographic order.
-    """
+    reported.  Lists are in lexicographic order."""
     n = graph.n
     if rep.n != n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {n}")
-    side, d = rep.side, rep.dimension
+    side, cols, d = rep.side, rep.coords, rep.dimension
     model = isinstance(graph, IntervalModel)
     if model:
         seq = sorted(range(n), key=graph.lo.__getitem__)
         lo, hi = [graph.lo[v] for v in seq], [graph.hi[v] for v in seq]
         # position p meets the later positions up to the last start within hi[p]
         m = sum(bisect_right(lo, h) for h in hi) - n * (n + 1) // 2
+        cols = [[col[v] for v in seq] for col in cols]
     else:
         seq = range(n)
         m = graph.edge_count
-    rows = [rep.coords[v] for v in seq]
-    cols = [[row[i] for row in rows] for i in range(d)]
     windows = [_window(col, side) for col in cols]
     near = [sum(j - s for j, s in enumerate(starts)) for _, starts in windows]
 
-    if _masks_pay(min(near, default=0), m, d, n):
+    if not d or _masks_pay(min(near), m, d, n):
         if model:
             non = _closed_before(lo, hi)
         else:
@@ -199,7 +197,7 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
         stats = [pairs - near[i] - len(far[i]) for i in range(d)]
         # the dimensions that separate the most pairs first
         dims = sorted(range(d), key=near.__getitem__)
-        order, starts = windows[dims[0]] if d else (range(n), [0] * n)
+        order, starts = windows[dims[0]]
         separation = _unseparated(apart, [cols[i] for i in dims[1:]], side, order, starts)
     return VerificationReport(
         missing_adjacency=_labelled(seq, adjacency),
@@ -245,6 +243,8 @@ def _by_masks(non: list[int], cols, windows, side: int):
     near[p], the earlier positions near p in every dimension so far, and
     its AND with non[p] counts the non-edges near p there."""
     n = len(non)
+    if not cols:  # nothing is separated: every non-edge lacks its separation
+        return (), ((q, p) for p in range(n) for q in _members(non[p])), []
     near = [(1 << p) - 1 for p in range(n)]
     stats = []
     non_edges = sum(mask.bit_count() for mask in non)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from intervalcubes import (
+    CubeRepresentation,
     GenConfig,
     Graph,
     IntervalModel,
@@ -171,11 +172,17 @@ def indifference_supergraphs(graph: Graph) -> list[list[tuple[int, int]]]:
     return reference_supergraphs(candidates, missing)
 
 
+def from_rows(rows, side: int = 1, unit: int = 1) -> CubeRepresentation:
+    """The representation written as one coordinate row per vertex, as in
+    its JSON form; the record keeps one column per dimension."""
+    return CubeRepresentation(len(rows), side, tuple(zip(*rows)), unit)
+
+
 def values(rep):
-    """A representation's side and coordinates as the rationals they stand
-    for: each int counts units of 1/rep.unit."""
+    """A representation's side and coordinate columns as the rationals they
+    stand for: each int counts units of 1/rep.unit."""
     side = Fraction(rep.side, rep.unit)
-    return side, [[Fraction(x, rep.unit) for x in row] for row in rep.coords]
+    return side, [[Fraction(x, rep.unit) for x in col] for col in rep.coords]
 
 
 def model_pipeline(model):

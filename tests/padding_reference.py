@@ -60,7 +60,7 @@ class PaddedTrace(NamedTuple):
     labelling: Labelling
     scale: tuple[int, ...]
     unit: int
-    coords: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, ...], ...]  # one column per dimension
 
     @property
     def power(self) -> int:
@@ -120,12 +120,14 @@ def padded_build(
     dims = padded.power + 2
 
     left, right = padded.ordering.left, padded.ordering.right
-    coords = []
-    for v, code in enumerate(codes):
-        at_left, at_right = scale[left[v]], scale[right[v]] - side
-        coords.append(tuple([at_left if code >> i & 1 else at_right for i in range(dims)]))
-    rep = CubeRepresentation(dims, side, tuple(coords[: ordering.n]), unit)
-    return rep, PaddedTrace(padded, lab, scale, unit, tuple(coords))
+    # one column per code bit: bit set puts the cube at the left end
+    coords = tuple(
+        tuple(scale[left[v]] if code >> i & 1 else scale[right[v]] - side
+              for v, code in enumerate(codes))
+        for i in range(dims)
+    )
+    rep = CubeRepresentation(ordering.n, side, tuple(col[: ordering.n] for col in coords), unit)
+    return rep, PaddedTrace(padded, lab, scale, unit, coords)
 
 
 def padded_claw_build(ordering: CliqueOrdering) -> tuple[CubeRepresentation, PaddedTrace | None]:
@@ -157,7 +159,7 @@ def universal_alpha_build(
     labelling = label_vertices(ordering)
     alpha = labelling.alpha
     if alpha <= 1:
-        return CubeRepresentation(0, 1, ((),) * n, 1), None
+        return CubeRepresentation(n, 1, (), 1), None
     aug_claws = [max(c, 1) for c in psi_values(ordering)] + [alpha]
     aug_labelling = Labelling(labelling.levels + (0,), labelling.anchors)
     rep_aug, trace = padded_build(augment_with_universal(ordering), aug_claws, aug_labelling)
@@ -167,5 +169,5 @@ def universal_alpha_build(
         raise ConstructionError(
             f"expected dimensions {p} and {p + 1} to be complete, found {complete}"
         )
-    coords = tuple(row[:p] for row in rep_aug.coords[:n])
-    return CubeRepresentation(p, rep_aug.side, coords, rep_aug.unit), trace
+    coords = tuple(col[:n] for col in rep_aug.coords[:p])
+    return CubeRepresentation(n, rep_aug.side, coords, rep_aug.unit), trace

@@ -558,9 +558,9 @@ def test_construct_refuses_a_representation_that_fails_verification(
     real = getattr(construct, builder)
 
     def moved(rep):
-        coords = [list(row) for row in rep.coords]
+        coords = [list(col) for col in rep.coords]
         coords[0][0] += 10 * rep.side + 1  # far from every other cube
-        return CubeRepresentation(rep.dimension, rep.side, tuple(map(tuple, coords)), rep.unit)
+        return CubeRepresentation(rep.n, rep.side, tuple(map(tuple, coords)), rep.unit)
 
     def one_cube_moved(ordering):
         built = real(ordering)

@@ -29,6 +29,7 @@ from conftest import (
     claw_number,
     complete_graph,
     cycle_graph,
+    from_rows,
     interval_models,
     make_model,
     model_pipeline,
@@ -197,9 +198,9 @@ def test_p3_build_exact_coordinates():
     side, coords = values(rep)
     assert side == F(3, 2)
     a, c, b = 1, 0, 2
-    assert [coords[v][0] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(1)]
-    assert [coords[v][1] for v in (a, c, b)] == [F(0), F(0), F(1)]
-    assert [coords[v][2] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(-1, 2)]
+    assert [coords[0][v] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(1)]
+    assert [coords[1][v] for v in (a, c, b)] == [F(0), F(0), F(1)]
+    assert [coords[2][v] for v in (a, c, b)] == [F(-3, 2), F(-1, 2), F(-1, 2)]
     assert verify_representation(graph, rep).ok
     assert trace.claw == 2 and trace.power == 1
 
@@ -211,7 +212,7 @@ def test_star4_build_exact_coordinates():
     side, coords = values(rep)
     assert side == F(7, 2)
     x1, c, x2, x3, x4 = 1, 0, 2, 3, 4
-    assert [coords[v][0] for v in (x1, c, x2, x3, x4)] == [
+    assert [coords[0][v] for v in (x1, c, x2, x3, x4)] == [
         F(-7, 2),
         F(-1, 2),
         F(1),
@@ -221,7 +222,7 @@ def test_star4_build_exact_coordinates():
     # non-adjacent leaf pairs all separate within dimensions 0-1
     for u, v in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
         assert any(
-            abs(rep.coords[u][i] - rep.coords[v][i]) > rep.side for i in (0, 1)
+            abs(rep.coords[i][u] - rep.coords[i][v]) > rep.side for i in (0, 1)
         )
     assert verify_representation(graph, rep).ok
 
@@ -253,8 +254,8 @@ def test_build_rejects_non_interval():
 
 def test_degenerate_complete():
     rep = build_degenerate(recognize_and_order(complete_graph(5)))
-    assert rep.dimension == 0
-    assert rep.coords == ((),) * 5
+    assert rep.dimension == 0 and rep.n == 5
+    assert rep.coords == ()
     assert verify_representation(complete_graph(5), rep).ok
 
 
@@ -263,14 +264,14 @@ def test_degenerate_two_triangles():
     rep = build_degenerate(recognize_and_order(g))
     assert rep.dimension == 1
     assert rep.unit == 1
-    assert {row[0] for row in rep.coords} == {0, 2}
+    assert set(rep.coords[0]) == {0, 2}
     assert verify_representation(g, rep).ok
 
 
 def test_degenerate_edgeless():
     g = Graph(3)
     rep = build_degenerate(recognize_and_order(g))
-    assert [row[0] for row in rep.coords] == [0, 2, 4]
+    assert rep.coords == ((0, 2, 4),)
     assert verify_representation(g, rep).ok
 
 
@@ -279,7 +280,7 @@ def test_degenerate_ranks_cliques_by_smallest_member():
     # members the cliques run C_2, C_0, C_1, whatever their indices
     ordering = CliqueOrdering(3, (2, 0, 1, 2, 0), (2, 0, 1, 2, 0))
     rep = build_degenerate(ordering)
-    assert rep.coords == ((0,), (2,), (4,), (0,), (2,))
+    assert rep.coords == ((0, 2, 4, 0, 2),)
     assert verify_representation(range_graph(ordering), rep).ok
 
 
@@ -294,7 +295,7 @@ def test_alpha_variant_p3():
     assert rep.dimension == 1
     assert verify_representation(g, rep).ok
     # the surviving dimension separates the two leaves
-    assert abs(rep.coords[0][0] - rep.coords[2][0]) > rep.side
+    assert abs(rep.coords[0][0] - rep.coords[0][2]) > rep.side
 
 
 def test_alpha_variant_star4():
@@ -348,14 +349,14 @@ def test_normalize_unit_p3():
     assert side == 1
     assert unit.coords == rep.coords
     a, c, b = 1, 0, 2
-    assert [coords[v][0] for v in (a, c, b)] == [F(-1), F(-1, 3), F(2, 3)]
+    assert [coords[0][v] for v in (a, c, b)] == [F(-1), F(-1, 3), F(2, 3)]
     assert verify_representation(graph, unit).ok
 
 
 def test_normalize_identity_cases():
-    rep = CubeRepresentation(0, 1, ((), ()), 1)
+    rep = from_rows([(), ()])
     assert normalize_unit(rep) is rep
-    unit = CubeRepresentation(1, 1, ((0,), (2,)), 1)
+    unit = from_rows([(0,), (2,)])
     assert normalize_unit(unit) is unit
 
 

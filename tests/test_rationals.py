@@ -25,7 +25,7 @@ from intervalcubes import (
 )
 from intervalcubes.rationals import format_ratio, parse_ratio
 
-from conftest import interval_models
+from conftest import from_rows, interval_models
 from rational_reference import parse_rational
 from rational_table import HOSTILE, TABLE, refusal
 
@@ -170,8 +170,8 @@ def test_repeated_coordinate_strings_read_as_each_alone(rows):
     assert _error(CubeRepresentation.from_json_obj, obj) == first
     if first is None:
         rep = CubeRepresentation.from_json_obj(obj)
-        assert [[Fraction(x, rep.unit) for x in row] for row in rep.coords] == [
-            [Fraction(*parse_ratio(x)) for x in row] for row in rows
+        assert [[Fraction(x, rep.unit) for x in col] for col in rep.coords] == [
+            [Fraction(*parse_ratio(x)) for x in col] for col in zip(*rows)
         ]
 
 
@@ -189,7 +189,7 @@ def fraction_json(rep) -> dict:
     return {
         "dimension": rep.dimension,
         "side": str(Fraction(rep.side, rep.unit)),
-        "coords": [[str(Fraction(x, rep.unit)) for x in row] for row in rep.coords],
+        "coords": [[str(Fraction(col[v], rep.unit)) for col in rep.coords] for v in range(rep.n)],
     }
 
 
@@ -230,7 +230,7 @@ def test_repeated_coordinates_write_as_each_alone(data):
     row = st.lists(st.sampled_from(pool), min_size=d, max_size=d).map(tuple)
     coords = tuple(data.draw(st.lists(row, min_size=1, max_size=8)))
     side = data.draw(st.sampled_from([x for x in pool if x > 0] or [unit]))
-    rep = CubeRepresentation(d, side, coords, unit)
+    rep = from_rows(coords, side, unit)
     alone = {
         "dimension": d,
         "side": format_ratio(side, unit),
@@ -248,12 +248,13 @@ def test_representation_text_matches_fraction_text_on_random_grids(data):
     rows = data.draw(st.lists(coord, max_size=6))
     if d and not rows:
         rows = [[0] * d]
-    rep = CubeRepresentation(d, data.draw(st.integers(1, 10**15)), tuple(map(tuple, rows)), unit)
+    rep = from_rows(rows, data.draw(st.integers(1, 10**15)), unit)
     obj = rep.to_json_obj()
     assert obj == fraction_json(rep)
     # read back onto the coarsest grid: the same values
     again = CubeRepresentation.from_json_obj(obj)
     assert Fraction(again.side, again.unit) == Fraction(rep.side, rep.unit)
-    assert [[Fraction(x, again.unit) for x in row] for row in again.coords] == [
-        [Fraction(x, rep.unit) for x in row] for row in rep.coords
+    assert again.n == rep.n
+    assert [[Fraction(x, again.unit) for x in col] for col in again.coords] == [
+        [Fraction(x, rep.unit) for x in col] for col in rep.coords
     ]

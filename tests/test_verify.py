@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from intervalcubes.construct import ConstructionTrace
 from conftest import (
     claw_number,
     complete_graph,
+    from_rows,
+    make_model,
     model_pipeline,
     p3_model,
     random_models,
@@ -39,9 +43,9 @@ def test_verifier_flags_collapsed_separation():
     graph, ordering = model_pipeline(p3_model())
     rep, _ = build_representation(ordering)
     a, b = 1, 2  # the two leaves
-    rows = [list(row) for row in rep.coords]
-    rows[b][0] = 0  # gap to a becomes exactly the side: no separation left
-    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows), rep.unit)
+    cols = [list(col) for col in rep.coords]
+    cols[0][b] = 0  # gap to a becomes exactly the side: no separation left
+    broken = CubeRepresentation(rep.n, rep.side, tuple(tuple(c) for c in cols), rep.unit)
     report = verify_representation(graph, broken)
     assert not report.ok
     assert (a, b) in report.missing_separation
@@ -51,20 +55,53 @@ def test_verifier_flags_collapsed_separation():
 def test_verifier_flags_broken_adjacency():
     graph, ordering = model_pipeline(p3_model())
     rep, _ = build_representation(ordering)
-    rows = [list(row) for row in rep.coords]
-    rows[0][0] += 100 * rep.unit
-    broken = CubeRepresentation(rep.dimension, rep.side, tuple(tuple(r) for r in rows), rep.unit)
+    cols = [list(col) for col in rep.coords]
+    cols[0][0] += 100 * rep.unit
+    broken = CubeRepresentation(rep.n, rep.side, tuple(tuple(c) for c in cols), rep.unit)
     report = verify_representation(graph, broken)
     assert report.missing_adjacency
 
 
 def test_verifier_complete_graph_zero_dims():
-    rep = CubeRepresentation(0, 1, ((), (), ()), 1)
+    rep = from_rows([(), (), ()])
     assert verify_representation(complete_graph(3), rep).ok
 
 
+def test_dimension_is_the_number_of_columns():
+    assert CubeRepresentation.__slots__ == ("n", "side", "coords", "unit")
+    graph, ordering = model_pipeline(star_model(4))
+    for rep in (build_representation(ordering)[0], build_alpha_representation(ordering),
+                from_rows([(0, 1, 2)] * 2), from_rows([()] * 3)):
+        assert rep.dimension == len(rep.coords)
+        assert all(len(col) == rep.n for col in rep.coords)
+
+
+def test_zero_dimensions_keep_the_vertex_count():
+    # no column holds n then, so the record keeps it apart
+    text = '{"dimension": 0, "side": "1", "coords": [[], [], []]}'
+    rep = CubeRepresentation.loads(text)
+    assert (rep.n, rep.dimension, rep.coords) == (3, 0, ())
+    assert rep.dumps() == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def test_zero_dimensions_verify_without_quadratic_masks():
+    # every builder gives 0 dimensions when all intervals meet; a mask per
+    # vertex of the earlier vertices near it took n^2/16 bytes, 56 MB here
+    n = 3 * 10**4
+    model = make_model([(0, 1)] * n)
+    rep = CubeRepresentation(n, 1, (), 1)
+    tracemalloc.start()
+    try:
+        report = verify_representation(model, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 10 * 2**20
+
+
 def test_verifier_rejects_vertex_mismatch():
-    rep = CubeRepresentation(0, 1, ((),), 1)
+    rep = from_rows([()])
     with pytest.raises(ValueError):
         verify_representation(complete_graph(3), rep)
 
@@ -110,7 +147,7 @@ def test_complete_dimensions_star4():
 
 
 def test_complete_dimensions_zero_dim():
-    assert complete_dimensions(CubeRepresentation(0, 1, ((),), 1)) == []
+    assert complete_dimensions(from_rows([()])) == []
 
 
 def test_check_trace_star4():

@@ -32,6 +32,7 @@ from intervalcubes.recognition import ConstructionError, _check_ordering_sanity
 
 from conftest import (
     cycle_graph,
+    from_rows,
     interval_models,
     make_model,
     model_pipeline,
@@ -85,18 +86,18 @@ def built_representations(model):
 def moved(rep, draws):
     """A copy of `rep` with each (vertex, dimension, shift) of `draws`
     applied to its coordinates."""
-    rows = [list(row) for row in rep.coords]
+    cols = [list(col) for col in rep.coords]
     for v, i, shift in draws:
-        rows[v][i] += shift
-    return CubeRepresentation(rep.dimension, rep.side, tuple(map(tuple, rows)), rep.unit)
+        cols[i][v] += shift
+    return CubeRepresentation(rep.n, rep.side, tuple(map(tuple, cols)), rep.unit)
 
 
 @st.composite
 def moves(draw, rep):
     """One to four random vertices moved in a random dimension, by a near
     shift (around the side) or a far one (past every coordinate)."""
-    rows = rep.coords
-    span = max(max(row) for row in rows) - min(min(row) for row in rows)
+    cols = rep.coords
+    span = max(max(col) for col in cols) - min(min(col) for col in cols)
     near = st.integers(-2 * rep.side - 1, 2 * rep.side + 1)
     far = st.sampled_from([span + rep.side + 1, -span - rep.side - 1, 3 * span + 5])
     count = draw(st.integers(1, 4))
@@ -119,10 +120,10 @@ def arbitrary_instances(draw):
     d = draw(st.integers(0, 4))
     side = draw(st.integers(1, 4))
     coord = st.integers(-6, 6)
-    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    cols = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=d, max_size=d))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    rep = CubeRepresentation(d, side, tuple(map(tuple, rows)), 1)
+    rep = CubeRepresentation(n, side, tuple(map(tuple, cols)), 1)
     return Graph(n, edges), rep
 
 
@@ -160,7 +161,7 @@ def test_verify_matches_pairwise_on_cycles():
         graph = cycle_graph(n)
         for d in range(0, 3):
             rows = [[(v * (i + 2)) % 5 - 2 for i in range(d)] for v in range(n)]
-            assert_same_report(graph, CubeRepresentation(d, 1, tuple(map(tuple, rows)), 1))
+            assert_same_report(graph, from_rows(rows))
 
 
 @pytest.mark.parametrize("side", [1, 3, 10])
@@ -169,12 +170,12 @@ def test_gap_of_exactly_the_side_is_adjacent(side):
     # and with negative coordinates
     for graph in (Graph(2), Graph(2, [(0, 1)])):
         for rows in ([[0], [side]], [[side], [0]], [[-side], [0]], [[0], [-side]]):
-            rep = CubeRepresentation(1, side, tuple(map(tuple, rows)), 1)
+            rep = from_rows(rows, side)
             report = assert_same_report(graph, rep)
             assert report.ok == (graph.edge_count == 1)
             assert report.missing_separation == (() if report.ok else ((0, 1),))
         for rows in ([[0], [side + 1]], [[side + 1], [0]], [[-side - 1], [0]]):
-            rep = CubeRepresentation(1, side, tuple(map(tuple, rows)), 1)
+            rep = from_rows(rows, side)
             report = assert_same_report(graph, rep)
             assert report.ok == (graph.edge_count == 0)
             assert report.missing_adjacency == (() if report.ok else ((0, 1),))
@@ -183,15 +184,15 @@ def test_gap_of_exactly_the_side_is_adjacent(side):
 
 def test_duplicate_coordinates_and_degenerate_sizes():
     # every vertex on one point: all pairs are near, only the edges pass
-    rep = CubeRepresentation(2, 1, ((5, -5),) * 4, 1)
+    rep = from_rows([(5, -5)] * 4)
     report = assert_same_report(path_graph(4), rep)
     assert report.missing_separation == ((0, 2), (0, 3), (1, 3))
     for n in (0, 1):
         for d in (0, 2):
-            rep = CubeRepresentation(d, 1, ((0,) * d,) * n, 1)
+            rep = CubeRepresentation(n, 1, ((0,) * n,) * d, 1)
             assert assert_same_report(Graph(n), rep).ok
     # dimension 0 leaves every non-edge unseparated
-    report = assert_same_report(path_graph(4), CubeRepresentation(0, 1, ((),) * 4, 1))
+    report = assert_same_report(path_graph(4), from_rows([()] * 4))
     assert report.missing_separation == ((0, 2), (0, 3), (1, 3))
     assert report.dimension_stats == ()
 
@@ -201,7 +202,7 @@ def test_separation_scan_reads_the_sparsest_dimension(monkeypatch):
     # sparsest; the scan must cost the near pairs of dimension 1 only
     n, side = 12, 2
     rows = [(0, v // 2 * 3, v * 2) for v in range(n)]
-    rep = CubeRepresentation(3, side, tuple(rows), 1)
+    rep = from_rows(rows, side)
     near = [
         sum(abs(rows[u][i] - rows[v][i]) <= side for u in range(n) for v in range(u + 1, n))
         for i in range(3)
@@ -210,9 +211,9 @@ def test_separation_scan_reads_the_sparsest_dimension(monkeypatch):
     scanned = []
     unseparated = verify._unseparated
 
-    def spy(graph, rows, side, order, starts):
+    def spy(apart, cols, side, order, starts):
         scanned.append(sum(j - lo for j, lo in enumerate(starts)))
-        return unseparated(graph, rows, side, order, starts)
+        return unseparated(apart, cols, side, order, starts)
 
     monkeypatch.setattr(verify, "_unseparated", spy)
     report = assert_same_report(Graph(n, [(v, v + 1) for v in range(0, n, 2)]), rep)
@@ -237,9 +238,9 @@ def random_representation(data, n, d_max=4):
     exactly the side and of one more are common."""
     d = data.draw(st.integers(0, d_max))
     side = data.draw(st.integers(1, 4))
-    coord = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
-    rows = data.draw(st.lists(coord, min_size=n, max_size=n))
-    return CubeRepresentation(d, side, tuple(map(tuple, rows)), 1)
+    coord = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    cols = data.draw(st.lists(coord, min_size=d, max_size=d))
+    return CubeRepresentation(n, side, tuple(map(tuple, cols)), 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,12 +274,12 @@ def test_both_paths_on_degenerate_sizes():
     for model in models:
         n = model.n
         for d in (0, 1, 3):
-            for rows in ([(0,) * d] * n, [tuple(range(v, v + d)) for v in range(n)]):
-                rep = CubeRepresentation(d, 1, tuple(rows), 1)
+            for cols in ([(0,) * n] * d, [tuple(range(i, i + n)) for i in range(d)]):
+                rep = CubeRepresentation(n, 1, tuple(cols), 1)
                 assert_both_paths(model, rep)
                 assert_both_paths(model_to_graph(model), rep)
     # dimension 0 reports every non-edge, on either path
-    flat = CubeRepresentation(0, 1, ((),) * 4, 1)
+    flat = from_rows([()] * 4)
     assert assert_both_paths(path_graph(4), flat).missing_separation == ((0, 2), (0, 3), (1, 3))
 
 
@@ -290,7 +291,7 @@ def test_both_paths_on_corpus():
             assert assert_both_paths(model, rep, graph).ok
             if rep.dimension == 0 or rep.n == 0:
                 continue
-            span = max(max(row) for row in rep.coords) - min(min(row) for row in rep.coords)
+            span = max(max(col) for col in rep.coords) - min(min(col) for col in rep.coords)
             draws = [(t % rep.n, t % rep.dimension, span + rep.side + 1)]
             draws += [(v, (t + 1) % rep.dimension, rep.side) for v in range(0, rep.n, 3)]
             assert_both_paths(model, moved(rep, draws), graph)
@@ -313,7 +314,7 @@ def test_path_rule_takes_masks_on_dense_input_and_the_window_on_sparse():
     # a unit interval model whose dimensions are copies of one line: every
     # window pair is an edge, and the d passes over the edges tip the rule
     line = make_model([(x, x + 6) for x in range(400)])
-    cases.append((line, CubeRepresentation(4, 6, tuple((x,) * 4 for x in range(400)), 1), "masks"))
+    cases.append((line, CubeRepresentation(400, 6, (tuple(range(400)),) * 4, 1), "masks"))
 
     taken = []
     by_masks, unseparated, rule = verify._by_masks, verify._unseparated, verify._masks_pay
@@ -352,9 +353,9 @@ def test_model_verify_matches_graph_verify_on_builds(model, data):
 def test_model_verify_matches_graph_verify_on_random_coordinates(model, data):
     d = data.draw(st.integers(0, 4))
     side = data.draw(st.integers(1, 4))
-    coord = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
-    rows = data.draw(st.lists(coord, min_size=model.n, max_size=model.n))
-    rep = CubeRepresentation(d, side, tuple(map(tuple, rows)), 1)
+    coord = st.lists(st.integers(-6, 6), min_size=model.n, max_size=model.n)
+    cols = data.draw(st.lists(coord, min_size=d, max_size=d))
+    rep = CubeRepresentation(model.n, side, tuple(map(tuple, cols)), 1)
     assert_model_report(model, rep)
     if d and model.n:
         assert_model_report(model, moved(rep, data.draw(moves(rep))))
@@ -380,7 +381,7 @@ def test_model_verify_matches_graph_verify_on_corpus():
             # deterministic moves: vertex t moved past everything, and a
             # near nudge of every third vertex in dimension t
             i = t % rep.dimension
-            span = max(max(row) for row in rep.coords) - min(min(row) for row in rep.coords)
+            span = max(max(col) for col in rep.coords) - min(min(col) for col in rep.coords)
             draws = [(t % rep.n, i, span + rep.side + 1)]
             draws += [(v, (i + 1) % rep.dimension, rep.side) for v in range(0, rep.n, 3)]
             failing += not assert_model_report(model, moved(rep, draws)).ok
@@ -391,14 +392,14 @@ def test_model_verify_touching_intervals_are_adjacent():
     # [0, 1] and [1, 2] share the endpoint 1: they must be near, and
     # [0, 1] and [2, 3] apart, with zero dimensions too
     model = make_model([(0, 1), (1, 2), (2, 3)])
-    far = CubeRepresentation(1, 1, ((0,), (5,), (10,)), 1)
+    far = from_rows([(0,), (5,), (10,)])
     report = assert_model_report(model, far)
     assert report.missing_adjacency == ((0, 1), (1, 2))
     assert report.missing_separation == ()
-    flat = CubeRepresentation(0, 1, ((),) * 3, 1)
+    flat = from_rows([()] * 3)
     assert assert_model_report(model, flat).missing_separation == ((0, 2),)
     with pytest.raises(ValueError):
-        verify_representation(model, CubeRepresentation(0, 1, ((),) * 2, 1))
+        verify_representation(model, from_rows([()] * 2))
 
 
 @settings(max_examples=200, deadline=None)

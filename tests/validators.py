@@ -186,8 +186,8 @@ def validate_labelling(
 
 def check_trace(trace, ordering, coords) -> ValidationReport:
     """Audit a construction trace against the ordering it was built on and
-    the built coordinates, one row per vertex and every dimension of the
-    build.
+    the built coordinates, one column per dimension of the build and every
+    vertex in each.
 
     Kinds:
       scale-not-increasing  consecutive scale values out of order
@@ -210,14 +210,15 @@ def check_trace(trace, ordering, coords) -> ValidationReport:
         if r >= len(scale) or scale[r] != i * trace.unit:
             violations.append(Violation("scale-anchor", (i, u), ""))
 
-    for v in range(len(coords)):
+    for v in range(ordering.n):
         lo, hi = ordering.left[v], ordering.right[v]
         if not scale[hi] - scale[lo] < reach:
             violations.append(
                 Violation("span-bound", (v,), f"{scale[hi] - scale[lo]} >= {reach}")
             )
         for j in range(lo, hi + 1):
-            for i, base in enumerate(coords[v]):
+            for i, col in enumerate(coords):
+                base = col[v]
                 if not (base <= scale[j] <= base + reach):
                     violations.append(
                         Violation(
@@ -233,8 +234,7 @@ def complete_dimensions(rep) -> list[int]:
     """Dimensions whose coordinate span stays within the side: every pair
     is adjacent there, so the dimension constrains nothing."""
     out = []
-    for i in range(rep.dimension):
-        values = [row[i] for row in rep.coords]
+    for i, values in enumerate(rep.coords):
         if not values or max(values) - min(values) <= rep.side:
             out.append(i)
     return out

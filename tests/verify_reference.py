@@ -32,19 +32,17 @@ def verify_pairwise(graph: Graph, rep) -> VerificationReport:
     in every dimension, non-adjacent pairs must exceed it somewhere."""
     if rep.n != graph.n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {graph.n}")
-    grid, side = rep.coords, rep.side
+    cols, side = rep.coords, rep.side
     d = rep.dimension
     missing_adjacency = []
     missing_separation = []
     stats = [0] * d
     for u in range(graph.n):
-        gu = grid[u]
         for v in range(u + 1, graph.n):
-            gv = grid[v]
             adjacent = v in graph.adj[u]
             separated = False
             for i in range(d):
-                gap = gu[i] - gv[i]
+                gap = cols[i][u] - cols[i][v]
                 if gap < 0:
                     gap = -gap
                 if gap > side:
