@@ -18,7 +18,7 @@ _MODULES = {
     "graphs": "ConstructionError Graph GraphParseError NotIntervalError SizeRefusalError "
     "non_edges parse_graph serialize_graph",
     "intervals": "DISTRIBUTIONS CliqueOrdering IntervalModel greedy_independent "
-    "model_to_clique_ordering model_to_graph ordering_from_cliques",
+    "model_to_clique_ordering model_to_graph",
     "labelling": "Labelling label_vertices",
     "oracle": "ExactResult Exceeded exact_cubicity",
     "params": "ParamReport StarWitness ceil_log2 neighborhood_mis param_report",

@@ -24,10 +24,11 @@ clique ids: a linked list of classes in int lists (`prev`, `nxt`, -1 for
 none), each class's live `size` and each id's class, `where`.  A split
 moves part of a class into a new class right before or after it.  Each
 class stacks its ids in the order they are to be taken; an id that moved
-on or was visited leaves a stale entry, which `pop` skips.  The clique
-sets live only here: `ordering_from_cliques` turns the arranged list into
-each vertex's first and last clique index, checking that its cliques are
-consecutive, and the returned `CliqueOrdering` holds those ranges alone.
+on or was visited leaves a stale entry, which `pop` skips.  Parents,
+earlier neighbours, cliques and pending pivots are int lists too.  One
+pass over the arranged cliques reads each vertex's first and last clique
+index and checks that its cliques are consecutive; the returned
+`CliqueOrdering` holds those ranges alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .graphs import ConstructionError, Graph, NotIntervalError
-from .intervals import CliqueOrdering, ordering_from_cliques
+from .intervals import CliqueOrdering
 
 
 class _Partition:
@@ -79,36 +80,38 @@ class _Partition:
         return new
 
 
-def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
-    """LexBFS, lowest id on ties: each vertex's earlier neighbours, keyed
-    in visit order, and its parent, the latest of them (vertices with no
-    earlier neighbour have none).  Visiting v moves its neighbours in each
-    class it reaches only in part into a new class just before that one."""
+def _lexbfs(graph: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+    """LexBFS, lowest id on ties: the visit order, each vertex's earlier
+    neighbours, and its parent, the latest of them (-1 for a vertex with
+    no earlier neighbour).  Visiting v moves its neighbours in each class
+    it reaches only in part into a new class just before that one."""
     adj = graph.adj
     part = _Partition(list(range(graph.n - 1, -1, -1)))
     where, size, nxt = part.where, part.size, part.nxt
-    head, earlier, parent = 0, {}, {}
+    head, order, earlier, parent = 0, [], [[]] * graph.n, [-1] * graph.n
     for _ in range(graph.n):
         while not size[head]:
             head = nxt[head]
         v = part.pop(head)
         where[v] = -1  # visited
         size[head] -= 1
+        order.append(v)
+        earlier[v] = [u for u in adj[v] if where[u] < 0]
         reached = [u for u in adj[v] if where[u] >= 0]
-        # not `.difference(reached)`, which copies adj[v]'s whole table first
-        earlier[v] = adj[v] - set(reached)
-        parent.update(dict.fromkeys(reached, v))
+        for u in reached:
+            parent[u] = v
         for old, moved in part.group(reached).items():
             if len(moved) < size[old]:  # a class reached whole stays as it is
                 new = part.split(old, sorted(moved, reverse=True), after=False)
                 if old == head:
                     head = new
-    return earlier, parent
+    return order, earlier, parent
 
 
-def maximal_cliques_chordal(graph: Graph) -> list[frozenset[int]] | None:
+def maximal_cliques_chordal(graph: Graph) -> list[list[int]] | None:
     """All maximal cliques of a chordal graph in LexBFS discovery order,
-    or None if the graph is not chordal.
+    each listed as its vertex's earlier neighbours and then the vertex, or
+    None if the graph is not chordal.
 
     In LexBFS order, with C(v) = v plus its earlier neighbours: the graph
     is chordal exactly when each vertex's earlier neighbours other than
@@ -116,18 +119,20 @@ def maximal_cliques_chordal(graph: Graph) -> list[frozenset[int]] | None:
     and then C(p) is not maximal exactly when some u whose parent is p has
     |C(u)| = |C(p)| + 1.
     """
-    earlier, parent = _lexbfs(graph)
-    maximal = [True] * graph.n
-    for u, p in parent.items():
-        # p is not its own neighbour, so the difference holds p and no more
-        if len(earlier[u] - graph.adj[p]) > 1:
+    order, earlier, parent = _lexbfs(graph)
+    adj, maximal = graph.adj, [True] * graph.n
+    for u, p in enumerate(parent):
+        # p < 0 only where earlier[u] is empty, and then neither test holds
+        if any(w != p and w not in adj[p] for w in earlier[u]):
             return None
         if len(earlier[u]) == len(earlier[p]) + 1:
             maximal[p] = False
-    return [clique | {v} for v, clique in earlier.items() if maximal[v]]
+    for v in order:
+        earlier[v].append(v)
+    return [earlier[v] for v in order if maximal[v]]
 
 
-def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
+def _arrange_cliques(cliques: list[list[int]], n: int) -> list[int] | None:
     """The clique ids in an order where every vertex's cliques may be
     consecutive, or None; `cliques` must be in discovery order.
 
@@ -142,30 +147,34 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
     - every clique moved queues its vertices as pivots.
     A done pivot's cliques stay a run of whole classes, so with no pivot
     pending each class can be ordered on its own.  Only a run's last class
-    gets one before it, so class 0 stays the head.  The caller checks the
-    final order for every vertex.
+    gets one before it, so class 0 stays the head.  The order in which
+    pending pivots are taken does not change the result.  The caller
+    checks the final order for every vertex.
     """
-    k = len(cliques)
     cliques_of: list[list[int]] = [[] for _ in range(n)]
     for c, clique in enumerate(cliques):
         for v in clique:
             cliques_of[v].append(c)
-    part = _Partition(list(range(k)))
+    part = _Partition(list(range(len(cliques))))
     size, prev, nxt = part.size, part.prev, part.nxt
     splittable = [0]  # every class of two or more cliques is on this stack
-    done: set[int] = set()
-    pending: set[int] = set()
+    state = bytearray(n)  # per vertex: 1 while a pending pivot, 2 once done
+    pending: list[int] = []
 
     def split_off(old: int, moved: list[int], after: bool):
         new = part.split(old, moved, after)
         for c in moved:
-            pending.update(cliques[c].difference(done))
+            for v in cliques[c]:
+                if not state[v]:
+                    state[v] = 1
+                    pending.append(v)
         if len(moved) > 1:
             splittable.append(new)
 
     while True:
         if pending:
             x = pending.pop()
+            state[x] = 0
             mine = part.group(cliques_of[x])  # x's cliques by class, ascending
             if len(mine) < 2:
                 continue
@@ -177,7 +186,7 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
                 run.append(nxt[run[-1]])
             if any(len(mine.get(q, ())) != size[q] for q in run[1:-1]):
                 return None
-            done.add(x)
+            state[x] = 2
             for end, after in ((run[0], True), (run[-1], False)):
                 if len(mine[end]) < size[end]:
                     split_off(end, mine[end], after)
@@ -189,10 +198,9 @@ def _arrange_cliques(cliques: list[frozenset[int]], n: int) -> list[int] | None:
         old = splittable[-1]
         split_off(old, [part.pop(old)], after=True)
 
-    at = dict(zip(part.where, range(k)))  # the clique of each singleton class
     arrangement, q = [], 0
     while q >= 0:
-        arrangement.append(at[q])
+        arrangement.append(part.pop(q))  # each class holds one clique now
         q = nxt[q]
     return arrangement
 
@@ -209,10 +217,17 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering:
     arrangement = _arrange_cliques(cliques, graph.n)
     if arrangement is None:
         raise NotIntervalError("no-consecutive-ordering")
-    try:
-        ordering = ordering_from_cliques([cliques[i] for i in arrangement], graph.n)
-    except ValueError:
-        raise NotIntervalError("no-consecutive-ordering") from None
+    left, right = [-1] * graph.n, [-1] * graph.n
+    for i, c in enumerate(arrangement):
+        for v in cliques[c]:
+            if left[v] < 0:
+                left[v] = i
+            right[v] = i
+    # a vertex's range spans at least the cliques it is in, and exactly
+    # them when they are consecutive; a vertex in none spans one
+    if sum(right) - sum(left) + graph.n != sum(map(len, cliques)):
+        raise NotIntervalError("no-consecutive-ordering")
+    ordering = CliqueOrdering(len(cliques), tuple(left), tuple(right))
     _check_ordering_sanity(graph, ordering)
     return ordering
 
@@ -220,8 +235,8 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering:
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
     """Cheap canaries in O(n + m); the full validator, `validate_ordering`,
     is a test oracle in tests/validators.py.  That every vertex's cliques
-    are consecutive is checked where the ranges are made, by
-    `ordering_from_cliques`.
+    are consecutive is checked where the ranges are made, in
+    `recognize_and_order`.
 
     Every edge's ranges meet, and exactly m pairs of ranges meet, so the
     ranges describe the graph's edges and nothing else.

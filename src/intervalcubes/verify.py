@@ -147,13 +147,16 @@ class VerificationReport(Record):
 def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationReport:
     """Check that adjacent pairs stay within the side in every dimension and
     non-adjacent pairs exceed it somewhere, by the path the module
-    docstring describes.  `graph` is a `Graph` or an `IntervalModel`.
+    docstring describes; ValueError unless `rep` has one coordinate per
+    vertex of `graph`, a `Graph` or an `IntervalModel`, in every column.
     `dimension_stats[i]` is the non-edges separated in dimension i.  With
     dimension 0 every pair counts as adjacent, so every non-edge is
     reported.  Lists are in lexicographic order."""
     n = graph.n
     if rep.n != n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {n}")
+    if any(len(col) != n for col in rep.coords):
+        raise ValueError(f"every column must hold {n} coordinates")
     side, cols, d = rep.side, rep.coords, rep.dimension
     model = isinstance(graph, IntervalModel)
     if model:

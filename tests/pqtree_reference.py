@@ -25,8 +25,10 @@ from __future__ import annotations
 from itertools import product
 
 from intervalcubes import Graph, NotIntervalError
-from intervalcubes.intervals import CliqueOrdering, ordering_from_cliques
+from intervalcubes.intervals import CliqueOrdering
 from intervalcubes.recognition import _check_ordering_sanity
+
+from validators import ordering_from_cliques
 
 
 def consecutive_arrangement_exhaustive(rows, size: int) -> list[int] | None:

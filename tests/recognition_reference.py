@@ -4,16 +4,20 @@ per class, a sorted stack per class and a `where` dict, and the clique
 arrangement with per-class member lists, a `size` list and a `where`
 list, both linked through `_link`.
 
-`maximal_cliques_chordal` and `recognize_and_order` below are the
-library's, run on these two; the identity differential requires the same
-clique list (members in the same iteration order) and the same outcome.
+`maximal_cliques_chordal` and `recognize_and_order` below run on these
+two as the library did when it kept a frozenset of earlier neighbours
+per vertex, a frozenset per clique and its pending pivots in a set,
+which it pops in hash order.  The identity differential requires the
+same clique member sets in the same order and the same outcome.
 """
 
 from __future__ import annotations
 
 from intervalcubes.graphs import Graph, NotIntervalError
-from intervalcubes.intervals import CliqueOrdering, ordering_from_cliques
+from intervalcubes.intervals import CliqueOrdering
 from intervalcubes.recognition import _check_ordering_sanity
+
+from validators import ordering_from_cliques
 
 
 def _lexbfs(graph: Graph) -> tuple[dict[int, frozenset[int]], dict[int, int]]:

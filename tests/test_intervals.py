@@ -10,7 +10,6 @@ from intervalcubes import (
     greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
-    ordering_from_cliques,
 )
 
 from conftest import (
@@ -22,7 +21,7 @@ from conftest import (
     random_models,
     star_model,
 )
-from validators import clique_sets, validate_ordering
+from validators import clique_sets, ordering_from_cliques, validate_ordering
 
 
 def test_model_rejects_inverted_interval():

@@ -45,17 +45,17 @@ def test_c5_rejected_not_chordal():
 def test_net_rejected_no_consecutive_ordering():
     # the net is chordal, so it gets its cliques, but no order of them
     # keeps every vertex's cliques consecutive
-    assert set(maximal_cliques_chordal(net_graph())) == bron_kerbosch(net_graph())
+    assert set(map(frozenset, maximal_cliques_chordal(net_graph()))) == bron_kerbosch(net_graph())
     with pytest.raises(NotIntervalError) as caught:
         recognize_and_order(net_graph())
     assert caught.value.reason == "no-consecutive-ordering"
 
 
 def test_non_consecutive_arrangement_rejected(monkeypatch):
-    # the refinement leaves the last check of every vertex's run to
-    # `ordering_from_cliques`; an arrangement that fails it is refused
+    # the refinement leaves the last check of every vertex's run to the
+    # pass that reads the ranges; an arrangement that fails it is refused
     graph = path_graph(4)
-    cliques = maximal_cliques_chordal(graph)
+    cliques = list(map(frozenset, maximal_cliques_chordal(graph)))
     middle = cliques.index(frozenset({1, 2}))
     ends = [i for i in range(3) if i != middle]
     monkeypatch.setattr(recognition, "_arrange_cliques", lambda cliques, n: [*ends, middle])
@@ -108,8 +108,8 @@ def test_chordal_clique_enumeration_matches_bron_kerbosch():
         graph, _ = model_pipeline(model)
         cliques = maximal_cliques_chordal(graph)
         assert cliques is not None
-        assert len(set(cliques)) == len(cliques)
-        assert set(cliques) == bron_kerbosch(graph)
+        assert len(set(map(frozenset, cliques))) == len(cliques)
+        assert set(map(frozenset, cliques)) == bron_kerbosch(graph)
         assert set(reference_cliques(graph, reference_peo(graph))) == bron_kerbosch(graph)
 
 

@@ -7,9 +7,9 @@ Every accepted ordering must pass the full validator and the pipeline's
 sanity check, and the chordality test read off the LexBFS walk must agree
 with the reference elimination ordering, and the maximal cliques read off
 the same walk must be the Bron–Kerbosch ones.  Against the refinements in
-`recognition_reference`, the clique list (each clique's members in the
-same iteration order) and the outcome, ordering or reason tag, must be
-identical.
+`recognition_reference`, which keeps its cliques as frozensets, the
+clique list (each clique's member set, in the same order) and the
+outcome, ordering or reason tag, must be identical.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from intervalcubes import (
     CliqueOrdering, GenConfig, Graph, model_to_graph, parse_graph, random_interval_model,
     recognize_and_order, serialize_graph,
 )
-from intervalcubes.recognition import _check_ordering_sanity, _lexbfs, maximal_cliques_chordal
+from intervalcubes.recognition import _check_ordering_sanity, maximal_cliques_chordal
 
 from conftest import (
     bron_kerbosch, cycle_graph, interval_models, net_graph, recognition_outcome,
@@ -49,18 +50,19 @@ def assert_matches_reference(graph: Graph):
     cliques = maximal_cliques_chordal(graph)
     assert (cliques is None) == (reference_peo(graph) is None), (graph.n, graph.edges())
     if cliques is not None:
-        assert len(set(cliques)) == len(cliques)
-        assert set(cliques) == bron_kerbosch(graph)
-    # the same refinements, so the same cliques in the same order, each
-    # iterating alike, and the same ordering or reason tag
+        assert len(set(as_sets(cliques))) == len(cliques)
+        assert set(as_sets(cliques)) == bron_kerbosch(graph)
+    # the same cliques in the same order, and the same ordering or reason
+    # tag: the reference pops its pivots from a set, so this also checks
+    # that the arrangement does not depend on the order pivots are taken
     refined = recognition_reference.maximal_cliques_chordal(graph)
-    assert listed(cliques) == listed(refined), (graph.n, graph.edges())
+    assert as_sets(cliques) == as_sets(refined), (graph.n, graph.edges())
     assert result == recognition_outcome(recognition_reference.recognize_and_order, graph)
     return result
 
 
-def listed(cliques):
-    return None if cliques is None else [list(clique) for clique in cliques]
+def as_sets(cliques):
+    return None if cliques is None else [frozenset(clique) for clique in cliques]
 
 
 def relabelled(graph: Graph, perm) -> Graph:
@@ -238,15 +240,18 @@ def test_same_cliques_and_outcome_as_the_refinements_replaced(graph):
     assert_matches_reference(graph)
 
 
-def test_earlier_sets_are_sized_to_their_members():
-    """A difference with a list copies the whole neighbourhood's table
-    first, which then stays with the set: on this graph that takes about a
-    quarter more bytes than sets built fresh from their members.  One
-    set's table may still be one doubling larger than a fresh one's, as
-    the refinement replaced had it, so the sizes are compared in total."""
+def test_recognition_holds_no_set_per_vertex_or_clique():
+    """Recognition keeps the earlier neighbours, parents and cliques in
+    int lists.  On this edge list (400 vertices, about 33k edges) a
+    frozenset per vertex and per clique, the pending set and the dicts
+    keyed by vertex peaked near 3 MiB above the graph; the lists stay
+    under 1 MiB."""
     model = random_interval_model(GenConfig(n=400, seed=0, dist="uniform"))
-    earlier, _ = _lexbfs(parse_graph(serialize_graph(model_to_graph(model))))
-    assert len(earlier) == 400
-    held = sum(map(sys.getsizeof, earlier.values()))
-    fresh = sum(sys.getsizeof(frozenset(list(members))) for members in earlier.values())
-    assert held <= fresh
+    graph = parse_graph(serialize_graph(model_to_graph(model)))
+    tracemalloc.start()
+    try:
+        recognize_and_order(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -106,6 +106,20 @@ def test_verifier_rejects_vertex_mismatch():
         verify_representation(complete_graph(3), rep)
 
 
+def test_verifier_rejects_ragged_columns():
+    # a column shorter or longer than the vertex count is refused before
+    # any window is built: neither reported ok nor an IndexError
+    cases = [(Graph(3), (0, 10)), (complete_graph(3), (0, 0)), (complete_graph(3), (0, 0, 0, 0))]
+    for graph, column in cases:
+        rep = CubeRepresentation(3, 1, (column,), 1)
+        with pytest.raises(ValueError, match="every column must hold 3 coordinates"):
+            verify_representation(graph, rep)
+    # a model is checked alike, and a later column counts as much as the first
+    rep = CubeRepresentation(3, 1, ((0, 0, 0), (0, 0)), 1)
+    with pytest.raises(ValueError, match="every column must hold 3 coordinates"):
+        verify_representation(make_model([(0, 1)] * 3), rep)
+
+
 def test_positive_dimension_needs_coordinates():
     # with no vector to bound it, the claimed dimension alone would size
     # the verifier's per-dimension columns

@@ -23,7 +23,6 @@ from intervalcubes import (
     model_to_clique_ordering,
     model_to_graph,
     normalize_unit,
-    ordering_from_cliques,
     random_interval_model,
     verify_representation,
 )
@@ -40,6 +39,7 @@ from conftest import (
     random_models,
     star_model,
 )
+from validators import ordering_from_cliques
 from verify_reference import (
     check_ordering_sanity_pairwise,
     model_to_graph_pairwise,

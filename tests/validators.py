@@ -24,6 +24,28 @@ def clique_sets(ordering: CliqueOrdering) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, members))
 
 
+def ordering_from_cliques(cliques, n: int) -> CliqueOrdering:
+    """Left/right indices from an ordered clique list; ValueError unless
+    every vertex is in some clique and its cliques are consecutive.  The
+    references and tests write orderings this way; the library reads the
+    ranges off its own arranged cliques, in `recognize_and_order`."""
+    left = [-1] * n
+    right = [-1] * n
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            if left[v] < 0:
+                left[v] = i
+            right[v] = i
+    if any(l < 0 for l in left):
+        missing = [v for v in range(n) if left[v] < 0]
+        raise ValueError(f"vertices not covered by any clique: {missing}")
+    # a vertex's range spans at least the cliques it is in, and exactly
+    # them when they are consecutive
+    if sum(right) - sum(left) + n != sum(map(len, cliques)):
+        raise ValueError("some vertex's cliques are not consecutive")
+    return CliqueOrdering(len(cliques), tuple(left), tuple(right))
+
+
 def ranges_intersect(ordering: CliqueOrdering, u: int, v: int) -> bool:
     """Whether the clique ranges of u and v share a clique index."""
     return ordering.left[u] <= ordering.right[v] and ordering.left[v] <= ordering.right[u]
