@@ -17,11 +17,11 @@ _MODULES = {
     "generate": "GenConfig random_interval_model",
     "graphs": "ConstructionError Graph GraphParseError NotIntervalError SizeRefusalError "
     "non_edges parse_graph serialize_graph",
-    "intervals": "DISTRIBUTIONS CliqueOrdering IntervalModel greedy_independent "
-    "model_to_clique_ordering model_to_graph",
+    "intervals": "DISTRIBUTIONS CliqueOrdering IntervalModel model_to_clique_ordering "
+    "model_to_graph",
     "labelling": "Labelling label_vertices",
     "oracle": "ExactResult Exceeded exact_cubicity",
-    "params": "ParamReport StarWitness ceil_log2 neighborhood_mis param_report",
+    "params": "ParamReport StarWitness ceil_log2 param_report",
     "recognition": "recognize_and_order",
     "search": "SearchReport histogram_csv tightness_search",
     "verify": "CubeRepresentation VerificationReport verify_representation",

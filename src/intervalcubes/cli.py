@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from .graphs import (
@@ -66,13 +67,21 @@ def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
     return source, recognize_and_order(source)
 
 
+def _dump(obj, handle):
+    """Write `obj` as indented JSON and a newline in batches of encoder
+    chunks: never the whole text, nor a system call per chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    while batch := "".join(islice(chunks, 1 << 16)):
+        handle.write(batch)
+    handle.write("\n")
+
+
 def _emit(obj, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _dump(obj, handle)
     else:
-        sys.stdout.write(text)
+        _dump(obj, sys.stdout)
 
 
 def _cmd_recognize(args) -> int:
@@ -126,7 +135,7 @@ def _cmd_construct(args) -> int:
     report = verify_representation(source, rep)
     if not report.ok:
         print("constructed representation failed verification", file=sys.stderr)
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=sys.stderr)
+        _dump(report.to_json_obj(), sys.stderr)
         return EXIT_VERIFY_FAILED
     payload = rep.to_json_obj()
     if args.trace:
@@ -168,6 +177,8 @@ def _cmd_gen(args) -> int:
 def _cmd_search(args) -> int:
     from .search import histogram_csv, tightness_search
 
+    for path in filter(None, (args.out, args.csv)):
+        open(path, "a", encoding="utf-8").close()  # refuse an unwritable one before sampling
     report = tightness_search(count=args.count, n_max=args.n_max, seed=args.seed)
     if report.counterexamples:
         print(f"FOUND {len(report.counterexamples)} candidate counterexample(s) with cubicity "

@@ -171,14 +171,3 @@ def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
         at_end[x] = k - 1
     return CliqueOrdering(k, tuple(at_start[r] for r in lo), tuple(at_end[r] for r in hi))
 
-
-def greedy_independent(ordering: CliqueOrdering, vertices) -> list[int]:
-    """Earliest-finish greedy over clique ranges: a maximum independent set
-    of the subgraph the ordering describes induced on `vertices`."""
-    chosen: list[int] = []
-    last_right = -1
-    for v in sorted(vertices, key=lambda v: (ordering.right[v], v)):
-        if ordering.left[v] > last_right:
-            chosen.append(v)
-            last_right = ordering.right[v]
-    return chosen

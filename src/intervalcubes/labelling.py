@@ -2,11 +2,11 @@
 
 Repeatedly take the unlabelled vertex whose rightmost clique comes
 earliest (the level's anchor), give its level to it and to all unlabelled
-neighbors, and continue.  The anchors form a maximum independent set, and
-a vertex's level is the number of anchors whose rightmost clique ends
-strictly before the vertex's leftmost clique.  That last fact lets the
-whole labelling run as one pass over the cliques instead of literal set
-subtraction.
+neighbors, and continue.  The anchors are the earliest-finish greedy over
+all the ranges, a maximum independent set, walked along the suffix-best
+chain by `earliest_finish` (which `params` also walks for the claw
+witness), and a vertex's level, the number of anchors whose rightmost
+clique ends strictly before its leftmost clique, is one bisection.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class Labelling(Record):
 def suffix_best(ordering: CliqueOrdering) -> list[int | None]:
     """best[j]: the vertex minimizing (right, index) among those whose
     range starts at clique j or later; best[k] is None.  After a pick that
-    ends at clique r the earliest-finish greedy takes best[r + 1], so the
-    labelling's anchors and the claw pass's chains both step through it."""
+    ends at clique r the earliest-finish greedy takes best[r + 1], so
+    `earliest_finish` and the claw pass's chains both step through it."""
     right = ordering.right
     best: list[int | None] = [None] * (ordering.k + 1)
     by_left = ordering.by_left()
@@ -52,21 +52,32 @@ def suffix_best(ordering: CliqueOrdering) -> list[int | None]:
     return best
 
 
+def earliest_finish(
+    ordering: CliqueOrdering, best: list[int | None], j: int, stop: int
+) -> list[int]:
+    """The earliest-finish greedy over the ranges that start in [j, stop],
+    ties to the lowest index.  After a pick ending at clique r it takes
+    best[r + 1] while that range starts by `stop`; one that starts later
+    ends after `stop`, as does every range starting in (r, stop], so the
+    last pick is the first of those by (right, index)."""
+    left, right = ordering.left, ordering.right
+    picks: list[int] = []
+    while j <= stop:
+        u = best[j]
+        if left[u] > stop:
+            starts = (v for v in range(ordering.n) if j <= left[v] <= stop)
+            u = min(starts, key=lambda v: (right[v], v))
+        picks.append(u)
+        j = right[u] + 1
+    return picks
+
+
 def label_vertices(ordering: CliqueOrdering, best: list[int | None] | None = None) -> Labelling:
     """Deterministic labelling; anchor ties break to the lowest index.
     `best` is the ordering's `suffix_best` table, made here when not given."""
-    n, k = ordering.n, ordering.k
-    left, right = ordering.left, ordering.right
     if best is None:
         best = suffix_best(ordering)
-
-    anchors: list[int] = []
-    j = 0
-    while j < k and best[j] is not None:
-        u = best[j]
-        anchors.append(u)
-        j = right[u] + 1
-
-    anchor_rights = [right[u] for u in anchors]
-    levels = tuple(bisect_left(anchor_rights, left[v]) for v in range(n))
+    anchors = earliest_finish(ordering, best, 0, ordering.k - 1)
+    anchor_rights = [ordering.right[u] for u in anchors]
+    levels = tuple(bisect_left(anchor_rights, lv) for lv in ordering.left)
     return Labelling(levels=levels, anchors=tuple(anchors))

@@ -27,11 +27,13 @@ j = left v + 1 while j <= right v, or 0 when v's range is one clique holding v
 alone.  The chain's last pick may be a vertex outside N(v) where the
 greedy picks another that also overruns right v: the count is the same,
 the leaves may not be.  No clique or neighbourhood is listed or sorted,
-so all psi(v) cost O(n + k + sum of psi(v)); `param_report` runs the
-greedy once more, on the centre it picks, for the witness leaves.  A claw
-build needs psi and the labelling, and `parameters` makes both from one
-suffix-best table, as `param_report` makes psi, its witness and the
-labelling: each build, each search sample and each report makes one.
+so all psi(v) cost O(n + k + sum of psi(v)).  `param_report`'s witness
+leaves are the greedy's picks on its centre: the lowest-indexed other
+vertex ending at the centre's left clique (by "First pick" when psi >= 2;
+at psi == 1 every range is one clique), then `earliest_finish` over the
+rest.  A claw build needs psi and the labelling, and `parameters`
+makes both from one suffix-best table, as `param_report` makes psi, its
+witness and the labelling: one per build, search sample and report.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .graphs import Graph, Record
-from .intervals import CliqueOrdering, greedy_independent
-from .labelling import Labelling, label_vertices, suffix_best
+from .intervals import CliqueOrdering
+from .labelling import Labelling, earliest_finish, label_vertices, suffix_best
 
 
 def ceil_log2(x: int) -> int:
@@ -84,27 +86,10 @@ class ParamReport(Record):
         }
 
 
-def neighborhood_mis(ordering: CliqueOrdering, v: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum independent set size within N(v), with the chosen leaves.
-
-    N(v) is every other vertex whose range meets v's, one scan of the
-    ranges.  Induced subgraphs of interval graphs are interval and
-    inherit the clique ranges, so the earliest-finish greedy is exact
-    here.
-    """
-    lv, rv = ordering.left[v], ordering.right[v]
-    pool = [
-        u for u, (lu, ru) in enumerate(zip(ordering.left, ordering.right))
-        if lu <= rv and lv <= ru and u != v
-    ]
-    leaves = greedy_independent(ordering, pool)
-    return len(leaves), tuple(leaves)
-
-
 def vertex_claws(ordering: CliqueOrdering, best: list[int | None]) -> list[int]:
     """psi(v) for every vertex v: the most independent vertices in N(v),
-    by the chain through `best`, the ordering's suffix-best table (see the
-    module docstring)."""
+    the count of the chain through `best`, the ordering's suffix-best
+    table, whose last pick may lie outside N(v) (see the module docstring)."""
     k, right = ordering.k, ordering.right
     after = [right[u] + 1 for u in best[:k]]
     # |C_j| by a difference array over the ranges
@@ -143,9 +128,9 @@ def param_report(
 
     psi is the largest m with an induced star on m leaves, 0 for edgeless
     graphs.  The witness centre is the lowest-indexed vertex with the
-    largest psi(v), from one `vertex_claws` pass; `neighborhood_mis` runs
-    once, on that centre, for the leaves.  The builders and the search
-    need no witness and read psi off `parameters`."""
+    largest psi(v), from one `vertex_claws` pass; `earliest_finish` walks
+    the chain once more, on that centre, for the leaves.  The builders and
+    the search need no witness and read psi off `parameters`."""
     best = suffix_best(ordering)
     if labelling is None:
         labelling = label_vertices(ordering, best)
@@ -154,5 +139,8 @@ def param_report(
     witness = None
     if psi:
         center = claws.index(psi)
-        witness = StarWitness(center=center, leaves=neighborhood_mis(ordering, center)[1])
+        lc, rc = ordering.left[center], ordering.right[center]
+        first = next(u for u, r in enumerate(ordering.right) if r == lc and u != center)
+        leaves = (first, *earliest_finish(ordering, best, lc + 1, rc))
+        witness = StarWitness(center=center, leaves=leaves)
     return ParamReport(psi=psi, alpha=labelling.alpha, witness=witness)

@@ -1,18 +1,19 @@
 """The claw pass and padding centre choice as they were before the chain
 pass: the earliest-finish greedy on every vertex's neighbourhood, sorted
 anew each time, O(m log n).  Kept as the references for the claw number
-of `params.param_report`, for `params.neighborhood_mis` and for the
-chain-pass centre of `padding_reference.pad_graph`; they read the cliques
-as sets, derived from the ranges by `validators.clique_sets`, where the
-library reads the ranges alone."""
+and witness of `params.param_report`, for each psi(v) of
+`params.vertex_claws` and for the chain-pass centre of
+`padding_reference.pad_graph`; they read the cliques as sets, derived
+from the ranges by `validators.clique_sets`, where the library reads the
+ranges alone."""
 
 from __future__ import annotations
 
-from intervalcubes.intervals import CliqueOrdering, greedy_independent
+from intervalcubes.intervals import CliqueOrdering
 from intervalcubes.params import StarWitness, ceil_log2
 
 from padding_reference import PaddedGraph
-from validators import clique_sets
+from validators import clique_sets, greedy_independent
 
 
 def neighborhood_mis(ordering: CliqueOrdering, v: int, by_left, cliques):

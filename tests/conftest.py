@@ -14,7 +14,6 @@ from intervalcubes import (
     IntervalModel,
     NotIntervalError,
     StarWitness,
-    greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
     non_edges,
@@ -27,7 +26,7 @@ from intervalcubes.generate import DISTRIBUTIONS
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values
 from rational_reference import parse_rational
-from validators import ranges_intersect
+from validators import greedy_independent, ranges_intersect
 
 
 def make_model(pairs) -> IntervalModel:

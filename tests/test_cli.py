@@ -64,6 +64,21 @@ def test_order_and_label(capsys, p3_file):
     assert json.loads(out)["alpha"] == 2
 
 
+def test_json_output_is_written_in_a_few_batches():
+    """Every document is `json.dumps(indent=2, sort_keys=True)` and a
+    newline, written in batches: not held whole, and not one write per
+    encoder chunk, which is a system call each on an unbuffered stdout."""
+    from types import SimpleNamespace
+
+    from intervalcubes.cli import _dump
+
+    writes = []
+    obj = {"cliques": [list(range(j, j + 50)) for j in range(2000)], "k": 2000}
+    _dump(obj, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert 2 < len(writes) <= 5
+
+
 def test_params(capsys, p3_file):
     code, out, _ = run(capsys, "params", p3_file)
     assert code == 0
@@ -149,6 +164,17 @@ def test_exact(capsys, tmp_path):
     code, out, _ = run(capsys, "exact", str(path))
     assert code == 0
     assert json.loads(out)["cubicity"] == 0
+
+
+def test_exact_reports_an_exceeded_bound(capsys, tmp_path):
+    path = tmp_path / "star3.txt"
+    path.write_text("4 3\n0 1\n0 2\n0 3\n")
+    code, out, _ = run(capsys, "exact", str(path), "--max-b", "1")
+    assert code == 0
+    assert out == (
+        '{\n  "b_max": 1,\n  "candidates_enumerated": 18,\n  "cover_nodes": 3,\n'
+        '  "exceeded": true\n}\n'
+    )
 
 
 def test_exact_size_refusal_exit_3(capsys, tmp_path):
@@ -545,6 +571,22 @@ def test_search_reports_a_broken_upper_bound(capsys, tmp_path, monkeypatch):
         assert entry["psi"] == _psi(graph)
         assert entry["bound"] == max(1, best_dimension(entry["psi"], entry["alpha"]))
     assert err == "BUG: 5 instance(s) broke the proven upper bound\n"
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_search_refuses_an_unwritable_destination_before_sampling(
+    capsys, tmp_path, monkeypatch, option
+):
+    def sampling(**kwargs):
+        raise AssertionError("sampled before the destination was checked")
+
+    monkeypatch.setattr(search, "tightness_search", sampling)
+    path = tmp_path / "missing" / "h.csv"
+    argv = ["search", "--count", "3000", "--n-max", "8", "--seed", "1", option, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.startswith("bad input: ")
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize(

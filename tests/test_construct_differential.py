@@ -188,7 +188,7 @@ def test_padding_reference_on_rebuilt_graphs():
 
 
 def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
-    calls = {"psi": 0, "neighborhood": 0, "build": 0, "alpha": 0, "graph": 0}
+    calls = {"psi": 0, "witness": 0, "build": 0, "alpha": 0, "graph": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -198,9 +198,8 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
-    monkeypatch.setattr(
-        params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
-    )
+    # the witness walk, bound in params; the labelling walks its own binding
+    monkeypatch.setattr(params, "earliest_finish", counting("witness", params.earliest_finish))
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
     monkeypatch.setattr(construct, "_build_alpha", counting("alpha", construct._build_alpha))
     monkeypatch.setattr(Graph, "__init__", counting("graph", Graph.__init__))
@@ -210,8 +209,8 @@ def test_build_best_runs_one_claw_pass_and_one_variant(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         build_best(ordering)
         assert calls["graph"] == 0
-        # no greedy on a neighbourhood: the build needs psi, not a witness
-        assert calls["neighborhood"] == 0
+        # no witness walk: the build needs psi, not a witness
+        assert calls["witness"] == 0
         assert calls["psi"] == 1
         # the alpha variant runs the one build on the input itself
         assert calls["build"] <= 1

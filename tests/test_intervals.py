@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from intervalcubes import (
     CliqueOrdering,
     IntervalModel,
-    greedy_independent,
     model_to_clique_ordering,
     model_to_graph,
 )
@@ -164,28 +163,6 @@ def test_model_refuses_deeply_nested_json():
 def test_model_json_rejects_bad_ids():
     with pytest.raises(ValueError):
         IntervalModel.loads('{"intervals": [{"id": 1, "lo": "0", "hi": "1"}]}')
-
-
-def test_greedy_independent_is_maximum():
-    # brute force over vertex subsets on small instances
-    for model in random_models(25, range(2, 10), seed=3):
-        graph, ordering = model_pipeline(model)
-        chosen = greedy_independent(ordering, range(ordering.n))
-        assert all(
-            v not in graph.adj[u]
-            for i, u in enumerate(chosen)
-            for v in chosen[i + 1:]
-        )
-        best = 0
-        for mask in range(1 << graph.n):
-            members = [v for v in range(graph.n) if (mask >> v) & 1]
-            if all(
-                v not in graph.adj[u]
-                for i, u in enumerate(members)
-                for v in members[i + 1:]
-            ):
-                best = max(best, len(members))
-        assert len(chosen) == best
 
 
 def fraction_ranks(pairs):

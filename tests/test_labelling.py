@@ -13,7 +13,7 @@ from conftest import (
     random_models,
     star_model,
 )
-from validators import validate_labelling
+from validators import greedy_independent, validate_labelling
 
 
 def test_p3_hand_trace():
@@ -99,3 +99,25 @@ def test_levels_form_contiguous_range():
         lab = label_vertices(ordering)
         assert sorted(set(lab.levels)) == list(range(lab.alpha))
         assert all(lab.levels[lab.anchors[i]] == i for i in range(lab.alpha))
+
+
+def test_greedy_independent_is_maximum():
+    # brute force over vertex subsets on small instances
+    for model in random_models(25, range(2, 10), seed=3):
+        graph, ordering = model_pipeline(model)
+        chosen = greedy_independent(ordering, range(ordering.n))
+        assert all(
+            v not in graph.adj[u]
+            for i, u in enumerate(chosen)
+            for v in chosen[i + 1:]
+        )
+        best = 0
+        for mask in range(1 << graph.n):
+            members = [v for v in range(graph.n) if (mask >> v) & 1]
+            if all(
+                v not in graph.adj[u]
+                for i, u in enumerate(members)
+                for v in members[i + 1:]
+            ):
+                best = max(best, len(members))
+        assert len(chosen) == best

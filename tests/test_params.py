@@ -3,14 +3,14 @@ from hypothesis import given, settings
 
 from intervalcubes import (
     Graph,
+    StarWitness,
     ceil_log2,
     label_vertices,
-    neighborhood_mis,
     param_report,
     recognize_and_order,
     serialize_graph,
 )
-from intervalcubes.labelling import suffix_best
+from intervalcubes.labelling import earliest_finish, suffix_best
 from intervalcubes.params import vertex_claws
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     claw_number,
     complete_graph,
     interval_models,
+    make_model,
     model_pipeline,
     p3_model,
     pad,
@@ -30,7 +31,7 @@ from conftest import (
 import claw_reference
 from oracle_reference import brute_alpha, brute_claw
 from padding_reference import augment_with_universal, pad_graph
-from validators import clique_sets
+from validators import clique_sets, greedy_independent
 
 
 def test_ceil_log2():
@@ -68,12 +69,18 @@ def test_edgeless_claw_is_zero():
     assert psi == 0 and witness is None
 
 
-def test_neighborhood_mis_examples():
-    graph, ordering = model_pipeline(star_model(4))
-    assert neighborhood_mis(ordering, 0)[0] == 4
-    assert neighborhood_mis(ordering, 1)[0] == 1
-    g3, o3 = model_pipeline(p3_model())
-    assert neighborhood_mis(o3, 1)[0] == 1
+def test_witness_examples():
+    """The leaves are the greedy's picks in N(centre), in order.  In the
+    last model the chain's step after [2, 3] lands on [11, 12], which ends
+    first but lies outside N([0, 10]), where the greedy picks [9, 30]."""
+    cases = (
+        (star_model(4), (1, 2, 3, 4)),
+        (p3_model(), (1, 2)),
+        (make_model([(0, 10), (0, 1), (2, 3), (9, 30), (11, 12), (13, 30)]), (1, 2, 3)),
+    )
+    for model, leaves in cases:
+        witness = param_report(model_pipeline(model)[1]).witness
+        assert witness == StarWitness(center=0, leaves=leaves)
 
 
 def test_independence_number_examples():
@@ -200,17 +207,21 @@ def psi_pass(ordering):
 
 
 def _check_psi_pass(ordering):
-    """The chain pass and the one-scan neighbourhood greedy against the
-    greedy on each neighbourhood listed from its cliques, and the claw
-    number and padding against their per-vertex-greedy references."""
+    """The chain pass against the greedy on each neighbourhood listed from
+    its cliques, the witness walk over each vertex's later cliques against
+    the sorted greedy on the ranges starting there, and the claw number,
+    its witness and the padding against their per-vertex-greedy
+    references."""
     by_left, cliques = ordering.by_left(), clique_sets(ordering)
-    reference = [
-        claw_reference.neighborhood_mis(ordering, v, by_left, cliques)
+    expected = [
+        claw_reference.neighborhood_mis(ordering, v, by_left, cliques)[0]
         for v in range(ordering.n)
     ]
-    assert [neighborhood_mis(ordering, v) for v in range(ordering.n)] == reference
-    expected = [m for m, _ in reference]
     assert psi_pass(ordering) == expected
+    best = suffix_best(ordering)
+    for lv, rv in zip(ordering.left, ordering.right):
+        starts = [u for j in range(lv + 1, rv + 1) for u in by_left[j]]
+        assert earliest_finish(ordering, best, lv + 1, rv) == greedy_independent(ordering, starts)
     assert claw_number(ordering) == claw_reference.claw_number(ordering)
     psi = max(expected, default=0)
     if psi >= 2:

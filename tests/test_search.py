@@ -65,7 +65,7 @@ def test_refused_samples_are_counted_not_fatal():
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     from intervalcubes import construct, labelling, params
 
-    calls = {"psi": 0, "table": 0, "neighborhood": 0, "build": 0}
+    calls = {"psi": 0, "table": 0, "witness": 0, "build": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -79,13 +79,12 @@ def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
     monkeypatch.setattr(labelling, "suffix_best", table)
     monkeypatch.setattr(params, "suffix_best", table)
     monkeypatch.setattr(params, "vertex_claws", counting("psi", params.vertex_claws))
-    monkeypatch.setattr(
-        params, "neighborhood_mis", counting("neighborhood", params.neighborhood_mis)
-    )
+    # the witness walk, bound in params; the labelling walks its own binding
+    monkeypatch.setattr(params, "earliest_finish", counting("witness", params.earliest_finish))
     monkeypatch.setattr(construct, "_build", counting("build", construct._build))
     monkeypatch.setattr(construct, "_build_alpha", counting("build", construct._build_alpha))
     report = tightness_search(count=23, n_max=8, seed=3)
     assert report.graphs_tried + report.oracle_refused == 23
-    # one suffix-best table and one psi pass per sample, and no greedy on
-    # a neighbourhood: the search needs psi, not a witness
-    assert calls == {"psi": 23, "table": 23, "neighborhood": 0, "build": 0}
+    # one suffix-best table and one psi pass per sample, and no witness
+    # walk: the search needs psi, not a witness
+    assert calls == {"psi": 23, "table": 23, "witness": 0, "build": 0}

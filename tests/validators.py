@@ -11,7 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from intervalcubes import CliqueOrdering, Graph, Labelling, greedy_independent
+from intervalcubes import CliqueOrdering, Graph, Labelling
+
+
+def greedy_independent(ordering: CliqueOrdering, vertices) -> list[int]:
+    """Earliest-finish greedy over clique ranges, sorted afresh: a maximum
+    independent set of the subgraph the ordering describes induced on
+    `vertices`.  The reference for the library's suffix-best walk."""
+    chosen: list[int] = []
+    last_right = -1
+    for v in sorted(vertices, key=lambda v: (ordering.right[v], v)):
+        if ordering.left[v] > last_right:
+            chosen.append(v)
+            last_right = ordering.right[v]
+    return chosen
 
 
 def clique_sets(ordering: CliqueOrdering) -> tuple[frozenset[int], ...]:
