@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from itertools import islice
 from types import SimpleNamespace
 
@@ -69,19 +70,17 @@ def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
 
 def _dump(obj, handle):
     """Write `obj` as indented JSON and a newline in batches of encoder
-    chunks: never the whole text, nor a system call per chunk."""
+    chunks: never the whole text, nor a system call per chunk.  Not for
+    `construct`'s representation: `CubeRepresentation.dump` writes that."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
     while batch := "".join(islice(chunks, 1 << 16)):
         handle.write(batch)
     handle.write("\n")
 
 
-def _emit(obj, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            _dump(obj, handle)
-    else:
-        _dump(obj, sys.stdout)
+def _emit(obj, out: str | None, dump=_dump):
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+        dump(obj, handle)
 
 
 def _cmd_recognize(args) -> int:
@@ -137,10 +136,8 @@ def _cmd_construct(args) -> int:
         print("constructed representation failed verification", file=sys.stderr)
         _dump(report.to_json_obj(), sys.stderr)
         return EXIT_VERIFY_FAILED
-    payload = rep.to_json_obj()
-    if args.trace:
-        payload["trace"] = trace.to_json_obj() if trace else None
-    _emit(payload, args.out)
+    extra = {"trace": trace.to_json_obj() if trace else None} if args.trace else None
+    _emit(extra, args.out, lambda extra, handle: rep.dump(handle, extra))
     return EXIT_OK
 
 

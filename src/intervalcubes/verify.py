@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from io import StringIO
+from itertools import islice, repeat
 from math import lcm
 from re import finditer
 
@@ -66,7 +68,8 @@ class CubeRepresentation(Record):
     exactly when every coordinate differs by at most `side`.  The side and
     `coords[i][v]`, vertex v's coordinate in dimension i (one tuple per
     dimension), are ints counting units of 1/`unit`; only the JSON methods
-    make rationals and rows.  dimension == 0 means every pair is adjacent."""
+    make rationals and rows.  dimension == 0 means every pair is adjacent.
+    `dump` writes `construct`'s document; `cli._dump` writes every other."""
 
     __slots__ = ("n", "side", "coords", "unit")
 
@@ -76,17 +79,36 @@ class CubeRepresentation(Record):
 
     def to_json_obj(self) -> dict:
         # few values are distinct, so each is formatted once
-        unit = self.unit
-        text = {x: format_ratio(x, unit) for x in set().union(*self.coords)}
+        text = {x: format_ratio(x, self.unit) for x in set().union(*self.coords)}
         cols = [[text[x] for x in col] for col in self.coords]
         return {
             "dimension": self.dimension,
-            "side": format_ratio(self.side, unit),
+            "side": format_ratio(self.side, self.unit),
             "coords": [list(row) for row in zip(*cols)] if cols else [[] for _ in range(self.n)],
         }
 
+    def dump(self, handle, extra=None) -> None:
+        """Write `to_json_obj` and `extra`'s keys (after "side") laid out as by
+        `json.dumps(indent=2, sort_keys=True)` but each row on one line, and a
+        newline: 4096 rows a write, each distinct value formatted once."""
+        text = {x: f'"{format_ratio(x, self.unit)}"' for x in set().union(*self.coords)}
+        cols = [map(text.__getitem__, col) for col in self.coords]
+        lines = map(", ".join, zip(*cols) if cols else repeat((), self.n))
+        handle.write('{\n  "coords": [')
+        for i, batch in enumerate(iter(lambda: list(islice(lines, 4096)), [])):
+            handle.write(("," if i else "") + "\n    [" + "],\n    [".join(batch) + "]")
+        tail = {"dimension": self.dimension, "side": format_ratio(self.side, self.unit)}
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode({**tail, **(extra or {})})
+        # the tail's text opens with the "{" the head already wrote
+        handle.write(("\n  ]," if self.n else "],") + "".join(islice(chunks, 1 << 16))[1:])
+        while batch := "".join(islice(chunks, 1 << 16)):
+            handle.write(batch)
+        handle.write("\n")
+
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        """The text `dump` writes, less its final newline."""
+        self.dump(buffer := StringIO())
+        return buffer.getvalue()[:-1]
 
     @classmethod
     def from_json_obj(cls, obj) -> "CubeRepresentation":

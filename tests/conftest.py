@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,15 @@ def from_rows(rows, side: int = 1, unit: int = 1) -> CubeRepresentation:
     """The representation written as one coordinate row per vertex, as in
     its JSON form; the record keeps one column per dimension."""
     return CubeRepresentation(len(rows), side, tuple(zip(*rows)), unit)
+
+
+def representation_text(obj: dict) -> str:
+    """The representation document `obj` in its written layout:
+    `json.dumps(indent=2, sort_keys=True)`, except that each row of
+    `coords` is on one line, as `json.dumps` writes it unindented."""
+    rows = ",\n".join("    " + json.dumps(row) for row in obj["coords"])
+    text = json.dumps({**obj, "coords": None}, indent=2, sort_keys=True)
+    return text.replace('"coords": null', f'"coords": [\n{rows}\n  ]' if rows else '"coords": []')
 
 
 def values(rep):

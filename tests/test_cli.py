@@ -79,6 +79,108 @@ def test_json_output_is_written_in_a_few_batches():
     assert 2 < len(writes) <= 5
 
 
+P3_BEST = """{
+  "coords": [
+    ["-1"],
+    ["-1/3"],
+    ["2/3"]
+  ],
+  "dimension": 1,
+  "side": "1"
+}
+"""
+P3_CLAW_TRACE = """{
+  "coords": [
+    ["-3/2", "0", "-3/2"],
+    ["-1/2", "0", "-1/2"],
+    ["1", "1", "-1/2"]
+  ],
+  "dimension": 3,
+  "side": "3/2",
+  "trace": {
+    "bits": [
+      0,
+      1,
+      2
+    ],
+    "branch": [
+      [
+        0,
+        0,
+        1
+      ],
+      [
+        1,
+        1,
+        1
+      ],
+      [
+        0,
+        0,
+        0
+      ]
+    ],
+    "claw": 2,
+    "codes": [
+      2,
+      2,
+      3
+    ],
+    "levels": [
+      0,
+      0,
+      1
+    ],
+    "power": 1,
+    "scale": [
+      "0",
+      "1"
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (("--variant", "best", "--normalize"), P3_BEST),
+    (("--variant", "claw", "--trace"), P3_CLAW_TRACE),
+], ids=["best", "claw-trace"])
+def test_representation_is_written_one_vertex_per_line(capsys, p3_file, flags, expected):
+    """A representation's rows are one line each, `json.dumps`'s unindented
+    list; the keys and the trace keep the indented layout of every other
+    document."""
+    assert run(capsys, "construct", p3_file, *flags) == (0, expected, "")
+
+
+def test_representation_is_written_in_a_few_batches():
+    """The rows reach the handle a few thousand at a time: not one write
+    per row, a system call each on an unbuffered stdout, nor one string of
+    the whole document."""
+    from types import SimpleNamespace
+
+    from conftest import representation_text
+
+    n = 10**4
+    rep = CubeRepresentation(n, 3, (tuple(range(n)), tuple(range(0, -n, -1))), 2)
+    writes = []
+    rep.dump(SimpleNamespace(write=writes.append))
+    assert "".join(writes) == representation_text(rep.to_json_obj()) + "\n"
+    assert 2 < len(writes) <= 8 and max(map(len, writes)) < len("".join(writes)) / 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--variant", "best", "--normalize"), ("--variant", "claw", "--trace"), ("--variant", "alpha"),
+], ids=["best", "claw-trace", "alpha"])
+def test_construct_writes_the_same_bytes_to_stdout_and_out(capsys, tmp_path, flags):
+    path = tmp_path / "model.json"
+    path.write_text(random_interval_model(GenConfig(200, 1, "unit-jitter")).dumps())
+    code, out, _ = run(capsys, "construct", str(path), *flags)
+    assert code == 0
+    assert run(capsys, "construct", str(path), *flags, "--out", str(tmp_path / "rep.json"))[0] == 0
+    assert (tmp_path / "rep.json").read_text(encoding="utf-8") == out
+    # "{", '  "coords": [', then the rows, one line each
+    assert out.split("\n")[202] == "  ],"
+
 def test_params(capsys, p3_file):
     code, out, _ = run(capsys, "params", p3_file)
     assert code == 0

@@ -36,75 +36,75 @@ TEXTS = {
 # (input, variant) -> (construct stdout, verify stdout), both exit 0
 DIGESTS = {
     ("uniform", "best"): (
-        "42d7c43ed8ae7e757de3efe847a46f868949631943df0810258be1315cf68af4",
+        "a530cb6641349ccce5b5bd3e9bea463a3378a58bd13d46d172ab0b7ea7ec5775",
         "29ee56a0d50d59d9a6f11888570203787a863b053db32a09a210c5e5c738c80c",
     ),
     ("uniform", "claw"): (
-        "553bedd33606b140ddd4255fd124188171bf7334739ccfbdc822c27660ebf364",
+        "9522410f03b0ecc9bc6fbe55edae5e55905a140fb10e2b4f3aa37e4b82fb00a7",
         "a89f1344875de5b8d1ad92a0e6bd3ae321e7c3ecc183dc42ea38f4f33312e449",
     ),
     ("uniform", "alpha"): (
-        "7536072f729cf5668ccf1b0e46936fa4aa31d9d982136d673184480689afad6a",
+        "f7427644bbead6bb416f5501f039299ad0d5b85b769788e64e55ce0517b1f164",
         "29ee56a0d50d59d9a6f11888570203787a863b053db32a09a210c5e5c738c80c",
     ),
     ("unit-jitter", "best"): (
-        "bc729a19aa6b8e3566110eea08f5b9afc6300086eaa6f5456628484ab8ad1e82",
+        "6ad4f8e0406b767482c0c19e02e322cd87bdc0bd8bc70fa7463079b77bffe25d",
         "14816acf2db5c63ade6bdec96779836f13bc164a32c0f0b9eae4b9fb365c2d99",
     ),
     ("unit-jitter", "claw"): (
-        "3b5c07c68580d92f3aa84b5f2902da36706eaccc37fdad2fdfb9fae2adf538b5",
+        "4e51ad2efdf70ef96f86d66f9f36466eacab689a48e26c92c4b390d3a91bd5ca",
         "14816acf2db5c63ade6bdec96779836f13bc164a32c0f0b9eae4b9fb365c2d99",
     ),
     ("unit-jitter", "alpha"): (
-        "ad40d311e066eb3fa0c3b66e89f750a63efdc70b1b37d79b5cb5405a3f9991f1",
+        "342cba8ecdd8c2989e2a8eaa980aa8a9bcaa73aa1328cde681853a165ecfe95a",
         "80eec60457b903c5fc4703c6fc0b68505d9948f21ee4bd1e82119355edf7f401",
     ),
     ("nested-heavy", "best"): (
-        "10d025adce6c40be04ed5a859aa5f690aef4857db371e661c4f253599af5153e",
+        "235d56c3acc74483373d54749465b1f2a94779aeb7ca63efd826854f2ef859bd",
         "086353899da657ea03c0b3f85a5414d1f39bc52dbaedcd614ad72c3198b66284",
     ),
     ("nested-heavy", "claw"): (
-        "b9f8649dfc002e28389df63d97c021409de51454cb8b5660f04aa418dadd97db",
+        "a6610f9163ab68f2b7138641edc7a15ec020940f808b0fbce1b11c13e5c5d824",
         "37214c2dc81a05fcc4ddac25b5f4bbc5069a3bf8d7d9c4111482044ac24f9167",
     ),
     ("nested-heavy", "alpha"): (
-        "732180a3ae631076794ce8c65af6796a07877f19bd6647ad3c0c29b6e08270e9",
+        "6b3019fffc353d47209b1a52583a3ee79477fc5b4138ce2d1182fa799acbe8cd",
         "086353899da657ea03c0b3f85a5414d1f39bc52dbaedcd614ad72c3198b66284",
     ),
     ("path12", "best"): (
-        "90ab0c6c9a3db4b482c5d458e55857054b92326ff1591cbc6a17dba30ae76965",
+        "c10cd26ccf864ecef92ee622e651db3cfc581630ea0e2ad619a0f44760486ed9",
         "d9e78e627dbb7e4253c9f1e8d9372c2af250596c91351f556b659eeda592d827",
     ),
     ("path12", "claw"): (
-        "08269c8e2a209ad259fac524c9f338e3fd794ba3325f1adf42ed28b526882b92",
+        "ba372b0fe91e1b1fab1e62402e5517240b5079115a43635ad4796ab5aa742e21",
         "2a1a9eacafbc5cf95523f9ecd48fbf37888badd38dd8bfbe3c7c2b435f796a4e",
     ),
     ("path12", "alpha"): (
-        "47a51cb8aab01ffa17981ce9972752f9e106122c8ef5c5f734f56d2ab0b0e2bd",
+        "c18a6299ecdd040018f7c8d1f4c468db5ddb8f230ca3afaba2dd73a5bd72fc49",
         "d9e78e627dbb7e4253c9f1e8d9372c2af250596c91351f556b659eeda592d827",
     ),
     ("star5", "best"): (
-        "d6cce18893ab820677380ec17307ff26987d7f7805e4ae060331ff2ae0b88689",
+        "c68e8d0e7022af3d3e8ed9ba0ab78d713acd015ffa6781655a2f8a1ab54169be",
         "7004aadb67455a5baee7c3291e28bfe606569f9a03f424b5e22af38ae568eef5",
     ),
     ("star5", "claw"): (
-        "7b738143c88ce68fbde15309a1da1db09e85ec45a6e6a7bcac6a41024a4ae5a3",
+        "0d35f5ee003a32d3e35e2c00d0a7322053132fd9b25a3624121c271c3d55c81e",
         "7700e6dbd448606a16e2127f83688398bf1372e61465900921a60322169f8237",
     ),
     ("star5", "alpha"): (
-        "c0aa2b28fbd06b227fc310fc126bf00b329a1642eac27d8cfe3b8ed41a4aa9ff",
+        "f96005056be6124fe3dca97120e4440622a6a03dca7c5eb29647e191022af26d",
         "7004aadb67455a5baee7c3291e28bfe606569f9a03f424b5e22af38ae568eef5",
     ),
     ("triangles", "best"): (
-        "de9fb52df42dc60947017ce87f45d898f3cfead7f9dc6fc67b7bfdaf97e600b2",
+        "fda386fe16e8bc309431ea2fdc726fcc5e64280384070018fdb9d24900e581bf",
         "1a05cf0c83ed635caa95e4545eb8eb27e4ae1e8d48863921e234eafbb6e6975b",
     ),
     ("triangles", "claw"): (
-        "30bf87bf7faff96334e4a16a1c79a30b2812d14ae1750ce0b7efb33da61c1398",
+        "c4765bfbfece722347bf814dfc4ab503a4a58f2bd91c0d6820ad7cc2189503be",
         "1a05cf0c83ed635caa95e4545eb8eb27e4ae1e8d48863921e234eafbb6e6975b",
     ),
     ("triangles", "alpha"): (
-        "946ec1acaa483752b958320ef11ac7484389ad72470c72b87cf294ace5e9af60",
+        "599fc1a96d61c3cd005df848b199ac1196706bdad14a3e891575c7af9f1ee346",
         "1a05cf0c83ed635caa95e4545eb8eb27e4ae1e8d48863921e234eafbb6e6975b",
     ),
     ("k4", "best"): (

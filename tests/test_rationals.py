@@ -5,7 +5,6 @@ reference raises, wherever every supported Python's `Fraction` reads the
 text alike; `format_ratio` gives the text `str` of the `Fraction` gives,
 on generated and hostile input."""
 
-import json
 import re
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from intervalcubes import (
 )
 from intervalcubes.rationals import format_ratio, parse_ratio
 
-from conftest import from_rows, interval_models
+from conftest import from_rows, interval_models, representation_text
 from rational_reference import parse_rational
 from rational_table import HOSTILE, TABLE, refusal
 
@@ -223,7 +222,8 @@ def test_representation_text_matches_fraction_text_on_generated_models():
 @given(st.data())
 def test_repeated_coordinates_write_as_each_alone(data):
     """Each distinct value is formatted once per document; the text is
-    byte for byte what formatting every coordinate on its own gives."""
+    byte for byte what formatting every coordinate on its own gives, in
+    the one-row-per-line layout."""
     d = data.draw(st.integers(1, 3))
     unit = data.draw(st.integers(1, 60))
     pool = data.draw(st.lists(st.integers(-(10**15), 10**15), min_size=1, max_size=4))
@@ -236,7 +236,7 @@ def test_repeated_coordinates_write_as_each_alone(data):
         "side": format_ratio(side, unit),
         "coords": [[format_ratio(x, unit) for x in row] for row in coords],
     }
-    assert rep.dumps() == json.dumps(alone, indent=2, sort_keys=True)
+    assert rep.dumps() == representation_text(alone)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcubes import (
     CliqueOrdering,
@@ -23,6 +25,7 @@ from conftest import (
     model_pipeline,
     p3_model,
     random_models,
+    representation_text,
     star_model,
 )
 from validators import check_trace, complete_dimensions
@@ -81,7 +84,23 @@ def test_zero_dimensions_keep_the_vertex_count():
     text = '{"dimension": 0, "side": "1", "coords": [[], [], []]}'
     rep = CubeRepresentation.loads(text)
     assert (rep.n, rep.dimension, rep.coords) == (3, 0, ())
-    assert rep.dumps() == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert rep.dumps() == representation_text(json.loads(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_written_layout_reads_back(data):
+    """The one-row-per-line text is the JSON of `to_json_obj` and loads back
+    as the same record, with no vertices, no dimensions, negative values,
+    values of 10^15 and repeated values."""
+    n, d = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))
+    pool = data.draw(st.lists(st.sampled_from([-(10**15), -7, -1, 0, 1, 3, 10**15]), min_size=1))
+    rows = [tuple(data.draw(st.sampled_from(pool)) for _ in range(d)) for _ in range(n)]
+    rep = CubeRepresentation(n, data.draw(st.sampled_from([1, 2, 10**15])), tuple(zip(*rows)), 1)
+    text = rep.dumps()
+    assert json.loads(text) == rep.to_json_obj()
+    assert text == representation_text(rep.to_json_obj())
+    assert CubeRepresentation.loads(text) == rep
 
 
 def test_zero_dimensions_verify_without_quadratic_masks():
