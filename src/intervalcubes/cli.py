@@ -3,10 +3,14 @@
 Graph inputs are edge-list text files; any input that looks like JSON is
 treated as an interval model, so `gen` output pipes straight into the
 other subcommands.  An edge list gets its clique ordering from
-recognition.  A model gets it from its endpoint sweep, without
-recognition.  `construct` and `verify` check a model's representation
-against the model itself, and `params` reads only the ordering, so a
-model's graph is built only for `exact`, within the oracle's bound.
+recognition, and its `Graph` is dropped once recognition returns.  A
+model gets its ordering from its endpoint sweep, without recognition.
+`construct` checks its representation against ranges: a model's endpoint
+ranks, or an edge list's clique ranges, which recognition certified
+against the graph's edges.  Only `verify`, which takes any graph, and
+`exact` read a `Graph` past loading; a model's graph is built only for
+`exact`, within the oracle's bound.  Every `--out` and `--csv`
+destination is checked before any input is read.
 
 Each command imports the modules it runs when it runs, and only edge-list
 input loads recognition; what every command needs (the parsers, limits,
@@ -24,6 +28,7 @@ Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -56,16 +61,18 @@ def _read_input(path: str, refuse=None) -> Graph | IntervalModel:
     return parse_graph(text, refuse)
 
 
-def _load(path: str) -> tuple[Graph | IntervalModel, CliqueOrdering]:
-    """The parsed input and a clique ordering: a model's from its sweep, an
-    edge list's from recognition, which raises NotIntervalError for a
-    graph that is not an interval graph."""
+def _load(path: str) -> tuple[IntervalModel | CliqueOrdering, CliqueOrdering]:
+    """The ranges a representation of the input is checked against, and a
+    clique ordering: for a model, the model and its sweep's ordering; for
+    an edge list, recognition's ordering twice, so the `Graph` is dropped
+    here.  Recognition raises NotIntervalError for a graph that is not an
+    interval graph."""
     source = _read_input(path)
     if isinstance(source, IntervalModel):
         return source, model_to_clique_ordering(source)
     from .recognition import recognize_and_order
 
-    return source, recognize_and_order(source)
+    return (recognize_and_order(source),) * 2
 
 
 def _dump(obj, handle):
@@ -121,7 +128,7 @@ def _cmd_construct(args) -> int:
     )
     from .verify import verify_representation
 
-    source, ordering = _load(args.graph)
+    ranges, ordering = _load(args.graph)
     trace = None
     if args.variant == "claw":
         rep, trace = build_representation(ordering)
@@ -131,7 +138,7 @@ def _cmd_construct(args) -> int:
         rep = build_best(ordering)
     if args.normalize:
         rep = normalize_unit(rep)
-    report = verify_representation(source, rep)
+    report = verify_representation(ranges, rep)
     if not report.ok:
         print("constructed representation failed verification", file=sys.stderr)
         _dump(report.to_json_obj(), sys.stderr)
@@ -174,8 +181,6 @@ def _cmd_gen(args) -> int:
 def _cmd_search(args) -> int:
     from .search import histogram_csv, tightness_search
 
-    for path in filter(None, (args.out, args.csv)):
-        open(path, "a", encoding="utf-8").close()  # refuse an unwritable one before sampling
     report = tightness_search(count=args.count, n_max=args.n_max, seed=args.seed)
     if report.counterexamples:
         print(f"FOUND {len(report.counterexamples)} candidate counterexample(s) with cubicity "
@@ -184,8 +189,7 @@ def _cmd_search(args) -> int:
         print(f"BUG: {len(report.bound_violations)} instance(s) broke the proven upper bound",
               file=sys.stderr)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(histogram_csv(report))
+        _emit(report, args.csv, lambda report, handle: handle.write(histogram_csv(report)))
     _emit(report.to_json_obj(), args.out)
     return EXIT_OK
 
@@ -195,7 +199,7 @@ def _cmd_search(args) -> int:
 _OUT = ("--out", {"help": "write output to a file instead of stdout"})
 _COMMANDS = {
     "recognize": (_cmd_recognize, "test whether a graph is an interval graph", ("graph",), ()),
-    "order": (_cmd_order, "emit a consecutive clique ordering", ("graph",), ()),
+    "order": (_cmd_order, "emit a consecutive clique ordering as vertex ranges", ("graph",), ()),
     "label": (_cmd_label, "emit vertex levels and anchors", ("graph",), ()),
     "params": (_cmd_params, "claw number, independence number, lower bound", ("graph",), ()),
     "construct": (_cmd_construct, "build a cube representation", ("graph",), (
@@ -298,6 +302,12 @@ def main(argv=None) -> int:
         if _misuse(args):
             args.error(_misuse(args))
     try:
+        # each destination is checked before any input is read, neither created
+        # nor opened: a failing command leaves no file, and a pipe is opened once
+        for path in filter(None, (args.out, getattr(args, "csv", None))):
+            where = path if os.path.exists(path) else os.path.dirname(path) or "."
+            if not os.access(where, os.W_OK):
+                raise OSError(f"cannot write {path!r}")
         return args.func(args)
     except (NotIntervalError, SizeRefusalError) as exc:
         print(str(exc), file=sys.stderr)

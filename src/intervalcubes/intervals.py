@@ -4,10 +4,11 @@ An interval graph's maximal cliques can be linearly ordered so that the
 cliques containing any one vertex are consecutive.  The CliqueOrdering
 type is that witness, kept as each vertex's leftmost and rightmost clique
 index alone: clique C_j is every vertex whose range holds j, so no
-clique list is stored.  Everything downstream (labelling, coordinate
-construction) consumes orderings, not raw models.  A model is ranked once,
-when it is made, so the sweep, `model_to_graph` and the verifier compare
-small ints, and neither loading nor ranking builds a Fraction.
+clique list is stored or written.  Everything downstream (labelling,
+coordinate construction) consumes orderings, not raw models.  A model is
+ranked once, when it is made, so the sweep, `model_to_graph` and the
+verifier compare small ints, and neither loading nor ranking builds a
+Fraction.
 """
 
 from __future__ import annotations
@@ -125,11 +126,8 @@ class CliqueOrdering(Record):
         return groups
 
     def to_json_obj(self) -> dict:
-        cliques: list[list[int]] = [[] for _ in range(self.k)]
-        for v, (lv, rv) in enumerate(zip(self.left, self.right)):
-            for j in range(lv, rv + 1):
-                cliques[j].append(v)
-        return {"cliques": cliques, "left": list(self.left), "right": list(self.right)}
+        """The fields alone: C_j is every vertex v with left[v] <= j <= right[v]."""
+        return {"k": self.k, "left": list(self.left), "right": list(self.right)}
 
 
 def model_to_graph(model: IntervalModel) -> Graph:

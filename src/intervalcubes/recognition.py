@@ -29,6 +29,14 @@ earlier neighbours, cliques and pending pivots are int lists too.  One
 pass over the arranged cliques reads each vertex's first and last clique
 index and checks that its cliques are consecutive; the returned
 `CliqueOrdering` holds those ranges alone.
+
+Before it is returned, the ordering is checked against the input graph
+in O(n + m) (`_check_ordering_sanity`): its ranges, read as closed
+intervals, meet on exactly the graph's edges.  That makes the ordering a
+certificate, in the sense of McConnell, Mehlhorn, Näher & Schweitzer
+("Certifying algorithms", Computer Science Review 5, 2011): past
+recognition the ranges stand for the graph, and `construct` verifies its
+representation of an edge list against them.
 """
 
 from __future__ import annotations
@@ -233,13 +241,15 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering:
 
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
-    """Cheap canaries in O(n + m); the full validator, `validate_ordering`,
-    is a test oracle in tests/validators.py.  That every vertex's cliques
-    are consecutive is checked where the ranges are made, in
-    `recognize_and_order`.
-
-    Every edge's ranges meet, and exactly m pairs of ranges meet, so the
-    ranges describe the graph's edges and nothing else.
+    """ConstructionError unless the ranges meet on exactly the graph's
+    edges, found in O(n + m): every edge's ranges meet, and exactly m
+    pairs of ranges meet, so the pairs that meet are the edges.  Both
+    halves read the input graph, not recognition's own data, so the
+    ranges are then a certified interval model of the graph, and a
+    representation verified against them is verified against the graph.
+    The full validator, `validate_ordering`, is a test oracle in
+    tests/validators.py; that every vertex's cliques are consecutive is
+    checked where the ranges are made, in `recognize_and_order`.
     """
     n, left, right = graph.n, ordering.left, ordering.right
     # u's own ends are read once per adjacency row, not once per edge

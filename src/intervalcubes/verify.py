@@ -3,19 +3,22 @@ against graphs.  The `verify` command loads only this module and the
 graph, model and rational parsers.
 
 The verifier trusts nothing from the construction: it reads adjacency
-off the graph, or off an interval model's endpoint ranks, made from the
-endpoint values when the model was (closed intervals that meet are
-adjacent), and compares it against max-norm geometry only.  It never
-reads a clique ordering, so a model is checked independently of the
-sweep that built its representation.  Side and coordinates are integers
-on one grid, so every comparison is exact.
+off the graph, or off ranges, and compares it against max-norm geometry
+only.  Ranges are closed intervals of ints, adjacent when they meet: an
+interval model's endpoint ranks, made from the endpoint values when the
+model was, or a clique ordering's per-vertex ranges [left, right].  A
+model is checked against its endpoints, never against the sweep that
+built its representation.  An ordering stands for a graph once
+recognition has certified it against the graph's edges (see
+`verify_representation`).  Side and coordinates are integers on one
+grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
-order: by index for a graph, and by left end for a model, whose columns
+order: by index for a graph, and by left end for ranges, whose columns
 are permuted into that order.  Each vertex's earlier non-neighbours are
-one int bitmask: for a model, the intervals that closed before it
-opened, a prefix of the order by right end; for a graph, the complement
-of its adjacency.  Each column is sorted once, and a window of width
+one int bitmask: for ranges, those that closed before it opened, a
+prefix of the order by right end; for a graph, the complement of its
+adjacency.  Each column is sorted once, and a window of width
 `side` slides along it (Bentley, Stanat and Williams 1977), counting the
 pairs near there; P is that count in the dimension with the fewest.
 Then one of two paths checks the pairs.
@@ -29,7 +32,7 @@ Then one of two paths checks the pairs.
   the input, and 2·n masks of n²/8 bytes in all: 12.5 MB at n = 10^4,
   but 125 GB at `MAX_VERTICES`.
 - Window.  The edges are listed, from a graph's adjacency or by
-  bisecting a model's sorted left ends, and each dimension keeps those
+  bisecting the ranges' sorted left ends, and each dimension keeps those
   that are too long there; the window over the sparsest dimension then
   walks its P pairs for the non-edges near in every dimension.  That is
   one Python step per pair, and per edge and dimension:
@@ -54,7 +57,7 @@ from math import lcm
 from re import finditer
 
 from .graphs import Graph, Record
-from .intervals import IntervalModel, read_json
+from .intervals import CliqueOrdering, IntervalModel, read_json
 from .rationals import format_ratio, parse_ratio
 
 # A document's values go onto the lcm of their denominators, which grows
@@ -166,24 +169,33 @@ class VerificationReport(Record):
         }
 
 
-def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationReport:
+def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) -> VerificationReport:
     """Check that adjacent pairs stay within the side in every dimension and
     non-adjacent pairs exceed it somewhere, by the path the module
     docstring describes; ValueError unless `rep` has one coordinate per
-    vertex of `graph`, a `Graph` or an `IntervalModel`, in every column.
-    `dimension_stats[i]` is the non-edges separated in dimension i.  With
-    dimension 0 every pair counts as adjacent, so every non-edge is
-    reported.  Lists are in lexicographic order."""
+    vertex of `graph` in every column.  `graph` is a `Graph`, or ranges:
+    an `IntervalModel`'s (lo, hi) or a `CliqueOrdering`'s (left, right),
+    read alike.  `dimension_stats[i]` is the non-edges separated in
+    dimension i.  With dimension 0 every pair counts as adjacent, so every
+    non-edge is reported.  Lists are in lexicographic order.
+
+    Checking against an ordering from `recognize_and_order` is checking
+    against its input graph, exactly: recognition's certificate check
+    (`_check_ordering_sanity`) found that every edge's ranges meet and
+    that exactly m pairs of ranges meet, so the pairs that meet are the
+    edges, and the reports are equal."""
     n = graph.n
     if rep.n != n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {n}")
     if any(len(col) != n for col in rep.coords):
         raise ValueError(f"every column must hold {n} coordinates")
     side, cols, d = rep.side, rep.coords, rep.dimension
-    model = isinstance(graph, IntervalModel)
-    if model:
-        seq = sorted(range(n), key=graph.lo.__getitem__)
-        lo, hi = [graph.lo[v] for v in seq], [graph.hi[v] for v in seq]
+    ranged = not isinstance(graph, Graph)
+    if ranged:
+        ordering = isinstance(graph, CliqueOrdering)
+        left, right = (graph.left, graph.right) if ordering else (graph.lo, graph.hi)
+        seq = sorted(range(n), key=left.__getitem__)
+        lo, hi = [left[v] for v in seq], [right[v] for v in seq]
         # position p meets the later positions up to the last start within hi[p]
         m = sum(bisect_right(lo, h) for h in hi) - n * (n + 1) // 2
         cols = [[col[v] for v in seq] for col in cols]
@@ -194,14 +206,14 @@ def verify_representation(graph: Graph | IntervalModel, rep) -> VerificationRepo
     near = [sum(j - s for j, s in enumerate(starts)) for _, starts in windows]
 
     if not d or _masks_pay(min(near), m, d, n):
-        if model:
+        if ranged:
             non = _closed_before(lo, hi)
         else:
             adj = graph.adj
             non = [((1 << v) - 1) ^ sum(1 << u for u in adj[v] if u < v) for v in range(n)]
         adjacency, separation, stats = _by_masks(non, cols, windows, side)
     else:
-        if model:
+        if ranged:
             edges = [(p, q) for p in range(n) for q in range(p + 1, bisect_right(lo, hi[p]))]
 
             def apart(v, us):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -250,3 +251,40 @@ def range_graph(ordering) -> Graph:
 @pytest.fixture
 def p3():
     return path_graph(3)
+
+
+def relabelled(graph: Graph, perm) -> Graph:
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+@st.composite
+def relabelled_model_graphs(draw):
+    model = draw(interval_models())
+    graph = model_to_graph(model)
+    return relabelled(graph, draw(st.permutations(range(graph.n))))
+
+
+@st.composite
+def chordal_graphs(draw):
+    """Each new vertex joins part of a clique already there: an earlier
+    vertex u and some of the neighbours u joined.  Every vertex is then
+    simplicial when added, so the graph is chordal; then relabelled."""
+    n = draw(st.integers(1, 30))
+    joined: list[list[int]] = []
+    edges = []
+    for v in range(n):
+        clique = []
+        if v and draw(st.booleans()):
+            u = draw(st.integers(0, v - 1))
+            clique = [w for w in [u, *joined[u]] if draw(st.booleans())]
+        joined.append(clique)
+        edges += [(w, v) for w in clique]
+    return relabelled(Graph(n, edges), draw(st.permutations(range(n))))
+
+
+@st.composite
+def dense_graphs(draw):
+    n = draw(st.integers(1, 16))
+    pairs = list(itertools.combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=max(1, len(pairs) // 5))) if pairs else set()
+    return Graph(n, [p for p in pairs if p not in missing])

@@ -1,8 +1,10 @@
 import json
+import weakref
 
 import pytest
 
 from intervalcubes import (
+    CliqueOrdering,
     CubeRepresentation,
     GenConfig,
     model_to_graph,
@@ -10,7 +12,9 @@ from intervalcubes import (
     random_interval_model,
     serialize_graph,
 )
-from intervalcubes import construct, generate, graphs, intervals, oracle, recognition, search, verify
+from intervalcubes import (
+    cli, construct, generate, graphs, intervals, oracle, recognition, search, verify,
+)
 from intervalcubes.cli import main
 from intervalcubes.generate import DISTRIBUTIONS
 from intervalcubes.params import best_dimension, ceil_log2, parameters
@@ -57,8 +61,7 @@ def test_recognize_non_interval_exit_1(capsys, c4_file):
 def test_order_and_label(capsys, p3_file):
     code, out, _ = run(capsys, "order", p3_file)
     assert code == 0
-    obj = json.loads(out)
-    assert len(obj["cliques"]) == 2
+    assert json.loads(out) == {"k": 2, "left": [0, 0, 1], "right": [0, 1, 1]}
     code, out, _ = run(capsys, "label", p3_file)
     assert code == 0
     assert json.loads(out)["alpha"] == 2
@@ -194,7 +197,7 @@ def test_empty_graph_accepted(capsys, tmp_path, text):
     path.write_text(text)
     expected = {
         "recognize": {"interval": True, "cliques": 0},
-        "order": {"cliques": [], "left": [], "right": []},
+        "order": {"k": 0, "left": [], "right": []},
         "label": {"levels": [], "anchors": [], "alpha": 0},
         "params": {"psi": 0, "alpha": 0, "lower_bound": 0, "witness": None},
     }
@@ -258,6 +261,71 @@ def test_verify_failure_exit_2(capsys, tmp_path, p3_file):
     code, out, _ = run(capsys, "verify", p3_file, str(rep_path))
     assert code == 2
     assert json.loads(out)["missing_separation"] == [[0, 2]]
+
+
+def test_verify_reads_any_graph_without_recognition(capsys, tmp_path, c4_file):
+    """C_4 is not an interval graph (recognition would exit 1), yet
+    `verify` checks a representation of it against its adjacency."""
+    rep = {"dimension": 2, "side": "1", "coords": [[0, 1], [1, 0], [0, -1], [-1, 0]]}
+    rep_path = tmp_path / "c4.rep.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out, _ = run(capsys, "verify", c4_file, str(rep_path))
+    assert code == 0 and json.loads(out)["ok"] is True
+    rep["coords"][0] = [-5, 0]
+    rep_path.write_text(json.dumps(rep))
+    code, out, _ = run(capsys, "verify", c4_file, str(rep_path))
+    assert code == 2
+    assert json.loads(out)["missing_adjacency"] == [[0, 1], [0, 3]]
+
+
+def test_construct_verifies_an_edge_list_against_its_recognized_ordering(
+    capsys, monkeypatch, p3_file
+):
+    """The verifier gets the CliqueOrdering recognition returned, and the
+    parsed Graph is unreachable before the builder runs."""
+
+    class WatchedGraph(graphs.Graph):
+        """A Graph that takes weak references, its fields set directly,
+        since a Record's fields are its class's own slots."""
+
+        __slots__ = ("__weakref__",)
+
+    seen, parse = {}, cli.parse_graph
+
+    def parse_watched(text, refuse=None):
+        watched = object.__new__(WatchedGraph)
+        for name, value in zip(graphs.Graph.__slots__, parse(text, refuse)._values()):
+            object.__setattr__(watched, name, value)
+        seen["graph"] = weakref.ref(watched)
+        return watched
+
+    recognize, build, check = (
+        recognition.recognize_and_order, construct.build_best, verify.verify_representation
+    )
+
+    def recognized(graph):
+        seen["parsed"] = type(graph)
+        seen["ordering"] = recognize(graph)
+        return seen["ordering"]
+
+    def built(ordering):
+        seen["graph alive at build"] = seen["graph"]() is not None
+        seen["built from"] = ordering
+        return build(ordering)
+
+    def verified(ranges, rep):
+        seen["verified against"] = ranges
+        return check(ranges, rep)
+
+    monkeypatch.setattr(cli, "parse_graph", parse_watched)
+    monkeypatch.setattr(recognition, "recognize_and_order", recognized)
+    monkeypatch.setattr(construct, "build_best", built)
+    monkeypatch.setattr(verify, "verify_representation", verified)
+    code, _, _ = run(capsys, "construct", p3_file, "--variant", "best")
+    assert code == 0
+    assert seen["parsed"] is WatchedGraph and seen["graph alive at build"] is False
+    assert isinstance(seen["ordering"], CliqueOrdering)
+    assert seen["built from"] is seen["verified against"] is seen["ordering"]
 
 
 def test_exact(capsys, tmp_path):
@@ -559,7 +627,7 @@ def test_model_input_skips_recognition(capsys, tmp_path, monkeypatch):
     """Model JSON takes its ordering from the endpoint sweep, so the route
     may pick other cliques and coordinates than the edge list of the same
     graph, but every parameter, dimension, verdict and exit code agrees.
-    The commands that read no graph never build one."""
+    No command here builds the model's graph."""
     models = {f"gen-{seed}": random_interval_model(GenConfig(12, seed, dist))
               for seed, dist in enumerate(DISTRIBUTIONS)}
     models["star"] = star_model(5)
@@ -581,8 +649,7 @@ def test_model_input_skips_recognition(capsys, tmp_path, monkeypatch):
             code, edge_out, _ = run(capsys, *command, edges_path)
             with monkeypatch.context() as patch:
                 patch.setattr(recognition, "recognize_and_order", refuse)
-                if command[0] in ("recognize", "order", "label"):
-                    patch.setattr(intervals, "model_to_graph", no_graph)
+                patch.setattr(intervals, "model_to_graph", no_graph)
                 model_code, model_out, _ = run(capsys, *command, model_path)
             assert model_code == code == 0
             edge_obj, model_obj = json.loads(edge_out), json.loads(model_out)
@@ -590,7 +657,7 @@ def test_model_input_skips_recognition(capsys, tmp_path, monkeypatch):
                 assert model_obj.get("alpha") == edge_obj.get("alpha")
                 assert model_obj.get("cliques") == edge_obj.get("cliques")
             elif command[0] == "order":
-                assert len(model_obj["cliques"]) == len(edge_obj["cliques"])
+                assert model_obj["k"] == edge_obj["k"]
             elif command[0] == "params":
                 for key in ("psi", "alpha", "lower_bound"):
                     assert model_obj[key] == edge_obj[key]
@@ -675,20 +742,52 @@ def test_search_reports_a_broken_upper_bound(capsys, tmp_path, monkeypatch):
     assert err == "BUG: 5 instance(s) broke the proven upper bound\n"
 
 
-@pytest.mark.parametrize("option", ["--out", "--csv"])
-def test_search_refuses_an_unwritable_destination_before_sampling(
-    capsys, tmp_path, monkeypatch, option
-):
-    def sampling(**kwargs):
-        raise AssertionError("sampled before the destination was checked")
+# each command's arguments, with GRAPH for an input and DEST for a
+# destination; one given none writes to --out
+UNWRITABLE = {
+    "recognize": ["GRAPH"],
+    "order": ["GRAPH"],
+    "label": ["GRAPH"],
+    "params": ["GRAPH"],
+    "construct": ["GRAPH", "--variant", "best"],
+    "verify": ["GRAPH", "GRAPH"],
+    "exact": ["GRAPH"],
+    "gen": ["--n", "1000000"],
+    "search --out": ["--count", "3000", "--n-max", "8", "--seed", "1"],
+    "search --csv": ["--count", "3000", "--n-max", "8", "--seed", "1", "--csv", "DEST"],
+}
 
-    monkeypatch.setattr(search, "tightness_search", sampling)
-    path = tmp_path / "missing" / "h.csv"
-    argv = ["search", "--count", "3000", "--n-max", "8", "--seed", "1", option, str(path)]
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_every_command_refuses_an_unwritable_destination_before_its_work(
+    capsys, tmp_path, monkeypatch, p3_file, case
+):
+    """Each destination is checked before any input is read or any sample
+    drawn, and is neither created nor opened."""
+    def working(*args, **kwargs):
+        raise AssertionError("started the work before the destination was checked")
+
+    for module, name in ((cli, "_read_text"), (generate, "random_interval_model"),
+                         (search, "tightness_search")):
+        monkeypatch.setattr(module, name, working)
+    path = tmp_path / "missing" / "out.json"
+    given = {"GRAPH": p3_file, "DEST": str(path)}
+    argv = [case.split()[0]] + [given.get(a, a) for a in UNWRITABLE[case]]
+    if str(path) not in argv:
+        argv += ["--out", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
     assert err.startswith("bad input: ")
     assert not path.parent.exists()
+
+
+def test_a_writable_destination_is_taken_as_it_is(capsys, tmp_path, monkeypatch, p3_file):
+    # an existing file is overwritten, and a file in the working
+    # directory needs no directory part
+    monkeypatch.chdir(tmp_path)
+    for name in ("out.json", "out.json", "here.json"):
+        assert run(capsys, "order", p3_file, "--out", name)[:2] == (0, "")
+        assert json.loads((tmp_path / name).read_text())["k"] == 2
 
 
 @pytest.mark.parametrize(

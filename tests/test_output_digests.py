@@ -1,10 +1,12 @@
-"""The exact bytes `construct` and `verify` write, pinned by SHA-256.
+"""The exact bytes `construct`, `verify` and `order` write, pinned by
+SHA-256.
 
 Every other CLI test reads the JSON back and compares values, so a
 change in key order, number formatting or indentation would pass them.
 Here each variant is built on a fixed corpus and verified, in process,
-and the digest of each command's stdout must match the one recorded
-here.  A deliberate format change updates the table.
+each input's clique ordering is written, and the digest of each
+command's stdout must match the one recorded here.  A deliberate format
+change updates the table.
 """
 
 import hashlib
@@ -134,6 +136,35 @@ DIGESTS = {
 }
 
 
+# input -> `order` stdout
+ORDER_DIGESTS = {
+    "uniform": "6608084c4f51a00d79a22d460ec507e6b12152b50f8056ff236b4a7209079679",
+    "unit-jitter": "6ba21b848ce1c6d9e798ea758ac4fa79896db4b77cf0fc0918e3298b87d82199",
+    "nested-heavy": "27c6e956c23956ae9a1915d47ba932ec78b79ae89bfae4eba49849ccb580311c",
+    "path12": "f153866116455fa3fe6cb2ea277eddf1fe6c26ef0e1c31cac43969970a7d1c2b",
+    "star5": "547de44cd9bf1bfc040119a285fc46cb8fac9c0b0fc98a3e0fc62b412af9585c",
+    "triangles": "a7b7173dea719851a16b68b01f824928f8ca2eb8a90f79f0aef9c264bb72e85b",
+    "k4": "cdef310640442bf9e850da1d54c88d094a1289ce86f5801d65401092e45eb063",
+    "points5": "49cde77c28e1ba52467f701c2b8cab85a60cbba173882de0a8c2660b7fa830e3",
+}
+
+P3_ORDER = """\
+{
+  "k": 2,
+  "left": [
+    0,
+    0,
+    1
+  ],
+  "right": [
+    0,
+    1,
+    1
+  ]
+}
+"""
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -141,7 +172,7 @@ def _run(capsys, *argv):
     return out
 
 
-def _digests(tmp_path, capsys):
+def _inputs(tmp_path, capsys):
     inputs = {}
     for dist in DISTRIBUTIONS:
         inputs[dist] = tmp_path / f"{dist}.json"
@@ -149,18 +180,37 @@ def _digests(tmp_path, capsys):
     for name, text in TEXTS.items():
         inputs[name] = tmp_path / name
         inputs[name].write_text(text)
+    return inputs
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(tmp_path, capsys):
     digests = {}
-    for name, path in inputs.items():
+    for name, path in _inputs(tmp_path, capsys).items():
         for variant, flags in VARIANTS.items():
             rep = _run(capsys, "construct", str(path), *flags)
             rep_path = tmp_path / f"{name}.{variant}.rep.json"
             rep_path.write_text(rep)
             report = _run(capsys, "verify", str(path), str(rep_path))
-            digests[name, variant] = tuple(
-                hashlib.sha256(out.encode()).hexdigest() for out in (rep, report)
-            )
+            digests[name, variant] = (_sha256(rep), _sha256(report))
     return digests
 
 
 def test_construct_and_verify_stdout_is_pinned(tmp_path, capsys):
     assert _digests(tmp_path, capsys) == DIGESTS
+
+
+def test_order_stdout_is_pinned(tmp_path, capsys):
+    inputs = _inputs(tmp_path, capsys)
+    digests = {name: _sha256(_run(capsys, "order", str(path))) for name, path in inputs.items()}
+    assert digests == ORDER_DIGESTS
+
+
+def test_order_writes_k_and_the_ranges_alone(tmp_path, capsys):
+    # P_3 as 0-1-2: cliques {0, 1} and {1, 2}
+    path = tmp_path / "p3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    assert _run(capsys, "order", str(path)) == P3_ORDER

@@ -29,7 +29,8 @@ from intervalcubes import (
 from intervalcubes.recognition import _check_ordering_sanity, maximal_cliques_chordal
 
 from conftest import (
-    bron_kerbosch, cycle_graph, interval_models, net_graph, recognition_outcome,
+    bron_kerbosch, chordal_graphs, cycle_graph, dense_graphs, interval_models, net_graph,
+    recognition_outcome, relabelled, relabelled_model_graphs,
 )
 from pqtree_reference import perfect_elimination_ordering as reference_peo
 from pqtree_reference import recognize_and_order as reference_recognize
@@ -63,10 +64,6 @@ def assert_matches_reference(graph: Graph):
 
 def as_sets(cliques):
     return None if cliques is None else [frozenset(clique) for clique in cliques]
-
-
-def relabelled(graph: Graph, perm) -> Graph:
-    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
 
 
 def spider(legs: int, length: int) -> Graph:
@@ -199,39 +196,6 @@ def test_deep_nesting_needs_no_deep_recursion():
         sys.setrecursionlimit(limit)
     assert result.k == 200
     assert validate_ordering(graph, result).ok
-
-
-@st.composite
-def relabelled_model_graphs(draw):
-    model = draw(interval_models())
-    graph = model_to_graph(model)
-    return relabelled(graph, draw(st.permutations(range(graph.n))))
-
-
-@st.composite
-def chordal_graphs(draw):
-    """Each new vertex joins part of a clique already there: an earlier
-    vertex u and some of the neighbours u joined.  Every vertex is then
-    simplicial when added, so the graph is chordal; then relabelled."""
-    n = draw(st.integers(1, 30))
-    joined: list[list[int]] = []
-    edges = []
-    for v in range(n):
-        clique = []
-        if v and draw(st.booleans()):
-            u = draw(st.integers(0, v - 1))
-            clique = [w for w in [u, *joined[u]] if draw(st.booleans())]
-        joined.append(clique)
-        edges += [(w, v) for w in clique]
-    return relabelled(Graph(n, edges), draw(st.permutations(range(n))))
-
-
-@st.composite
-def dense_graphs(draw):
-    n = draw(st.integers(1, 16))
-    pairs = list(itertools.combinations(range(n), 2))
-    missing = draw(st.sets(st.sampled_from(pairs), max_size=max(1, len(pairs) // 5))) if pairs else set()
-    return Graph(n, [p for p in pairs if p not in missing])
 
 
 @settings(max_examples=400, deadline=None)

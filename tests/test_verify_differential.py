@@ -1,10 +1,13 @@
 """The sweeps that build and check graphs against their all-pairs
 references in `verify_reference`: equal graphs, equal verification
 reports, and the same sanity verdicts, on built, corrupted and arbitrary
-inputs.  Verification against an interval model is checked against
-verification of the model's graph, and each of the verifier's two paths,
-bitmasks and window, is forced in turn against the pairwise reference."""
+inputs.  Verification against an interval model, and against the clique
+ordering recognized from an edge list, is checked against verification
+of the graph, and each of the verifier's two paths, bitmasks and window,
+is forced in turn."""
 
+import itertools
+import random
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -17,6 +20,7 @@ from intervalcubes import (
     GenConfig,
     Graph,
     IntervalModel,
+    NotIntervalError,
     build_alpha_representation,
     build_best,
     build_representation,
@@ -24,19 +28,24 @@ from intervalcubes import (
     model_to_graph,
     normalize_unit,
     random_interval_model,
+    recognize_and_order,
     verify_representation,
 )
 from intervalcubes import verify
 from intervalcubes.recognition import ConstructionError, _check_ordering_sanity
 
 from conftest import (
+    chordal_graphs,
     cycle_graph,
+    dense_graphs,
     from_rows,
     interval_models,
     make_model,
     model_pipeline,
     path_graph,
     random_models,
+    relabelled,
+    relabelled_model_graphs,
     star_model,
 )
 from validators import ordering_from_cliques
@@ -74,7 +83,11 @@ def assert_model_report(model, rep):
 def built_representations(model):
     """Every builder's output on the model's sweep ordering, as built and
     normalized."""
-    ordering = model_to_clique_ordering(model)
+    return built_from(model_to_clique_ordering(model))
+
+
+def built_from(ordering):
+    """Every builder's output on `ordering`, as built and normalized."""
     built = [
         build_best(ordering),
         build_representation(ordering)[0],
@@ -400,6 +413,75 @@ def test_model_verify_touching_intervals_are_adjacent():
     assert assert_model_report(model, flat).missing_separation == ((0, 2),)
     with pytest.raises(ValueError):
         verify_representation(model, from_rows([()] * 2))
+
+
+def assert_ordering_report(graph, ordering, rep):
+    """Each verify path, forced in turn, gives the same report against the
+    ranges of `ordering`, recognized from `graph`, as against `graph`."""
+    for masks in (True, False):
+        with patch.object(verify, "_masks_pay", lambda *args: masks):
+            report = verify_representation(ordering, rep)
+            assert report == verify_representation(graph, rep)
+    return report
+
+
+def corrupted(rep, draws):
+    """`rep` with the cubes of `draws` moved; with its side shrunk, on a
+    grid twice as fine so that a side of one unit shrinks too; and with
+    each column dropped in turn."""
+    yield moved(rep, draws)
+    finer = tuple(tuple(2 * x for x in col) for col in rep.coords)
+    yield CubeRepresentation(rep.n, 2 * rep.side - 1, finer, 2 * rep.unit)
+    for i in range(rep.dimension):
+        yield CubeRepresentation(rep.n, rep.side, rep.coords[:i] + rep.coords[i + 1 :], rep.unit)
+
+
+def assert_ordering_reports(graph, draws_for) -> int | None:
+    """None if `graph` is not an interval graph.  Otherwise the reports
+    against its recognized ordering and against it agree on zero
+    dimensions, on every build, and on each build's corruptions, with
+    `draws_for(rep)` the moves; returns how many corruptions failed."""
+    try:
+        ordering = recognize_and_order(graph)
+    except NotIntervalError:
+        return None
+    # zero dimensions pass only a complete graph
+    complete = graph.edge_count == graph.n * (graph.n - 1) // 2
+    assert assert_ordering_report(graph, ordering, CubeRepresentation(graph.n, 1, (), 1)).ok == complete
+    failing = 0
+    for rep in built_from(ordering):
+        assert assert_ordering_report(graph, ordering, rep).ok
+        if rep.dimension and rep.n:
+            for broken in corrupted(rep, draws_for(rep)):
+                failing += not assert_ordering_report(graph, ordering, broken).ok
+    return failing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(relabelled_model_graphs(), chordal_graphs(), dense_graphs()), st.data())
+def test_ordering_verify_matches_graph_verify(graph, data):
+    assert_ordering_reports(graph, lambda rep: data.draw(moves(rep)))
+
+
+def test_ordering_verify_matches_graph_verify_on_recognition_corpora():
+    # every labelled graph on up to four vertices, and relabelled model graphs
+    graphs = [Graph(0)]
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs += [Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                   for mask in range(1 << len(pairs))]
+    rng = random.Random(71)
+    for model in random_models(12, range(1, 60), seed=71):
+        graphs.append(relabelled(model_to_graph(model), rng.sample(range(model.n), model.n)))
+
+    def far(rep):
+        span = max(max(col) for col in rep.coords) - min(min(col) for col in rep.coords)
+        return [(rep.n // 2, rep.dimension - 1, span + rep.side + 1)]
+
+    results = [assert_ordering_reports(graph, far) for graph in graphs]
+    recognized = [failing for failing in results if failing is not None]
+    assert len(recognized) > len(graphs) // 2
+    assert sum(recognized) > len(recognized)
 
 
 @settings(max_examples=200, deadline=None)
