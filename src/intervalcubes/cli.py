@@ -27,17 +27,18 @@ Exit codes: 0 success, 1 not an interval graph, 2 verification failure,
 
 from __future__ import annotations
 
-import json
+import gc
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
 from types import SimpleNamespace
 
 from .graphs import (
     MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, NotIntervalError, SizeRefusalError, parse_graph,
 )
-from .intervals import DISTRIBUTIONS, CliqueOrdering, IntervalModel, model_to_clique_ordering
+from .intervals import (
+    DISTRIBUTIONS, CliqueOrdering, IntervalModel, model_to_clique_ordering, write_json,
+)
 
 EXIT_OK = 0
 EXIT_NOT_INTERVAL = 1
@@ -75,17 +76,7 @@ def _load(path: str) -> tuple[IntervalModel | CliqueOrdering, CliqueOrdering]:
     return (recognize_and_order(source),) * 2
 
 
-def _dump(obj, handle):
-    """Write `obj` as indented JSON and a newline in batches of encoder
-    chunks: never the whole text, nor a system call per chunk.  Not for
-    `construct`'s representation: `CubeRepresentation.dump` writes that."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    while batch := "".join(islice(chunks, 1 << 16)):
-        handle.write(batch)
-    handle.write("\n")
-
-
-def _emit(obj, out: str | None, dump=_dump):
+def _emit(obj, out: str | None, dump=write_json):
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         dump(obj, handle)
 
@@ -141,7 +132,7 @@ def _cmd_construct(args) -> int:
     report = verify_representation(ranges, rep)
     if not report.ok:
         print("constructed representation failed verification", file=sys.stderr)
-        _dump(report.to_json_obj(), sys.stderr)
+        write_json(report.to_json_obj(), sys.stderr)
         return EXIT_VERIFY_FAILED
     extra = {"trace": trace.to_json_obj() if trace else None} if args.trace else None
     _emit(extra, args.out, lambda extra, handle: rep.dump(handle, extra))
@@ -318,6 +309,9 @@ def main(argv=None) -> int:
 
 
 def run():
+    # the process's collector policy (README, "The collector"): off, since no
+    # command leaves cyclic garbage; `main` and the library never touch it
+    gc.disable()
     sys.exit(main())
 
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import cmp_to_key
+from itertools import chain, compress, count, islice, repeat
+from math import lcm
+from operator import gt, itemgetter
 
 from .graphs import Graph, Record
 from .rationals import format_ratio, parse_ratio
@@ -58,16 +61,32 @@ class IntervalModel(Record):
 
     @classmethod
     def from_json_obj(cls, obj) -> "IntervalModel":
+        """The model a document holds, each distinct endpoint text parsed
+        once.  Records that are not all well formed are read again one at
+        a time, so the refusal is the one the first bad record gives."""
         records = obj["intervals"] if isinstance(obj, dict) else None
-        if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        if not isinstance(records, list) or not all(map(isinstance, records, repeat(dict))):
             raise ValueError("a model is an object with a list of interval records")
-        ends: list[tuple[int, int] | None] = [None] * (2 * len(records))
-        for rec in records:
-            i = rec["id"]
-            if type(i) is not int or not (0 <= i < len(records)) or ends[2 * i] is not None:
-                raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
-            ends[2 * i : 2 * i + 2] = parse_ratio(rec["lo"]), parse_ratio(rec["hi"])
-        return _ranked(cls.__new__(cls), ends)
+        try:
+            by_id = sorted(records, key=itemgetter("id"))
+            ids = list(map(itemgetter("id"), by_id))
+            texts = list(chain.from_iterable(map(itemgetter("lo", "hi"), by_id)))
+            # true and 1.0 equal 1: ids are ints, and only texts and ints share entries
+            if ids != list(range(len(ids))) or {*map(type, ids), *map(type, texts)} - {str, int}:
+                raise ValueError
+            # each distinct text's pair, set in place: only the values change
+            pairs = dict.fromkeys(texts)
+            pairs.update(zip(pairs, map(parse_ratio, pairs)))
+        except (KeyError, TypeError, ValueError):
+            seen = set()
+            for rec in records:
+                i = rec["id"]
+                if type(i) is not int or not (0 <= i < len(records)) or i in seen:
+                    raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
+                seen.add(i)
+                parse_ratio(rec["lo"]), parse_ratio(rec["hi"])
+            raise
+        return _ranked(cls.__new__(cls), list(map(pairs.__getitem__, texts)))
 
     @classmethod
     def loads(cls, text: str) -> "IntervalModel":
@@ -83,25 +102,95 @@ def read_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
+def write_json(obj, handle, inline: bool = False) -> None:
+    """Write `obj`, of dicts with text keys, lists, tuples and scalars, and
+    a newline as `json.dumps(obj, indent=2, sort_keys=True)` lays it out;
+    with `inline`, each non-empty list of scalars on one line, as
+    `json.dumps(list)` writes it.  An iterator's items, JSON texts
+    already, are written one per line.  The text reaches `handle` 64 KiB
+    or more a write, never whole."""
+    text = ""
+    for chunk in _chunks(obj, "\n", inline):
+        text += chunk
+        if len(text) >= 1 << 16:
+            handle.write(text)
+            text = ""
+    handle.write(text + "\n")
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _chunks(value, pad: str, inline: bool):
+    """`value`'s text at the indentation `pad`, in chunks.  A list of
+    scalars, or of rows (non-empty lists, or dicts, of scalars), goes
+    through json's C encoder 1024 members a call, its item separator
+    carrying the newline and the indentation."""
+    kind, inner = type(value), pad + "  "
+    opener, closer = "{}" if kind is dict else "[]"
+    flat = kind in (list, tuple) and set(map(type, value)) <= _SCALARS
+    if kind in _SCALARS or not value or inline and flat:
+        yield json.dumps(value)
+        return
+    if kind not in (list, tuple, dict):  # an iterator of texts
+        for i, lines in enumerate(iter(lambda: ("," + inner).join(islice(value, 4096)), "")):
+            yield ("," if i else opener) + inner + lines
+    elif flat or kind is not dict and (row := _rows(value, inline)):
+        sep = inner if flat else inner + "  "
+        encode = json.JSONEncoder(sort_keys=True, separators=("," + sep, ": ")).encode
+        for i in range(0, len(value), 1024):
+            text = encode(value[i : i + 1024])[1:-1]
+            if not flat:  # newlines in strings are escaped, so rows meet only here
+                ends = inner + row[1] + "," + inner + row[0] + sep
+                text = row[0] + sep + text[1:-1].replace(row[1] + "," + sep + row[0], ends)
+                text += inner + row[1]
+            yield ("," if i else opener) + inner + text
+    else:
+        for i, key in enumerate(sorted(value) if kind is dict else range(len(value))):
+            yield ("," if i else opener) + inner + (json.dumps(key) + ": " if kind is dict else "")
+            yield from _chunks(value[key], inner, inline)
+    yield pad + closer
+
+
+def _rows(value: list, inline: bool) -> str:
+    """The brackets of `value`'s rows, "[]" or "{}", when its members are
+    all non-empty lists, or all non-empty dicts, of scalars; else ""."""
+    kinds = set(map(type, value))
+    row = "{}" if kinds == {dict} else "[]" if kinds <= {list, tuple} else ""
+    members = chain.from_iterable(map(dict.values, value) if row == "{}" else value)
+    return row if row and not inline and all(value) and set(map(type, members)) <= _SCALARS else ""
+
+
 def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
     """`model` with its fields set from `ends`, the (numerator, denominator)
-    pairs lo_0, hi_0, lo_1, ...; ValueError if some lo > hi.  The distinct
-    pairs are sorted by integer part, then by fractional part as a float:
-    division of ints rounds correctly, so monotonically, and only distinct
-    values that tie on both keys send the sort to an exact comparison of
-    cross products."""
-    keys = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
-    values = sorted(keys, key=keys.__getitem__)
-    if len(set(keys.values())) < len(values):
-        values.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    rank = dict(zip(values, range(len(values))))
-    ranks = [rank[e] for e in ends]
+    pairs lo_0, hi_0, lo_1, ...; ValueError if some lo > hi.  Under a
+    common denominator of at most 64 bits, each value's key is its exact
+    multiple of 1/lcm, an int.  Otherwise the key is the pair: the
+    distinct pairs are sorted by integer part, then by fractional part as
+    a float (division of ints rounds correctly, so monotonically), and
+    only distinct values that tie on both send the sort to an exact
+    comparison of cross products."""
+    unit = 1
+    for q in {q for _, q in ends}:
+        unit = lcm(unit, q)
+        if unit.bit_length() > 64:
+            floats = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
+            ordered = sorted(floats, key=floats.__getitem__)
+            if len(set(floats.values())) < len(ordered):
+                ordered.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+            keys = ends
+            break
+    else:
+        keys = [p * (unit // q) for p, q in ends]
+        ordered = sorted(set(keys))
+    values = tuple(map(dict(zip(keys, ends)).__getitem__, ordered))
+    ranks = list(map(dict(zip(ordered, count())).__getitem__, keys))
     lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
-    for i, (a, b) in enumerate(zip(lo, hi)):
-        if a > b:
-            a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
-            raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
-    Record.__init__(model, tuple(values), lo, hi)
+    i = next(compress(count(), map(gt, lo, hi)), None)
+    if i is not None:
+        a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
+        raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
+    Record.__init__(model, values, lo, hi)
     return model
 
 

@@ -114,6 +114,7 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
 
     if not extend(0, 0, True):
         extend(0, 0, False)
+    del extend  # it calls itself through its cell: a cycle only the collector frees
     return visited
 
 
@@ -232,12 +233,11 @@ def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:
                 chosen.pop()
         return False
 
-    for b in range(1, b_max + 1):
-        chosen: list[int] = []
-        if cover(universe, b, chosen):
-            witness = tuple(
-                tuple(missing[i] for i in range(len(missing)) if (mask >> i) & 1)
-                for mask in chosen
-            )
-            return ExactResult(witness, visited, nodes)
-    return Exceeded(b_max, visited, nodes)
+    found = next((chosen for b in range(1, b_max + 1) if cover(universe, b, chosen := [])), None)
+    del cover  # as `_order_closures`' extend
+    if found is None:
+        return Exceeded(b_max, visited, nodes)
+    witness = tuple(
+        tuple(missing[i] for i in range(len(missing)) if (mask >> i) & 1) for mask in found
+    )
+    return ExactResult(witness, visited, nodes)

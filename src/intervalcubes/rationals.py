@@ -5,11 +5,12 @@ then "p", "p/q" (blanks allowed around the slash) or a decimal "p.d",
 ".d" or "p.", with digits grouped by single underscores, then optional
 blanks.  That is what `Fraction` reads on Python 3.12 and later, less
 exponents, whose cost grows with their value rather than with the text.
-`parse_ratio` reads it with one regular expression and `int` alone, so
-every supported Python reads a document the same way, and `format_ratio`
-writes "p" or "p/q" in lowest terms; neither imports `fractions`.  A
-decimal whose reduced pair has more digits than `str` writes is refused,
-so every value read can be written back.
+`parse_ratio` reads it with `int` alone, the canonical "p", "-p" and
+"p/q" in ASCII digits directly and any other text through one regular
+expression first, so every supported Python reads a document the same
+way, and `format_ratio` writes "p" or "p/q" in lowest terms; neither
+imports `fractions`.  A decimal whose reduced pair has more digits than
+`str` writes is refused, so every value read can be written back.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def parse_ratio(value) -> tuple[int, int]:
     limit, in the text or in the reduced pair) raises ValueError."""
     if type(value) is int:
         return value, 1
+    # what `format_ratio` writes, "p", "-p" or "p/q" in ASCII digits, skips the
+    # expression; 640 characters are within any digit limit one can set
+    if type(value) is str and len(value) <= 640 and value.isascii():
+        num, slash, den = value.removeprefix("-").partition("/")
+        if num.isdigit() and (den.isdigit() or not slash) and (q := int(den or 1)):
+            g = gcd(p := int(num), q)
+            return (-p // g if value[0] == "-" else p // g), q // g
     match = _RATIONAL(value) if isinstance(value, str) else None
     if match:
         sign, num, den, decimals = match.groups()

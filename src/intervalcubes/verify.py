@@ -49,15 +49,14 @@ has about 2.2 million window pairs.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from io import StringIO
-from itertools import islice, repeat
+from itertools import chain, repeat
 from math import lcm
 from re import finditer
 
 from .graphs import Graph, Record
-from .intervals import CliqueOrdering, IntervalModel, read_json
+from .intervals import CliqueOrdering, IntervalModel, read_json, write_json
 from .rationals import format_ratio, parse_ratio
 
 # A document's values go onto the lcm of their denominators, which grows
@@ -72,7 +71,7 @@ class CubeRepresentation(Record):
     `coords[i][v]`, vertex v's coordinate in dimension i (one tuple per
     dimension), are ints counting units of 1/`unit`; only the JSON methods
     make rationals and rows.  dimension == 0 means every pair is adjacent.
-    `dump` writes `construct`'s document; `cli._dump` writes every other."""
+    `dump` writes `construct`'s document through `write_json`."""
 
     __slots__ = ("n", "side", "coords", "unit")
 
@@ -80,33 +79,17 @@ class CubeRepresentation(Record):
     def dimension(self) -> int:
         return len(self.coords)
 
-    def to_json_obj(self) -> dict:
-        # few values are distinct, so each is formatted once
-        text = {x: format_ratio(x, self.unit) for x in set().union(*self.coords)}
-        cols = [[text[x] for x in col] for col in self.coords]
-        return {
-            "dimension": self.dimension,
-            "side": format_ratio(self.side, self.unit),
-            "coords": [list(row) for row in zip(*cols)] if cols else [[] for _ in range(self.n)],
-        }
-
     def dump(self, handle, extra=None) -> None:
-        """Write `to_json_obj` and `extra`'s keys (after "side") laid out as by
-        `json.dumps(indent=2, sort_keys=True)` but each row on one line, and a
-        newline: 4096 rows a write, each distinct value formatted once."""
+        """Write the representation, `extra`'s keys beside "coords",
+        "dimension" and "side", by `write_json` with `inline`: each vertex's
+        row of coordinates on one line, each distinct value formatted once."""
         text = {x: f'"{format_ratio(x, self.unit)}"' for x in set().union(*self.coords)}
         cols = [map(text.__getitem__, col) for col in self.coords]
-        lines = map(", ".join, zip(*cols) if cols else repeat((), self.n))
-        handle.write('{\n  "coords": [')
-        for i, batch in enumerate(iter(lambda: list(islice(lines, 4096)), [])):
-            handle.write(("," if i else "") + "\n    [" + "],\n    [".join(batch) + "]")
-        tail = {"dimension": self.dimension, "side": format_ratio(self.side, self.unit)}
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode({**tail, **(extra or {})})
-        # the tail's text opens with the "{" the head already wrote
-        handle.write(("\n  ]," if self.n else "],") + "".join(islice(chunks, 1 << 16))[1:])
-        while batch := "".join(islice(chunks, 1 << 16)):
-            handle.write(batch)
-        handle.write("\n")
+        rows = map("[{}]".format, map(", ".join, zip(*cols) if cols else repeat((), self.n)))
+        rows = rows if self.n else []
+        side = format_ratio(self.side, self.unit)
+        write_json({"coords": rows, "dimension": self.dimension, "side": side, **(extra or {})},
+                   handle, inline=True)
 
     def dumps(self) -> str:
         """The text `dump` writes, less its final newline."""
@@ -124,21 +107,25 @@ class CubeRepresentation(Record):
         dimension, (side, side_q), rows = obj["dimension"], parse_ratio(obj["side"]), obj["coords"]
         if type(dimension) is not int or dimension < 0 or side <= 0:
             raise ValueError("dimension must be an integer >= 0 and side positive")
-        if not isinstance(rows, list) or any(
-            not isinstance(row, list) or len(row) != dimension for row in rows
+        if not isinstance(rows, list) or not all(map(isinstance, rows, repeat(list))) or (
+            set(map(len, rows)) - {dimension}
         ):
             raise ValueError("coords must be a list of vectors of length dimension")
-        # few strings are distinct, so each is parsed once; other values
-        # (true and 1.0 hash like 1, lists not at all) are parsed each time
-        seen: dict[str, tuple[int, int]] = {}
-        rows = [[seen.get(x) or seen.setdefault(x, parse_ratio(x)) if type(x) is str
-                 else parse_ratio(x) for x in row] for row in rows]
+        # true and 1.0 equal 1, and lists are unhashable: read one value at a
+        # time, so the first bad one is refused, unless all are texts or ints
+        if set(map(type, chain.from_iterable(rows))) - {str, int}:
+            for x in chain.from_iterable(rows):
+                parse_ratio(x)
+        # each distinct value is parsed once, in document order
+        texts = dict.fromkeys(chain.from_iterable(rows))
+        pairs = list(map(parse_ratio, texts))
         unit = side_q
-        for q in {q for row in rows for _, q in row}:
+        for q in {q for _, q in pairs}:
             unit = lcm(unit, q)
             if unit.bit_length() > MAX_UNIT_BITS:
                 raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
-        coords = tuple(tuple(p * (unit // q) for p, q in col) for col in zip(*rows))
+        texts.update(zip(texts, [p * (unit // q) for p, q in pairs]))
+        coords = tuple(tuple(map(texts.__getitem__, col)) for col in zip(*rows))
         # with no vector no column bounds the dimension, and the verifier's cost grows with it
         if len(coords) != dimension:
             raise ValueError("dimension must be 0 when coords is empty")

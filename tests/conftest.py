@@ -24,6 +24,7 @@ from intervalcubes import (
 )
 from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.rationals import format_ratio
 
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values
@@ -177,6 +178,19 @@ def from_rows(rows, side: int = 1, unit: int = 1) -> CubeRepresentation:
     """The representation written as one coordinate row per vertex, as in
     its JSON form; the record keeps one column per dimension."""
     return CubeRepresentation(len(rows), side, tuple(zip(*rows)), unit)
+
+
+def representation_obj(rep: CubeRepresentation) -> dict:
+    """The representation's document as `json.loads` reads it back: the
+    `to_json_obj` that `CubeRepresentation` had, the reference for the
+    text `dump` writes straight from the columns."""
+    text = {x: format_ratio(x, rep.unit) for x in set().union(*rep.coords)}
+    cols = [[text[x] for x in col] for col in rep.coords]
+    return {
+        "dimension": rep.dimension,
+        "side": format_ratio(rep.side, rep.unit),
+        "coords": [list(row) for row in zip(*cols)] if cols else [[] for _ in range(rep.n)],
+    }
 
 
 def representation_text(obj: dict) -> str:

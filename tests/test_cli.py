@@ -73,11 +73,11 @@ def test_json_output_is_written_in_a_few_batches():
     encoder chunk, which is a system call each on an unbuffered stdout."""
     from types import SimpleNamespace
 
-    from intervalcubes.cli import _dump
+    from intervalcubes.intervals import write_json
 
     writes = []
     obj = {"cliques": [list(range(j, j + 50)) for j in range(2000)], "k": 2000}
-    _dump(obj, SimpleNamespace(write=writes.append))
+    write_json(obj, SimpleNamespace(write=writes.append))
     assert "".join(writes) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
     assert 2 < len(writes) <= 5
 
@@ -101,44 +101,17 @@ P3_CLAW_TRACE = """{
   "dimension": 3,
   "side": "3/2",
   "trace": {
-    "bits": [
-      0,
-      1,
-      2
-    ],
+    "bits": [0, 1, 2],
     "branch": [
-      [
-        0,
-        0,
-        1
-      ],
-      [
-        1,
-        1,
-        1
-      ],
-      [
-        0,
-        0,
-        0
-      ]
+      [0, 0, 1],
+      [1, 1, 1],
+      [0, 0, 0]
     ],
     "claw": 2,
-    "codes": [
-      2,
-      2,
-      3
-    ],
-    "levels": [
-      0,
-      0,
-      1
-    ],
+    "codes": [2, 2, 3],
+    "levels": [0, 0, 1],
     "power": 1,
-    "scale": [
-      "0",
-      "1"
-    ]
+    "scale": ["0", "1"]
   }
 }
 """
@@ -150,8 +123,8 @@ P3_CLAW_TRACE = """{
 ], ids=["best", "claw-trace"])
 def test_representation_is_written_one_vertex_per_line(capsys, p3_file, flags, expected):
     """A representation's rows are one line each, `json.dumps`'s unindented
-    list; the keys and the trace keep the indented layout of every other
-    document."""
+    list, and so are the trace's lists and each row of its `branch`; the
+    keys keep the indented layout of every other document."""
     assert run(capsys, "construct", p3_file, *flags) == (0, expected, "")
 
 
@@ -161,13 +134,13 @@ def test_representation_is_written_in_a_few_batches():
     the whole document."""
     from types import SimpleNamespace
 
-    from conftest import representation_text
+    from conftest import representation_obj, representation_text
 
     n = 10**4
     rep = CubeRepresentation(n, 3, (tuple(range(n)), tuple(range(0, -n, -1))), 2)
     writes = []
     rep.dump(SimpleNamespace(write=writes.append))
-    assert "".join(writes) == representation_text(rep.to_json_obj()) + "\n"
+    assert "".join(writes) == representation_text(representation_obj(rep)) + "\n"
     assert 2 < len(writes) <= 8 and max(map(len, writes)) < len("".join(writes)) / 2
 
 

@@ -24,7 +24,7 @@ from intervalcubes import (
 )
 from intervalcubes.rationals import format_ratio, parse_ratio
 
-from conftest import from_rows, interval_models, representation_text
+from conftest import from_rows, interval_models, representation_obj, representation_text
 from rational_reference import parse_rational
 from rational_table import HOSTILE, TABLE, refusal
 
@@ -204,7 +204,7 @@ def _built(model):
 def test_representation_text_matches_fraction_text_on_builds(model):
     reps, trace = _built(model)
     for rep in reps:
-        assert rep.to_json_obj() == fraction_json(rep)
+        assert representation_obj(rep) == fraction_json(rep)
         assert CubeRepresentation.loads(rep.dumps()) == rep
     if trace is not None:
         assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
@@ -214,7 +214,7 @@ def test_representation_text_matches_fraction_text_on_generated_models():
     for dist in ("uniform", "unit-jitter", "nested-heavy"):
         reps, trace = _built(random_interval_model(GenConfig(n=300, seed=3, dist=dist)))
         for rep in reps:
-            assert rep.to_json_obj() == fraction_json(rep)
+            assert representation_obj(rep) == fraction_json(rep)
         assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
 
 
@@ -249,7 +249,7 @@ def test_representation_text_matches_fraction_text_on_random_grids(data):
     if d and not rows:
         rows = [[0] * d]
     rep = from_rows(rows, data.draw(st.integers(1, 10**15)), unit)
-    obj = rep.to_json_obj()
+    obj = representation_obj(rep)
     assert obj == fraction_json(rep)
     # read back onto the coarsest grid: the same values
     again = CubeRepresentation.from_json_obj(obj)

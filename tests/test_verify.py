@@ -25,6 +25,7 @@ from conftest import (
     model_pipeline,
     p3_model,
     random_models,
+    representation_obj,
     representation_text,
     star_model,
 )
@@ -98,8 +99,8 @@ def test_written_layout_reads_back(data):
     rows = [tuple(data.draw(st.sampled_from(pool)) for _ in range(d)) for _ in range(n)]
     rep = CubeRepresentation(n, data.draw(st.sampled_from([1, 2, 10**15])), tuple(zip(*rows)), 1)
     text = rep.dumps()
-    assert json.loads(text) == rep.to_json_obj()
-    assert text == representation_text(rep.to_json_obj())
+    assert json.loads(text) == representation_obj(rep)
+    assert text == representation_text(representation_obj(rep))
     assert CubeRepresentation.loads(text) == rep
 
 
