@@ -8,9 +8,9 @@ code bit: bit set places the vertex's cube at its left end, bit clear at
 its right end.  It runs on the input ordering as it is, with
 claw = 2**power for any power whose claw is at least every psi(v); the
 cube side is claw - 1/2.  Positions are ints on one grid per build (see
-`clique_scale`); only the JSON methods of `CubeRepresentation` (defined
-in `verify`, so that checking a representation loads none of this
-module) turn them into rationals and rows.
+`clique_scale`), and the document `CubeRepresentation.dump` (defined in
+`verify`, so that checking a representation loads none of this module)
+writes holds those same ints, a row per vertex, and the unit.
 
 Why it is exact.  Let pos(c) be clique c's position, scale[c] / unit,
 and m(c) the number of anchors ending before clique c.  Then pos(c) lies

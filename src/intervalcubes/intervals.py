@@ -174,17 +174,23 @@ def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
     for q in {q for _, q in ends}:
         unit = lcm(unit, q)
         if unit.bit_length() > 64:
-            floats = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
-            ordered = sorted(floats, key=floats.__getitem__)
-            if len(set(floats.values())) < len(ordered):
+            keys, table = ends, {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
+            ordered = sorted(table, key=table.__getitem__)
+            if len(set(table.values())) < len(ordered):
                 ordered.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-            keys = ends
+            values = tuple(ordered)
             break
     else:
         keys = [p * (unit // q) for p, q in ends]
-        ordered = sorted(set(keys))
-    values = tuple(map(dict(zip(keys, ends)).__getitem__, ordered))
-    ranks = list(map(dict(zip(ordered, count())).__getitem__, keys))
+        table = dict(zip(keys, ends))
+        ordered = sorted(table)
+        values = tuple(map(table.__getitem__, ordered))
+    # one entry per distinct key, set in place to the key's rank; what the
+    # ranks no longer need is freed before they, and then lo and hi, are built
+    table.update(zip(ordered, count()))
+    del ordered
+    ranks = list(map(table.__getitem__, keys))
+    del keys, table
     lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
     i = next(compress(count(), map(gt, lo, hi)), None)
     if i is not None:

@@ -17,13 +17,20 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import cache
 from math import gcd
 
 # 0, no limit, where the interpreter predates the limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-# `\s` matches what `str.strip` strips and `\d` the digits `int` reads;
-# "_" is left to `int`, which refuses it leading, trailing or doubled
-_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
+
+
+@cache
+def _rational():
+    """The pinned expression's `fullmatch`, compiled on the first text
+    outside the canonical forms, which no document this package writes holds."""
+    # `\s` matches what `str.strip` strips and `\d` the digits `int` reads;
+    # "_" is left to `int`, which refuses it leading, trailing or doubled
+    return re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
 
 
 def parse_ratio(value) -> tuple[int, int]:
@@ -40,7 +47,7 @@ def parse_ratio(value) -> tuple[int, int]:
         if num.isdigit() and (den.isdigit() or not slash) and (q := int(den or 1)):
             g = gcd(p := int(num), q)
             return (-p // g if value[0] == "-" else p // g), q // g
-    match = _RATIONAL(value) if isinstance(value, str) else None
+    match = _rational()(value) if isinstance(value, str) else None
     if match:
         sign, num, den, decimals = match.groups()
         try:

@@ -57,11 +57,12 @@ from re import finditer
 
 from .graphs import Graph, Record
 from .intervals import CliqueOrdering, IntervalModel, read_json, write_json
-from .rationals import format_ratio, parse_ratio
+from .rationals import parse_ratio
 
-# A document's values go onto the lcm of their denominators, which grows
-# with the product of distinct ones: 1/p over the first 2000 primes, 25 kB
-# of JSON, needs a unit of 24,856 bits.  Built outputs need a few dozen.
+# A document's rational texts go onto its unit times the lcm of their
+# denominators, which grows with the product of distinct ones: 1/p over the
+# first 2000 primes, 25 kB of JSON, needs a unit of 24,856 bits.  Built
+# outputs need a few dozen.
 MAX_UNIT_BITS = 1024
 
 
@@ -69,9 +70,10 @@ class CubeRepresentation(Record):
     """Axis-parallel cubes of side `side` around `n` vertices, adjacent
     exactly when every coordinate differs by at most `side`.  The side and
     `coords[i][v]`, vertex v's coordinate in dimension i (one tuple per
-    dimension), are ints counting units of 1/`unit`; only the JSON methods
-    make rationals and rows.  dimension == 0 means every pair is adjacent.
-    `dump` writes `construct`'s document through `write_json`."""
+    dimension), are ints counting units of 1/`unit`, and the JSON document
+    holds the same ints and `unit`, one row per vertex.  dimension == 0
+    means every pair is adjacent.  `dump` writes `construct`'s document
+    through `write_json`."""
 
     __slots__ = ("n", "side", "coords", "unit")
 
@@ -81,15 +83,13 @@ class CubeRepresentation(Record):
 
     def dump(self, handle, extra=None) -> None:
         """Write the representation, `extra`'s keys beside "coords",
-        "dimension" and "side", by `write_json` with `inline`: each vertex's
-        row of coordinates on one line, each distinct value formatted once."""
-        text = {x: f'"{format_ratio(x, self.unit)}"' for x in set().union(*self.coords)}
-        cols = [map(text.__getitem__, col) for col in self.coords]
+        "dimension", "side" and "unit", by `write_json` with `inline`: the
+        record's own ints, each vertex's row of coordinates on one line."""
+        cols = [map(str, col) for col in self.coords]
         rows = map("[{}]".format, map(", ".join, zip(*cols) if cols else repeat((), self.n)))
         rows = rows if self.n else []
-        side = format_ratio(self.side, self.unit)
-        write_json({"coords": rows, "dimension": self.dimension, "side": side, **(extra or {})},
-                   handle, inline=True)
+        write_json({"coords": rows, "dimension": self.dimension, "side": self.side,
+                    "unit": self.unit, **(extra or {})}, handle, inline=True)
 
     def dumps(self) -> str:
         """The text `dump` writes, less its final newline."""
@@ -98,10 +98,13 @@ class CubeRepresentation(Record):
 
     @classmethod
     def from_json_obj(cls, obj) -> "CubeRepresentation":
-        """Rationals onto the coarsest integer grid that holds them all: the
-        unit is the lcm of their denominators, refused with ValueError once
-        it passes MAX_UNIT_BITS, before any coordinate is built.  With no
-        coordinates, a positive dimension is refused too."""
+        """The record a document holds.  Each value, JSON int or rational
+        text, counts units of 1/`unit` (1 when the key is absent, as in
+        documents that predate it).  A document of ints keeps its own grid;
+        otherwise the grid is `unit` times the lcm of the denominators,
+        refused with ValueError once it passes MAX_UNIT_BITS, before any
+        coordinate is built.  With no coordinates, a positive dimension is
+        refused too."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
         dimension, (side, side_q), rows = obj["dimension"], parse_ratio(obj["side"]), obj["coords"]
@@ -111,25 +114,31 @@ class CubeRepresentation(Record):
             set(map(len, rows)) - {dimension}
         ):
             raise ValueError("coords must be a list of vectors of length dimension")
+        unit = obj.get("unit", 1)
+        if type(unit) is not int or unit < 1 or unit.bit_length() > MAX_UNIT_BITS:
+            raise ValueError(f"unit must be a positive integer of at most {MAX_UNIT_BITS} bits")
+        kinds = set(map(type, chain.from_iterable(rows)))
         # true and 1.0 equal 1, and lists are unhashable: read one value at a
         # time, so the first bad one is refused, unless all are texts or ints
-        if set(map(type, chain.from_iterable(rows))) - {str, int}:
+        if kinds - {str, int}:
             for x in chain.from_iterable(rows):
                 parse_ratio(x)
-        # each distinct value is parsed once, in document order
-        texts = dict.fromkeys(chain.from_iterable(rows))
+        # a document of ints keeps its own grid; any other has each distinct
+        # value parsed once, in document order
+        texts = {} if kinds <= {int} and side_q == 1 else dict.fromkeys(chain.from_iterable(rows))
         pairs = list(map(parse_ratio, texts))
-        unit = side_q
-        for q in {q for _, q in pairs}:
-            unit = lcm(unit, q)
-            if unit.bit_length() > MAX_UNIT_BITS:
+        grid = 1
+        for q in {side_q, *(q for _, q in pairs)}:
+            grid = lcm(grid, q)
+            if (unit * grid).bit_length() > MAX_UNIT_BITS:
                 raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
-        texts.update(zip(texts, [p * (unit // q) for p, q in pairs]))
-        coords = tuple(tuple(map(texts.__getitem__, col)) for col in zip(*rows))
+        texts.update(zip(texts, [p * (grid // q) for p, q in pairs]))
+        cols = zip(*rows)
+        coords = tuple(tuple(map(texts.__getitem__, col)) for col in cols) if texts else tuple(cols)
         # with no vector no column bounds the dimension, and the verifier's cost grows with it
         if len(coords) != dimension:
             raise ValueError("dimension must be 0 when coords is empty")
-        return cls(len(rows), side * (unit // side_q), coords, unit)
+        return cls(len(rows), side * (grid // side_q), coords, unit * grid)
 
     @classmethod
     def loads(cls, text: str) -> "CubeRepresentation":

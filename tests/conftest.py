@@ -24,7 +24,6 @@ from intervalcubes import (
 )
 from intervalcubes import oracle
 from intervalcubes.generate import DISTRIBUTIONS
-from intervalcubes.rationals import format_ratio
 
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values
@@ -180,17 +179,36 @@ def from_rows(rows, side: int = 1, unit: int = 1) -> CubeRepresentation:
     return CubeRepresentation(len(rows), side, tuple(zip(*rows)), unit)
 
 
+def _rows(rep: CubeRepresentation) -> list:
+    """One tuple of coordinates per vertex, empty ones at dimension 0."""
+    return list(zip(*rep.coords)) if rep.coords else [()] * rep.n
+
+
 def representation_obj(rep: CubeRepresentation) -> dict:
     """The representation's document as `json.loads` reads it back: the
-    `to_json_obj` that `CubeRepresentation` had, the reference for the
-    text `dump` writes straight from the columns."""
-    text = {x: format_ratio(x, rep.unit) for x in set().union(*rep.coords)}
-    cols = [[text[x] for x in col] for col in rep.coords]
-    return {
-        "dimension": rep.dimension,
-        "side": format_ratio(rep.side, rep.unit),
-        "coords": [list(row) for row in zip(*cols)] if cols else [[] for _ in range(rep.n)],
-    }
+    record's own ints, a row per vertex, and its unit; the reference for
+    the text `dump` writes straight from the columns."""
+    coords = [list(row) for row in _rows(rep)]
+    return {"dimension": rep.dimension, "side": rep.side, "unit": rep.unit, "coords": coords}
+
+
+def rational_obj(rep: CubeRepresentation) -> dict:
+    """The document as earlier versions wrote it, with no `unit`: each
+    value as the text `str` of its `Fraction` gives, "p" or "p/q"."""
+    coords = [[str(Fraction(x, rep.unit)) for x in row] for row in _rows(rep)]
+    return {"dimension": rep.dimension, "side": str(Fraction(rep.side, rep.unit)), "coords": coords}
+
+
+def shifted(obj: dict, moved) -> dict:
+    """The benchmark's corrupted copy of a document: the moved rows' first
+    coordinate shifted past dimension 0's span by more than one side, in
+    the document's own numbers, and written as `str` of its `Fraction`."""
+    rows = [list(row) for row in obj["coords"]]
+    xs = [Fraction(row[0]) for row in rows]
+    shift = max(xs) - min(xs) + 2 * Fraction(obj["side"])
+    for v in moved:
+        rows[v][0] = str(xs[v] + shift)
+    return {**obj, "coords": rows}
 
 
 def representation_text(obj: dict) -> str:

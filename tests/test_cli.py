@@ -84,22 +84,23 @@ def test_json_output_is_written_in_a_few_batches():
 
 P3_BEST = """{
   "coords": [
-    ["-1"],
-    ["-1/3"],
-    ["2/3"]
+    [-3],
+    [-1],
+    [2]
   ],
   "dimension": 1,
-  "side": "1"
+  "side": 3,
+  "unit": 3
 }
 """
 P3_CLAW_TRACE = """{
   "coords": [
-    ["-3/2", "0", "-3/2"],
-    ["-1/2", "0", "-1/2"],
-    ["1", "1", "-1/2"]
+    [-3, 0, -3],
+    [-1, 0, -1],
+    [2, 2, -1]
   ],
   "dimension": 3,
-  "side": "3/2",
+  "side": 3,
   "trace": {
     "bits": [0, 1, 2],
     "branch": [
@@ -112,7 +113,8 @@ P3_CLAW_TRACE = """{
     "levels": [0, 0, 1],
     "power": 1,
     "scale": ["0", "1"]
-  }
+  },
+  "unit": 2
 }
 """
 
@@ -123,8 +125,10 @@ P3_CLAW_TRACE = """{
 ], ids=["best", "claw-trace"])
 def test_representation_is_written_one_vertex_per_line(capsys, p3_file, flags, expected):
     """A representation's rows are one line each, `json.dumps`'s unindented
-    list, and so are the trace's lists and each row of its `branch`; the
-    keys keep the indented layout of every other document."""
+    list of the record's ints, and so are the trace's lists and each row of
+    its `branch`; the keys keep the indented layout of every other
+    document.  Each value counts units of 1/unit: under `--normalize` the
+    side is the unit."""
     assert run(capsys, "construct", p3_file, *flags) == (0, expected, "")
 
 
@@ -195,7 +199,7 @@ def test_construct_normalize_and_trace(capsys, p3_file):
     code, out, _ = run(capsys, "construct", p3_file, "--normalize", "--trace")
     assert code == 0
     obj = json.loads(out)
-    assert obj["side"] == "1"
+    assert obj["side"] == obj["unit"] == 3
     assert obj["trace"]["claw"] == 2
     assert set(obj["trace"]) == {"power", "claw", "bits", "scale", "codes", "levels", "branch"}
 
@@ -468,6 +472,38 @@ def test_verify_malformed_representation_exit_65(capsys, tmp_path, p3_file, chan
     code, out, err = run(capsys, "verify", p3_file, rep_path)
     assert code == 65
     assert out == "" and err.startswith("bad input:")
+
+
+@pytest.mark.parametrize("unit", [0, -1, True, 1.0, "2", 2**1100])
+def test_verify_refuses_a_bad_unit_exit_65(capsys, tmp_path, p3_file, unit):
+    rep_path = _rep_doc(p3_file, tmp_path, capsys, unit=unit)
+    code, out, err = run(capsys, "verify", p3_file, rep_path)
+    assert code == 65
+    assert out == "" and err == "bad input: unit must be a positive integer of at most 1024 bits\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--variant", "best", "--normalize"), ("--variant", "claw"), ("--variant", "alpha"),
+], ids=["best", "claw", "alpha"])
+def test_verify_reads_rational_text_as_it_reads_the_grid(capsys, tmp_path, flags):
+    """A written document, the rational text earlier versions wrote for
+    the same build, and each with three rows shifted as the benchmark
+    corrupts them (ints with integer texts, or texts alone) give `verify`
+    the same report, byte for byte, and the same exit code."""
+    from conftest import rational_obj, shifted
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(random_interval_model(GenConfig(60, 1, "unit-jitter")).dumps())
+    rep_path = tmp_path / "rep.json"
+    assert run(capsys, "construct", str(model_path), *flags, "--out", str(rep_path))[0] == 0
+    grid = json.loads(rep_path.read_text())
+    old = rational_obj(CubeRepresentation.loads(rep_path.read_text()))
+    outcomes = []
+    for obj in (grid, old, shifted(grid, [0, 7, 30]), shifted(old, [0, 7, 30])):
+        rep_path.write_text(json.dumps(obj))
+        outcomes.append(run(capsys, "verify", str(model_path), str(rep_path)))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
+    assert outcomes[2] == outcomes[3] and outcomes[2][0] == 2
 
 
 def _primes(count):

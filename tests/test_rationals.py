@@ -5,8 +5,10 @@ reference raises, wherever every supported Python's `Fraction` reads the
 text alike; `format_ratio` gives the text `str` of the `Fraction` gives,
 on generated and hostile input."""
 
+import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,11 @@ from intervalcubes import (
 )
 from intervalcubes.rationals import format_ratio, parse_ratio
 
-from conftest import from_rows, interval_models, representation_obj, representation_text
+import reader_reference as reference
+from conftest import (
+    from_rows, interval_models, rational_obj, representation_obj, representation_text, shifted,
+    values,
+)
 from rational_reference import parse_rational
 from rational_table import HOSTILE, TABLE, refusal
 
@@ -183,15 +189,6 @@ def test_format_ratio_matches_fraction_text(numerator, denominator):
     )
 
 
-def fraction_json(rep) -> dict:
-    """A representation's JSON as `str` of each value's `Fraction` writes it."""
-    return {
-        "dimension": rep.dimension,
-        "side": str(Fraction(rep.side, rep.unit)),
-        "coords": [[str(Fraction(col[v], rep.unit)) for col in rep.coords] for v in range(rep.n)],
-    }
-
-
 def _built(model):
     ordering = model_to_clique_ordering(model)
     rep, trace = build_representation(ordering)
@@ -199,13 +196,29 @@ def _built(model):
     return built + [normalize_unit(r) for r in built], trace
 
 
+def assert_reads_back(rep):
+    """The written document holds the record's own ints and unit, JSON
+    ints all, reads back as the same record field for field, and the
+    rational text earlier versions wrote for it reads as the reader this
+    one replaced (`reader_reference`) read it: the same rationals."""
+    text = rep.dumps()
+    obj = json.loads(text)
+    assert obj == representation_obj(rep)
+    assert {type(x) for x in chain([obj["side"], obj["unit"]], *obj["coords"])} == {int}
+    again = CubeRepresentation.loads(text)
+    assert (again.n, again.side, again.coords, again.unit) == (
+        rep.n, rep.side, rep.coords, rep.unit)
+    old = reference.representation_from_json_obj(rational_obj(rep))
+    assert CubeRepresentation.from_json_obj(rational_obj(rep)) == old
+    assert values(old) == values(rep)
+
+
 @settings(max_examples=100, deadline=None)
 @given(interval_models())
 def test_representation_text_matches_fraction_text_on_builds(model):
     reps, trace = _built(model)
     for rep in reps:
-        assert representation_obj(rep) == fraction_json(rep)
-        assert CubeRepresentation.loads(rep.dumps()) == rep
+        assert_reads_back(rep)
     if trace is not None:
         assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
 
@@ -214,16 +227,16 @@ def test_representation_text_matches_fraction_text_on_generated_models():
     for dist in ("uniform", "unit-jitter", "nested-heavy"):
         reps, trace = _built(random_interval_model(GenConfig(n=300, seed=3, dist=dist)))
         for rep in reps:
-            assert representation_obj(rep) == fraction_json(rep)
+            assert_reads_back(rep)
         assert trace.to_json_obj()["scale"] == [str(Fraction(x, trace.unit)) for x in trace.scale]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_repeated_coordinates_write_as_each_alone(data):
-    """Each distinct value is formatted once per document; the text is
-    byte for byte what formatting every coordinate on its own gives, in
-    the one-row-per-line layout."""
+    """Each coordinate is written as its own int on the record's grid:
+    the text is byte for byte the document of every row's ints and the
+    unit, in the one-row-per-line layout."""
     d = data.draw(st.integers(1, 3))
     unit = data.draw(st.integers(1, 60))
     pool = data.draw(st.lists(st.integers(-(10**15), 10**15), min_size=1, max_size=4))
@@ -231,11 +244,7 @@ def test_repeated_coordinates_write_as_each_alone(data):
     coords = tuple(data.draw(st.lists(row, min_size=1, max_size=8)))
     side = data.draw(st.sampled_from([x for x in pool if x > 0] or [unit]))
     rep = from_rows(coords, side, unit)
-    alone = {
-        "dimension": d,
-        "side": format_ratio(side, unit),
-        "coords": [[format_ratio(x, unit) for x in row] for row in coords],
-    }
+    alone = {"dimension": d, "side": side, "unit": unit, "coords": [list(row) for row in coords]}
     assert rep.dumps() == representation_text(alone)
 
 
@@ -248,13 +257,25 @@ def test_representation_text_matches_fraction_text_on_random_grids(data):
     rows = data.draw(st.lists(coord, max_size=6))
     if d and not rows:
         rows = [[0] * d]
-    rep = from_rows(rows, data.draw(st.integers(1, 10**15)), unit)
-    obj = representation_obj(rep)
-    assert obj == fraction_json(rep)
-    # read back onto the coarsest grid: the same values
-    again = CubeRepresentation.from_json_obj(obj)
-    assert Fraction(again.side, again.unit) == Fraction(rep.side, rep.unit)
-    assert again.n == rep.n
-    assert [[Fraction(x, again.unit) for x in col] for col in again.coords] == [
-        [Fraction(x, rep.unit) for x in col] for col in rep.coords
-    ]
+    assert_reads_back(from_rows(rows, data.draw(st.integers(1, 10**15)), unit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_models(), st.data())
+def test_a_mixed_document_reads_as_its_rational_text_did(model, data):
+    """Ints with a few texts, as the benchmark's corrupted copy of a
+    written document holds, read as the rationals the same copy of the
+    rational-text document gave the reader this one replaced; texts too
+    count units of 1/unit."""
+    for rep in _built(model)[0]:
+        if rep.dimension:
+            moved = data.draw(st.sets(st.integers(0, rep.n - 1), max_size=3))
+            mixed = CubeRepresentation.from_json_obj(shifted(representation_obj(rep), moved))
+            old = reference.representation_from_json_obj(shifted(rational_obj(rep), moved))
+            assert values(mixed) == values(old)
+    obj = {"dimension": 2, "side": "3/2", "unit": 4, "coords": [[1, "1/3"], ["-2", 0]]}
+    rep = CubeRepresentation.from_json_obj(obj)
+    # the grid is the unit times the lcm of the texts' denominators, 4 * 6
+    assert (rep.side, rep.coords, rep.unit) == (9, ((6, -12), (2, 0)), 24)
+    F = Fraction
+    assert values(rep) == (F(3, 8), [[F(1, 4), F(-1, 2)], [F(1, 12), 0]])

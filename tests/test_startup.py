@@ -33,6 +33,7 @@ print(json.dumps({
     "code": code,
     "loaded": [m for m in watched if m in sys.modules and m not in before],
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("intervalcubes.")),
+    "compiled": sys.modules["intervalcubes.rationals"]._rational.cache_info().currsize,
 }))
 """
 
@@ -113,6 +114,26 @@ def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
     assert result["code"] == 0
     assert set(result["modules"]) == expected
     assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("argv, compiled", [
+    (["construct", "model.json", "--variant", "best", "--normalize"], 0),
+    (["verify", "model.json", "model.rep.json"], 0),
+    (["construct", "ties.json", "--variant", "best"], 0),
+    (["exact", "small.json"], 0),
+    (["exact", "path.txt"], 0),
+    (["gen", "--n", "5", "--seed", "2", "--dist", "unit-jitter"], 0),
+    (["construct", "texts.json", "--variant", "best"], 1),
+    (["verify", "texts.json", "texts.rep.json"], 1),
+], ids=["construct", "verify", "construct-ties", "exact-model", "exact", "gen", "construct-texts",
+        "verify-texts"])
+def test_only_non_canonical_text_compiles_the_pattern(inputs, argv, compiled):
+    """Canonical "p", "-p" and "p/q" texts and written representations,
+    all ints, are read without the rational expression, which is compiled
+    on the first other text, such as " 1/ 2", and read through it."""
+    argv = [str(inputs / a) if a.endswith((".txt", ".json")) else a for a in argv]
+    result = _run(*argv, "--out", str(inputs / "out.json"))
+    assert (result["code"], result["compiled"]) == (0, compiled)
 
 
 def test_help_still_exits_0():

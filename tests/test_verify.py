@@ -16,6 +16,7 @@ from intervalcubes import (
     verify_representation,
 )
 from intervalcubes.construct import ConstructionTrace
+from intervalcubes.verify import MAX_UNIT_BITS
 
 from conftest import (
     claw_number,
@@ -85,7 +86,7 @@ def test_zero_dimensions_keep_the_vertex_count():
     text = '{"dimension": 0, "side": "1", "coords": [[], [], []]}'
     rep = CubeRepresentation.loads(text)
     assert (rep.n, rep.dimension, rep.coords) == (3, 0, ())
-    assert rep.dumps() == representation_text(json.loads(text))
+    assert rep.dumps() == representation_text({**json.loads(text), "side": 1, "unit": 1})
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,6 +153,31 @@ def test_positive_dimension_needs_coordinates():
         assert rep.dimension == 0
         assert CubeRepresentation.loads(rep.dumps()) == rep
         assert verify_representation(Graph(0), rep).ok
+
+
+@pytest.mark.parametrize("unit", [0, -1, True, 1.0, "2", 2**1100, None, [2]])
+def test_a_unit_other_than_a_positive_int_of_bounded_width_is_refused(unit):
+    with pytest.raises(ValueError, match="unit must be a positive integer of at most 1024 bits"):
+        CubeRepresentation.from_json_obj(
+            {"dimension": 1, "side": 1, "unit": unit, "coords": [[0], [1]]})
+
+
+def test_a_unit_whose_grid_passes_the_bound_is_refused():
+    """The unit times the lcm of the texts' denominators must fit
+    MAX_UNIT_BITS, as the lcm alone must without a unit."""
+    q = 2**40 + 15  # odd, 41 bits
+    rows = [["1/3"], [f"1/{q}"], [0]]
+    fits = CubeRepresentation.from_json_obj(
+        {"dimension": 1, "side": 1, "unit": 2 ** (MAX_UNIT_BITS - 44), "coords": rows})
+    assert fits.unit.bit_length() <= MAX_UNIT_BITS
+    for unit in (2 ** (MAX_UNIT_BITS - 40), 2 ** (MAX_UNIT_BITS - 1)):
+        obj = {"dimension": 1, "side": 1, "unit": unit, "coords": rows}
+        with pytest.raises(ValueError, match="the common grid needs a unit of more than 1024"):
+            CubeRepresentation.from_json_obj(obj)
+    # a side's denominator counts too, with no coordinate at all
+    obj = {"dimension": 0, "side": "1/3", "unit": 2 ** (MAX_UNIT_BITS - 1), "coords": [[]]}
+    with pytest.raises(ValueError, match="the common grid needs a unit of more than 1024"):
+        CubeRepresentation.from_json_obj(obj)
 
 
 def test_representation_refuses_deeply_nested_json():
