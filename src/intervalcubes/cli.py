@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         # nor opened: a failing command leaves no file, and a pipe is opened once
         for path in filter(None, (args.out, getattr(args, "csv", None))):
             where = path if os.path.exists(path) else os.path.dirname(path) or "."
-            if not os.access(where, os.W_OK):
+            if os.path.isdir(path) or not os.access(where, os.W_OK):
                 raise OSError(f"cannot write {path!r}")
         return args.func(args)
     except (NotIntervalError, SizeRefusalError) as exc:
@@ -310,9 +310,14 @@ def main(argv=None) -> int:
 
 def run():
     # the process's collector policy (README, "The collector"): off, since no
-    # command leaves cyclic garbage; `main` and the library never touch it
+    # command leaves cyclic garbage; `main` and the library never touch it.
+    # Frozen once `main` returns, so that finalization's full collections
+    # walk nothing: every output file is closed by then, and atexit
+    # handlers, the flushing of stdout and stderr and module teardown still run
     gc.disable()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -767,27 +767,47 @@ UNWRITABLE = {
 }
 
 
-@pytest.mark.parametrize("case", UNWRITABLE)
-def test_every_command_refuses_an_unwritable_destination_before_its_work(
-    capsys, tmp_path, monkeypatch, p3_file, case
-):
-    """Each destination is checked before any input is read or any sample
-    drawn, and is neither created nor opened."""
+def refuse_before_work(capsys, monkeypatch, p3_file, case, path):
+    """Run `case` with `path` as its destination, every command's work
+    patched to fail, and return its stderr once it exits 65 with no output."""
     def working(*args, **kwargs):
         raise AssertionError("started the work before the destination was checked")
 
     for module, name in ((cli, "_read_text"), (generate, "random_interval_model"),
-                         (search, "tightness_search")):
+                         (search, "tightness_search"), (construct, "build_best")):
         monkeypatch.setattr(module, name, working)
-    path = tmp_path / "missing" / "out.json"
     given = {"GRAPH": p3_file, "DEST": str(path)}
     argv = [case.split()[0]] + [given.get(a, a) for a in UNWRITABLE[case]]
     if str(path) not in argv:
         argv += ["--out", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
+    return err
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_every_command_refuses_an_unwritable_destination_before_its_work(
+    capsys, tmp_path, monkeypatch, p3_file, case
+):
+    """Each destination is checked before any input is read or any sample
+    drawn, and is neither created nor opened."""
+    path = tmp_path / "missing" / "out.json"
+    err = refuse_before_work(capsys, monkeypatch, p3_file, case, path)
     assert err.startswith("bad input: ")
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_every_command_refuses_a_directory_destination_before_its_work(
+    capsys, tmp_path, monkeypatch, p3_file, case
+):
+    """A directory is writable to `os.access`, but no file can be opened
+    on it: `search --out /tmp` sampled for 0.8 s before it failed."""
+    path = tmp_path / "dir"
+    path.mkdir()
+    err = refuse_before_work(capsys, monkeypatch, p3_file, case, path)
+    assert err == f"bad input: cannot write {str(path)!r}\n"
+    assert list(path.iterdir()) == []
 
 
 def test_a_writable_destination_is_taken_as_it_is(capsys, tmp_path, monkeypatch, p3_file):

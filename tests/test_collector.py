@@ -1,7 +1,8 @@
 """The cyclic collector's policy is the process's: `python -m
-intervalcubes` turns the collector off once, at the entry point, while
-`cli.main` and the library leave it as they find it, so a program that
-calls them keeps its own.  The policy holds because no command leaves
+intervalcubes` turns the collector off once, at the entry point, and
+freezes what is tracked once `main` returns, while `cli.main` and the
+library leave it as they find it, so a program that calls them keeps its
+own.  The policy holds because no command leaves
 cyclic garbage: `search`, which runs the oracle thousands of times,
 stays bounded with the collector off."""
 
@@ -86,15 +87,18 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, policy):
 
 
 def test_the_entry_point_sets_the_policy():
-    """`python -m intervalcubes` runs `cli.run`, which sets the policy and
-    then calls `main`."""
+    """`python -m intervalcubes` runs `cli.run`, which sets the policy,
+    calls `main`, and freezes what is tracked once `main` returns, so that
+    finalization's collections walk nothing; atexit handlers still run."""
     out = _python(
-        "import gc, runpy, sys\n"
+        "import atexit, gc, runpy, sys\n"
         "from intervalcubes import cli\n"
-        "cli.main = lambda: print(gc.isenabled(), gc.get_threshold()) or 0\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "cli.main = lambda: print(gc.isenabled(), gc.get_threshold(),\n"
+        "                         gc.get_freeze_count()) or 0\n"
         "runpy.run_module('intervalcubes', run_name='__main__')\n"
     )
-    assert out == "False (700, 10, 10)\n"
+    assert out == "False (700, 10, 10) 0\nTrue\n"
 
 
 PEAK = """
