@@ -287,11 +287,15 @@ def _misuse(args) -> str | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _quick_args(argv)
-    # argparse parses anything else, and reports every error with its usage line
+    # argparse parses anything else, and reports every error with its usage
+    # line; its exit, for help or an error, becomes the return value
     if args is None or _misuse(args):
-        args = build_parser().parse_args(argv)
-        if _misuse(args):
-            args.error(_misuse(args))
+        try:
+            args = build_parser().parse_args(argv)
+            if _misuse(args):
+                args.error(_misuse(args))
+        except SystemExit as exc:
+            return exc.code
     try:
         # each destination is checked before any input is read, neither created
         # nor opened: a failing command leaves no file, and a pipe is opened once

@@ -52,9 +52,10 @@ def _consecutive_twins(adj: list[int]) -> list[tuple[int, int]]:
     return [(a, b) for members in groups.values() for a, b in zip(members, members[1:])]
 
 
-def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
-    """Depth-first search over the vertex orders that place each twin class
-    in index order, placing one vertex at a time.
+def _order_closures(adj: list[int], twins, pair_bit, prune, leaf) -> int:
+    """Depth-first search over the vertex orders, of the graph with
+    adjacency masks `adj` and twin pairs `twins` (`_consecutive_twins`),
+    that place each twin class in index order, one vertex at a time.
 
     Placing x at position t joins x to every earlier vertex from position f
     on, where f is the first earlier position whose vertex still has a
@@ -66,11 +67,10 @@ def _order_closures(graph: Graph, pair_bit, prune, leaf) -> int:
     greedy descents run first, taking the lower index on ties.  Returns the
     number of prefixes visited, theirs included.
     """
-    n = graph.n
-    adj = _adj_masks(graph)
+    n = len(adj)
     # a twin is placed only after the class member just below it
     needs = [0] * n
-    for a, b in _consecutive_twins(adj):
+    for a, b in twins:
         needs[b] = 1 << a
     everyone = (1 << n) - 1
     order: list[int] = []
@@ -138,8 +138,9 @@ def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple
     for i, (u, v) in enumerate(missing):
         pair_bit[u][v] = pair_bit[v][u] = 1 << i
     # each swap of consecutive twins, as the image bit of each non-edge bit
+    twins = _consecutive_twins(adj := _adj_masks(graph))
     swaps = []
-    for a, b in _consecutive_twins(_adj_masks(graph)):
+    for a, b in twins:
         swap = {a: b, b: a}
         swaps.append([pair_bit[swap.get(u, u)][swap.get(v, v)] for u, v in missing])
     minimal_added: list[int] = []
@@ -166,7 +167,7 @@ def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple
                 minimal_added.append(image)
         return False
 
-    visited = _order_closures(graph, pair_bit, contains_found, keep)
+    visited = _order_closures(adj, twins, pair_bit, contains_found, keep)
     universe = (1 << len(missing)) - 1
     candidates = [universe ^ added for added in minimal_added]
     candidates.sort(key=lambda m: (-m.bit_count(), m))

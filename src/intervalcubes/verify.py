@@ -14,14 +14,17 @@ recognition has certified it against the graph's edges (see
 grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
-order: by index for a graph, and by left end for ranges, whose columns
-are permuted into that order.  Each vertex's earlier non-neighbours are
-one int bitmask: for ranges, those that closed before it opened, a
-prefix of the order by right end; for a graph, the complement of its
-adjacency.  Each column is sorted once, and a window of width
-`side` slides along it (Bentley, Stanat and Williams 1977), counting the
-pairs near there; P is that count in the dimension with the fewest.
-Then one of two paths checks the pairs.
+order: by index for a graph, and for ranges by right end, ties by index,
+with their columns permuted into that order.  Then the ranges closed
+before position p opens are the positions below closed[p], the count of
+right ends before its left end, and p meets every earlier position from
+closed[p] on: m = n(n-1)/2 - sum(closed).  Each vertex's earlier
+non-neighbours are one int bitmask: for ranges the prefix
+(1 << closed[p]) - 1, shared by the positions with the same count; for a
+graph, the complement of its adjacency.  Each column is sorted once, and
+a window of width `side` slides along it (Bentley, Stanat and Williams
+1977), counting the pairs near there; P is that count in the dimension
+with the fewest.  Then one of two paths checks the pairs.
 
 - Masks.  Per dimension, one window bitmask slides along the sorted
   order, each vertex entering and leaving it once.  At each vertex it is
@@ -31,13 +34,14 @@ Then one of two paths checks the pairs.
   operations on ints of up to n bits, Θ(d·n²/64) machine words whatever
   the input, and 2·n masks of n²/8 bytes in all: 12.5 MB at n = 10^4,
   but 125 GB at `MAX_VERTICES`.
-- Window.  The edges are listed, from a graph's adjacency or by
-  bisecting the ranges' sorted left ends, and each dimension keeps those
-  that are too long there; the window over the sparsest dimension then
-  walks its P pairs for the non-edges near in every dimension.  That is
-  one Python step per pair, and per edge and dimension:
-  O(d·n log n + P + d·m).  Every edge is near in the sparsest dimension
-  or misses adjacency, so m <= P + |missing_adjacency|.
+- Window.  Each dimension keeps only its far edges, those too long
+  there: for ranges read straight off each position's earlier
+  neighbours, closed[p] up to p, so no list of every edge is made; for a
+  graph filtered from a list of its edges.  The window over the
+  sparsest dimension then walks its P pairs for the non-edges near in
+  every dimension.  That is one Python step per pair, and per edge and
+  dimension: O(d·n log n + P + d·m).  Every edge is near in the sparsest
+  dimension or misses adjacency, so m <= P + |missing_adjacency|.
 
 The masks run when P + d·m >= d·n·(n + 4096)/1024: measured on CPython
 3.11 from n = 100 to 10^4, on built and synthetic representations, a
@@ -49,7 +53,7 @@ has about 2.2 million window pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from io import StringIO
 from itertools import chain, repeat
 from math import lcm
@@ -186,14 +190,15 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
     if any(len(col) != n for col in rep.coords):
         raise ValueError(f"every column must hold {n} coordinates")
     side, cols, d = rep.side, rep.coords, rep.dimension
+    pairs = n * (n - 1) // 2
     ranged = not isinstance(graph, Graph)
     if ranged:
         ordering = isinstance(graph, CliqueOrdering)
         left, right = (graph.left, graph.right) if ordering else (graph.lo, graph.hi)
-        seq = sorted(range(n), key=left.__getitem__)
-        lo, hi = [left[v] for v in seq], [right[v] for v in seq]
-        # position p meets the later positions up to the last start within hi[p]
-        m = sum(bisect_right(lo, h) for h in hi) - n * (n + 1) // 2
+        seq = sorted(range(n), key=right.__getitem__)
+        ends = [right[v] for v in seq]
+        closed = [bisect_left(ends, left[v]) for v in seq]  # p meets positions closed[p]..p-1
+        m = pairs - sum(closed)
         cols = [[col[v] for v in seq] for col in cols]
     else:
         seq = range(n)
@@ -203,30 +208,31 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
 
     if not d or _masks_pay(min(near), m, d, n):
         if ranged:
-            non = _closed_before(lo, hi)
+            prefix = {c: (1 << c) - 1 for c in set(closed)}
+            non = list(map(prefix.__getitem__, closed))
         else:
             adj = graph.adj
             non = [((1 << v) - 1) ^ sum(1 << u for u in adj[v] if u < v) for v in range(n)]
         adjacency, separation, stats = _by_masks(non, cols, windows, side)
     else:
         if ranged:
-            edges = [(p, q) for p in range(n) for q in range(p + 1, bisect_right(lo, hi[p]))]
+            far = [[(q, p) for p, (c, x) in enumerate(zip(closed, col)) for q in range(c, p)
+                    if abs(col[q] - x) > side] for col in cols]
 
             def apart(v, us):
-                lv, hv = lo[v], hi[v]
-                return [u for u in us if lo[u] > hv or hi[u] < lv]
+                cv = closed[v]
+                return [u for u in us if u < cv or v < closed[u]]
 
         else:
             adj = graph.adj
             edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+            far = [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
 
             def apart(v, us):
                 av = adj[v]
                 return [u for u in us if u not in av]
 
-        far = [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
         adjacency = set().union(*far)
-        pairs = n * (n - 1) // 2
         stats = [pairs - near[i] - len(far[i]) for i in range(d)]
         # the dimensions that separate the most pairs first
         dims = sorted(range(d), key=near.__getitem__)
@@ -250,20 +256,6 @@ def _labelled(seq, pairs) -> tuple[tuple[int, int], ...]:
     """Pairs of sweep positions as sorted (smaller, larger) vertex pairs."""
     labelled = ((seq[p], seq[q]) for p, q in pairs)
     return tuple(sorted((a, b) if a < b else (b, a) for a, b in labelled))
-
-
-def _closed_before(lo: list[int], hi: list[int]) -> list[int]:
-    """For intervals in order of left end, per position the bitmask of the
-    earlier positions not adjacent to it: the intervals that closed before
-    it opened, a prefix of the order by right end."""
-    by_hi = sorted(range(len(lo)), key=hi.__getitem__)
-    non, closed, q = [], 0, 0
-    for x in lo:
-        while hi[by_hi[q]] < x:  # the interval opening at x stops this
-            closed |= 1 << by_hi[q]
-            q += 1
-        non.append(closed)
-    return non
 
 
 def _by_masks(non: list[int], cols, windows, side: int):

@@ -160,7 +160,9 @@ def indifference_ordering(graph: Graph) -> tuple[int, ...] | None:
         return True
 
     # every pair gets a nonzero bit, so prune=bool cuts any forced edge
-    oracle._order_closures(graph, [[1] * graph.n] * graph.n, bool, stop)
+    adj = oracle._adj_masks(graph)
+    pair_bit = [[1] * graph.n] * graph.n
+    oracle._order_closures(adj, oracle._consecutive_twins(adj), pair_bit, bool, stop)
     return found[0] if found else None
 
 

@@ -71,10 +71,7 @@ def test_a_process_gives_what_main_gives(tmp_path, capsysbinary, monkeypatch, in
                           stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
 
     monkeypatch.chdir(shutil.copytree(inputs, tmp_path / "main"))
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
+    code = main(argv)
     captured = capsysbinary.readouterr()
 
     assert (done.returncode, code) == (expected, expected)

@@ -123,6 +123,18 @@ def test_exact_witness_covers_non_edges():
     assert covered == set(non_edges(cycle_graph(4)))
 
 
+def test_adjacency_masks_are_built_once_per_graph(monkeypatch):
+    from intervalcubes import oracle
+
+    calls = []
+    adj_masks = oracle._adj_masks
+    monkeypatch.setattr(oracle, "_adj_masks", lambda graph: calls.append(graph) or adj_masks(graph))
+    for graph in (star_graph(4), cycle_graph(4), path_graph(5)):
+        calls.clear()
+        assert exact_cubicity(graph).cubicity >= 1
+        assert calls == [graph]
+
+
 def test_exceeded_result():
     result = exact_cubicity(star_graph(5), b_max=2)
     assert isinstance(result, Exceeded)
