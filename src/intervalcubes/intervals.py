@@ -14,8 +14,9 @@ Fraction.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left
 from functools import cmp_to_key
+from io import StringIO
 from itertools import chain, compress, count, islice, repeat
 from math import lcm
 from operator import gt, itemgetter
@@ -57,7 +58,9 @@ class IntervalModel(Record):
         return {"intervals": [{"id": i, "lo": text[a], "hi": text[b]} for i, (a, b) in ends]}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        """The text `write_json` writes for the model, less its final newline."""
+        write_json(self.to_json_obj(), buffer := StringIO())
+        return buffer.getvalue()[:-1]
 
     @classmethod
     def from_json_obj(cls, obj) -> "IntervalModel":
@@ -225,20 +228,28 @@ class CliqueOrdering(Record):
         return {"k": self.k, "left": list(self.left), "right": list(self.right)}
 
 
-def model_to_graph(model: IntervalModel) -> Graph:
-    """Closed-interval overlap graph; a shared endpoint is an edge.
+def by_right_end(left, right) -> tuple[list[int], list[int]]:
+    """Closed int ranges [left[v], right[v]], each left <= right, in the
+    sweep order `seq`: by right end, ties by index; closed[p] counts the
+    right ends before position p's left end.  So the positions below
+    closed[p] end before p starts, and those from closed[p] up to p end
+    at or after p starts and no later than p ends: they meet p, and
+    closed[p] <= p.  Each pair that meets is met once, from its later
+    position, and n(n-1)/2 - sum(closed) pairs meet."""
+    seq = sorted(range(len(right)), key=right.__getitem__)
+    ends = [right[v] for v in seq]
+    return seq, [bisect_left(ends, left[v]) for v in seq]
 
-    Sorted by `lo`, the intervals meeting u from its right are exactly the
-    later starts at or before `hi` of u, one bisection away: O(n log n + m).
-    This reads the endpoint ranks directly, never the clique sweep, so the
-    graph a representation is verified against stays independent of the
-    ordering it was built from.
-    """
-    lo, hi = model.lo, model.hi
-    order = sorted(range(model.n), key=lo.__getitem__)
-    los = [lo[v] for v in order]
-    edges = [(u, v) for p, u in enumerate(order) for v in order[p + 1 : bisect_right(los, hi[u])]]
-    return Graph(model.n, edges)
+
+def model_to_graph(model: IntervalModel) -> Graph:
+    """Closed-interval overlap graph; a shared endpoint is an edge.  Each
+    interval's earlier neighbours in `by_right_end`'s sweep go to `Graph`
+    one edge at a time, with no list of them: O(n log n + m).  This reads
+    the endpoint ranks, never the clique sweep, so the graph a
+    representation is verified against stays independent of the ordering
+    it was built from."""
+    seq, closed = by_right_end(model.lo, model.hi)
+    return Graph(model.n, ((seq[q], seq[p]) for p, c in enumerate(closed) for q in range(c, p)))
 
 
 def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:

@@ -31,7 +31,7 @@ index and checks that its cliques are consecutive; the returned
 `CliqueOrdering` holds those ranges alone.
 
 Before it is returned, the ordering is checked against the input graph
-in O(n + m) (`_check_ordering_sanity`): its ranges, read as closed
+in O(n log n + m) (`_check_ordering_sanity`): its ranges, read as closed
 intervals, meet on exactly the graph's edges.  That makes the ordering a
 certificate, in the sense of McConnell, Mehlhorn, Näher & Schweitzer
 ("Certifying algorithms", Computer Science Review 5, 2011): past
@@ -41,10 +41,8 @@ representation of an edge list against them.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .graphs import ConstructionError, Graph, NotIntervalError
-from .intervals import CliqueOrdering
+from .intervals import CliqueOrdering, by_right_end
 
 
 class _Partition:
@@ -242,11 +240,11 @@ def recognize_and_order(graph: Graph) -> CliqueOrdering:
 
 def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
     """ConstructionError unless the ranges meet on exactly the graph's
-    edges, found in O(n + m): every edge's ranges meet, and exactly m
-    pairs of ranges meet, so the pairs that meet are the edges.  Both
-    halves read the input graph, not recognition's own data, so the
-    ranges are then a certified interval model of the graph, and a
-    representation verified against them is verified against the graph.
+    edges, found in O(n log n + m): every edge's ranges meet, and exactly
+    m pairs of ranges meet (`by_right_end`), so the pairs that meet are
+    the edges.  Both halves read the input graph, not recognition's own
+    data, so the ranges are then a certified interval model of the graph,
+    and a representation verified against them is verified against it.
     The full validator, `validate_ordering`, is a test oracle in
     tests/validators.py; that every vertex's cliques are consecutive is
     checked where the ranges are made, in `recognize_and_order`.
@@ -258,12 +256,7 @@ def _check_ordering_sanity(graph: Graph, ordering: CliqueOrdering):
         for v in row:
             if u < v and not (left[v] <= ru and lu <= right[v]):
                 raise ConstructionError(f"ordering disagrees with adjacency on ({u}, {v})")
-    # Listed by left end, the vertex at position p meets the later ones
-    # whose left end is at or before its right end: upto[right] - p - 1 of
-    # them, where upto[j] counts the left ends at or before clique j.
-    # Summed over p = 0..n-1 that is the count below.
-    upto = list(accumulate(len(group) for group in ordering.by_left()))
-    meeting = sum(upto[r] for r in right) - n * (n + 1) // 2
+    meeting = n * (n - 1) // 2 - sum(by_right_end(left, right)[1])
     if meeting != graph.edge_count:
         raise ConstructionError(
             f"{meeting} pairs of clique ranges meet, the graph has {graph.edge_count} edges"

@@ -14,17 +14,16 @@ recognition has certified it against the graph's edges (see
 grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
-order: by index for a graph, and for ranges by right end, ties by index,
-with their columns permuted into that order.  Then the ranges closed
-before position p opens are the positions below closed[p], the count of
-right ends before its left end, and p meets every earlier position from
-closed[p] on: m = n(n-1)/2 - sum(closed).  Each vertex's earlier
-non-neighbours are one int bitmask: for ranges the prefix
-(1 << closed[p]) - 1, shared by the positions with the same count; for a
-graph, the complement of its adjacency.  Each column is sorted once, and
-a window of width `side` slides along it (Bentley, Stanat and Williams
-1977), counting the pairs near there; P is that count in the dimension
-with the fewest.  Then one of two paths checks the pairs.
+order: by index for a graph, and for ranges `intervals.by_right_end`'s,
+with their columns permuted into it: p meets every earlier position from
+closed[p] on and none before, so m = n(n-1)/2 - sum(closed).  Each
+vertex's earlier non-neighbours are one int bitmask: for ranges the
+prefix (1 << closed[p]) - 1, shared by the positions with the same
+count; for a graph, the complement of its adjacency.  Each column is
+sorted once, and a window of width `side` slides along it (Bentley,
+Stanat and Williams 1977), counting the pairs near there; P is that
+count in the dimension with the fewest.  Then one of two paths checks
+the pairs.
 
 - Masks.  Per dimension, one window bitmask slides along the sorted
   order, each vertex entering and leaving it once.  At each vertex it is
@@ -35,13 +34,12 @@ with the fewest.  Then one of two paths checks the pairs.
   the input, and 2·n masks of n²/8 bytes in all: 12.5 MB at n = 10^4,
   but 125 GB at `MAX_VERTICES`.
 - Window.  Each dimension keeps only its far edges, those too long
-  there: for ranges read straight off each position's earlier
-  neighbours, closed[p] up to p, so no list of every edge is made; for a
-  graph filtered from a list of its edges.  The window over the
-  sparsest dimension then walks its P pairs for the non-edges near in
-  every dimension.  That is one Python step per pair, and per edge and
-  dimension: O(d·n log n + P + d·m).  Every edge is near in the sparsest
-  dimension or misses adjacency, so m <= P + |missing_adjacency|.
+  there, read straight off each vertex's earlier neighbours (closed[p]
+  up to p, or a graph's adjacency row), with no list of every edge.  The
+  window over the sparsest dimension walks its P pairs for the non-edges
+  near in every dimension.  That is one Python step per pair, and per
+  edge and dimension: O(d·n log n + P + d·m).  Every edge is near in the
+  sparsest dimension or misses adjacency, so m <= P + |missing_adjacency|.
 
 The masks run when P + d·m >= d·n·(n + 4096)/1024: measured on CPython
 3.11 from n = 100 to 10^4, on built and synthetic representations, a
@@ -53,14 +51,13 @@ has about 2.2 million window pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from io import StringIO
 from itertools import chain, repeat
 from math import lcm
 from re import finditer
 
 from .graphs import Graph, Record
-from .intervals import CliqueOrdering, IntervalModel, read_json, write_json
+from .intervals import CliqueOrdering, IntervalModel, by_right_end, read_json, write_json
 from .rationals import parse_ratio
 
 # A document's rational texts go onto its unit times the lcm of their
@@ -194,14 +191,12 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
     ranged = not isinstance(graph, Graph)
     if ranged:
         ordering = isinstance(graph, CliqueOrdering)
-        left, right = (graph.left, graph.right) if ordering else (graph.lo, graph.hi)
-        seq = sorted(range(n), key=right.__getitem__)
-        ends = [right[v] for v in seq]
-        closed = [bisect_left(ends, left[v]) for v in seq]  # p meets positions closed[p]..p-1
+        ends = (graph.left, graph.right) if ordering else (graph.lo, graph.hi)
+        seq, closed = by_right_end(*ends)  # p meets positions closed[p]..p-1
         m = pairs - sum(closed)
         cols = [[col[v] for v in seq] for col in cols]
     else:
-        seq = range(n)
+        seq, adj = range(n), graph.adj
         m = graph.edge_count
     windows = [_window(col, side) for col in cols]
     near = [sum(j - s for j, s in enumerate(starts)) for _, starts in windows]
@@ -211,7 +206,6 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
             prefix = {c: (1 << c) - 1 for c in set(closed)}
             non = list(map(prefix.__getitem__, closed))
         else:
-            adj = graph.adj
             non = [((1 << v) - 1) ^ sum(1 << u for u in adj[v] if u < v) for v in range(n)]
         adjacency, separation, stats = _by_masks(non, cols, windows, side)
     else:
@@ -224,9 +218,8 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
                 return [u for u in us if u < cv or v < closed[u]]
 
         else:
-            adj = graph.adj
-            edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-            far = [[e for e in edges if abs(col[e[0]] - col[e[1]]) > side] for col in cols]
+            far = [[(u, v) for v, (row, x) in enumerate(zip(adj, col)) for u in row
+                    if u < v and abs(col[u] - x) > side] for col in cols]
 
             def apart(v, us):
                 av = adj[v]

@@ -407,6 +407,16 @@ def test_bad_input_exit_65(capsys, tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize("text, message", [
+    ("-1 0\n", "line 1: header counts must be non-negative"),
+    ("2 1\n0 x\n", "line 2: edge endpoints must be integers"),
+], ids=["negative-n", "non-integer-endpoint"])
+def test_bad_edge_list_names_its_line_exit_65(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run(capsys, "recognize", str(path)) == (65, "", f"bad input: {message}\n")
+
+
 def test_usage_error_exit_64(capsys):
     code, out, err = run(capsys, "construct", "--variant", "bogus", "x")
     assert code == 64

@@ -48,6 +48,17 @@ def test_parse_rejects_malformed_line():
         parse_graph("3 2\n0 1\n1 2 7")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("-1 0\n", "line 1: header counts must be non-negative"),
+    ("3 -1\n", "line 1: header counts must be non-negative"),
+    ("2 1\n0 x\n", "line 2: edge endpoints must be integers"),
+], ids=["negative-n", "negative-m", "non-integer-endpoint"])
+def test_parse_refuses_with_the_line(text, message):
+    with pytest.raises(GraphParseError) as excinfo:
+        parse_graph(text)
+    assert str(excinfo.value) == message
+
+
 def test_parse_rejects_wrong_edge_count():
     with pytest.raises(GraphParseError, match="expected 3"):
         parse_graph("3 3\n0 1\n1 2")
@@ -188,6 +199,8 @@ def test_graph_rejects_self_loop_and_range():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 3)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1)
 
 
 def test_graph_build_peak_stays_near_what_it_holds():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intervalcubes import (
@@ -10,6 +10,7 @@ from intervalcubes import (
     model_to_clique_ordering,
     model_to_graph,
 )
+from intervalcubes.intervals import by_right_end
 
 from conftest import (
     bron_kerbosch,
@@ -118,6 +119,36 @@ def test_sweep_matches_set_sweep(model):
     assert ordering == ordering_from_cliques(cliques, model.n)
     # the cliques read off the ranges, in the sweep's order
     assert clique_sets(ordering) == tuple(cliques)
+
+
+@st.composite
+def crowded_ranges(draw):
+    """Closed int ranges on 0..6, as (left, right) columns: shared
+    endpoints, one-point ranges and equal right ends are common."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=16))
+    return tuple(map(min, pairs)), tuple(map(max, pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(crowded_ranges())
+@example(((), ()))
+@example(((2,), (2,)))
+def test_by_right_end_matches_all_pairs(ranges):
+    """Against every pair: below p, the positions from closed[p] on meet
+    p's range and those before closed[p] do not, so sum(closed) is the
+    number of disjoint pairs."""
+    left, right = ranges
+    n = len(left)
+    seq, closed = by_right_end(left, right)
+    assert sorted(seq) == list(range(n))
+
+    def meet(u, v):
+        return left[u] <= right[v] and left[v] <= right[u]
+
+    for p, c in enumerate(closed):
+        assert all(meet(seq[q], seq[p]) for q in range(c, p))
+        assert not any(meet(seq[q], seq[p]) for q in range(c))
+    assert sum(closed) == sum(not meet(u, v) for v in range(n) for u in range(v))
 
 
 def test_ordering_from_cliques_rejects_swapped_cliques():

@@ -7,11 +7,12 @@ representation's trace, every list of scalars on one line."""
 import json
 from io import StringIO
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intervalcubes import (
     GenConfig,
+    IntervalModel,
     exact_cubicity,
     label_vertices,
     model_to_clique_ordering,
@@ -118,3 +119,12 @@ def test_generated_and_search_documents_are_written_as_json_dumps_writes_them():
     docs.append(tightness_search(count=40, n_max=6, seed=1).to_json_obj())
     for obj in docs:
         assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_models())
+@example(IntervalModel(()))
+def test_model_dumps_is_the_writers_text(model):
+    """`IntervalModel.dumps` writes through `write_json`, as
+    `CubeRepresentation.dumps` does, less the final newline."""
+    assert model.dumps() == json.dumps(model.to_json_obj(), indent=2, sort_keys=True)

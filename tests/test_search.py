@@ -1,3 +1,5 @@
+import pytest
+
 from intervalcubes import tightness_search
 from intervalcubes.oracle import ExactResult, exact_cubicity
 from intervalcubes.search import histogram_csv
@@ -11,6 +13,11 @@ def test_small_search_runs_clean():
     assert report.bound_violations == []
     assert report.counterexamples == []
     assert sum(report.histogram.values()) == 150
+
+
+def test_search_refuses_n_max_below_2():
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        tightness_search(1, n_max=1)
 
 
 def test_search_determinism():
