@@ -15,10 +15,9 @@ _MODULES = {
     "construct": "ConstructionTrace bit branch_codes build_alpha_representation build_best "
     "build_degenerate build_representation clique_scale normalize_unit",
     "generate": "GenConfig random_interval_model",
-    "graphs": "ConstructionError Graph GraphParseError NotIntervalError SizeRefusalError "
-    "non_edges parse_graph serialize_graph",
-    "intervals": "DISTRIBUTIONS CliqueOrdering IntervalModel model_to_clique_ordering "
-    "model_to_graph",
+    "graphs": "DISTRIBUTIONS CliqueOrdering ConstructionError Graph GraphParseError "
+    "NotIntervalError SizeRefusalError non_edges parse_graph serialize_graph",
+    "intervals": "IntervalModel model_to_clique_ordering model_to_graph",
     "labelling": "Labelling label_vertices",
     "oracle": "ExactResult Exceeded exact_cubicity",
     "params": "ParamReport StarWitness ceil_log2 param_report",

@@ -12,9 +12,11 @@ against the graph's edges.  Only `verify`, which takes any graph, and
 `exact`, within the oracle's bound.  Every `--out` and `--csv`
 destination is checked before any input is read.
 
-Each command imports the modules it runs when it runs, and only edge-list
-input loads recognition; what every command needs (the parsers, limits,
-and the errors `main` maps to exit codes) is in `graphs` and `intervals`.
+Each command imports the modules it runs when it runs: only edge-list
+input loads recognition, and only model input `intervals`.  What every
+command needs (the edge-list parser, the clique ordering, the JSON
+writer, the limits, and the errors `main` maps to exit codes) is in
+`graphs`.
 One table, `_COMMANDS`, defines every command and option.  A canonical
 command line (exact long options given once as `--opt value`, values
 and positionals not starting with "-", ints in ASCII digits) is read
@@ -34,10 +36,8 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 from .graphs import (
-    MAX_ORACLE_VERTICES, MAX_VERTICES, Graph, NotIntervalError, SizeRefusalError, parse_graph,
-)
-from .intervals import (
-    DISTRIBUTIONS, CliqueOrdering, IntervalModel, model_to_clique_ordering, write_json,
+    DISTRIBUTIONS, MAX_ORACLE_VERTICES, MAX_VERTICES, CliqueOrdering, Graph, NotIntervalError,
+    SizeRefusalError, parse_graph, write_json,
 )
 
 EXIT_OK = 0
@@ -56,9 +56,13 @@ def _read_text(path: str) -> str:
 
 
 def _read_input(path: str, refuse=None) -> Graph | IntervalModel:
+    """The input's `Graph`, or its `IntervalModel` for JSON text; `refuse`,
+    if given, sees the vertex count before any edge or record is read."""
     text = _read_text(path)
     if text.lstrip().startswith(("{", "[")):
-        return IntervalModel.loads(text)
+        from .intervals import IntervalModel
+
+        return IntervalModel.loads(text, refuse)
     return parse_graph(text, refuse)
 
 
@@ -69,7 +73,9 @@ def _load(path: str) -> tuple[IntervalModel | CliqueOrdering, CliqueOrdering]:
     here.  Recognition raises NotIntervalError for a graph that is not an
     interval graph."""
     source = _read_input(path)
-    if isinstance(source, IntervalModel):
+    if not isinstance(source, Graph):
+        from .intervals import model_to_clique_ordering
+
         return source, model_to_clique_ordering(source)
     from .recognition import recognize_and_order
 
@@ -150,12 +156,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    from .intervals import model_to_graph
     from .oracle import exact_cubicity, refuse_if_large
 
-    source = _read_input(args.graph, refuse_if_large)
-    refuse_if_large(source.n)
-    graph = model_to_graph(source) if isinstance(source, IntervalModel) else source
+    graph = _read_input(args.graph, refuse_if_large)
+    if not isinstance(graph, Graph):
+        from .intervals import model_to_graph
+
+        graph = model_to_graph(graph)
     result = exact_cubicity(graph, b_max=args.max_b)
     _emit(result.to_json_obj(), args.out)
     return EXIT_OK

@@ -42,11 +42,9 @@ labelling.  `build_best` builds only the variant with fewer dimensions.
 
 from __future__ import annotations
 
-from .graphs import ConstructionError, Record
-from .intervals import CliqueOrdering
+from .graphs import CliqueOrdering, ConstructionError, Record
 from .labelling import Labelling, label_vertices
 from .params import best_dimension, ceil_log2, parameters
-from .rationals import format_ratio
 from .verify import CubeRepresentation
 
 
@@ -71,6 +69,8 @@ class ConstructionTrace(Record):
         return 1 << self.power
 
     def to_json_obj(self) -> dict:
+        from .rationals import format_ratio
+
         codes = branch_codes(self.labelling, self.claw)
         return {
             "power": self.power,

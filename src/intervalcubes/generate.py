@@ -9,10 +9,10 @@ sixteenths for `unit-jitter`, made as int pairs without `fractions`.
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from .graphs import Record
-from .intervals import DISTRIBUTIONS, IntervalModel, _ranked
-from .rationals import lowest
+from .graphs import DISTRIBUTIONS, Record
+from .intervals import IntervalModel, _ranked
 
 
 class GenConfig(Record):
@@ -45,7 +45,8 @@ def random_interval_model(cfg: GenConfig) -> IntervalModel:
         for _ in range(n):
             a = rng.randint(0, 3 * n)
             hi = 4 * a + 16 + rng.randint(-4, 4)
-            ends += lowest(a, 4), lowest(hi, 16)
+            g, h = gcd(a, 4), gcd(hi, 16)
+            ends += (a // g, 4 // g), (hi // h, 16 // h)
     else:  # nested-heavy: wide spread of lengths around shared centers
         span = 4 * n
         for _ in range(n):

@@ -1,32 +1,23 @@
-"""Interval models and linear orderings of maximal cliques.
+"""Interval models: closed intervals with exact rational endpoints.
 
-An interval graph's maximal cliques can be linearly ordered so that the
-cliques containing any one vertex are consecutive.  The CliqueOrdering
-type is that witness, kept as each vertex's leftmost and rightmost clique
-index alone: clique C_j is every vertex whose range holds j, so no
-clique list is stored or written.  Everything downstream (labelling,
-coordinate construction) consumes orderings, not raw models.  A model is
-ranked once, when it is made, so the sweep, `model_to_graph` and the
-verifier compare small ints, and neither loading nor ranking builds a
-Fraction.
+A model is ranked once, when it is made, so the sweep, `model_to_graph`
+and the verifier compare small ints, and neither loading nor ranking
+builds a Fraction.  `model_to_clique_ordering` gives a model's
+`graphs.CliqueOrdering`, the form every stage after loading reads, and
+`model_to_graph` its `Graph` from `graphs.by_right_end`.  The CLI loads
+this module for model input alone, and `rationals` only where endpoint
+text is read or written.
 """
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_left
 from functools import cmp_to_key
 from io import StringIO
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import gt, itemgetter
 
-from .graphs import Graph, Record
-from .rationals import format_ratio, parse_ratio
-
-# the shapes of the seeded random models `generate` makes; kept here so
-# that the CLI's parser does not load `generate`
-DISTRIBUTIONS = ("uniform", "unit-jitter", "nested-heavy")
+from .graphs import CliqueOrdering, Graph, Record, by_right_end, read_json, write_json
 
 
 class IntervalModel(Record):
@@ -53,6 +44,8 @@ class IntervalModel(Record):
         return tuple((exact[a], exact[b]) for a, b in zip(self.lo, self.hi))
 
     def to_json_obj(self) -> dict:
+        from .rationals import format_ratio
+
         text = [format_ratio(p, q) for p, q in self.values]
         ends = enumerate(zip(self.lo, self.hi))
         return {"intervals": [{"id": i, "lo": text[a], "hi": text[b]} for i, (a, b) in ends]}
@@ -63,13 +56,19 @@ class IntervalModel(Record):
         return buffer.getvalue()[:-1]
 
     @classmethod
-    def from_json_obj(cls, obj) -> "IntervalModel":
+    def from_json_obj(cls, obj, refuse=None) -> "IntervalModel":
         """The model a document holds, each distinct endpoint text parsed
-        once.  Records that are not all well formed are read again one at
-        a time, so the refusal is the one the first bad record gives."""
+        once.  `refuse`, if given, sees the number of records before any
+        of them is read.  Records that are not all well formed are read
+        again one at a time, so the refusal is the one the first bad
+        record gives."""
         records = obj["intervals"] if isinstance(obj, dict) else None
         if not isinstance(records, list) or not all(map(isinstance, records, repeat(dict))):
             raise ValueError("a model is an object with a list of interval records")
+        if refuse:
+            refuse(len(records))
+        from .rationals import parse_ratio
+
         try:
             by_id = sorted(records, key=itemgetter("id"))
             ids = list(map(itemgetter("id"), by_id))
@@ -92,76 +91,8 @@ class IntervalModel(Record):
         return _ranked(cls.__new__(cls), list(map(pairs.__getitem__, texts)))
 
     @classmethod
-    def loads(cls, text: str) -> "IntervalModel":
-        return cls.from_json_obj(read_json(text))
-
-
-def read_json(text: str):
-    """`json.loads`, with a document nested too deep for its parser
-    refused as malformed (ValueError), not with a RecursionError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-def write_json(obj, handle, inline: bool = False) -> None:
-    """Write `obj`, of dicts with text keys, lists, tuples and scalars, and
-    a newline as `json.dumps(obj, indent=2, sort_keys=True)` lays it out;
-    with `inline`, each non-empty list of scalars on one line, as
-    `json.dumps(list)` writes it.  An iterator's items, JSON texts
-    already, are written one per line.  The text reaches `handle` 64 KiB
-    or more a write, never whole."""
-    text = ""
-    for chunk in _chunks(obj, "\n", inline):
-        text += chunk
-        if len(text) >= 1 << 16:
-            handle.write(text)
-            text = ""
-    handle.write(text + "\n")
-
-
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _chunks(value, pad: str, inline: bool):
-    """`value`'s text at the indentation `pad`, in chunks.  A list of
-    scalars, or of rows (non-empty lists, or dicts, of scalars), goes
-    through json's C encoder 1024 members a call, its item separator
-    carrying the newline and the indentation."""
-    kind, inner = type(value), pad + "  "
-    opener, closer = "{}" if kind is dict else "[]"
-    flat = kind in (list, tuple) and set(map(type, value)) <= _SCALARS
-    if kind in _SCALARS or not value or inline and flat:
-        yield json.dumps(value)
-        return
-    if kind not in (list, tuple, dict):  # an iterator of texts
-        for i, lines in enumerate(iter(lambda: ("," + inner).join(islice(value, 4096)), "")):
-            yield ("," if i else opener) + inner + lines
-    elif flat or kind is not dict and (row := _rows(value, inline)):
-        sep = inner if flat else inner + "  "
-        encode = json.JSONEncoder(sort_keys=True, separators=("," + sep, ": ")).encode
-        for i in range(0, len(value), 1024):
-            text = encode(value[i : i + 1024])[1:-1]
-            if not flat:  # newlines in strings are escaped, so rows meet only here
-                ends = inner + row[1] + "," + inner + row[0] + sep
-                text = row[0] + sep + text[1:-1].replace(row[1] + "," + sep + row[0], ends)
-                text += inner + row[1]
-            yield ("," if i else opener) + inner + text
-    else:
-        for i, key in enumerate(sorted(value) if kind is dict else range(len(value))):
-            yield ("," if i else opener) + inner + (json.dumps(key) + ": " if kind is dict else "")
-            yield from _chunks(value[key], inner, inline)
-    yield pad + closer
-
-
-def _rows(value: list, inline: bool) -> str:
-    """The brackets of `value`'s rows, "[]" or "{}", when its members are
-    all non-empty lists, or all non-empty dicts, of scalars; else ""."""
-    kinds = set(map(type, value))
-    row = "{}" if kinds == {dict} else "[]" if kinds <= {list, tuple} else ""
-    members = chain.from_iterable(map(dict.values, value) if row == "{}" else value)
-    return row if row and not inline and all(value) and set(map(type, members)) <= _SCALARS else ""
+    def loads(cls, text: str, refuse=None) -> "IntervalModel":
+        return cls.from_json_obj(read_json(text), refuse)
 
 
 def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
@@ -197,48 +128,12 @@ def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
     lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
     i = next(compress(count(), map(gt, lo, hi)), None)
     if i is not None:
+        from .rationals import format_ratio
+
         a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
         raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
     Record.__init__(model, values, lo, hi)
     return model
-
-
-class CliqueOrdering(Record):
-    """Maximal cliques C_0..C_{k-1} in consecutive order, kept as the
-    number of cliques `k` and per-vertex leftmost/rightmost clique
-    indices (`left`, `right`, tuples of ints): C_j holds the vertices
-    whose range holds j.  Two vertices are adjacent exactly when their
-    index ranges intersect."""
-
-    __slots__ = ("k", "left", "right")
-
-    @property
-    def n(self) -> int:
-        return len(self.left)
-
-    def by_left(self) -> list[list[int]]:
-        """Vertices grouped by leftmost clique index, each group ascending."""
-        groups: list[list[int]] = [[] for _ in range(self.k)]
-        for v, j in enumerate(self.left):
-            groups[j].append(v)
-        return groups
-
-    def to_json_obj(self) -> dict:
-        """The fields alone: C_j is every vertex v with left[v] <= j <= right[v]."""
-        return {"k": self.k, "left": list(self.left), "right": list(self.right)}
-
-
-def by_right_end(left, right) -> tuple[list[int], list[int]]:
-    """Closed int ranges [left[v], right[v]], each left <= right, in the
-    sweep order `seq`: by right end, ties by index; closed[p] counts the
-    right ends before position p's left end.  So the positions below
-    closed[p] end before p starts, and those from closed[p] up to p end
-    at or after p starts and no later than p ends: they meet p, and
-    closed[p] <= p.  Each pair that meets is met once, from its later
-    position, and n(n-1)/2 - sum(closed) pairs meet."""
-    seq = sorted(range(len(right)), key=right.__getitem__)
-    ends = [right[v] for v in seq]
-    return seq, [bisect_left(ends, left[v]) for v in seq]
 
 
 def model_to_graph(model: IntervalModel) -> Graph:

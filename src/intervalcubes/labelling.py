@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .graphs import Record
-from .intervals import CliqueOrdering
+from .graphs import CliqueOrdering, Record
 
 
 class Labelling(Record):

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .graphs import Graph, Record
-from .intervals import CliqueOrdering
+from .graphs import CliqueOrdering, Graph, Record
 from .labelling import Labelling, earliest_finish, label_vertices, suffix_best
 
 

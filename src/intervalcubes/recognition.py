@@ -41,8 +41,7 @@ representation of an edge list against them.
 
 from __future__ import annotations
 
-from .graphs import ConstructionError, Graph, NotIntervalError
-from .intervals import CliqueOrdering, by_right_end
+from .graphs import CliqueOrdering, ConstructionError, Graph, NotIntervalError, by_right_end
 
 
 class _Partition:

@@ -11,8 +11,8 @@ ceil(log2 alpha)) are implementation bugs and are flagged separately.
 from __future__ import annotations
 
 from .generate import GenConfig, random_interval_model
-from .graphs import SizeRefusalError, parse_graph, serialize_graph
-from .intervals import DISTRIBUTIONS, model_to_clique_ordering, model_to_graph
+from .graphs import DISTRIBUTIONS, SizeRefusalError, parse_graph, serialize_graph
+from .intervals import model_to_clique_ordering, model_to_graph
 from .oracle import Exceeded, exact_cubicity
 from .params import best_dimension, ceil_log2, parameters
 

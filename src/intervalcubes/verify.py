@@ -1,6 +1,7 @@
 """Cube representations, their JSON form, and their independent checking
-against graphs.  The `verify` command loads only this module and the
-graph, model and rational parsers.
+against graphs.  The `verify` command loads only this module and
+`graphs`, plus `intervals` for a model and `rationals` for rational text
+in either document.
 
 The verifier trusts nothing from the construction: it reads adjacency
 off the graph, or off ranges, and compares it against max-norm geometry
@@ -14,7 +15,7 @@ recognition has certified it against the graph's edges (see
 grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
-order: by index for a graph, and for ranges `intervals.by_right_end`'s,
+order: by index for a graph, and for ranges `graphs.by_right_end`'s,
 with their columns permuted into it: p meets every earlier position from
 closed[p] on and none before, so m = n(n-1)/2 - sum(closed).  Each
 vertex's earlier non-neighbours are one int bitmask: for ranges the
@@ -56,9 +57,7 @@ from itertools import chain, repeat
 from math import lcm
 from re import finditer
 
-from .graphs import Graph, Record
-from .intervals import CliqueOrdering, IntervalModel, by_right_end, read_json, write_json
-from .rationals import parse_ratio
+from .graphs import CliqueOrdering, Graph, Record, by_right_end, read_json, write_json
 
 # A document's rational texts go onto its unit times the lcm of their
 # denominators, which grows with the product of distinct ones: 1/p over the
@@ -108,7 +107,13 @@ class CubeRepresentation(Record):
         refused too."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
-        dimension, (side, side_q), rows = obj["dimension"], parse_ratio(obj["side"]), obj["coords"]
+        dimension, side = obj["dimension"], obj["side"]
+        side_q = 1
+        if type(side) is not int:
+            from .rationals import parse_ratio
+
+            side, side_q = parse_ratio(side)
+        rows = obj["coords"]
         if type(dimension) is not int or dimension < 0 or side <= 0:
             raise ValueError("dimension must be an integer >= 0 and side positive")
         if not isinstance(rows, list) or not all(map(isinstance, rows, repeat(list))) or (
@@ -119,15 +124,19 @@ class CubeRepresentation(Record):
         if type(unit) is not int or unit < 1 or unit.bit_length() > MAX_UNIT_BITS:
             raise ValueError(f"unit must be a positive integer of at most {MAX_UNIT_BITS} bits")
         kinds = set(map(type, chain.from_iterable(rows)))
-        # true and 1.0 equal 1, and lists are unhashable: read one value at a
-        # time, so the first bad one is refused, unless all are texts or ints
-        if kinds - {str, int}:
-            for x in chain.from_iterable(rows):
-                parse_ratio(x)
-        # a document of ints keeps its own grid; any other has each distinct
-        # value parsed once, in document order
-        texts = {} if kinds <= {int} and side_q == 1 else dict.fromkeys(chain.from_iterable(rows))
-        pairs = list(map(parse_ratio, texts))
+        # a document of ints keeps its own grid, and reads no rational text;
+        # any other has each distinct value parsed once, in document order
+        texts, pairs = {}, []
+        if kinds - {int} or side_q != 1:
+            from .rationals import parse_ratio
+
+            # true and 1.0 equal 1, and lists are unhashable: read one value at
+            # a time, so the first bad one is refused, unless all are texts or ints
+            if kinds - {str, int}:
+                for x in chain.from_iterable(rows):
+                    parse_ratio(x)
+            texts = dict.fromkeys(chain.from_iterable(rows))
+            pairs = list(map(parse_ratio, texts))
         grid = 1
         for q in {side_q, *(q for _, q in pairs)}:
             grid = lcm(grid, q)

@@ -9,7 +9,7 @@ ranges alone."""
 
 from __future__ import annotations
 
-from intervalcubes.intervals import CliqueOrdering
+from intervalcubes.graphs import CliqueOrdering
 from intervalcubes.params import StarWitness, ceil_log2
 
 from padding_reference import PaddedGraph

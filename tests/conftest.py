@@ -23,7 +23,7 @@ from intervalcubes import (
     random_interval_model,
 )
 from intervalcubes import oracle
-from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS
 
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values

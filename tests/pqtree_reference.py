@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 
 from intervalcubes import Graph, NotIntervalError
-from intervalcubes.intervals import CliqueOrdering
+from intervalcubes.graphs import CliqueOrdering
 from intervalcubes.recognition import _check_ordering_sanity
 
 from validators import ordering_from_cliques

@@ -1,10 +1,12 @@
-"""The three document readers that `parse_ratio`, `IntervalModel.from_json_obj`
-and `CubeRepresentation.from_json_obj` replaced, kept step for step as the
-tests' reference: the rational reader with its one regular expression for
-every text, the model reader that parses each endpoint on its own and ranks
-them through a float-key dict, and the representation reader that parses
-each row value in a list comprehension, caching texts alone.  The readers'
-differential requires the same value or the same refusal message from both.
+"""The four readers that `parse_graph`, `parse_ratio`,
+`IntervalModel.from_json_obj` and `CubeRepresentation.from_json_obj`
+replaced, kept step for step as the tests' reference: the edge-list reader
+that finds its header line with a regular expression, the rational reader
+with its one regular expression for every text, the model reader that
+parses each endpoint on its own and ranks them through a float-key dict,
+and the representation reader that parses each row value in a list
+comprehension, caching texts alone.  The readers' differential requires
+the same value or the same refusal message from both.
 """
 
 from __future__ import annotations
@@ -12,15 +14,62 @@ from __future__ import annotations
 import re
 import sys
 from functools import cmp_to_key
+from itertools import islice
 from math import gcd, lcm
 
-from intervalcubes.graphs import Record
+from intervalcubes.graphs import MAX_VERTICES, Graph, GraphParseError, Record
 from intervalcubes.intervals import IntervalModel
 from intervalcubes.rationals import format_ratio
 from intervalcubes.verify import MAX_UNIT_BITS, CubeRepresentation
 
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
+
+
+def parse_graph(text: str, refuse=None) -> Graph:
+    # the header is the rest of the line holding the first non-space
+    # character, up to the next of the line breaks `str.splitlines` knows,
+    # and its number is that of the last line of the blanks before it
+    blanks, head = re.match(r"(\s*)([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)", text).groups()
+    if not head:
+        raise GraphParseError("missing header line")
+    head_no = len((blanks + "#").splitlines())
+    parts = head.split()
+    if len(parts) != 2:
+        raise GraphParseError("header must be 'n m'", head_no)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError("header must be two integers", head_no) from None
+    if n < 0 or m < 0:
+        raise GraphParseError("header counts must be non-negative", head_no)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"{n} vertices exceeds the limit of {MAX_VERTICES}", head_no)
+    if refuse:
+        refuse(n)
+    lines = text.splitlines()
+    found = sum(1 for ln in islice(lines, head_no, None) if ln and not ln.isspace())
+    if found != m:
+        raise GraphParseError(f"expected {m} edge lines, found {found}")
+
+    def edges():
+        for no, ln in islice(enumerate(lines, 1), head_no, None):
+            parts = ln.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise GraphParseError("edge line must be 'u v'", no)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError("edge endpoints must be integers", no) from None
+            if u == v:
+                raise GraphParseError(f"self-loop at vertex {u}", no)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(f"endpoint out of range [0, {n})", no)
+            yield u, v
+
+    return Graph(n, edges())
 
 
 def parse_ratio(value) -> tuple[int, int]:

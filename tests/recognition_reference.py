@@ -14,7 +14,7 @@ same clique member sets in the same order and the same outcome.
 from __future__ import annotations
 
 from intervalcubes.graphs import Graph, NotIntervalError
-from intervalcubes.intervals import CliqueOrdering
+from intervalcubes.graphs import CliqueOrdering
 from intervalcubes.recognition import _check_ordering_sanity
 
 from validators import ordering_from_cliques

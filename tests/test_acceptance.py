@@ -27,7 +27,7 @@ from intervalcubes import (
     tightness_search,
     verify_representation,
 )
-from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS
 from intervalcubes.recognition import maximal_cliques_chordal
 
 from conftest import (

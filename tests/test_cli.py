@@ -13,10 +13,10 @@ from intervalcubes import (
     serialize_graph,
 )
 from intervalcubes import (
-    cli, construct, generate, graphs, intervals, oracle, recognition, search, verify,
+    cli, construct, generate, graphs, intervals, oracle, rationals, recognition, search, verify,
 )
 from intervalcubes.cli import main
-from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS
 from intervalcubes.params import best_dimension, ceil_log2, parameters
 
 from conftest import make_model, star_model
@@ -73,7 +73,7 @@ def test_json_output_is_written_in_a_few_batches():
     encoder chunk, which is a system call each on an unbuffered stdout."""
     from types import SimpleNamespace
 
-    from intervalcubes.intervals import write_json
+    from intervalcubes.graphs import write_json
 
     writes = []
     obj = {"cliques": [list(range(j, j + 50)) for j in range(2000)], "k": 2000}
@@ -341,6 +341,25 @@ def test_exact_refuses_a_model_before_building_its_graph(capsys, tmp_path, monke
     assert run(capsys, "exact", str(path)) == (
         3, "", "9 vertices exceeds the oracle bound of 8\n"
     )
+
+
+def test_exact_refuses_a_model_on_its_record_count(capsys, tmp_path, monkeypatch):
+    """Before any endpoint text is read, so a model of nine records exits 3
+    however malformed its records are, as an edge list does on its header."""
+    def no_text(value):
+        raise AssertionError("read the endpoints of a model the oracle refuses")
+
+    monkeypatch.setattr(rationals, "parse_ratio", no_text)
+    path = tmp_path / "nine.json"
+    well_formed = [{"id": i, "lo": str(i), "hi": str(i + 1)} for i in range(9)]
+    for records in (well_formed, [{"id": 0, "lo": "x"}] * 9):
+        path.write_text(json.dumps({"intervals": records}))
+        assert run(capsys, "exact", str(path)) == (
+            3, "", "9 vertices exceeds the oracle bound of 8\n"
+        )
+    # the document's shape is still checked first
+    path.write_text(json.dumps({"intervals": [1] * 9}))
+    assert run(capsys, "exact", str(path))[0] == 65
 
 
 def test_exact_refuses_an_edge_list_on_its_header(capsys, tmp_path, monkeypatch):

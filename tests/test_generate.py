@@ -5,7 +5,7 @@ from intervalcubes import (
     random_interval_model,
     recognize_and_order,
 )
-from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS
 
 from conftest import model_pipeline
 from validators import validate_ordering

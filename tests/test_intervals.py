@@ -10,7 +10,7 @@ from intervalcubes import (
     model_to_clique_ordering,
     model_to_graph,
 )
-from intervalcubes.intervals import by_right_end
+from intervalcubes.graphs import by_right_end
 
 from conftest import (
     bron_kerbosch,

@@ -21,7 +21,7 @@ from intervalcubes import (
     random_interval_model,
     tightness_search,
 )
-from intervalcubes.intervals import write_json
+from intervalcubes.graphs import write_json
 from intervalcubes.verify import verify_representation
 
 from conftest import from_rows, interval_models

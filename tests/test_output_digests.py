@@ -12,7 +12,7 @@ change updates the table.
 import hashlib
 
 from intervalcubes.cli import main
-from intervalcubes.generate import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS
 
 VARIANTS = {
     "best": ("--variant", "best", "--normalize"),

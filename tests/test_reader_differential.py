@@ -1,11 +1,12 @@
 """The document readers against the ones they replaced (kept in
-`reader_reference`): `parse_ratio` on every text, and the model and
-representation readers on whole documents that mix repeated texts, JSON
-ints, true, 1.0, null and lists among strings, canonical and
-non-canonical spellings of one value, duplicate or missing ids and keys,
-lo > hi, distinct fractions that tie on a float key, and texts past the
-interpreter's digit limit.  Each document must give the same value or the
-same refusal, message and all."""
+`reader_reference`): `parse_graph` on edge lists led by every line break
+`str.splitlines` knows and by blanks that are no break, `parse_ratio` on
+every text, and the model and representation readers on whole documents
+that mix repeated texts, JSON ints, true, 1.0, null and lists among
+strings, canonical and non-canonical spellings of one value, duplicate or
+missing ids and keys, lo > hi, distinct fractions that tie on a float
+key, and texts past the interpreter's digit limit.  Each document must
+give the same value or the same refusal, message and all."""
 
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalcubes import CubeRepresentation, IntervalModel
+from intervalcubes import CubeRepresentation, IntervalModel, parse_graph
 from intervalcubes.rationals import parse_ratio
 
 import reader_reference as reference
@@ -45,6 +46,58 @@ def outcome(read, obj):
         return "value", read(obj)
     except (ValueError, KeyError, TypeError) as exc:
         return type(exc).__name__, str(exc)
+
+
+# every break `str.splitlines` splits at, and blanks (`str.isspace`) that it does not
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+
+
+@st.composite
+def edge_lists(draw):
+    """A run of breaks and blanks, a header of 0-3 tokens, then edge lines
+    (with a blank or malformed line among them at times), each after a
+    break of any kind.  The header's counts are often the right ones."""
+    breaks, spaces = st.sampled_from(BREAKS), st.sampled_from(SPACES)
+    gap = st.text(spaces, min_size=1, max_size=2)
+    lead = "".join(draw(st.lists(st.one_of(breaks, spaces), max_size=8)))
+    edges = draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 5)), max_size=5))
+    lines = [f"{u}{draw(gap)}{v}" for u, v in edges]
+    for odd in draw(st.lists(st.sampled_from(["", " ", "\xa0", "x", "1", "1 2 3"]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    token = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["+2", "-0", "x", "1.5", "\u0663"]))
+    counts = st.tuples(st.integers(0, 6).map(str), st.just(str(len(edges)))).map(list)
+    head = draw(st.one_of(st.lists(token, max_size=3), counts))
+    header = "".join(draw(st.sampled_from(["", " ", "\xa0"])) + t + draw(gap) for t in head)
+    return lead + header + "".join(draw(breaks) + line for line in lines) + draw(
+        st.sampled_from(["", "\n", "\r", "\u2028"]))
+
+
+def read_graph(read, text):
+    """`read(text)`'s graph and the counts it gave `refuse`, or the type
+    and message of its error."""
+    seen = []
+    return outcome(lambda text: read(text, seen.append), text), seen
+
+
+@settings(max_examples=1500, deadline=None)
+@given(edge_lists())
+def test_edge_list_reader_matches_the_reference(text):
+    assert read_graph(parse_graph, text) == read_graph(reference.parse_graph, text)
+
+
+# blanks and header lines either side of the first prefixes the header is
+# looked for in, 256 characters and then 4096, with a "\r\n" split across
+# their ends
+@pytest.mark.parametrize("lead", [
+    "", " " * 255 + "\r\n", " " * 254 + "\r\n", "\r\n" * 128, "\n" * 300, "\u2028 " * 3000,
+])
+@pytest.mark.parametrize("header", [
+    "3 2", "3" + " " * 252 + "2", "3" + " " * 253 + "2", "3" + "\t" * 5000 + "2", "3 2 " + "x" * 300,
+])
+def test_edge_list_reader_matches_the_reference_on_long_runs(lead, header):
+    for text in (lead + header + "\r\n0 1\n1 2\n", lead + header, lead):
+        assert read_graph(parse_graph, text) == read_graph(reference.parse_graph, text)
 
 
 @settings(max_examples=500, deadline=None)

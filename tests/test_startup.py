@@ -2,7 +2,9 @@
 `dataclasses`, no command loads `fractions`, whatever the text of its
 endpoints and coordinates, a canonical command line loads neither
 `argparse` nor `gettext`, and a bare `import intervalcubes` loads no
-submodule.
+submodule.  The modules follow the input's format: an edge list loads
+neither `intervals` nor `rationals`, and `rationals` loads only where
+rational text is read or written.
 
 Every command runs in a fresh interpreter, as the CLI does, and reports
 the package modules and the watched standard modules it loaded once it
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,8 @@ print(json.dumps({
     "code": code,
     "loaded": [m for m in watched if m in sys.modules and m not in before],
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("intervalcubes.")),
-    "compiled": sys.modules["intervalcubes.rationals"]._rational.cache_info().currsize,
+    "compiled": "intervalcubes.rationals" in sys.modules
+    and sys.modules["intervalcubes.rationals"]._rational.cache_info().currsize,
 }))
 """
 
@@ -41,7 +45,8 @@ EVERY = {
     "cli", "construct", "generate", "graphs", "intervals", "labelling", "oracle", "params",
     "rationals", "recognition", "search", "verify",
 }
-BASE = {"cli", "graphs", "intervals", "rationals"}
+BASE = {"cli", "graphs"}
+MODEL = BASE | {"intervals", "rationals"}
 # construct on a model: no recognition
 BUILD = EVERY - {"recognition", "oracle", "search", "generate"}
 
@@ -80,6 +85,13 @@ def inputs(tmp_path_factory):
     for name in ("model", "texts", "ties"):
         model, rep = str(d / f"{name}.json"), str(d / f"{name}.rep.json")
         _run("construct", model, "--variant", "best", "--out", rep)
+    _run("construct", str(d / "path.txt"), "--variant", "best", "--out", str(d / "path.rep.json"))
+    # the same representation with "p/q" text coordinates and no unit
+    rep = json.loads((d / "path.rep.json").read_text())
+    unit = rep.pop("unit")
+    rep["side"] = str(Fraction(rep["side"], unit))
+    rep["coords"] = [[str(Fraction(x, unit)) for x in row] for row in rep["coords"]]
+    (d / "path.text.json").write_text(json.dumps(rep))
     return d
 
 
@@ -89,24 +101,27 @@ def inputs(tmp_path_factory):
     [
         (["recognize", "path.txt"], BASE | {"recognition"}),
         (["order", "path.txt"], BASE | {"recognition"}),
-        (["label", "model.json"], BASE | {"labelling"}),
+        (["label", "model.json"], MODEL | {"labelling"}),
         (["params", "path.txt"], BASE | {"recognition", "labelling", "params"}),
         (["construct", "model.json", "--variant", "best", "--normalize", "--trace"], BUILD),
-        (["construct", "path.txt", "--variant", "best"], EVERY - {"oracle", "search", "generate"}),
-        (["verify", "model.json", "model.rep.json"], BASE | {"verify"}),
+        (["construct", "path.txt", "--variant", "best"],
+         EVERY - {"oracle", "search", "generate", "intervals", "rationals"}),
+        (["verify", "model.json", "model.rep.json"], MODEL | {"verify"}),
+        (["verify", "path.txt", "path.rep.json"], BASE | {"verify"}),
+        (["verify", "path.txt", "path.text.json"], BASE | {"verify", "rationals"}),
         (["construct", "texts.json", "--variant", "best"], BUILD),
-        (["verify", "texts.json", "texts.rep.json"], BASE | {"verify"}),
+        (["verify", "texts.json", "texts.rep.json"], MODEL | {"verify"}),
         (["construct", "ties.json", "--variant", "best"], BUILD),
-        (["verify", "ties.json", "ties.rep.json"], BASE | {"verify"}),
+        (["verify", "ties.json", "ties.rep.json"], MODEL | {"verify"}),
         (["exact", "path.txt", "--max-b", "2"], BASE | {"oracle"}),
-        (["exact", "small.json"], BASE | {"oracle"}),
+        (["exact", "small.json"], MODEL | {"oracle"}),
         (["search", "--count", "3", "--n-max", "5", "--seed", "1", "--csv", "hist.csv"],
-         EVERY - {"construct", "verify", "recognition"}),
-        (["gen", "--n", "5", "--seed", "2", "--dist", "unit-jitter"], BASE | {"generate"}),
+         EVERY - {"construct", "verify", "recognition", "rationals"}),
+        (["gen", "--n", "5", "--seed", "2", "--dist", "unit-jitter"], MODEL | {"generate"}),
     ],
     ids=["recognize", "order", "label", "params", "construct-model", "construct-edges", "verify",
-         "construct-texts", "verify-texts", "construct-ties", "verify-ties", "exact", "exact-model",
-         "search", "gen"],
+         "verify-edges", "verify-edges-texts", "construct-texts", "verify-texts", "construct-ties",
+         "verify-ties", "exact", "exact-model", "search", "gen"],
 )
 def test_each_command_loads_only_what_it_runs(inputs, argv, expected):
     argv = [str(inputs / a) if a.endswith((".txt", ".json", ".csv")) else a for a in argv]
