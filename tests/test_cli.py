@@ -1,3 +1,4 @@
+import hashlib
 import json
 import weakref
 
@@ -733,6 +734,10 @@ def test_vertex_limit_refuses_before_allocating(capsys, tmp_path, monkeypatch):
 # The paths below run only when the oracle or a builder misbehaves, so each
 # test makes it misbehave.
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _psi(graph) -> int:
     return parameters(recognition.recognize_and_order(graph))[0]
 
@@ -753,6 +758,8 @@ def test_search_reports_a_sample_above_the_lower_bound(capsys, tmp_path, monkeyp
     out_path = tmp_path / "search.json"
     code, _, err = run(capsys, "search", "--count", "12", "--n-max", "6", "--out", str(out_path))
     assert code == 0
+    # the report's bytes, pinned as test_output_digests pins the others'
+    assert _sha256(out_path) == "136625ef82a8b59d9735fc7188a04defd79db5af911271584171a20820a5ae0f"
     report = json.loads(out_path.read_text())
     found = report["counterexamples"]
     assert found and report["bound_violations"] == []
@@ -772,6 +779,7 @@ def test_search_reports_a_broken_upper_bound(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "search.json"
     code, _, err = run(capsys, "search", "--count", "5", "--n-max", "6", "--out", str(out_path))
     assert code == 0
+    assert _sha256(out_path) == "aced1456e35597110a7d85097a6aa61e2acbb4b74c0d1e36779a3932baf22879"
     report = json.loads(out_path.read_text())
     assert report["graphs_tried"] == len(report["bound_violations"]) == 5
     assert report["histogram"] == [] and report["counterexamples"] == []

@@ -1,15 +1,16 @@
-"""The exact bytes `construct`, `verify` and `order` write, pinned by
-SHA-256.
+"""The exact bytes every command writes, pinned by SHA-256.
 
 Every other CLI test reads the JSON back and compares values, so a
 change in key order, number formatting or indentation would pass them.
 Here each variant is built on a fixed corpus and verified, in process,
-each input's clique ordering is written, and the digest of each
-command's stdout must match the one recorded here.  A deliberate format
+each input's clique ordering, labelling and parameters are written, and
+the digest of each command's stdout, with its exit code, must match the
+one recorded here.  A deliberate format
 change updates the table.
 """
 
 import hashlib
+import json
 
 from intervalcubes.cli import main
 from intervalcubes.graphs import DISTRIBUTIONS
@@ -217,3 +218,107 @@ def test_order_writes_k_and_the_ranges_alone(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     path.write_text("3 2\n0 1\n1 2\n")
     assert _run(capsys, "order", str(path)) == P3_ORDER
+
+
+C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+
+# input -> `label` stdout, and `params` stdout
+LABEL_DIGESTS = {
+    "uniform": "ac4bf5117eeedad8b8177cc2edab81eaa99f26c1543082d9e39fc07fd7cf9ab0",
+    "unit-jitter": "06017a21cdb7ad340b77b10c02c3567b1e7484eaabf9aa81853c8868f95d8d1d",
+    "nested-heavy": "919c68995d90a1c6fb9e57317a539e676c75d48007ea198ac486473ee907c807",
+    "path12": "e15ca54417d46b61c2c93099a6cf663ae65cfede25513717c71349078bb03ee4",
+    "star5": "092decc2a9680a9b3b0a00452e7d8179b869455a8a25795a9a3d8fe86044eb54",
+    "triangles": "552374eb4c136bfcc570fd7c94027159010571ef801a081b26a36d47870065c8",
+    "k4": "5b3cffebc412ec9b56af26295d72d4a51f6f312e24f25fe495aee51b4df83e3a",
+    "points5": "4e24fbe647fd19329d8cddf95fbcf29c22938f5467c3dd9b78559e6548497362",
+}
+PARAMS_DIGESTS = {
+    "uniform": "b437979f7122badd5860e19f1f5d13f6cc5d16289be6b259ef476389ca43da3d",
+    "unit-jitter": "b592f63a233a909a4c45bd0c60d6318222aba1aecd129e897685d21d7b7859c3",
+    "nested-heavy": "3aa15fc5e169639cd87c33ff712fca4b27c30a00479ed0e2c93ecd125724434e",
+    "path12": "6dab90d480ca2e73b764ce4e86536e34e9c4f3e26b8cf240dd064abe2b79c5b9",
+    "star5": "0598097ded20963e9eb7ecb36efbeddb350516e72a836c62f39ce0eeb6964150",
+    "triangles": "d173ddce8a4c94bedd3bd5f6ef18e2b2089708460d0a3b13cc22e9a781159ed8",
+    "k4": "0696475f61ea6ecd014c13ee6c0780ee66ac735d694a5b61136da594e28a0452",
+    "points5": "0696475f61ea6ecd014c13ee6c0780ee66ac735d694a5b61136da594e28a0452",
+}
+
+# command line, with GRAPH:name standing for that input's file and CSV for
+# the --csv destination -> (exit code, digest of stdout, or of the CSV)
+OTHER_DIGESTS = {
+    "recognize GRAPH:path12": (
+        0, "74aa204db689181309cc0ef7c895690b30e5f3da50b4a22daf3d8b405c56307a"),
+    "recognize GRAPH:c4": (
+        1, "ca7cd25476ee4a47c08ecdcbca0680f1123e6feefb5b6d473f3f5e2de8f402ed"),
+    "exact GRAPH:star5": (
+        0, "6fc700394a90cf7b0c3e1d45e53e96c4a9fc0c2311540599229459cfe4d8a364"),
+    "exact GRAPH:star5 --max-b 1": (
+        0, "ea9601b98b6006c0c3db4b38070d9fa7ec2608ba072de45bacaac3bb8c180a61"),
+    "gen --n 12 --dist uniform": (
+        0, "1df567147ed90fe94bf4c4c8d385a172af4fac67726d1af93e1f9fc4aa433173"),
+    "gen --n 12 --dist unit-jitter": (
+        0, "b915e62ba7d1a3f7c218262da90b7418e4366d73489ac4922b8072cac6aed4af"),
+    "gen --n 12 --dist nested-heavy": (
+        0, "7e60c5a8c3e36ee0c696197fa49e29bba2b20e3dd5bba3b5a12a297dcf960220"),
+    "search --count 40 --n-max 6 --seed 1": (
+        0, "24af1f49c771b221acf0ddd4b2d02e3f3f430eb47569dbc52a28c6239b31cdd9"),
+    "search --count 40 --n-max 6 --seed 1 --csv CSV": (
+        0, "81bdc0dcd26cd46119a461fb8236f7886eec5528259cbf522c1148e41e29b7f8"),
+}
+
+# (input, the two vertices whose rows are swapped) -> `verify` stdout, exit 2
+MOVED_DIGESTS = {
+    ("path12", 0, 6): (2, "8aba4b88a66de7738f1faac038f46bda86fd12f2966b26f3b5f198d8951db1b3"),
+    ("uniform", 0, 59): (2, "e63bc027b3b2fbb5b693a09a55f5d413ca3501153e00a5c190768ad7a1c25b9d"),
+}
+
+
+def _run_any(capsys, *argv):
+    code = main(list(argv))
+    return code, _sha256(capsys.readouterr().out)
+
+
+def test_label_and_params_stdout_is_pinned(tmp_path, capsys):
+    inputs = _inputs(tmp_path, capsys)
+    label = {name: _sha256(_run(capsys, "label", str(path))) for name, path in inputs.items()}
+    params = {name: _sha256(_run(capsys, "params", str(path))) for name, path in inputs.items()}
+    assert (label, params) == (LABEL_DIGESTS, PARAMS_DIGESTS)
+
+
+def _other_digests(tmp_path, capsys):
+    files = {name: tmp_path / name for name in ("path12", "c4", "star5")}
+    for name, path in files.items():
+        path.write_text(TEXTS.get(name, C4_TEXT))
+    csv = tmp_path / "search.csv"
+    digests = {}
+    for line in OTHER_DIGESTS:
+        words = line.split()
+        argv = [str(files[w[6:]]) if w.startswith("GRAPH:") else w for w in words]
+        if "--csv" in words:
+            argv[argv.index("--csv") + 1] = str(csv)
+            code, _ = _run_any(capsys, *argv)
+            digests[line] = code, _sha256(csv.read_text())
+        else:
+            digests[line] = _run_any(capsys, *argv)
+    return digests
+
+
+def test_other_commands_stdout_is_pinned(tmp_path, capsys):
+    assert _other_digests(tmp_path, capsys) == OTHER_DIGESTS
+
+
+def test_verify_of_moved_rows_is_pinned(tmp_path, capsys):
+    inputs = _inputs(tmp_path, capsys)
+    digests = {}
+    for name, u, v in MOVED_DIGESTS:
+        rep = json.loads(_run(capsys, "construct", str(inputs[name]), "--variant", "best"))
+        rows = rep["coords"]
+        rows[u], rows[v] = rows[v], rows[u]
+        bad = tmp_path / f"{name}.moved.json"
+        bad.write_text(json.dumps(rep))
+        code = main(["verify", str(inputs[name]), str(bad)])
+        out = capsys.readouterr().out
+        assert json.loads(out)["missing_adjacency"]
+        digests[name, u, v] = code, _sha256(out)
+    assert digests == MOVED_DIGESTS
