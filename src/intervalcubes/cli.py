@@ -82,9 +82,11 @@ def _load(path: str) -> tuple[IntervalModel | CliqueOrdering, CliqueOrdering]:
     return (recognize_and_order(source),) * 2
 
 
-def _emit(obj, out: str | None, dump=write_json):
+def _emit(obj, out: str | None, dump=write_json) -> int:
+    """Write `obj` by `dump` to `out`, or to stdout; then EXIT_OK."""
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         dump(obj, handle)
+    return EXIT_OK
 
 
 def _cmd_recognize(args) -> int:
@@ -93,30 +95,26 @@ def _cmd_recognize(args) -> int:
     except NotIntervalError as exc:
         _emit({"interval": False, "reason": exc.reason}, args.out)
         return EXIT_NOT_INTERVAL
-    _emit({"interval": True, "cliques": ordering.k}, args.out)
-    return EXIT_OK
+    return _emit({"interval": True, "cliques": ordering.k}, args.out)
 
 
 def _cmd_order(args) -> int:
     _, ordering = _load(args.graph)
-    _emit(ordering.to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(ordering.to_json_obj(), args.out)
 
 
 def _cmd_label(args) -> int:
     from .labelling import label_vertices
 
     _, ordering = _load(args.graph)
-    _emit(label_vertices(ordering).to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(label_vertices(ordering).to_json_obj(), args.out)
 
 
 def _cmd_params(args) -> int:
     from .params import param_report
 
     _, ordering = _load(args.graph)
-    _emit(param_report(ordering).to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(param_report(ordering).to_json_obj(), args.out)
 
 
 def _cmd_construct(args) -> int:
@@ -141,8 +139,7 @@ def _cmd_construct(args) -> int:
         write_json(report.to_json_obj(), sys.stderr)
         return EXIT_VERIFY_FAILED
     extra = {"trace": trace.to_json_obj() if trace else None} if args.trace else None
-    _emit(extra, args.out, lambda extra, handle: rep.dump(handle, extra))
-    return EXIT_OK
+    return _emit(extra, args.out, lambda extra, handle: rep.dump(handle, extra))
 
 
 def _cmd_verify(args) -> int:
@@ -164,16 +161,14 @@ def _cmd_exact(args) -> int:
 
         graph = model_to_graph(graph)
     result = exact_cubicity(graph, b_max=args.max_b)
-    _emit(result.to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(result.to_json_obj(), args.out)
 
 
 def _cmd_gen(args) -> int:
     from .generate import GenConfig, random_interval_model
 
     cfg = GenConfig(n=args.n, seed=args.seed, dist=args.dist)
-    _emit(random_interval_model(cfg).to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(random_interval_model(cfg).to_json_obj(), args.out)
 
 
 def _cmd_search(args) -> int:
@@ -188,8 +183,7 @@ def _cmd_search(args) -> int:
               file=sys.stderr)
     if args.csv:
         _emit(report, args.csv, lambda report, handle: handle.write(histogram_csv(report)))
-    _emit(report.to_json_obj(), args.out)
-    return EXIT_OK
+    return _emit(report.to_json_obj(), args.out)
 
 
 # each command's handler, help, positionals, and options as (flag,

@@ -7,12 +7,14 @@ out-of-range endpoints with the offending line number.
 
 Every command loads this module, so it also holds what they all share,
 whatever the input's format: the size limits, the errors the CLI maps to
-exit codes, `Record`, the base of the package's immutable value types,
-`Graph` among them, the clique ordering every stage after loading reads
+exit codes, the clique ordering every stage after loading reads
 (`CliqueOrdering`, and `by_right_end`, the one sweep that decides which
-ranges meet), and the JSON reader and writer.  Interval models, and the
-rational text their endpoints are written in, are loaded only for model
-input (`intervals`, `rationals`).
+ranges meet), and the JSON reader and writer.  `Record` is the base of
+the package's immutable value types, `Graph` among them.  `Report`, the
+base of those a command writes field for field, holds the one JSON
+rule: a report's object is its fields plus the derived properties it
+names.  Interval models, and the rational text their endpoints are
+written in, are loaded only for model input (`intervals`, `rationals`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,29 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+class Report(Record):
+    """A record a command writes field for field: its JSON object is its
+    fields plus the derived properties its class's `_derived` names, with
+    each tuple a list and each nested report its own object.  They are
+    `VerificationReport.ok`, `Labelling.alpha`, `ParamReport.lower_bound`,
+    `ExactResult.cubicity`, `Exceeded.exceeded` (a class constant),
+    `Counterexample.lower_bound`, and `SearchReport.graphs_tried` and
+    `degenerate_skipped`."""
+
+    __slots__ = ()
+    _derived = ()
+
+    def to_json_obj(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in self.__slots__ + self._derived}
+
+
+def _json_value(value):
+    """`value` with each tuple a list and each report its own object."""
+    if type(value) is not tuple:
+        return value.to_json_obj() if isinstance(value, Report) else value
+    return list(value) if _SCALARS.issuperset(map(type, value)) else list(map(_json_value, value))
 
 
 class NotIntervalError(Exception):
@@ -209,7 +234,7 @@ def non_edges(graph: Graph) -> list[tuple[int, int]]:
     ]
 
 
-class CliqueOrdering(Record):
+class CliqueOrdering(Report):
     """Maximal cliques C_0..C_{k-1} in consecutive order, kept as the
     number of cliques `k` and per-vertex leftmost/rightmost clique
     indices (`left`, `right`, tuples of ints): C_j holds the vertices
@@ -228,10 +253,6 @@ class CliqueOrdering(Record):
         for v, j in enumerate(self.left):
             groups[j].append(v)
         return groups
-
-    def to_json_obj(self) -> dict:
-        """The fields alone: C_j is every vertex v with left[v] <= j <= right[v]."""
-        return {"k": self.k, "left": list(self.left), "right": list(self.right)}
 
 
 def by_right_end(left, right) -> tuple[list[int], list[int]]:

@@ -13,25 +13,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .graphs import CliqueOrdering, Record
+from .graphs import CliqueOrdering, Report
 
 
-class Labelling(Record):
+class Labelling(Report):
     """Per-vertex level plus the ordered anchor vertices, one per level,
     as tuples of ints."""
 
     __slots__ = ("levels", "anchors")
+    _derived = ("alpha",)
 
     @property
     def alpha(self) -> int:
         return len(self.anchors)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "anchors": list(self.anchors),
-            "alpha": self.alpha,
-        }
 
 
 def suffix_best(ordering: CliqueOrdering) -> list[int | None]:

@@ -29,7 +29,7 @@ finds the minimum family size.
 
 from __future__ import annotations
 
-from .graphs import MAX_ORACLE_VERTICES, Graph, Record, SizeRefusalError, non_edges
+from .graphs import MAX_ORACLE_VERTICES, Graph, Report, SizeRefusalError, non_edges
 
 
 # ----------------------------------------------------------------------
@@ -174,37 +174,24 @@ def _enumerate_candidates(graph: Graph, missing: list[tuple[int, int]]) -> tuple
     return candidates, visited
 
 
-class ExactResult(Record):
+class ExactResult(Report):
     """As `witness`, the non-edges each member of a smallest family leaves
     missing, so the cubicity is its size; and the work counts."""
 
     __slots__ = ("witness", "candidates_enumerated", "cover_nodes")
+    _derived = ("cubicity",)
 
     @property
     def cubicity(self) -> int:
         return len(self.witness)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "cubicity": self.cubicity,
-            "witness": [[list(p) for p in member] for member in self.witness],
-            "candidates_enumerated": self.candidates_enumerated,
-            "cover_nodes": self.cover_nodes,
-        }
 
-
-class Exceeded(Record):
+class Exceeded(Report):
     """No family of at most `b_max` members exists; with the work counts."""
 
     __slots__ = ("b_max", "candidates_enumerated", "cover_nodes")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "exceeded": True,
-            "b_max": self.b_max,
-            "candidates_enumerated": self.candidates_enumerated,
-            "cover_nodes": self.cover_nodes,
-        }
+    _derived = ("exceeded",)
+    exceeded = True
 
 
 def exact_cubicity(graph: Graph, b_max: int = 4) -> ExactResult | Exceeded:

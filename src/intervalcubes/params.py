@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .graphs import CliqueOrdering, Graph, Record
+from .graphs import CliqueOrdering, Graph, Report
 from .labelling import Labelling, earliest_finish, label_vertices, suffix_best
 
 
@@ -59,30 +59,20 @@ def best_dimension(psi: int, alpha: int) -> int:
     return min(claw_dims, ceil_log2(alpha))
 
 
-class StarWitness(Record):
+class StarWitness(Report):
     __slots__ = ("center", "leaves")  # int, tuple of ints
 
-    def to_json_obj(self) -> dict:
-        return {"center": self.center, "leaves": list(self.leaves)}
 
-
-class ParamReport(Record):
+class ParamReport(Report):
     """Ints psi and alpha, and witness, a StarWitness or None."""
 
     __slots__ = ("psi", "alpha", "witness")
+    _derived = ("lower_bound",)
 
     @property
     def lower_bound(self) -> int:
         """ceil(log2 psi) when psi >= 1, else 0."""
         return ceil_log2(self.psi) if self.psi >= 1 else 0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "psi": self.psi,
-            "alpha": self.alpha,
-            "lower_bound": self.lower_bound,
-            "witness": self.witness.to_json_obj() if self.witness else None,
-        }
 
 
 def vertex_claws(ordering: CliqueOrdering, best: list[int | None]) -> list[int]:

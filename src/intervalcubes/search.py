@@ -6,59 +6,60 @@ exceeds ceil(log2 claw) as a counterexample candidate (an open question,
 so a find is reported prominently rather than treated as a failure).
 Instances breaking the proven bound min(ceil(log2 claw)+2,
 ceil(log2 alpha)) are implementation bugs and are flagged separately.
+The report is a `graphs.Report`, built once the last sample is in, and
+so are its histogram rows and flagged samples: each one's JSON is its
+fields plus the properties it names.
 """
 
 from __future__ import annotations
 
 from .generate import GenConfig, random_interval_model
-from .graphs import DISTRIBUTIONS, SizeRefusalError, parse_graph, serialize_graph
+from .graphs import DISTRIBUTIONS, Record, Report, SizeRefusalError, parse_graph, serialize_graph
 from .intervals import model_to_clique_ordering, model_to_graph
 from .oracle import Exceeded, exact_cubicity
-from .params import best_dimension, ceil_log2, parameters
-
-_COLUMNS = ("psi", "alpha", "cubicity", "dimension", "count")
+from .params import ParamReport, best_dimension, ceil_log2, parameters
 
 
-class SearchReport:
-    """What a search has found so far; it fills this in as it runs."""
+class HistogramRow(Report):
+    __slots__ = ("psi", "alpha", "cubicity", "dimension", "count")  # the CSV's columns
 
-    def __init__(self):
-        self.counterexamples: list[dict] = []
-        self.bound_violations: list[dict] = []
-        # (psi, alpha, cubicity, dimension) -> samples
-        self.histogram: dict[tuple[int, int, int, int], int] = {}
-        self.oracle_refused = 0
+
+class Counterexample(Report):
+    """A sample, as edge-list text, whose exact cubicity exceeds ceil(log2 psi)."""
+
+    __slots__ = ("graph", "psi", "alpha", "cubicity")
+    _derived = ("lower_bound",)
+    lower_bound = ParamReport.lower_bound
+
+
+class BoundViolation(Report):
+    """A sample, as edge-list text, that no family of `bound` members covers."""
+
+    __slots__ = ("graph", "psi", "alpha", "bound")
+
+
+class SearchReport(Report):
+    """Tuples of `Counterexample`s, `BoundViolation`s and `HistogramRow`s
+    in key order, and the count of samples past the oracle's bound."""
+
+    __slots__ = ("counterexamples", "bound_violations", "histogram", "oracle_refused")
+    _derived = ("graphs_tried", "degenerate_skipped")
 
     @property
     def graphs_tried(self) -> int:
         """Samples the oracle ran on: each lands in the histogram or, when
         the proven bound failed, in `bound_violations`."""
-        return sum(self.histogram.values()) + len(self.bound_violations)
+        return sum(row.count for row in self.histogram) + len(self.bound_violations)
 
     @property
     def degenerate_skipped(self) -> int:
         """Samples below claw number 2, tallied but never flagged."""
-        return sum(count for (psi, *_), count in self.histogram.items() if psi < 2)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "graphs_tried": self.graphs_tried,
-            "oracle_refused": self.oracle_refused,
-            "counterexamples": self.counterexamples,
-            "bound_violations": self.bound_violations,
-            "degenerate_skipped": self.degenerate_skipped,
-            "histogram": [dict(zip(_COLUMNS, row)) for row in _rows(self)],
-        }
+        return sum(row.count for row in self.histogram if row.psi < 2)
 
 
 def histogram_csv(report: SearchReport) -> str:
-    return "".join(",".join(map(str, row)) + "\n" for row in [_COLUMNS, *_rows(report)])
-
-
-def _rows(report: SearchReport) -> list[tuple[int, ...]]:
-    """The histogram's rows: the key (psi, alpha, cubicity, dimension),
-    then the count, in key order."""
-    return [(*key, count) for key, count in sorted(report.histogram.items())]
+    rows = [HistogramRow.__slots__, *map(Record._values, report.histogram)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
@@ -71,13 +72,11 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    report = SearchReport()
+    counterexamples, violations, refused = [], [], 0
+    histogram: dict[tuple, int] = {}  # (psi, alpha, cubicity, dimension) -> samples
     for i in range(count):
-        cfg = GenConfig(
-            n=2 + (seed * 7 + i * 13) % (n_max - 1),
-            seed=seed * 1_000_000 + i,
-            dist=DISTRIBUTIONS[i % len(DISTRIBUTIONS)],
-        )
+        n = 2 + (seed * 7 + i * 13) % (n_max - 1)
+        cfg = GenConfig(n, seed * 1_000_000 + i, DISTRIBUTIONS[i % len(DISTRIBUTIONS)])
         model = random_interval_model(cfg)
         graph = model_to_graph(model)
         ordering = model_to_clique_ordering(model)
@@ -89,33 +88,28 @@ def tightness_search(count: int, n_max: int = 6, seed: int = 0) -> SearchReport:
         try:
             result = exact_cubicity(graph, b_max=bound)
         except SizeRefusalError:
-            report.oracle_refused += 1
+            refused += 1
             continue
         if isinstance(result, Exceeded):
             # the proven upper bound failed to cover: an implementation bug
-            report.bound_violations.append(_found(graph, psi, alpha, bound=bound))
+            violations.append(BoundViolation(serialize_graph(graph), psi, alpha, bound))
             continue
         cub = result.cubicity
         key = (psi, alpha, cub, dimension)
-        report.histogram[key] = report.histogram.get(key, 0) + 1
+        histogram[key] = histogram.get(key, 0) + 1
         if psi >= 2 and cub > ceil_log2(psi):
-            entry = _found(graph, psi, alpha, cubicity=cub, lower_bound=ceil_log2(psi))
-            # keep only entries that survive a from-scratch recheck
-            if _recheck_counterexample(entry):
-                report.counterexamples.append(entry)
-    return report
+            found = Counterexample(serialize_graph(graph), psi, alpha, cub)
+            # keep only those that survive a from-scratch recheck
+            if _recheck_counterexample(found):
+                counterexamples.append(found)
+    rows = (HistogramRow(*key, count) for key, count in sorted(histogram.items()))
+    return SearchReport(tuple(counterexamples), tuple(violations), tuple(rows), refused)
 
 
-def _found(graph, psi: int, alpha: int, **facts) -> dict:
-    """A flagged sample: its serialized graph, psi, alpha and `facts`."""
-    return {"graph": serialize_graph(graph), "psi": psi, "alpha": alpha, **facts}
-
-
-def _recheck_counterexample(entry: dict) -> bool:
-    graph = parse_graph(entry["graph"])
-    result = exact_cubicity(graph, b_max=entry["cubicity"])
+def _recheck_counterexample(found: Counterexample) -> bool:
+    result = exact_cubicity(parse_graph(found.graph), b_max=found.cubicity)
     return (
         not isinstance(result, Exceeded)
-        and result.cubicity == entry["cubicity"]
-        and result.cubicity > entry["lower_bound"]
+        and result.cubicity == found.cubicity
+        and result.cubicity > found.lower_bound
     )

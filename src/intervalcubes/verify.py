@@ -57,7 +57,7 @@ from itertools import chain, repeat
 from math import lcm
 from re import finditer
 
-from .graphs import CliqueOrdering, Graph, Record, by_right_end, read_json, write_json
+from .graphs import CliqueOrdering, Graph, Record, Report, by_right_end, read_json, write_json
 
 # A document's rational texts go onto its unit times the lcm of their
 # denominators, which grows with the product of distinct ones: 1/p over the
@@ -155,24 +155,17 @@ class CubeRepresentation(Record):
         return cls.from_json_obj(read_json(text))
 
 
-class VerificationReport(Record):
+class VerificationReport(Report):
     """The unmatched pairs `missing_adjacency` and `missing_separation`
     (tuples of (u, v), u < v), and per dimension the non-edges it
     separates, `dimension_stats`; `ok` when no pair is unmatched."""
 
     __slots__ = ("missing_adjacency", "missing_separation", "dimension_stats")
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return not self.missing_adjacency and not self.missing_separation
-
-    def to_json_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "missing_adjacency": [list(p) for p in self.missing_adjacency],
-            "missing_separation": [list(p) for p in self.missing_separation],
-            "dimension_stats": list(self.dimension_stats),
-        }
 
 
 def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) -> VerificationReport:
@@ -240,11 +233,7 @@ def verify_representation(graph: Graph | IntervalModel | CliqueOrdering, rep) ->
         dims = sorted(range(d), key=near.__getitem__)
         order, starts = windows[dims[0]]
         separation = _unseparated(apart, [cols[i] for i in dims[1:]], side, order, starts)
-    return VerificationReport(
-        missing_adjacency=_labelled(seq, adjacency),
-        missing_separation=_labelled(seq, separation),
-        dimension_stats=tuple(stats),
-    )
+    return VerificationReport(_labelled(seq, adjacency), _labelled(seq, separation), tuple(stats))
 
 
 def _masks_pay(pairs: int, edges: int, d: int, n: int) -> bool:

@@ -223,8 +223,8 @@ def test_criterion_8_tightness_evidence():
         # an open-question find, not a failure: make it loud
         print("ACCEPTANCE 8: COUNTEREXAMPLE CANDIDATES FOUND")
         for entry in report.counterexamples:
-            print(f"  cubicity {entry['cubicity']} > {entry['lower_bound']}:")
-            print("  " + entry["graph"].replace("\n", " / "))
+            print(f"  cubicity {entry.cubicity} > {entry.lower_bound}:")
+            print("  " + entry.graph.replace("\n", " / "))
     ok = not report.bound_violations
     emit(
         8,

@@ -4,11 +4,11 @@ those classes, has a caller in the package or in `perfbench/`.
 
 Tests alone do not keep a name in the library: a helper only tests call
 belongs in `tests/`, and one left behind after a move is a second copy.
-A reference counts when it is code, a name or an attribute, not a
-docstring or a comment, and when it lies outside the body of a checked
-name that has no caller itself, so a chain of helpers only tests reach
-is flagged whole.  Methods are matched by name alone: a call of any
-method of that name keeps them all.
+A reference counts when it is code, a name or an attribute, or a name
+in a report's `_derived`, not a docstring or a comment, and when it lies
+outside the body of a checked name that has no caller itself, so a
+chain of helpers only tests reach is flagged whole.  Methods are matched
+by name alone: a call of any method of that name keeps them all.
 """
 
 from __future__ import annotations
@@ -31,11 +31,15 @@ DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _names(nodes) -> list[str]:
-    return [
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in nodes
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
+    """Names and attributes, and the texts of a `_derived` tuple, which
+    `graphs.Report.to_json_obj` reads as attributes."""
+    out = []
+    for node in nodes:
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            out.append(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_derived"]:
+            out += [elt.value for elt in node.value.elts]
+    return out
 
 
 def references() -> list[tuple[tuple[str, ...], str]]:

@@ -10,9 +10,9 @@ from conftest import star_graph
 def test_small_search_runs_clean():
     report = tightness_search(count=150, n_max=6, seed=1)
     assert report.graphs_tried == 150
-    assert report.bound_violations == []
-    assert report.counterexamples == []
-    assert sum(report.histogram.values()) == 150
+    assert report.bound_violations == ()
+    assert report.counterexamples == ()
+    assert sum(row.count for row in report.histogram) == 150
 
 
 def test_search_refuses_n_max_below_2():
@@ -36,17 +36,12 @@ def test_histogram_csv_shape():
 
 def test_counterexample_entries_would_reverify():
     # no real counterexample is expected; exercise the recheck path by hand
-    from intervalcubes.search import _recheck_counterexample
+    from intervalcubes.search import Counterexample, _recheck_counterexample
     from intervalcubes import serialize_graph
 
     g = star_graph(4)  # cub 2 > 1 is FALSE (lower bound is 2), so recheck fails
-    entry = {
-        "graph": serialize_graph(g),
-        "psi": 4,
-        "alpha": 4,
-        "cubicity": 2,
-        "lower_bound": 2,
-    }
+    entry = Counterexample(graph=serialize_graph(g), psi=4, alpha=4, cubicity=2)
+    assert entry.lower_bound == 2
     assert not _recheck_counterexample(entry)
 
 
@@ -66,7 +61,7 @@ def test_refused_samples_are_counted_not_fatal():
     assert report.oracle_refused == 1
     assert report.graphs_tried == 2
     assert report.to_json_obj()["oracle_refused"] == 1
-    assert sum(report.histogram.values()) == 2
+    assert sum(row.count for row in report.histogram) == 2
 
 
 def test_search_runs_one_claw_pass_and_no_build(monkeypatch):
