@@ -5,9 +5,9 @@ treated as an interval model, so `gen` output pipes straight into the
 other subcommands.  An edge list gets its clique ordering from
 recognition, and its `Graph` is dropped once recognition returns.  A
 model gets its ordering from its endpoint sweep, without recognition.
-`construct` checks its representation against ranges: a model's endpoint
-ranks, or an edge list's clique ranges, which recognition certified
-against the graph's edges.  Only `verify`, which takes any graph, and
+`construct` checks its representation against ranges: a model's
+endpoints on its grid, or an edge list's clique ranges, which recognition
+certified against the graph's edges.  Only `verify`, which takes any graph, and
 `exact` read a `Graph` past loading; a model's graph is built only for
 `exact`, within the oracle's bound.  Every `--out` and `--csv`
 destination is checked before any input is read.

@@ -12,7 +12,7 @@ import random
 from math import gcd
 
 from .graphs import DISTRIBUTIONS, Record
-from .intervals import IntervalModel, _ranked
+from .intervals import IntervalModel, _on_grid
 
 
 class GenConfig(Record):
@@ -53,4 +53,4 @@ def random_interval_model(cfg: GenConfig) -> IntervalModel:
             center = rng.randint(0, span)
             width = max(1, span >> rng.randint(0, span.bit_length() - 1))
             ends += (center - width, 1), (center + width, 1)
-    return _ranked(IntervalModel.__new__(IntervalModel), ends)
+    return _on_grid(IntervalModel.__new__(IntervalModel), ends)

@@ -6,8 +6,9 @@ tolerant, collapses duplicate edges, and rejects self-loops and
 out-of-range endpoints with the offending line number.
 
 Every command loads this module, so it also holds what they all share,
-whatever the input's format: the size limits, the errors the CLI maps to
-exit codes, the clique ordering every stage after loading reads
+whatever the input's format: the size limits (with `common_grid`, the one
+rule that puts a document's rationals on a grid of ints), the errors the
+CLI maps to exit codes, the clique ordering every stage after loading reads
 (`CliqueOrdering`, and `by_right_end`, the one sweep that decides which
 ranges meet), and the JSON reader and writer.  `Record` is the base of
 the package's immutable value types, `Graph` among them.  `Report`, the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import chain, islice
+from math import lcm
 
 # parse_graph allocates per vertex from the header's count, which no edge
 # line bounds, so that count is checked against this limit first
@@ -32,6 +34,23 @@ MAX_ORACLE_VERTICES = 8
 # the shapes of the seeded random models `generate` makes; kept here so
 # that the CLI's parser does not load `generate`
 DISTRIBUTIONS = ("uniform", "unit-jitter", "nested-heavy")
+# A document's rational values go onto one grid of ints, whose unit is the
+# lcm of their denominators (times a representation's own `unit`).  It
+# grows with the product of distinct ones: 1/p over the first 2000 primes,
+# 25 kB of JSON, needs a unit of 24,856 bits.  Built outputs and generated
+# models need a few dozen.  Models and representations share this limit
+MAX_UNIT_BITS = 1024
+
+
+def common_grid(denominators, unit: int = 1) -> int:
+    """The lcm of `denominators`, positive ints; ValueError as soon as
+    `unit` times it passes MAX_UNIT_BITS bits."""
+    grid = 1
+    for q in denominators:
+        grid = lcm(grid, q)
+        if (unit * grid).bit_length() > MAX_UNIT_BITS:
+            raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
+    return grid
 
 
 class Record:
@@ -87,10 +106,17 @@ class Report(Record):
 
 
 def _json_value(value):
-    """`value` with each tuple a list and each report its own object."""
+    """`value` with each tuple a list and each report its own object.  A
+    tuple of scalars, or of tuples of scalars (a report's pairs), is
+    converted whole, with no Python call per member."""
     if type(value) is not tuple:
         return value.to_json_obj() if isinstance(value, Report) else value
-    return list(value) if _SCALARS.issuperset(map(type, value)) else list(map(_json_value, value))
+    kinds = set(map(type, value))
+    if kinds <= _SCALARS:
+        return list(value)
+    if kinds == {tuple} and _SCALARS.issuperset(map(type, chain.from_iterable(value))):
+        return list(map(list, value))
+    return list(map(_json_value, value))
 
 
 class NotIntervalError(Exception):

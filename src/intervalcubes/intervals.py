@@ -1,36 +1,34 @@
 """Interval models: closed intervals with exact rational endpoints.
 
-A model is ranked once, when it is made, so the sweep, `model_to_graph`
-and the verifier compare small ints, and neither loading nor ranking
-builds a Fraction.  `model_to_clique_ordering` gives a model's
-`graphs.CliqueOrdering`, the form every stage after loading reads, and
-`model_to_graph` its `Graph` from `graphs.by_right_end`.  The CLI loads
-this module for model input alone, and `rationals` only where endpoint
-text is read or written.
+A model is put on its grid once, when it is made: each endpoint is an
+int counting units of 1/`unit`, as a `CubeRepresentation`'s coordinates
+are, so the sweep, `model_to_graph` and the verifier compare ints, and
+neither loading nor the sweep builds a Fraction.
+`model_to_clique_ordering` gives a model's `graphs.CliqueOrdering`, the
+form every stage after loading reads, and `model_to_graph` its `Graph`
+from `graphs.by_right_end`.  The CLI loads this module for model input
+alone, and `rationals` only where endpoint text is read or written.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from io import StringIO
 from itertools import chain, compress, count, repeat
-from math import lcm
 from operator import gt, itemgetter
 
-from .graphs import CliqueOrdering, Graph, Record, by_right_end, read_json, write_json
+from .graphs import CliqueOrdering, Graph, Record, by_right_end, common_grid, read_json
 
 
 class IntervalModel(Record):
-    """Per-vertex closed intervals with exact rational endpoints, kept as
-    ranks: `values` holds the distinct endpoints in increasing order as
-    reduced (numerator, denominator) pairs, and interval v is
-    [values[lo[v]], values[hi[v]]].  Built from (lo, hi) pairs of ints or
-    Fractions, which `intervals` gives back, as ints where integral."""
+    """Per-vertex closed intervals with exact rational endpoints, kept on
+    one grid: interval v is [lo[v]/unit, hi[v]/unit], with `unit` the lcm
+    of the endpoints' reduced denominators, at most MAX_UNIT_BITS bits.
+    Built from (lo, hi) pairs of ints or Fractions, which `intervals`
+    gives back, as ints where integral."""
 
-    __slots__ = ("values", "lo", "hi")
+    __slots__ = ("unit", "lo", "hi")
 
     def __init__(self, intervals):
-        _ranked(self, [(x.numerator, x.denominator) for iv in intervals for x in iv])
+        _on_grid(self, [(x.numerator, x.denominator) for iv in intervals for x in iv])
 
     @property
     def n(self) -> int:
@@ -40,20 +38,16 @@ class IntervalModel(Record):
     def intervals(self) -> tuple:
         from fractions import Fraction
 
-        exact = [p if q == 1 else Fraction(p, q) for p, q in self.values]
+        unit = self.unit
+        exact = {x: x // unit if x % unit == 0 else Fraction(x, unit) for x in {*self.lo, *self.hi}}
         return tuple((exact[a], exact[b]) for a, b in zip(self.lo, self.hi))
 
     def to_json_obj(self) -> dict:
         from .rationals import format_ratio
 
-        text = [format_ratio(p, q) for p, q in self.values]
+        text = {x: format_ratio(x, self.unit) for x in {*self.lo, *self.hi}}
         ends = enumerate(zip(self.lo, self.hi))
         return {"intervals": [{"id": i, "lo": text[a], "hi": text[b]} for i, (a, b) in ends]}
-
-    def dumps(self) -> str:
-        """The text `write_json` writes for the model, less its final newline."""
-        write_json(self.to_json_obj(), buffer := StringIO())
-        return buffer.getvalue()[:-1]
 
     @classmethod
     def from_json_obj(cls, obj, refuse=None) -> "IntervalModel":
@@ -88,51 +82,28 @@ class IntervalModel(Record):
                 seen.add(i)
                 parse_ratio(rec["lo"]), parse_ratio(rec["hi"])
             raise
-        return _ranked(cls.__new__(cls), list(map(pairs.__getitem__, texts)))
+        return _on_grid(cls.__new__(cls), list(map(pairs.__getitem__, texts)))
 
     @classmethod
     def loads(cls, text: str, refuse=None) -> "IntervalModel":
         return cls.from_json_obj(read_json(text), refuse)
 
 
-def _ranked(model: IntervalModel, ends: list) -> IntervalModel:
-    """`model` with its fields set from `ends`, the (numerator, denominator)
-    pairs lo_0, hi_0, lo_1, ...; ValueError if some lo > hi.  Under a
-    common denominator of at most 64 bits, each value's key is its exact
-    multiple of 1/lcm, an int.  Otherwise the key is the pair: the
-    distinct pairs are sorted by integer part, then by fractional part as
-    a float (division of ints rounds correctly, so monotonically), and
-    only distinct values that tie on both send the sort to an exact
-    comparison of cross products."""
-    unit = 1
-    for q in {q for _, q in ends}:
-        unit = lcm(unit, q)
-        if unit.bit_length() > 64:
-            keys, table = ends, {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
-            ordered = sorted(table, key=table.__getitem__)
-            if len(set(table.values())) < len(ordered):
-                ordered.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-            values = tuple(ordered)
-            break
-    else:
-        keys = [p * (unit // q) for p, q in ends]
-        table = dict(zip(keys, ends))
-        ordered = sorted(table)
-        values = tuple(map(table.__getitem__, ordered))
-    # one entry per distinct key, set in place to the key's rank; what the
-    # ranks no longer need is freed before they, and then lo and hi, are built
-    table.update(zip(ordered, count()))
-    del ordered
-    ranks = list(map(table.__getitem__, keys))
-    del keys, table
-    lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
+def _on_grid(model: IntervalModel, ends: list) -> IntervalModel:
+    """`model` with its fields set from `ends`, the reduced (numerator,
+    denominator) pairs lo_0, hi_0, lo_1, ...: `unit` is the lcm of the
+    denominators, refused past MAX_UNIT_BITS by `graphs.common_grid`, and
+    each end p/q is p * (unit // q).  ValueError if some lo > hi."""
+    unit = common_grid({q for _, q in ends})
+    xs = [p * (unit // q) for p, q in ends]
+    lo, hi = tuple(xs[0::2]), tuple(xs[1::2])
     i = next(compress(count(), map(gt, lo, hi)), None)
     if i is not None:
         from .rationals import format_ratio
 
-        a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
+        a, b = format_ratio(lo[i], unit), format_ratio(hi[i], unit)
         raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
-    Record.__init__(model, values, lo, hi)
+    Record.__init__(model, unit, lo, hi)
     return model
 
 
@@ -140,7 +111,7 @@ def model_to_graph(model: IntervalModel) -> Graph:
     """Closed-interval overlap graph; a shared endpoint is an edge.  Each
     interval's earlier neighbours in `by_right_end`'s sweep go to `Graph`
     one edge at a time, with no list of them: O(n log n + m).  This reads
-    the endpoint ranks, never the clique sweep, so the graph a
+    the endpoints on their grid, never the clique sweep, so the graph a
     representation is verified against stays independent of the ordering
     it was built from."""
     seq, closed = by_right_end(model.lo, model.hi)
@@ -158,15 +129,16 @@ def model_to_clique_ordering(model: IntervalModel) -> CliqueOrdering:
     are read off the snapshot count at its ends and no clique is listed.
     """
     lo, hi = model.lo, model.hi
-    m = len(model.values)
     starting, ending = set(lo), set(hi)
     k, admitted = 0, False
-    at_start, at_end = [0] * m, [0] * m
-    for x in range(m):
-        at_start[x] = k
-        admitted = admitted or x in starting
-        if x in ending and admitted:
-            k, admitted = k + 1, False
-        at_end[x] = k - 1
-    return CliqueOrdering(k, tuple(at_start[r] for r in lo), tuple(at_end[r] for r in hi))
+    at_start, at_end = {}, {}
+    for x in sorted(starting | ending):
+        if x in starting:
+            at_start[x], admitted = k, True
+        if x in ending:
+            if admitted:
+                k, admitted = k + 1, False
+            at_end[x] = k - 1
+    left, right = tuple(map(at_start.__getitem__, lo)), tuple(map(at_end.__getitem__, hi))
+    return CliqueOrdering(k, left, right)
 

@@ -6,13 +6,12 @@ in either document.
 The verifier trusts nothing from the construction: it reads adjacency
 off the graph, or off ranges, and compares it against max-norm geometry
 only.  Ranges are closed intervals of ints, adjacent when they meet: an
-interval model's endpoint ranks, made from the endpoint values when the
-model was, or a clique ordering's per-vertex ranges [left, right].  A
-model is checked against its endpoints, never against the sweep that
-built its representation.  An ordering stands for a graph once
-recognition has certified it against the graph's edges (see
-`verify_representation`).  Side and coordinates are integers on one
-grid, so every comparison is exact.
+interval model's endpoints on its grid, or a clique ordering's
+per-vertex ranges [left, right].  A model is checked against its
+endpoints, never against the sweep that built its representation.  An
+ordering stands for a graph once recognition has certified it against
+the graph's edges (see `verify_representation`).  Side and coordinates
+are integers on one grid, so every comparison is exact.
 
 Every pair is met once, from the later of its two vertices in a sweep
 order: by index for a graph, and for ranges `graphs.by_right_end`'s,
@@ -54,16 +53,12 @@ from __future__ import annotations
 
 from io import StringIO
 from itertools import chain, repeat
-from math import lcm
 from re import finditer
 
-from .graphs import CliqueOrdering, Graph, Record, Report, by_right_end, read_json, write_json
-
-# A document's rational texts go onto its unit times the lcm of their
-# denominators, which grows with the product of distinct ones: 1/p over the
-# first 2000 primes, 25 kB of JSON, needs a unit of 24,856 bits.  Built
-# outputs need a few dozen.
-MAX_UNIT_BITS = 1024
+from .graphs import (
+    MAX_UNIT_BITS, CliqueOrdering, Graph, Record, Report, by_right_end, common_grid, read_json,
+    write_json,
+)
 
 
 class CubeRepresentation(Record):
@@ -103,8 +98,8 @@ class CubeRepresentation(Record):
         documents that predate it).  A document of ints keeps its own grid;
         otherwise the grid is `unit` times the lcm of the denominators,
         refused with ValueError once it passes MAX_UNIT_BITS, before any
-        coordinate is built.  With no coordinates, a positive dimension is
-        refused too."""
+        coordinate is built (`graphs.common_grid`, as a model's).  With no
+        coordinates, a positive dimension is refused too."""
         if not isinstance(obj, dict):
             raise ValueError("a representation is a JSON object")
         dimension, side = obj["dimension"], obj["side"]
@@ -137,11 +132,7 @@ class CubeRepresentation(Record):
                     parse_ratio(x)
             texts = dict.fromkeys(chain.from_iterable(rows))
             pairs = list(map(parse_ratio, texts))
-        grid = 1
-        for q in {side_q, *(q for _, q in pairs)}:
-            grid = lcm(grid, q)
-            if (unit * grid).bit_length() > MAX_UNIT_BITS:
-                raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
+        grid = common_grid({side_q, *(q for _, q in pairs)}, unit)
         texts.update(zip(texts, [p * (grid // q) for p, q in pairs]))
         cols = zip(*rows)
         coords = tuple(tuple(map(texts.__getitem__, col)) for col in cols) if texts else tuple(cols)

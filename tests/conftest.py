@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from intervalcubes import (
     random_interval_model,
 )
 from intervalcubes import oracle
-from intervalcubes.graphs import DISTRIBUTIONS
+from intervalcubes.graphs import DISTRIBUTIONS, write_json
 
 from oracle_reference import reference_supergraphs
 from padding_reference import pad_graph, psi_values
@@ -36,6 +37,13 @@ def make_model(pairs) -> IntervalModel:
     return IntervalModel(
         tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in pairs)
     )
+
+
+def model_text(model: IntervalModel) -> str:
+    """The model's document as `gen` writes it: `write_json` of its
+    `to_json_obj`."""
+    write_json(model.to_json_obj(), buffer := StringIO())
+    return buffer.getvalue()
 
 
 def path_graph(n: int) -> Graph:

@@ -3,24 +3,23 @@
 replaced, kept step for step as the tests' reference: the edge-list reader
 that finds its header line with a regular expression, the rational reader
 with its one regular expression for every text, the model reader that
-parses each endpoint on its own and ranks them through a float-key dict,
-and the representation reader that parses each row value in a list
-comprehension, caching texts alone.  The readers' differential requires
-the same value or the same refusal message from both.
+parses each endpoint on its own and puts it on the model's grid through
+its Fraction, and the representation reader that parses each row value
+in a list comprehension, caching texts alone.  The readers' differential
+requires the same value or the same refusal message from both.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from functools import cmp_to_key
+from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from intervalcubes.graphs import MAX_VERTICES, Graph, GraphParseError, Record
+from intervalcubes.graphs import MAX_UNIT_BITS, MAX_VERTICES, Graph, GraphParseError, Record
 from intervalcubes.intervals import IntervalModel
-from intervalcubes.rationals import format_ratio
-from intervalcubes.verify import MAX_UNIT_BITS, CubeRepresentation
+from intervalcubes.verify import CubeRepresentation
 
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)([\d_]*)(?:\s*/\s*([\d_]+)|\.([\d_]*))?\s*").fullmatch
@@ -118,23 +117,22 @@ def model_from_json_obj(obj) -> IntervalModel:
         if type(i) is not int or not (0 <= i < len(records)) or ends[2 * i] is not None:
             raise ValueError(f"interval ids must be a permutation of 0..{len(records) - 1}")
         ends[2 * i : 2 * i + 2] = parse_ratio(rec["lo"]), parse_ratio(rec["hi"])
-    return _ranked(ends)
+    return _on_grid(ends)
 
 
-def _ranked(ends: list) -> IntervalModel:
-    keys = {e: (e[0] // e[1], e[0] % e[1] / e[1]) for e in set(ends)}
-    values = sorted(keys, key=keys.__getitem__)
-    if len(set(keys.values())) < len(values):
-        values.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    rank = dict(zip(values, range(len(values))))
-    ranks = [rank[e] for e in ends]
-    lo, hi = tuple(ranks[0::2]), tuple(ranks[1::2])
-    for i, (a, b) in enumerate(zip(lo, hi)):
+def _on_grid(ends: list) -> IntervalModel:
+    values = [Fraction(p, q) for p, q in ends]
+    unit = 1
+    for q in {x.denominator for x in values}:
+        unit = lcm(unit, q)
+        if unit.bit_length() > MAX_UNIT_BITS:
+            raise ValueError(f"the common grid needs a unit of more than {MAX_UNIT_BITS} bits")
+    for i, (a, b) in enumerate(zip(values[0::2], values[1::2])):
         if a > b:
-            a, b = format_ratio(*ends[2 * i]), format_ratio(*ends[2 * i + 1])
             raise ValueError(f"interval {i} has lo > hi: [{a}, {b}]")
+    grid = [int(x * unit) for x in values]
     model = IntervalModel.__new__(IntervalModel)
-    Record.__init__(model, tuple(values), lo, hi)
+    Record.__init__(model, unit, tuple(grid[0::2]), tuple(grid[1::2]))
     return model
 
 

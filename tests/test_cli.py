@@ -20,7 +20,7 @@ from intervalcubes.cli import main
 from intervalcubes.graphs import DISTRIBUTIONS
 from intervalcubes.params import best_dimension, ceil_log2, parameters
 
-from conftest import make_model, star_model
+from conftest import make_model, model_text, star_model
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -154,7 +154,7 @@ def test_representation_is_written_in_a_few_batches():
 ], ids=["best", "claw-trace", "alpha"])
 def test_construct_writes_the_same_bytes_to_stdout_and_out(capsys, tmp_path, flags):
     path = tmp_path / "model.json"
-    path.write_text(random_interval_model(GenConfig(200, 1, "unit-jitter")).dumps())
+    path.write_text(model_text(random_interval_model(GenConfig(200, 1, "unit-jitter"))))
     code, out, _ = run(capsys, "construct", str(path), *flags)
     assert code == 0
     assert run(capsys, "construct", str(path), *flags, "--out", str(tmp_path / "rep.json"))[0] == 0
@@ -338,7 +338,7 @@ def test_exact_refuses_a_model_before_building_its_graph(capsys, tmp_path, monke
 
     monkeypatch.setattr(intervals, "model_to_graph", no_graph)
     path = tmp_path / "nine.json"
-    path.write_text(make_model([(i, i + 1) for i in range(9)]).dumps())
+    path.write_text(model_text(make_model([(i, i + 1) for i in range(9)])))
     assert run(capsys, "exact", str(path)) == (
         3, "", "9 vertices exceeds the oracle bound of 8\n"
     )
@@ -379,14 +379,14 @@ def test_exact_refuses_an_edge_list_on_its_header(capsys, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("variant", ["claw", "alpha", "best"])
-def test_construct_ranks_a_model_once(capsys, tmp_path, monkeypatch, variant):
-    """The sweep and the verifier read the ranks the model was loaded
-    with; neither ranks the endpoints again."""
+def test_construct_puts_a_model_on_its_grid_once(capsys, tmp_path, monkeypatch, variant):
+    """The sweep and the verifier read the grid ints the model was loaded
+    with; neither puts the endpoints on a grid again."""
     calls = []
-    ranked = intervals._ranked
-    monkeypatch.setattr(intervals, "_ranked", lambda *args: calls.append(1) or ranked(*args))
+    on_grid = intervals._on_grid
+    monkeypatch.setattr(intervals, "_on_grid", lambda *args: calls.append(1) or on_grid(*args))
     path = tmp_path / "model.json"
-    path.write_text(random_interval_model(GenConfig(30, 2, "unit-jitter")).dumps())
+    path.write_text(model_text(random_interval_model(GenConfig(30, 2, "unit-jitter"))))
     calls.clear()
     code, _, _ = run(capsys, "construct", str(path), "--variant", variant, "--normalize")
     assert code == 0 and len(calls) == 1
@@ -527,7 +527,7 @@ def test_verify_reads_rational_text_as_it_reads_the_grid(capsys, tmp_path, flags
     from conftest import rational_obj, shifted
 
     model_path = tmp_path / "model.json"
-    model_path.write_text(random_interval_model(GenConfig(60, 1, "unit-jitter")).dumps())
+    model_path.write_text(model_text(random_interval_model(GenConfig(60, 1, "unit-jitter"))))
     rep_path = tmp_path / "rep.json"
     assert run(capsys, "construct", str(model_path), *flags, "--out", str(rep_path))[0] == 0
     grid = json.loads(rep_path.read_text())
@@ -565,13 +565,36 @@ def test_verify_refuses_an_unbounded_grid_exit_65(capsys, tmp_path):
     # a normalized build of a generated model still loads and verifies
     model = random_interval_model(GenConfig(n=300, seed=3, dist="unit-jitter"))
     model_path = tmp_path / "model.json"
-    model_path.write_text(model.dumps())
+    model_path.write_text(model_text(model))
     code, _, _ = run(capsys, "construct", str(model_path), "--variant", "best", "--normalize",
                      "--out", str(rep_path))
     assert code == 0
     unit = CubeRepresentation.loads(rep_path.read_text()).unit
     assert unit.bit_length() <= verify.MAX_UNIT_BITS
     assert run(capsys, "verify", str(model_path), str(rep_path))[0] == 0
+
+
+def test_model_past_the_grid_limit_exits_65(capsys, tmp_path):
+    """A model's ends share one grid, whose unit is the lcm of their
+    denominators: [0, 1/p] over the first 100 primes needs 730 bits and
+    still builds and verifies, over the first 200 it needs 1704 and is
+    refused as malformed input by every command that reads it."""
+    model_path, rep_path = tmp_path / "primes.json", tmp_path / "rep.json"
+
+    def write(count):
+        records = [{"id": i, "lo": "0", "hi": f"1/{p}"} for i, p in enumerate(_primes(count))]
+        model_path.write_text(json.dumps({"intervals": records}))
+
+    write(100)
+    assert run(capsys, "construct", str(model_path), "--variant", "best", "--normalize",
+               "--out", str(rep_path))[0] == 0
+    assert run(capsys, "verify", str(model_path), str(rep_path))[0] == 0
+    write(200)
+    refusal = f"bad input: the common grid needs a unit of more than {graphs.MAX_UNIT_BITS} bits\n"
+    for argv in (["construct", str(model_path)], ["verify", str(model_path), str(rep_path)],
+                 ["params", str(model_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (65, "", refusal)
 
 
 def test_verify_refuses_a_dimension_without_coordinates_exit_65(capsys, tmp_path):
@@ -660,7 +683,7 @@ def test_search_counts_oracle_refusals(capsys):
 
 def _model_and_edge_list(tmp_path, name, model):
     model_path = tmp_path / f"{name}.json"
-    model_path.write_text(model.dumps())
+    model_path.write_text(model_text(model))
     edges_path = tmp_path / f"{name}.txt"
     edges_path.write_text(serialize_graph(model_to_graph(model)))
     return str(model_path), str(edges_path)

@@ -20,6 +20,8 @@ import intervalcubes
 from intervalcubes import GenConfig, random_interval_model
 from intervalcubes.cli import main
 
+from conftest import model_text
+
 SRC = str(Path(intervalcubes.__file__).resolve().parents[1])
 
 
@@ -47,7 +49,7 @@ COMMANDS = [
 
 def _inputs(tmp_path):
     model = tmp_path / "model.json"
-    model.write_text(random_interval_model(GenConfig(7, 1, "unit-jitter")).dumps())
+    model.write_text(model_text(random_interval_model(GenConfig(7, 1, "unit-jitter"))))
     (tmp_path / "path.txt").write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
     paths = {"model": model, "rep": tmp_path / "rep.json", "path": tmp_path / "path.txt"}
     return [[word.format(**paths) for word in argv] for argv in COMMANDS]

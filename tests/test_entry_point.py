@@ -18,7 +18,7 @@ import pytest
 import intervalcubes
 from intervalcubes.cli import main
 
-from conftest import make_model, shifted
+from conftest import make_model, model_text, shifted
 
 SRC = str(Path(intervalcubes.__file__).resolve().parents[1])
 
@@ -43,7 +43,7 @@ CASES = {
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     where = tmp_path_factory.mktemp("inputs")
-    (where / "p8.json").write_text(make_model([(i, i + 1) for i in range(8)]).dumps())
+    (where / "p8.json").write_text(model_text(make_model([(i, i + 1) for i in range(8)])))
     (where / "c4.txt").write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
     (where / "big.txt").write_text("9 0\n")
     (where / "bad.json").write_text('{"intervals": [{"id": 0, "lo": "1E5", "hi": "2E5"}]}')

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +11,14 @@ from intervalcubes import (
     model_to_clique_ordering,
     model_to_graph,
 )
-from intervalcubes.graphs import by_right_end
+from intervalcubes.graphs import MAX_UNIT_BITS, by_right_end
 
 from conftest import (
     bron_kerbosch,
     interval_models,
     make_model,
     model_pipeline,
+    model_text,
     p3_model,
     random_models,
     star_model,
@@ -180,7 +182,7 @@ def test_validate_accepts_correct_p3():
 
 def test_model_json_round_trip():
     model = make_model([(0, "5/2"), ("-3/2", "7/3"), ("0.25", 1)])
-    text = model.dumps()
+    text = model_text(model)
     again = IntervalModel.loads(text)
     assert again == model
     assert again.intervals[2][0] == Fraction(1, 4)
@@ -197,10 +199,11 @@ def test_model_json_rejects_bad_ids():
         IntervalModel.loads('{"intervals": [{"id": 1, "lo": "0", "hi": "1"}]}')
 
 
-def fraction_ranks(pairs):
-    """Endpoint ranks from a sort of the Fractions themselves."""
-    rank = {x: r for r, x in enumerate(sorted({x for iv in pairs for x in iv}))}
-    return tuple(rank[lo] for lo, _ in pairs), tuple(rank[hi] for _, hi in pairs)
+def fraction_grid(pairs):
+    """The grid a model of `pairs` holds, from the Fractions themselves: the
+    lcm of their denominators, and each end as its multiple of 1/lcm."""
+    unit = lcm(*(x.denominator for iv in pairs for x in iv))
+    return unit, tuple(int(lo * unit) for lo, _ in pairs), tuple(int(hi * unit) for _, hi in pairs)
 
 
 endpoints = st.one_of(
@@ -218,20 +221,22 @@ endpoint_pairs = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(endpoint_pairs)
-def test_model_ranks_match_fraction_ranks(pairs):
+def test_model_grid_holds_the_fractions(pairs):
     model = IntervalModel(tuple(pairs))
-    assert (model.lo, model.hi) == fraction_ranks(pairs)
-    values = sorted({x for iv in pairs for x in iv})
-    assert model.values == tuple((x.numerator, x.denominator) for x in values)
+    assert (model.unit, model.lo, model.hi) == fraction_grid(pairs)
+    assert all(Fraction(a, model.unit) == lo and Fraction(b, model.unit) == hi
+               for a, b, (lo, hi) in zip(model.lo, model.hi, pairs))
 
 
-def test_model_ranks_order_values_a_float_cannot_tell_apart():
+def test_model_grid_orders_values_a_float_cannot_tell_apart():
     third = Fraction(1, 3)
     below = third - Fraction(1, 10**30)  # the same float fractional part, a larger numerator
     pairs = ((third, third), (below, third), (Fraction(-1), below))
     model = IntervalModel(pairs)
-    assert (model.lo, model.hi) == fraction_ranks(pairs) == ((2, 1, 0), (2, 2, 1))
-    assert IntervalModel.loads(model.dumps()) == model
+    unit = 3 * 10**30
+    assert (model.unit, model.lo, model.hi) == fraction_grid(pairs) == (
+        unit, (10**30, 10**30 - 3, -unit), (10**30, 10**30, 10**30 - 3))
+    assert IntervalModel.loads(model_text(model)) == model
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,7 +248,7 @@ def test_model_gives_back_its_intervals(pairs):
     assert all(type(x) is int or x.denominator > 1 for iv in model.intervals for x in iv)
     assert IntervalModel(model.intervals) == model
     assert IntervalModel(intervals=model.intervals) == model
-    assert IntervalModel.loads(model.dumps()) == model
+    assert IntervalModel.loads(model_text(model)) == model
 
 
 # shared endpoints, point intervals, negatives, non-canonical and huge text
@@ -257,14 +262,25 @@ ENDPOINT_TEXT = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(ENDPOINT_TEXT), st.sampled_from(ENDPOINT_TEXT)),
                 max_size=12))
+@example([("0", "1/" + "7" * 300), ("-" + "3" * 200 + "/" + "7" * 210, "0")])
 def test_model_text_matches_fraction_text(texts):
+    """The text a model writes is `str` of each end's Fraction, unless the
+    Fractions' common denominator passes MAX_UNIT_BITS: then the document
+    and the Fractions are both refused, before any lo > hi is looked for."""
     pairs = [sorted(p, key=Fraction) for p in texts]
     obj = {"intervals": [{"id": i, "lo": lo, "hi": hi} for i, (lo, hi) in enumerate(pairs)]}
-    expected = [{"id": i, "lo": str(Fraction(lo)), "hi": str(Fraction(hi))}
-                for i, (lo, hi) in enumerate(pairs)]
+    fractions = tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs)
+    if lcm(*(x.denominator for iv in fractions for x in iv)).bit_length() > MAX_UNIT_BITS:
+        refusal = f"^the common grid needs a unit of more than {MAX_UNIT_BITS} bits$"
+        with pytest.raises(ValueError, match=refusal):
+            IntervalModel.from_json_obj(obj)
+        with pytest.raises(ValueError, match=refusal):
+            IntervalModel(fractions)
+        return
+    expected = [{"id": i, "lo": str(lo), "hi": str(hi)} for i, (lo, hi) in enumerate(fractions)]
     model = IntervalModel.from_json_obj(obj)
     assert model.to_json_obj() == {"intervals": expected}
-    assert model == IntervalModel(tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs))
+    assert model == IntervalModel(fractions)
 
 
 def test_generated_model_text_matches_fraction_text():

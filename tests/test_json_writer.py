@@ -124,7 +124,8 @@ def test_generated_and_search_documents_are_written_as_json_dumps_writes_them():
 @settings(max_examples=100, deadline=None)
 @given(interval_models())
 @example(IntervalModel(()))
-def test_model_dumps_is_the_writers_text(model):
-    """`IntervalModel.dumps` writes through `write_json`, as
-    `CubeRepresentation.dumps` does, less the final newline."""
-    assert model.dumps() == json.dumps(model.to_json_obj(), indent=2, sort_keys=True)
+def test_model_document_is_the_writers_text(model):
+    """A model's document, as `gen` writes it, is `json.dumps`'s text of
+    its `to_json_obj` and a newline."""
+    assert written(model.to_json_obj()) == json.dumps(
+        model.to_json_obj(), indent=2, sort_keys=True) + "\n"

@@ -21,6 +21,7 @@ from conftest import (
     interval_models,
     make_model,
     model_pipeline,
+    model_text,
     p3_model,
     pad,
     path_graph,
@@ -143,7 +144,7 @@ def test_params_command_makes_one_suffix_best_table(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(labelling, "suffix_best", counting)
     for i, model in enumerate(random_models(6, range(2, 30), seed=41)):
         graph = model_pipeline(model)[0]
-        for name, text in (("model", model.dumps()), ("graph", serialize_graph(graph))):
+        for name, text in (("model", model_text(model)), ("graph", serialize_graph(graph))):
             path = tmp_path / f"{name}{i}.txt"
             path.write_text(text)
             seen.clear()

@@ -4,8 +4,9 @@
 every text, and the model and representation readers on whole documents
 that mix repeated texts, JSON ints, true, 1.0, null and lists among
 strings, canonical and non-canonical spellings of one value, duplicate or
-missing ids and keys, lo > hi, distinct fractions that tie on a float
-key, and texts past the interpreter's digit limit.  Each document must
+missing ids and keys, lo > hi, distinct fractions that a float cannot
+tell apart, denominators too wide for one grid, and texts past the
+interpreter's digit limit.  Each document must
 give the same value or the same refusal, message and all."""
 
 import sys
@@ -28,6 +29,8 @@ SPELLINGS = [
     "0", "-0", "1", "-1", "2", "1/2", "2/4", " 1/2", "0.5", "+1", "1_0", "10", "-3/2",
     "-1.5", "7/3", "1/3", _BELOW, "5/16", "10/32", "1/0", "x", "", "1" * (_LIMIT + 1),
     "1/" + "3" * (_LIMIT + 1), "-" + "9" * 50 + "/" + "7" * 49, "3" * 30,
+    # denominators of 997 and 829 bits, whose lcm passes MAX_UNIT_BITS
+    "1/" + "7" * 300, "2/" + "3" * 250,
 ]
 values = st.one_of(
     st.sampled_from(SPELLINGS),
@@ -143,8 +146,8 @@ def test_values_that_compare_equal_never_share_an_entry(first, then):
         reference.representation_from_json_obj, rep)
 
 
-# float keys that tie, denominators whose lcm passes 64 bits, and one value
-# in many spellings
+# values a float's fractional part cannot tell apart, denominators whose
+# lcm passes 64 bits, and one value in many spellings
 TIES = ["1/3", _BELOW, "-1", "1/" + "7" * 30, "2/" + "7" * 30, "0.5", "2/4", "1/2", "4", "8/2"]
 
 
@@ -161,6 +164,22 @@ def test_model_reader_matches_the_reference_on_ties(shift):
     assert read == outcome(reference.model_from_json_obj, obj) and read[0] == "value"
     # every interval turned round: the first in id order with lo > hi is refused
     obj = {"intervals": [{"id": i, "lo": hi, "hi": lo} for i, (lo, hi) in enumerate(pairs)]}
+    assert outcome(IntervalModel.from_json_obj, obj) == outcome(reference.model_from_json_obj, obj)
+
+
+# each fits a grid alone (997 and 829 bits), but not with the other; the
+# third is too wide alone (1063 bits)
+WIDE = ["1/" + "7" * 300, "2/" + "3" * 250, "1/" + "3" * 320]
+
+
+@pytest.mark.parametrize("ends", [
+    [("0", WIDE[0])], [("0", WIDE[0]), (WIDE[1], "1")], [(WIDE[2], "1")],
+    [("0", WIDE[0]), ("1", "0")], [("0", WIDE[0]), (WIDE[1], "1"), ("1", "0")],
+    [("1", "0"), (WIDE[2], WIDE[2])],
+])
+def test_model_reader_matches_the_reference_on_wide_grids(ends):
+    """A grid past MAX_UNIT_BITS is refused before any lo > hi is looked for."""
+    obj = {"intervals": [{"id": i, "lo": lo, "hi": hi} for i, (lo, hi) in enumerate(ends)]}
     assert outcome(IntervalModel.from_json_obj, obj) == outcome(reference.model_from_json_obj, obj)
 
 
